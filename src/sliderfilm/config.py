@@ -53,7 +53,7 @@ class PhysicsConfig:
 
 @dataclass
 class SolverConfig:
-    omega: float = 1.5
+    omega: float | None = None  # null -> suggested_omega(grid)
     tol: float = 1e-8
     max_iter: int | None = None
     warm_start: bool = True
@@ -107,7 +107,7 @@ class RunConfig:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
 def _float_field(raw, path, *, allow_none=False):
@@ -115,7 +115,13 @@ def _float_field(raw, path, *, allow_none=False):
         return None
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValidationError(path, f"must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(path, f"must be finite, got {value!r}")
+    return value
 
 
 def _int_field(raw, path, *, allow_none=False):
@@ -196,12 +202,12 @@ def _parse_physics(d, path):
 
 def _parse_solver(d, path):
     out = SolverConfig(
-        omega=_float_field(d.get("omega", 1.5), f"{path}.omega"),
+        omega=_float_field(d.get("omega"), f"{path}.omega", allow_none=True),
         tol=_float_field(d.get("tol", 1e-8), f"{path}.tol"),
         max_iter=_int_field(d.get("max_iter"), f"{path}.max_iter", allow_none=True),
         warm_start=_bool_field(d.get("warm_start", True), f"{path}.warm_start"),
     )
-    if not 0.0 < out.omega < 2.0:
+    if out.omega is not None and not 0.0 < out.omega < 2.0:
         raise ValidationError(f"{path}.omega", "must lie in (0, 2)")
     if out.tol <= 0.0:
         raise ValidationError(f"{path}.tol", "must be > 0")
@@ -267,8 +273,10 @@ def _parse_oracle(d, path):
         raise ValidationError(f"{path}.fourier_cutoff", "must be >= 1")
     if out.fine_grid < 16:
         raise ValidationError(f"{path}.fine_grid", "must be >= 16")
-    if out.lcp_cases < 1 or out.comparison_cases < 1:
-        raise ValidationError(f"{path}.lcp_cases", "case counts must be >= 1")
+    if out.lcp_cases < 1:
+        raise ValidationError(f"{path}.lcp_cases", "must be >= 1")
+    if out.comparison_cases < 1:
+        raise ValidationError(f"{path}.comparison_cases", "must be >= 1")
     return out
 
 

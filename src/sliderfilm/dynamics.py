@@ -9,7 +9,7 @@ cached unit solve, which keeps long decay runs affordable.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -31,6 +31,7 @@ from .vi_solver import (
     load_integral,
     solve_linear,
     solve_vi_psor,
+    suggested_omega,
 )
 
 __all__ = [
@@ -58,9 +59,13 @@ __all__ = [
 
 @dataclass
 class SolverParams:
-    """Pressure-solver knobs shared by every film solve of a run."""
+    """Pressure-solver knobs shared by every film solve of a run.
 
-    omega: float = 1.5
+    omega None means suggested_omega of the problem's grid, resolved
+    once when the Problem is built.
+    """
+
+    omega: float | None = None
     tol: float = 1e-8
     max_iter: int | None = None
     warm_start: bool = True
@@ -80,6 +85,8 @@ class Problem:
             raise ValueError(f"applied load F must be positive, got {self.F}")
         if self.eta0 <= 0.0:
             raise ValueError(f"initial height eta0 must be positive, got {self.eta0}")
+        if self.solver.omega is None:
+            self.solver = replace(self.solver, omega=suggested_omega(self.grid))
 
 
 @dataclass

@@ -10,16 +10,18 @@ with edge-midpoint coefficients and b_i = -(dh0/dx1(x_i) + gamma) dx dy,
 both with zero Dirichlet boundary.  A is a symmetric M-matrix, so the
 problem has a unique solution and projected SOR converges.
 
-The production solver sweeps nodes in lexicographic order.  It is
-implemented as an anti-diagonal wavefront: for the five-point stencil
-every west/south dependency of a node lies on the previous anti-diagonal
-and every east/north dependency on the next, so updating whole
-anti-diagonals in ascending order reproduces the lexicographic sweep
-update-for-update while each diagonal is a vectorized slice.
+The production solver sweeps nodes in red-black (checkerboard) order:
+first every node with i + j even, then every node with i + j odd.  For
+the five-point stencil all neighbours of a node have the other colour,
+so each colour is updated as a few vectorized strided slices and the
+order within a colour does not matter.  The five-point operator is
+consistently ordered, so this ordering has the same asymptotic SOR rate
+at the same omega as the lexicographic one (Young, Iterative Solution of
+Large Linear Systems, 1971).  Both orders converge to the same solution,
+so their results differ by the solve error, not bit for bit.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -142,60 +144,43 @@ def assemble_system(
     )
 
 
-@lru_cache(maxsize=64)
-def _diagonal_slices(nx: int, ny: int):
-    """Anti-diagonal slice descriptors.
+def _red_black_lattices(system: DiscreteSystem, p_pad: np.ndarray):
+    """Views of the four strided sub-lattices in sweep order.
 
-    For diagonal d (= i + j), returns (j_lo, count); node (i, j) on the
-    diagonal sits at flat padded index (j+1)*(nx+2) + (i+1), stepping by
-    nx+1 as j increases, and at flat interior index d + j*(nx-1).
+    Sub-lattice (jo, io) holds the interior nodes (j, i) with
+    j = jo (mod 2) and i = io (mod 2); red is (0, 0) then (1, 1), black
+    is (0, 1) then (1, 0).  Every neighbour of a node has the other
+    colour, so each sub-lattice updates as one vectorized block.
+    Interior node (j, i) sits at p_pad[j + 1, i + 1].
     """
+    ny, nx = system.b.shape
+    dinv = 1.0 / system.diag
     out = []
-    for d in range(nx + ny - 1):
-        j_lo = max(0, d - nx + 1)
-        j_hi = min(ny - 1, d)
-        out.append((d, j_lo, j_hi - j_lo + 1))
-    return tuple(out)
-
-
-def _build_wavefront(system: DiscreteSystem, p_pad: np.ndarray):
-    """Per-diagonal views into the padded iterate and system arrays."""
-    nx, ny = system.grid.nx, system.grid.ny
-    pflat = p_pad.ravel()
-    wpad = nx + 2
-    step_p = nx + 1
-    step_c = nx - 1
-    bf, cwf, cef, csf, cnf = (
-        a.ravel() for a in (system.b, system.cw, system.ce, system.cs, system.cn)
-    )
-    dinvf = (1.0 / system.diag).ravel()
-    diags = []
-    for d, j_lo, count in _diagonal_slices(nx, ny):
-        i_lo = d - j_lo
-        sp = (j_lo + 1) * wpad + (i_lo + 1)
-        sc = d + j_lo * step_c
-        end_p = sp + (count - 1) * step_p + 1
-        end_c = sc + (count - 1) * step_c + 1
-        sl_p = slice(sp, end_p, step_p)
-        sl_c = slice(sc, end_c, step_c)
-        diags.append(
+    for jo, io in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        sub = (slice(jo, None, 2), slice(io, None, 2))
+        b = system.b[sub]
+        if b.size == 0:
+            continue  # a grid one node wide or high has no odd column or row
+        rows = slice(1 + jo, ny + 1, 2)
+        cols = slice(1 + io, nx + 1, 2)
+        out.append(
             (
-                pflat[sl_p],
-                pflat[slice(sp - 1, end_p - 1, step_p)],
-                pflat[slice(sp + 1, end_p + 1, step_p)],
-                pflat[slice(sp - wpad, end_p - wpad, step_p)],
-                pflat[slice(sp + wpad, end_p + wpad, step_p)],
-                bf[sl_c],
-                cwf[sl_c],
-                cef[sl_c],
-                csf[sl_c],
-                cnf[sl_c],
-                dinvf[sl_c],
-                np.empty(count),
-                np.empty(count),
+                p_pad[rows, cols],
+                p_pad[rows, io : nx : 2],
+                p_pad[rows, 2 + io : nx + 2 : 2],
+                p_pad[jo : ny : 2, cols],
+                p_pad[2 + jo : ny + 2 : 2, cols],
+                b,
+                system.cw[sub],
+                system.ce[sub],
+                system.cs[sub],
+                system.cn[sub],
+                dinv[sub],
+                np.empty(b.shape),
+                np.empty(b.shape),
             )
         )
-    return diags
+    return out
 
 
 def _lcp_residuals(system: DiscreteSystem, p: np.ndarray) -> tuple[float, float]:
@@ -238,10 +223,10 @@ def solve_vi_psor(
 
     Notes
     -----
-    Sweep order is lexicographic by node index, realized as an
-    anti-diagonal wavefront (see module docstring); results are
-    deterministic for fixed inputs.  A nonpositive load vector returns
-    the exact zero solution immediately.
+    Sweep order is red-black: nodes with i + j even, then nodes with
+    i + j odd (see module docstring); results are deterministic for
+    fixed inputs.  A nonpositive load vector returns the exact zero
+    solution immediately.
     """
     if not (0.0 < omega < 2.0):
         raise ValueError(f"relaxation omega must lie in (0, 2), got {omega}")
@@ -260,12 +245,12 @@ def solve_vi_psor(
     p_pad = np.zeros((ny + 2, nx + 2))
     if warm_start is not None:
         p_pad[1:-1, 1:-1] = np.maximum(warm_start.values, 0.0)
-    diags = _build_wavefront(system, p_pad)
+    lattices = _red_black_lattices(system, p_pad)
 
     sweeps = 0
     while sweeps < max_iter:
         max_delta = 0.0
-        for pd, wv, ev, sv, nv, bd, cw_d, ce_d, cs_d, cn_d, dinv, t1, t2 in diags:
+        for pd, wv, ev, sv, nv, bd, cw_d, ce_d, cs_d, cn_d, dinv, t1, t2 in lattices:
             np.multiply(cw_d, wv, out=t1)
             t1 += bd
             np.multiply(ce_d, ev, out=t2)

@@ -3,9 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from sliderfilm.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_problem, dispatch, main
+from sliderfilm.cli import (
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_USAGE,
+    _write_json,
+    build_problem,
+    dispatch,
+    main,
+)
 from sliderfilm.config import RunConfig, parse_config
 from sliderfilm.errors import ParseError, ValidationError
+from sliderfilm.vi_solver import suggested_omega
 
 MINIMAL_FLAT = """
 {
@@ -75,6 +84,44 @@ class TestParse:
         with pytest.raises(ValidationError) as exc:
             parse_config('{"solver": {"omega": 2.0}}')
         assert exc.value.path == "solver.omega"
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"integrator": {"t_end": NaN}}', "integrator.t_end"),
+            ('{"solver": {"tol": Infinity}}', "solver.tol"),
+            ('{"physics": {"eta1": -Infinity}}', "physics.eta1"),
+            ('{"gcurve": {"betas": [0.1, 1e400]}}', "gcurve.betas[1]"),
+            ('{"steady": {"beta_init": 1' + "0" * 400 + '}}', "steady.beta_init"),
+        ],
+    )
+    def test_non_finite_number_rejected_with_path(self, text, path):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert exc.value.path == path
+        assert "finite" in exc.value.constraint
+
+    def test_case_count_reported_under_its_own_path(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config('{"oracle": {"comparison_cases": 0}}')
+        assert exc.value.path == "oracle.comparison_cases"
+        with pytest.raises(ValidationError) as exc:
+            parse_config('{"oracle": {"lcp_cases": 0}}')
+        assert exc.value.path == "oracle.lcp_cases"
+
+    def test_unset_omega_resolves_to_suggested_omega(self):
+        cfg = parse_config('{"grid": {"nx": 12, "ny": 20}}')
+        assert cfg.solver.omega is None
+        prob = build_problem(cfg)
+        assert prob.solver.omega == suggested_omega(prob.grid)
+        assert cfg.solver.omega is None  # resolving does not write back
+        assert build_problem(parse_config(SMALL_LINE)).solver.omega == 1.6
+
+    def test_to_json_refuses_non_finite(self):
+        cfg = RunConfig()
+        cfg.physics.eta1 = float("nan")
+        with pytest.raises(ValueError):
+            cfg.to_json()
 
     def test_domain_must_contain_origin(self):
         with pytest.raises(ValidationError):
@@ -151,6 +198,20 @@ class TestDispatch:
             "flat_reference_match",
         }
 
+    def test_verify_enumeration_check_at_stop_test_edge(self, tmp_path):
+        # config seed 3844556615 draws, as its tenth case, a flat case at
+        # beta ~ 0.05 with p ~ 3e3, where a relative stop test at tol 1e-12
+        # ends more than 1e-9 from the enumerated solution
+        doc = json.loads(SMALL_LINE)
+        doc["oracle"] = {"fine_grid": 16, "lcp_cases": 10, "comparison_cases": 1}
+        doc["seed"] = 3844556615
+        cfg = parse_config(json.dumps(doc))
+        dispatch(cfg, "verify", tmp_path)
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        lcp = next(c for c in checks if c["name"] == "lcp_enumeration_equivalence")
+        assert lcp["cases"] == 10
+        assert lcp["passed"] is True
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(SMALL_LINE)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -191,6 +252,18 @@ class TestMain:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope}")
         assert main(["bounds", "--config", str(bad)]) == EXIT_USAGE
+
+    def test_non_finite_config_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"integrator": {"t_end": NaN}}')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == EXIT_USAGE
+        assert "integrator.t_end" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_artifacts_refuse_non_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"worst_margin": float("inf")})
 
     def test_full_run(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

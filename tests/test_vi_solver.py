@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sliderfilm.errors import NoConvergence, NonPositiveClearance
-from sliderfilm.geometry import DomainRect, SliderShape, build_grid, compute_V1
+from sliderfilm.geometry import DomainRect, Grid, SliderShape, build_grid, compute_V1
 from sliderfilm.oracle import flat_C_omega, lcp_enumerate
 from sliderfilm.vi_solver import (
     assemble_system,
@@ -148,35 +148,74 @@ class TestPSOR:
         p2 = solve_vi_psor(assemble_system(grid, SliderShape.flat(), 2.0, -1.0), tol=tol)
         assert np.max(np.abs(p1.values - 8.0 * p2.values)) <= 1e-9
 
-    def test_wavefront_equals_lexicographic_sweeps_bitwise(self, domain_sym):
-        # the production sweep processes anti-diagonals; for the five-point
-        # stencil that must reproduce the plain node-by-node lexicographic
-        # sweep bit for bit (same neighbours old/new, same expression order)
-        grid = build_grid(domain_sym, 6, 5)
-        system = assemble_system(grid, SliderShape.point_contact(2.0), 0.2, 0.3)
+    def test_red_black_sweep_equals_scalar_loop_bitwise(self, domain_sym):
+        # the production sweep updates strided sub-lattices; that must
+        # reproduce the plain node-by-node red-then-black sweep bit for bit
+        # (same neighbours old/new, same expression order).  build_grid
+        # refuses a 1-high grid, so the grids are built by hand; that one's
+        # odd-row sub-lattices are empty.
         omega, sweeps = 1.4, 3
+        for nx, ny in ((6, 5), (5, 7), (4, 1)):
+            dx = domain_sym.length1 / (nx + 1)
+            dy = domain_sym.length2 / (ny + 1)
+            grid = Grid(
+                domain=domain_sym, nx=nx, ny=ny, dx=dx, dy=dy,
+                xs=domain_sym.x1_min + dx * np.arange(nx + 2),
+                ys=domain_sym.x2_min + dy * np.arange(ny + 2),
+            )
+            system = assemble_system(grid, SliderShape.point_contact(2.0), 0.2, 0.3)
 
-        with pytest.raises(NoConvergence) as exc:
-            solve_vi_psor(system, omega=omega, tol=1e-300, max_iter=sweeps)
-        fast = exc.value.field.values
+            with pytest.raises(NoConvergence) as exc:
+                solve_vi_psor(system, omega=omega, tol=1e-300, max_iter=sweeps)
+            fast = exc.value.field.values
 
-        ny, nx = 5, 6
-        pad = np.zeros((ny + 2, nx + 2))
-        dinv = 1.0 / system.diag
-        for _ in range(sweeps):
-            for j in range(ny):
-                for i in range(nx):
-                    acc = system.cw[j, i] * pad[j + 1, i]
-                    acc = acc + system.b[j, i]
-                    acc = acc + system.ce[j, i] * pad[j + 1, i + 2]
-                    acc = acc + system.cs[j, i] * pad[j, i + 1]
-                    acc = acc + system.cn[j, i] * pad[j + 2, i + 1]
-                    acc = acc * dinv[j, i]
-                    acc = acc - pad[j + 1, i + 1]
-                    acc = acc * omega
-                    acc = acc + pad[j + 1, i + 1]
-                    pad[j + 1, i + 1] = max(acc, 0.0)
-        assert np.array_equal(fast, pad[1:-1, 1:-1])
+            red_black = [
+                (j, i) for colour in (0, 1) for j in range(ny) for i in range(nx)
+                if (i + j) % 2 == colour
+            ]
+            pad = np.zeros((ny + 2, nx + 2))
+            for _ in range(sweeps):
+                _scalar_sweep(system, pad, omega, red_black)
+            assert np.array_equal(fast, pad[1:-1, 1:-1]), (nx, ny)
+
+    def test_converged_red_black_matches_lexicographic_loop(self, domain_sym):
+        # the two sweep orders differ update by update but share the
+        # solution; at tol 1e-12 both stop well within 1e-9 of it
+        grid = build_grid(domain_sym, 8, 8)
+        system = assemble_system(grid, SliderShape.line_contact(2.0), 0.3, 0.5)
+        omega, tol = 1.5, 1e-12
+        fast = solve_vi_psor(system, omega=omega, tol=tol)
+        assert 0 < complementarity_report(fast, system).n_active < system.n
+
+        lexicographic = [(j, i) for j in range(8) for i in range(8)]
+        pad = np.zeros((10, 10))
+        while _scalar_sweep(system, pad, omega, lexicographic) > tol * max(1.0, pad.max()):
+            pass
+        assert np.max(np.abs(fast.values - pad[1:-1, 1:-1])) <= 1e-9
+
+
+def _scalar_sweep(system, pad, omega, nodes):
+    """One projected SOR sweep over the interior nodes in the given order.
+
+    Updates the padded iterate in place, node by node, with the
+    production expression order; returns the largest update.
+    """
+    dinv = 1.0 / system.diag
+    max_delta = 0.0
+    for j, i in nodes:
+        old = pad[j + 1, i + 1]
+        acc = system.cw[j, i] * pad[j + 1, i]
+        acc = acc + system.b[j, i]
+        acc = acc + system.ce[j, i] * pad[j + 1, i + 2]
+        acc = acc + system.cs[j, i] * pad[j, i + 1]
+        acc = acc + system.cn[j, i] * pad[j + 2, i + 1]
+        acc = acc * dinv[j, i]
+        acc = acc - old
+        acc = acc * omega
+        acc = acc + old
+        pad[j + 1, i + 1] = max(acc, 0.0)
+        max_delta = max(max_delta, abs(pad[j + 1, i + 1] - old))
+    return max_delta
 
 
 class TestLinearSolve:
