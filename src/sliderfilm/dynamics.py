@@ -9,11 +9,13 @@ cached unit solve, which keeps long decay runs affordable.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import BoxOutsideDomain, NonPositiveClearance
 from .geometry import (
     ContactBox,
@@ -171,14 +173,19 @@ class Trajectory:
         return SliderState(t=float(self.t[k]), eta=float(self.eta[k]), eta_dot=float(self.eta_dot[k]))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("t,eta,eta_dot,G,load,E1,E2,psor_iters\n")
-            for k in range(self.t.size):
-                f.write(
-                    f"{float(self.t[k])!r},{float(self.eta[k])!r},{float(self.eta_dot[k])!r},"
-                    f"{float(self.G[k])!r},{float(self.load[k])!r},{float(self.E1[k])!r},"
-                    f"{float(self.E2[k])!r},{int(self.psor_iters[k])}\n"
-                )
+        write_csv(
+            path,
+            {
+                "t": self.t,
+                "eta": self.eta,
+                "eta_dot": self.eta_dot,
+                "G": self.G,
+                "load": self.load,
+                "E1": self.E1,
+                "E2": self.E2,
+                "psor_iters": self.psor_iters,
+            },
+        )
 
 
 def poincare_lambda1(domain: DomainRect) -> float:
@@ -313,6 +320,7 @@ class GEvaluator:
     def __init__(self, problem: Problem):
         self.problem = problem
         self.V1 = compute_V1(problem.shape, problem.grid)
+        self._flat = problem.shape.kind is ShapeKind.FLAT
         self._warm: PressureField | None = None
         self._flat_load_unit: float | None = None
         self._flat_field_unit: np.ndarray | None = None
@@ -340,8 +348,8 @@ class GEvaluator:
         F = self.problem.F
         if gamma >= self.V1:
             return -F, 0.0, 0
-        if self.problem.shape.kind is ShapeKind.FLAT:
-            iters = self._ensure_flat_cache()
+        if self._flat:
+            iters = self._ensure_flat_cache() if self._flat_load_unit is None else 0
             load = (-gamma) * self._flat_load_unit / beta**3
             return load - F, load, iters
         system = assemble_system(self.problem.grid, self.problem.shape, beta, gamma)
@@ -367,7 +375,7 @@ class GEvaluator:
             return PressureField(
                 values=np.zeros((ny, nx)), residual_comp=0.0, residual_lin=0.0, iterations=0
             )
-        if self.problem.shape.kind is ShapeKind.FLAT:
+        if self._flat:
             iters = self._ensure_flat_cache()
             return PressureField(
                 values=self._flat_field_unit * ((-gamma) / beta**3),
@@ -474,52 +482,59 @@ def integrate_trajectory(
     Every derivative evaluation is one film solve, warm started along
     the step chain; the exact shortcuts of GEvaluator apply.  The run
     ends early with CONTACT_GUARD when the height falls to the guard
-    and with STEP_FAILURE when the controller underflows dt_min or the
-    sample cap is exceeded.
+    and with STEP_FAILURE when the controller underflows dt_min or an
+    accepted step would add a sample beyond max_samples.  That step is
+    dropped: the trajectory holds at most max_samples samples and the
+    termination time is that of its last sample.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     sc = step_control or StepControl()
+    if sc.max_samples < 1:
+        raise ValueError("max_samples must be at least 1")
     eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
     dt_min = sc.dt_min_factor * t_end
+    abs_tol, rel_tol, max_samples = sc.abs_tol, sc.rel_tol, sc.max_samples
     ev = GEvaluator(problem)
     c1 = c1_constant(problem.shape, problem.grid.domain)
     F = problem.F
 
-    cols = {name: [] for name in ("t", "eta", "eta_dot", "G", "load", "E1", "E2", "psor_iters")}
+    ts, etas, vels, gs, loads = (array("d") for _ in range(5))
+    sweeps = array("q")
 
     def record(t, eta, v, g, load, iters):
-        cols["t"].append(t)
-        cols["eta"].append(eta)
-        cols["eta_dot"].append(v)
-        cols["G"].append(g)
-        cols["load"].append(load)
-        cols["E1"].append(0.5 * v * v + F * eta)
-        cols["E2"].append(0.5 * v * v + F * eta + (c1 / (2.0 * eta * eta) if c1 else 0.0))
-        cols["psor_iters"].append(iters)
+        ts.append(t)
+        etas.append(eta)
+        vels.append(v)
+        gs.append(g)
+        loads.append(load)
+        sweeps.append(iters)
 
     def finish(kind, time, detail=""):
+        eta, eta_dot = np.frombuffer(etas), np.frombuffer(vels)
+        energy1 = 0.5 * eta_dot * eta_dot + F * eta
         traj = Trajectory(
-            t=np.array(cols["t"]),
-            eta=np.array(cols["eta"]),
-            eta_dot=np.array(cols["eta_dot"]),
-            G=np.array(cols["G"]),
-            load=np.array(cols["load"]),
-            E1=np.array(cols["E1"]),
-            E2=np.array(cols["E2"]),
-            psor_iters=np.array(cols["psor_iters"], dtype=int),
+            t=np.frombuffer(ts),
+            eta=eta,
+            eta_dot=eta_dot,
+            G=np.frombuffer(gs),
+            load=np.frombuffer(loads),
+            E1=energy1,
+            E2=energy1 + (c1 / (2.0 * eta * eta) if c1 else 0.0),
+            psor_iters=np.frombuffer(sweeps, dtype=np.int64),
             termination=Termination(kind=kind, time=time, detail=detail),
             n_rejected=n_rejected,
         )
         traj.monitor = monitor_energies(traj)
         return traj
 
+    ev_eval = ev.eval
+
     def f(eta, v):
-        """One derivative evaluation: returns (eta', eta'', load, sweeps)."""
+        """One derivative evaluation: returns (eta'', load, sweeps)."""
         if eta <= eps_contact:
             raise _StageContact
-        g, load, iters = ev.eval(eta, v)
-        return v, g, load, iters
+        return ev_eval(eta, v)
 
     t = 0.0
     y = problem.eta0
@@ -528,26 +543,45 @@ def integrate_trajectory(
     if y <= eps_contact:
         raise ValueError("eta0 is already at the contact guard")
 
-    k1y, k1v, load1, it1 = f(y, v)
+    k1y = v
+    k1v, load1, it1 = f(y, v)
     record(t, y, v, k1v, load1, it1)
 
     dt = sc.dt_init if sc.dt_init is not None else min(1e-3 * t_end, 0.1)
     dt = min(dt, t_end)
 
-    ky = [0.0] * 7
-    kv = [0.0] * 7
+    # The tableau unrolled; the last row of A equals b (FSAL).  Each
+    # combination is sum()'s left fold over all seven terms: it starts
+    # from 0.0 (so a -0.0 term gives +0.0) and keeps the zero-coefficient
+    # terms, which makes every column bit-equal to the generic loop.
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _DP_A[1:5]
+    a61, a62, a63, a64, a65 = _DP_A[5]
+    b1, b2, b3, b4, b5, b6, b7 = _DP_B5
+    e1, e2, e3, e4, e5, e6, e7 = _DP_E
     while t < t_end * (1.0 - 1e-15):
         dt = min(dt, t_end - t)
         if dt < dt_min:
             return finish(TerminationKind.STEP_FAILURE, t, f"step size underflow (dt={dt:.3e})")
-        ky[0], kv[0] = k1y, k1v
-        load7, it7 = 0.0, 0
         try:
-            for s in range(1, 7):
-                a = _DP_A[s]
-                ys = y + dt * sum(a[r] * ky[r] for r in range(s))
-                vs = v + dt * sum(a[r] * kv[r] for r in range(s))
-                ky[s], kv[s], load7, it7 = f(ys, vs)
+            k2y = v + dt * (0.0 + a21 * k1v)
+            k2v, _, _ = f(y + dt * (0.0 + a21 * k1y), k2y)
+            k3y = v + dt * (0.0 + a31 * k1v + a32 * k2v)
+            k3v, _, _ = f(y + dt * (0.0 + a31 * k1y + a32 * k2y), k3y)
+            k4y = v + dt * (0.0 + a41 * k1v + a42 * k2v + a43 * k3v)
+            k4v, _, _ = f(y + dt * (0.0 + a41 * k1y + a42 * k2y + a43 * k3y), k4y)
+            k5y = v + dt * (0.0 + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
+            k5v, _, _ = f(y + dt * (0.0 + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y), k5y)
+            k6y = v + dt * (0.0 + a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+            k6v, _, _ = f(
+                y + dt * (0.0 + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y), k6y
+            )
+            k7y = v + dt * (
+                0.0 + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v
+            )
+            k7v, load7, it7 = f(
+                y + dt * (0.0 + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y),
+                k7y,
+            )
         except _StageContact:
             # a stage probed at or below the guard: shrink, or give up and
             # report the guard when the step cannot be resolved
@@ -560,12 +594,20 @@ def integrate_trajectory(
             dt *= 0.25
             n_rejected += 1
             continue
-        y5 = y + dt * sum(_DP_B5[s] * ky[s] for s in range(7))
-        v5 = v + dt * sum(_DP_B5[s] * kv[s] for s in range(7))
-        err_y = dt * sum(_DP_E[s] * ky[s] for s in range(7))
-        err_v = dt * sum(_DP_E[s] * kv[s] for s in range(7))
-        sy = sc.abs_tol + sc.rel_tol * max(abs(y), abs(y5))
-        sv = sc.abs_tol + sc.rel_tol * max(abs(v), abs(v5))
+        y5 = y + dt * (
+            0.0 + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y + b7 * k7y
+        )
+        v5 = v + dt * (
+            0.0 + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v + b7 * k7v
+        )
+        err_y = dt * (
+            0.0 + e1 * k1y + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y
+        )
+        err_v = dt * (
+            0.0 + e1 * k1v + e2 * k2v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
+        )
+        sy = abs_tol + rel_tol * max(abs(y), abs(y5))
+        sv = abs_tol + rel_tol * max(abs(v), abs(v5))
         err = math.sqrt(0.5 * ((err_y / sy) ** 2 + (err_v / sv) ** 2))
         if not math.isfinite(err):
             dt *= 0.2
@@ -579,19 +621,22 @@ def integrate_trajectory(
                     t_new,
                     f"height reached the contact guard {eps_contact:.3e}",
                 )
+            if len(ts) >= max_samples:
+                return finish(TerminationKind.STEP_FAILURE, t, "max_samples exceeded")
             t, y, v = t_new, y5, v5
             # FSAL: stage 7 was evaluated exactly at the accepted state, so
             # its force value and metadata are this sample's and the next
             # step's first stage
-            k1y, k1v = ky[6], kv[6]
-            record(t, y, v, kv[6], load7, it7)
-            if len(cols["t"]) > sc.max_samples:
-                return finish(TerminationKind.STEP_FAILURE, t, "max_samples exceeded")
+            k1y, k1v = k7y, k7v
+            record(t, y, v, k7v, load7, it7)
             dt *= min(5.0, max(0.2, 0.9 * err**-0.2)) if err > 0.0 else 5.0
         else:
             n_rejected += 1
             dt *= max(0.2, 0.9 * err**-0.2)
     return finish(TerminationKind.REACHED_HORIZON, t)
+
+
+_MONITOR_KINDS = (None, "descent", "ascent")
 
 
 def monitor_energies(trajectory: Trajectory, tol: float = 1e-4) -> MonitorReport:
@@ -607,43 +652,32 @@ def monitor_energies(trajectory: Trajectory, tol: float = 1e-4) -> MonitorReport
     segments = []
     worst = 0.0
     if n >= 2:
-        v = trajectory.eta_dot
-        e1, e2 = trajectory.E1, trajectory.E2
-        kind_prev = None
-        seg_start = 0
-        seg_worst = 0.0
-
-        def close(stop):
-            nonlocal worst
-            if kind_prev is not None:
+        v = np.asarray(trajectory.eta_dot)
+        descent = (v[:-1] <= 0.0) & (v[1:] <= 0.0)
+        ascent = ~descent & (v[:-1] >= 0.0) & (v[1:] >= 0.0)
+        rise = np.where(
+            descent, np.diff(trajectory.E1), np.where(ascent, np.diff(trajectory.E2), 0.0)
+        )
+        # max(0, rise) as a comparison, so that a NaN rise counts as 0
+        violation = np.where(rise > 0.0, rise, 0.0)
+        kind = descent + 2 * ascent  # index into _MONITOR_KINDS
+        starts = np.flatnonzero(np.diff(kind, prepend=-1))
+        stops = np.append(starts[1:], n - 1)
+        seg_worst = np.maximum.reduceat(violation, starts)
+        for start, stop, k, w in zip(
+            starts.tolist(), stops.tolist(), kind[starts].tolist(), seg_worst.tolist()
+        ):
+            if k:
                 segments.append(
                     MonitorSegment(
-                        start=seg_start,
+                        start=start,
                         stop=stop,
-                        kind=kind_prev,
-                        worst_violation=seg_worst,
-                        passed=seg_worst <= tol,
+                        kind=_MONITOR_KINDS[k],
+                        worst_violation=w,
+                        passed=w <= tol,
                     )
                 )
-                worst = max(worst, seg_worst)
-
-        for k in range(n - 1):
-            if v[k] <= 0.0 and v[k + 1] <= 0.0:
-                kind = "descent"
-                violation = max(0.0, float(e1[k + 1] - e1[k]))
-            elif v[k] >= 0.0 and v[k + 1] >= 0.0:
-                kind = "ascent"
-                violation = max(0.0, float(e2[k + 1] - e2[k]))
-            else:
-                kind = None
-                violation = 0.0
-            if kind != kind_prev:
-                close(k)
-                kind_prev = kind
-                seg_start = k
-                seg_worst = 0.0
-            seg_worst = max(seg_worst, violation)
-        close(n - 1)
+                worst = max(worst, w)
     return MonitorReport(
         segments=tuple(segments), worst_violation=worst, passed=worst <= tol, tol=tol
     )

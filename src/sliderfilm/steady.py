@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .dynamics import GEvaluator, Problem
 from .errors import BracketFailure, InadmissibleShape
 from .geometry import ShapeKind
@@ -52,14 +53,17 @@ class GCurve:
     resolved: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("beta,g,load,active_fraction,psor_iters,resolved\n")
-            for k in range(self.beta.size):
-                f.write(
-                    f"{float(self.beta[k])!r},{float(self.g[k])!r},{float(self.load[k])!r},"
-                    f"{float(self.active_fraction[k])!r},{int(self.psor_iters[k])},"
-                    f"{str(bool(self.resolved[k])).lower()}\n"
-                )
+        write_csv(
+            path,
+            {
+                "beta": self.beta,
+                "g": self.g,
+                "load": self.load,
+                "active_fraction": self.active_fraction,
+                "psor_iters": self.psor_iters,
+                "resolved": self.resolved,
+            },
+        )
 
 
 def _require_admissible(problem: Problem) -> None:

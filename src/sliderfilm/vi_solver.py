@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import NoConvergence, NonPositiveClearance
 from .geometry import Grid, SliderShape, edge_midpoint_heights, lattice_grad_x1
 
@@ -390,11 +391,13 @@ def dump_debug_csv(field: PressureField, system: DiscreteSystem, path) -> None:
     X1, X2 = grid.interior_mesh()
     slack = system.apply(field.values) - system.b
     active = (field.values == 0.0).astype(int)
-    with open(path, "w", newline="") as f:
-        f.write("x1,x2,p,slack,active\n")
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                f.write(
-                    f"{float(X1[j, i])!r},{float(X2[j, i])!r},{float(field.values[j, i])!r},"
-                    f"{float(slack[j, i])!r},{int(active[j, i])}\n"
-                )
+    write_csv(
+        path,
+        {
+            "x1": X1.ravel(),
+            "x2": X2.ravel(),
+            "p": field.values.ravel(),
+            "slack": slack.ravel(),
+            "active": active.ravel(),
+        },
+    )

@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from sliderfilm.dynamics import (
+    _DP_A,
+    _DP_B5,
+    _DP_E,
     GEvaluator,
+    MonitorReport,
+    MonitorSegment,
     Problem,
     SliderState,
     SolverParams,
@@ -216,6 +223,10 @@ class TestIntegration:
         traj = integrate_trajectory(prob, 5.0, StepControl(max_samples=5))
         assert traj.termination.kind is TerminationKind.STEP_FAILURE
         assert "max_samples" in traj.termination.detail
+        assert len(traj) == 5
+        assert traj.termination.time == traj.t[-1]
+        with pytest.raises(ValueError):
+            integrate_trajectory(prob, 5.0, StepControl(max_samples=0))
 
     def test_sample_times_strictly_increasing(self, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
@@ -255,6 +266,142 @@ class TestIntegration:
         assert data.shape == (len(traj), 8)
         assert np.array_equal(data[:, 0], traj.t)
         assert np.array_equal(data[:, 1], traj.eta)
+
+
+def generic_dp_columns(problem, t_end, sc):
+    """The Dormand-Prince loop applied through the generic tableau sums.
+
+    Same controller, guard and FSAL bookkeeping as integrate_trajectory,
+    with every stage combination written as sum(a[r] * k[r] ...) over the
+    coefficient tables and the energies computed per sample in Python.
+    """
+    eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
+    dt_min = sc.dt_min_factor * t_end
+    ev = GEvaluator(problem)
+    c1 = c1_constant(problem.shape, problem.grid.domain)
+    F = problem.F
+    cols = {k: [] for k in ("t", "eta", "eta_dot", "G", "load", "E1", "E2", "psor_iters")}
+
+    def record(t, eta, v, g, load, iters):
+        for key, val in zip(cols, (t, eta, v, g, load)):
+            cols[key].append(val)
+        cols["E1"].append(0.5 * v * v + F * eta)
+        cols["E2"].append(0.5 * v * v + F * eta + (c1 / (2.0 * eta * eta) if c1 else 0.0))
+        cols["psor_iters"].append(iters)
+
+    def done(kind):
+        return {k: np.array(v) for k, v in cols.items()}, kind, n_rejected
+
+    t, y, v, n_rejected = 0.0, problem.eta0, problem.eta1, 0
+    k1v, load1, it1 = ev.eval(y, v)
+    k1y = v
+    record(t, y, v, k1v, load1, it1)
+    dt = min(sc.dt_init if sc.dt_init is not None else min(1e-3 * t_end, 0.1), t_end)
+    ky, kv = [0.0] * 7, [0.0] * 7
+    while t < t_end * (1.0 - 1e-15):
+        dt = min(dt, t_end - t)
+        if dt < dt_min:
+            return done(TerminationKind.STEP_FAILURE)
+        ky[0], kv[0] = k1y, k1v
+        contact = False
+        for s in range(1, 7):
+            a = _DP_A[s]
+            ys = y + dt * sum(a[r] * ky[r] for r in range(s))
+            vs = v + dt * sum(a[r] * kv[r] for r in range(s))
+            if ys <= eps_contact:
+                contact = True
+                break
+            ky[s] = vs
+            kv[s], load7, it7 = ev.eval(ys, vs)
+        if contact:
+            if dt * 0.25 < dt_min or y <= 2.0 * eps_contact:
+                return done(TerminationKind.CONTACT_GUARD)
+            dt *= 0.25
+            n_rejected += 1
+            continue
+        y5 = y + dt * sum(_DP_B5[s] * ky[s] for s in range(7))
+        v5 = v + dt * sum(_DP_B5[s] * kv[s] for s in range(7))
+        err_y = dt * sum(_DP_E[s] * ky[s] for s in range(7))
+        err_v = dt * sum(_DP_E[s] * kv[s] for s in range(7))
+        sy = sc.abs_tol + sc.rel_tol * max(abs(y), abs(y5))
+        sv = sc.abs_tol + sc.rel_tol * max(abs(v), abs(v5))
+        err = math.sqrt(0.5 * ((err_y / sy) ** 2 + (err_v / sv) ** 2))
+        if not math.isfinite(err):
+            dt *= 0.2
+            n_rejected += 1
+            continue
+        if err <= 1.0:
+            if y5 <= eps_contact:
+                return done(TerminationKind.CONTACT_GUARD)
+            t, y, v = t + dt, y5, v5
+            k1y, k1v = ky[6], kv[6]
+            record(t, y, v, kv[6], load7, it7)
+            dt *= min(5.0, max(0.2, 0.9 * err**-0.2)) if err > 0.0 else 5.0
+        else:
+            n_rejected += 1
+            dt *= max(0.2, 0.9 * err**-0.2)
+    return done(TerminationKind.REACHED_HORIZON)
+
+
+class TestUnrolledStages:
+    @pytest.mark.parametrize(
+        "variant, eta0, eta1, t_end, eps_contact",
+        [
+            ("flat", 1.0, -0.5, 5.0, None),
+            ("flat", 1.0, -1.0, 5.0, 0.5),  # stage probes below the guard
+            ("line", 0.5, -0.5, 1.0, None),  # error-controlled rejections
+        ],
+    )
+    def test_columns_equal_generic_tableau_loop(
+        self, unit_domain, domain_sym, variant, eta0, eta1, t_end, eps_contact
+    ):
+        if variant == "flat":
+            prob = make_problem(SliderShape.flat(), unit_domain, n=16, eta0=eta0, eta1=eta1)
+        else:
+            shape = SliderShape.line_contact(2.0)
+            prob = make_problem(shape, domain_sym, n=8, eta0=eta0, eta1=eta1)
+        sc = StepControl(eps_contact=eps_contact)
+        traj = integrate_trajectory(prob, t_end, sc)
+        cols, kind, n_rejected = generic_dp_columns(prob, t_end, sc)
+        assert traj.n_rejected == n_rejected > 0
+        assert traj.termination.kind is kind
+        assert len(traj) > 4
+        for name, ref in cols.items():
+            got = getattr(traj, name)
+            assert got.dtype == ref.dtype, name
+            assert np.array_equal(got, ref), name
+
+
+def scalar_monitor(trajectory, tol):
+    """The energy monitor as a pair-by-pair loop."""
+    n = len(trajectory)
+    segments = []
+    worst = 0.0
+    if n >= 2:
+        v, e1, e2 = trajectory.eta_dot, trajectory.E1, trajectory.E2
+        kind_prev, seg_start, seg_worst = None, 0, 0.0
+
+        def close(stop):
+            nonlocal worst
+            if kind_prev is not None:
+                segments.append(
+                    MonitorSegment(seg_start, stop, kind_prev, seg_worst, seg_worst <= tol)
+                )
+                worst = max(worst, seg_worst)
+
+        for k in range(n - 1):
+            if v[k] <= 0.0 and v[k + 1] <= 0.0:
+                kind, violation = "descent", max(0.0, float(e1[k + 1] - e1[k]))
+            elif v[k] >= 0.0 and v[k + 1] >= 0.0:
+                kind, violation = "ascent", max(0.0, float(e2[k + 1] - e2[k]))
+            else:
+                kind, violation = None, 0.0
+            if kind != kind_prev:
+                close(k)
+                kind_prev, seg_start, seg_worst = kind, k, 0.0
+            seg_worst = max(seg_worst, violation)
+        close(n - 1)
+    return MonitorReport(tuple(segments), worst, worst <= tol, tol)
 
 
 class TestMonitor:
@@ -304,6 +451,50 @@ class TestMonitor:
         rep = monitor_energies(traj, tol=1e-4)
         # exactly one descent pair and one ascent pair; the middle pair straddles
         assert sum(s.stop - s.start for s in rep.segments) == 2
+
+    def _assert_matches_scalar_loop(self, traj, tol):
+        rep = monitor_energies(traj, tol=tol)
+        assert rep == scalar_monitor(traj, tol)
+        # plain Python scalars, so summary.json serializes them as before
+        assert type(rep.worst_violation) is float
+        for seg in rep.segments:
+            assert type(seg.start) is int and type(seg.stop) is int
+            assert type(seg.worst_violation) is float and type(seg.passed) is bool
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorized_equals_scalar_loop_random(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 400))
+        # signs with exact zeros (both +0.0 and -0.0) and runs of each sign
+        sign = np.repeat(rng.choice([-1.0, 0.0, 1.0], size=n), rng.integers(1, 4, size=n))[:n]
+        eta_dot = sign * rng.random(n)
+        eta_dot[rng.random(n) < 0.05] = -0.0
+        t = np.arange(n, dtype=float)
+        traj = self._fake_trajectory(t, 1.0 + rng.random(n), eta_dot)
+        traj.E1[:] = np.cumsum(rng.normal(-1e-4, 1e-4, n))
+        traj.E2[:] = np.cumsum(rng.normal(-1e-4, 1e-4, n))
+        if seed % 2:
+            traj.E1[rng.integers(n)] = np.nan
+        for tol in (0.0, 1e-4, 1.0):
+            self._assert_matches_scalar_loop(traj, tol)
+
+    @pytest.mark.parametrize(
+        "eta_dot",
+        [
+            [-0.3],  # n = 1: no pairs
+            [-0.3, -0.1],  # n = 2: one descent pair
+            [0.2, 0.0],  # n = 2: one ascent pair ending at rest
+            [-0.2, 0.1, -0.3, 0.4, -0.1],  # every pair straddles a sign change
+            list(-np.linspace(1.0, 0.1, 50)),  # one long descent segment
+        ],
+    )
+    def test_vectorized_equals_scalar_loop_edge_cases(self, eta_dot):
+        eta_dot = np.array(eta_dot)
+        n = eta_dot.size
+        traj = self._fake_trajectory(np.arange(n, dtype=float), np.linspace(1.0, 0.5, n), eta_dot)
+        traj.E1[:] = np.sin(np.arange(n))
+        traj.E2[:] = np.cos(np.arange(n))
+        self._assert_matches_scalar_loop(traj, 1e-4)
 
 
 class TestSpringDamper:
