@@ -9,6 +9,7 @@ config, command and seed (no timestamps, repr-exact floats).
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .dynamics import (
 from .errors import (
     BracketFailure,
     InadmissibleShape,
+    InvalidDomain,
     NoConvergence,
     ParseError,
     SliderFilmError,
@@ -65,20 +67,17 @@ def build_problem(config: RunConfig) -> Problem:
     elif variant == "flat":
         shape = SliderShape.flat()
     else:
-        shape = load_tabulated_csv(config.shape.table_path, grid)
-    solver = SolverParams(
-        omega=config.solver.omega,
-        tol=config.solver.tol,
-        max_iter=config.solver.max_iter,
-        warm_start=config.solver.warm_start,
-    )
+        try:
+            shape = load_tabulated_csv(config.shape.table_path, grid)
+        except InvalidDomain as exc:
+            raise ValidationError("shape.table_path", str(exc)) from exc
     return Problem(
         shape=shape,
         grid=grid,
         F=config.physics.F,
         eta0=config.physics.eta0,
         eta1=config.physics.eta1,
-        solver=solver,
+        solver=config.solver,
     )
 
 
@@ -109,16 +108,7 @@ def run_simulate(config: RunConfig, out_dir: Path) -> int:
             "passed": traj.monitor.passed,
             "worst_violation": traj.monitor.worst_violation,
             "tol": traj.monitor.tol,
-            "segments": [
-                {
-                    "start": s.start,
-                    "stop": s.stop,
-                    "kind": s.kind,
-                    "worst_violation": s.worst_violation,
-                    "passed": s.passed,
-                }
-                for s in traj.monitor.segments
-            ],
+            "segments": [asdict(s) for s in traj.monitor.segments],
         },
     }
     _write_json(out_dir / "summary.json", summary)
@@ -170,6 +160,7 @@ def run_bounds(config: RunConfig, out_dir: Path) -> int:
 
 def _verify_checks(config: RunConfig) -> list[dict]:
     """The oracle cross-checks behind the `verify` subcommand."""
+    problem = build_problem(config)  # a bad configuration fails before any solve
     rng = np.random.default_rng(config.seed)
     domain = DomainRect(
         config.domain.x1_min, config.domain.x1_max, config.domain.x2_min, config.domain.x2_max
@@ -240,7 +231,6 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     )
 
     # 4. constrained solution dominates sub-region solves
-    problem = build_problem(config)
     worst_margin = np.inf
     tol = 1e-8
     for _ in range(config.oracle.comparison_cases):

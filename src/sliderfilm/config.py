@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+from .dynamics import SolverParams
 from .errors import ParseError, ValidationError
 
 __all__ = ["RunConfig", "parse_config", "default_gcurve_betas"]
@@ -52,14 +53,6 @@ class PhysicsConfig:
 
 
 @dataclass
-class SolverConfig:
-    omega: float | None = None  # null -> suggested_omega(grid)
-    tol: float = 1e-8
-    max_iter: int | None = None
-    warm_start: bool = True
-
-
-@dataclass
 class IntegratorConfig:
     t_end: float = 10.0
     rel_tol: float = 1e-6
@@ -96,7 +89,7 @@ class RunConfig:
     shape: ShapeConfig = field(default_factory=ShapeConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     physics: PhysicsConfig = field(default_factory=PhysicsConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: SolverParams = field(default_factory=SolverParams)
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     steady: SteadyConfig = field(default_factory=SteadyConfig)
     gcurve: GCurveConfig = field(default_factory=GCurveConfig)
@@ -201,7 +194,7 @@ def _parse_physics(d, path):
 
 
 def _parse_solver(d, path):
-    out = SolverConfig(
+    out = SolverParams(
         omega=_float_field(d.get("omega"), f"{path}.omega", allow_none=True),
         tol=_float_field(d.get("tol", 1e-8), f"{path}.tol"),
         max_iter=_int_field(d.get("max_iter"), f"{path}.max_iter", allow_none=True),
@@ -285,7 +278,7 @@ _SECTIONS = {
     "shape": (_parse_shape, ShapeConfig),
     "grid": (_parse_grid, GridConfig),
     "physics": (_parse_physics, PhysicsConfig),
-    "solver": (_parse_solver, SolverConfig),
+    "solver": (_parse_solver, SolverParams),
     "integrator": (_parse_integrator, IntegratorConfig),
     "steady": (_parse_steady, SteadyConfig),
     "gcurve": (_parse_gcurve, GCurveConfig),

@@ -10,7 +10,7 @@ cached unit solve, which keeps long decay runs affordable.
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -87,8 +87,36 @@ class Problem:
             raise ValueError(f"applied load F must be positive, got {self.F}")
         if self.eta0 <= 0.0:
             raise ValueError(f"initial height eta0 must be positive, got {self.eta0}")
-        if self.solver.omega is None:
-            self.solver = replace(self.solver, omega=suggested_omega(self.grid))
+        # a private copy: the caller's settings are never aliased or written back
+        omega = self.solver.omega
+        self.solver = replace(
+            self.solver, omega=suggested_omega(self.grid) if omega is None else omega
+        )
+
+    def solve_film(
+        self,
+        beta: float,
+        gamma: float,
+        warm_start: PressureField | None = None,
+        tol: float | None = None,
+    ) -> PressureField:
+        """The film solve: pressure at clearance beta and squeeze velocity gamma.
+
+        Assembles the system and runs projected SOR with this problem's
+        solver settings; every film pressure of the package comes from
+        here.  warm_start is ignored when solver.warm_start is off, and
+        tol, when given, overrides solver.tol.  No shortcut is applied:
+        a nonpositive load vector still returns the exact zero field from
+        the solver itself.
+        """
+        s = self.solver
+        return solve_vi_psor(
+            assemble_system(self.grid, self.shape, beta, gamma),
+            omega=s.omega,
+            tol=s.tol if tol is None else tol,
+            max_iter=s.max_iter,
+            warm_start=warm_start if s.warm_start else None,
+        )
 
 
 @dataclass
@@ -232,27 +260,10 @@ class BoundsReport:
     steady_state_guaranteed: bool | None
     global_bounds_guaranteed: bool | None
     gradient_kink_flagged: bool
-    d3_d4: str = "not computable (non-constructive constants c3, c4, beta0)"
+    D3_D4: str = "not computable (non-constructive constants c3, c4, beta0)"
 
     def to_dict(self) -> dict:
-        return {
-            "shape": self.shape,
-            "alpha": self.alpha,
-            "V1": self.V1,
-            "V2": self.V2,
-            "V3": self.V3,
-            "c1": self.c1,
-            "lambda1": self.lambda1,
-            "h0_sup": self.h0_sup,
-            "D1": self.D1,
-            "D2": self.D2,
-            "s1": self.s1,
-            "s2": self.s2,
-            "steady_state_guaranteed": self.steady_state_guaranteed,
-            "global_bounds_guaranteed": self.global_bounds_guaranteed,
-            "gradient_kink_flagged": self.gradient_kink_flagged,
-            "D3_D4": self.d3_d4,
-        }
+        return asdict(self)
 
 
 def bounds_report(problem: Problem) -> BoundsReport:
@@ -308,13 +319,21 @@ def bounds_report(problem: Problem) -> BoundsReport:
     )
 
 
-class GEvaluator:
-    """Film-force evaluation with warm starting and the exact fast paths.
+def _require_clearance(beta: float) -> None:
+    if beta <= 0.0:
+        raise NonPositiveClearance(f"film force undefined at beta = {beta}")
 
-    gamma >= V1 gives zero pressure outright.  For the flat profile the
-    operator is beta^3 times a fixed stencil and the load is linear in
-    (-gamma), so a single unit solve determines every (beta, gamma)
-    exactly at the discrete level; cached evaluations report 0 sweeps.
+
+class GEvaluator:
+    """Film force along a run: warm starting and the exact shortcuts.
+
+    Every pressure comes from field(): gamma >= V1 gives the zero field
+    outright; for the flat profile the operator is beta^3 times a fixed
+    stencil and the load vector is (-gamma) times a fixed one, so one
+    unit solve (beta 1, gamma -1) scaled by (-gamma)/beta^3 is the exact
+    discrete solution at every (beta, gamma); any other pair is one
+    Problem.solve_film, warm started from the previous one.  Cached and
+    cutoff evaluations report 0 sweeps.
     """
 
     def __init__(self, problem: Problem):
@@ -326,72 +345,47 @@ class GEvaluator:
         self._flat_field_unit: np.ndarray | None = None
         self.n_solves = 0
 
-    def _ensure_flat_cache(self) -> int:
-        if self._flat_load_unit is None:
-            system = assemble_system(self.problem.grid, self.problem.shape, 1.0, -1.0)
-            sol = solve_vi_psor(
-                system,
-                omega=self.problem.solver.omega,
-                tol=min(self.problem.solver.tol, 1e-10),
-                max_iter=self.problem.solver.max_iter,
-            )
-            self.n_solves += 1
-            self._flat_load_unit = load_integral(sol, self.problem.grid)
-            self._flat_field_unit = sol.values
-            return sol.iterations
-        return 0
+    def _fill_flat_cache(self) -> int:
+        """Solve the flat unit problem once; returns the sweeps it took (0 when cached)."""
+        if self._flat_load_unit is not None:
+            return 0
+        sol = self.problem.solve_film(1.0, -1.0, tol=min(self.problem.solver.tol, 1e-10))
+        self.n_solves += 1
+        self._flat_load_unit = load_integral(sol, self.problem.grid)
+        self._flat_field_unit = sol.values
+        return sol.iterations
 
     def eval(self, beta: float, gamma: float) -> tuple[float, float, int]:
-        """Return (G, film load, solver sweeps) at (beta, gamma)."""
-        if beta <= 0.0:
-            raise NonPositiveClearance(f"film force undefined at beta = {beta}")
-        F = self.problem.F
-        if gamma >= self.V1:
-            return -F, 0.0, 0
-        if self._flat:
-            iters = self._ensure_flat_cache() if self._flat_load_unit is None else 0
+        """Return (G, film load, solver sweeps) at (beta, gamma).
+
+        eval_with_field without the field, except for the flat profile
+        below the cutoff: there the load stays a scalar on the cached
+        unit load, which keeps the millions of evaluations of a decay
+        run cheap (it is a different float sum than the field's).
+        """
+        if self._flat and beta > 0.0 and gamma < self.V1:
+            iters = 0 if self._flat_load_unit is not None else self._fill_flat_cache()
             load = (-gamma) * self._flat_load_unit / beta**3
-            return load - F, load, iters
-        system = assemble_system(self.problem.grid, self.problem.shape, beta, gamma)
-        warm = self._warm if self.problem.solver.warm_start else None
-        sol = solve_vi_psor(
-            system,
-            omega=self.problem.solver.omega,
-            tol=self.problem.solver.tol,
-            max_iter=self.problem.solver.max_iter,
-            warm_start=warm,
-        )
-        self.n_solves += 1
-        self._warm = sol
-        load = load_integral(sol, self.problem.grid)
-        return load - F, load, sol.iterations
+            return load - self.problem.F, load, iters
+        return self.eval_with_field(beta, gamma)[:3]
 
     def field(self, beta: float, gamma: float) -> PressureField:
         """Materialize the pressure field at (beta, gamma)."""
-        if beta <= 0.0:
-            raise NonPositiveClearance(f"film force undefined at beta = {beta}")
+        _require_clearance(beta)
         if gamma >= self.V1:
             ny, nx = self.problem.grid.ny, self.problem.grid.nx
             return PressureField(
                 values=np.zeros((ny, nx)), residual_comp=0.0, residual_lin=0.0, iterations=0
             )
         if self._flat:
-            iters = self._ensure_flat_cache()
+            iters = self._fill_flat_cache()
             return PressureField(
                 values=self._flat_field_unit * ((-gamma) / beta**3),
                 residual_comp=0.0,
                 residual_lin=0.0,
                 iterations=iters,
             )
-        system = assemble_system(self.problem.grid, self.problem.shape, beta, gamma)
-        warm = self._warm if self.problem.solver.warm_start else None
-        sol = solve_vi_psor(
-            system,
-            omega=self.problem.solver.omega,
-            tol=self.problem.solver.tol,
-            max_iter=self.problem.solver.max_iter,
-            warm_start=warm,
-        )
+        sol = self.problem.solve_film(beta, gamma, warm_start=self._warm)
         self.n_solves += 1
         self._warm = sol
         return sol
@@ -409,21 +403,14 @@ def eval_G(
     gamma: float,
     warm_start: PressureField | None = None,
 ) -> tuple[float, PressureField]:
-    """One film solve: returns (G, pressure field) at (beta, gamma).
+    """One full film solve: returns (G, pressure field) at (beta, gamma).
 
-    This is the plain assemble-and-solve route (no flat-profile cache);
-    pass the returned field back in as warm_start when sweeping.
+    A view over Problem.solve_film without GEvaluator's shortcuts or
+    flat-profile cache; pass the returned field back in as warm_start
+    when sweeping.
     """
-    if beta <= 0.0:
-        raise NonPositiveClearance(f"film force undefined at beta = {beta}")
-    system = assemble_system(problem.grid, problem.shape, beta, gamma)
-    sol = solve_vi_psor(
-        system,
-        omega=problem.solver.omega,
-        tol=problem.solver.tol,
-        max_iter=problem.solver.max_iter,
-        warm_start=warm_start if problem.solver.warm_start else None,
-    )
+    _require_clearance(beta)
+    sol = problem.solve_film(beta, gamma, warm_start=warm_start)
     return load_integral(sol, problem.grid) - problem.F, sol
 
 

@@ -311,7 +311,7 @@ def _check_table_matches(table: TabulatedData, grid: Grid) -> None:
         raise InvalidDomain("tabulated data node coordinates do not match the grid")
 
 
-def sup_height(shape: SliderShape, domain: DomainRect, grid: Grid | None = None) -> float:
+def sup_height(shape: SliderShape, domain: DomainRect) -> float:
     """Sup of h0 over the closed domain (exact for analytic variants)."""
     if shape.kind is ShapeKind.FLAT:
         return 0.0
@@ -473,11 +473,19 @@ def load_tabulated_csv(path, grid: Grid) -> SliderShape:
     """Read a tabulated shape from CSV rows (x1, x2, h0, dh0_dx1).
 
     Rows must cover every node of the grid lattice exactly (boundary
-    included), in any order.
+    included), in any order, with finite numbers only.  An unreadable
+    file or a malformed table raises InvalidDomain.
     """
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise InvalidDomain(f"cannot read tabulated CSV: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidDomain(f"tabulated CSV is not a numeric table: {exc}") from exc
     if raw.shape[1] != 4:
         raise InvalidDomain("tabulated CSV must have columns x1,x2,h0,dh0_dx1")
+    if not np.all(np.isfinite(raw)):
+        raise InvalidDomain("tabulated CSV holds a non-finite value")
     n_lattice = (grid.nx + 2) * (grid.ny + 2)
     if raw.shape[0] != n_lattice:
         raise InvalidDomain(

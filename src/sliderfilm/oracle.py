@@ -1,10 +1,12 @@
-"""Independent reference computations used by tests and `verify`.
+"""Reference computations used by tests and `verify`.
 
-Everything here deliberately avoids the production solve paths: the
-flat-case constant comes from a Fourier series, the reference descent
-integrates a scalar ODE with a Cash-Karp 4(5) pair (the production
-integrator uses Dormand-Prince), and tiny complementarity problems are
-solved by enumerating active sets against dense linear algebra.
+The references are independent of the production paths: the flat-case
+constant comes from a Fourier series, the reference descent integrates
+a scalar ODE with a Cash-Karp 4(5) pair (the production integrator uses
+Dormand-Prince), and tiny complementarity problems are solved by
+enumerating active sets against dense linear algebra.  The
+comparison-principle check differs by design: it checks the production
+film solve (Problem.solve_film) against an unconstrained sub-region solve.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import NoSolution, TooLarge
 from .geometry import DomainRect, region_node_mask
-from .vi_solver import DiscreteSystem, PressureField, assemble_system, solve_linear, solve_vi_psor
+from .vi_solver import DiscreteSystem, PressureField, assemble_system, lcp_residuals, solve_linear
 
 __all__ = [
     "FourierConstant",
@@ -240,8 +242,9 @@ def lcp_enumerate(system: DiscreteSystem) -> PressureField:
     For each candidate set of zero-pressure nodes the complementary
     linear system is solved densely; the unique candidate with p >= 0 and
     slack >= 0 is returned (the operator is positive definite, so the
-    solution is unique).  Shares nothing with the sweep solver beyond the
-    assembled system.
+    solution is unique).  The solution shares nothing with the sweep
+    solver beyond the assembled system; only its residuals are computed
+    by the shared lcp_residuals.
     """
     n = system.n
     if n > 16:
@@ -272,9 +275,7 @@ def lcp_enumerate(system: DiscreteSystem) -> PressureField:
             hits = np.flatnonzero(ok)
             if hits.size:
                 p = np.maximum(p_full[hits[0]], 0.0).reshape(ny, nx)
-                slack_p = system.apply(p) - system.b
-                comp = float(np.max(np.abs(np.minimum(p, slack_p))))
-                lin = float(max(0.0, -np.min(slack_p)))
+                comp, lin = lcp_residuals(system, p)
                 return PressureField(
                     values=p, residual_comp=comp, residual_lin=lin, iterations=0
                 )
@@ -291,19 +292,18 @@ class ComparisonVerdict:
 def comparison_check(problem, beta: float, gamma: float, region, psor_tol: float = 1e-8) -> ComparisonVerdict:
     """Check domination of the constrained solution over a sub-region solve.
 
-    Solves the full constrained problem for q, then the unconstrained
-    problem on the sub-region with the same operator and load and zero
-    data on the inner boundary, and verifies q >= r - 10 * tol nodewise.
+    Solves the full constrained problem for q through the production
+    film solve at tol psor_tol, then the unconstrained problem on the
+    sub-region with the same operator and load and zero data on the
+    inner boundary, and verifies q >= r - 10 * tol nodewise.  A region
+    holding no grid node passes without solving.
     """
     grid = problem.grid
     mask = region_node_mask(grid, region)
     n_nodes = int(np.count_nonzero(mask))
-    system = assemble_system(grid, problem.shape, beta, gamma)
-    q = solve_vi_psor(
-        system, omega=problem.solver.omega, tol=psor_tol, max_iter=problem.solver.max_iter
-    )
-    r = solve_linear(system, tol=1e-11, mask=mask)
     if n_nodes == 0:
         return ComparisonVerdict(worst_margin=0.0, passed=True, n_nodes=0)
+    q = problem.solve_film(beta, gamma, tol=psor_tol)
+    r = solve_linear(assemble_system(grid, problem.shape, beta, gamma), tol=1e-11, mask=mask)
     margin = float(np.min(q.values[mask] - r.values[mask]))
     return ComparisonVerdict(worst_margin=margin, passed=margin >= -10.0 * psor_tol, n_nodes=n_nodes)

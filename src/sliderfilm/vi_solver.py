@@ -37,6 +37,7 @@ __all__ = [
     "solve_vi_psor",
     "solve_linear",
     "load_integral",
+    "lcp_residuals",
     "complementarity_report",
     "suggested_omega",
     "dump_debug_csv",
@@ -184,7 +185,8 @@ def _red_black_lattices(system: DiscreteSystem, p_pad: np.ndarray):
     return out
 
 
-def _lcp_residuals(system: DiscreteSystem, p: np.ndarray) -> tuple[float, float]:
+def lcp_residuals(system: DiscreteSystem, p: np.ndarray) -> tuple[float, float]:
+    """(max |min(p, Ap - b)|, max violation of Ap >= b) of a candidate p."""
     slack = system.apply(p) - system.b
     comp = float(np.max(np.abs(np.minimum(p, slack))))
     lin = float(max(0.0, -np.min(slack)))
@@ -274,14 +276,14 @@ def solve_vi_psor(
         sweeps += 1
         if max_delta <= tol * max(1.0, float(p_pad.max())):
             p = p_pad[1:-1, 1:-1].copy()
-            comp, lin = _lcp_residuals(system, p)
+            comp, lin = lcp_residuals(system, p)
             if comp <= 10.0 * tol:
                 return PressureField(
                     values=p, residual_comp=comp, residual_lin=lin, iterations=sweeps
                 )
 
     p = p_pad[1:-1, 1:-1].copy()
-    comp, lin = _lcp_residuals(system, p)
+    comp, lin = lcp_residuals(system, p)
     field = PressureField(values=p, residual_comp=comp, residual_lin=lin, iterations=sweeps)
     raise NoConvergence(
         f"PSOR did not converge in {sweeps} sweeps (delta tol {tol}, "
@@ -358,7 +360,7 @@ def solve_linear(
         it += 1
 
     slack = op(p) - rhs
-    comp = float(np.max(np.abs(np.minimum(p, slack)))) if n_unknown else 0.0
+    comp = float(np.max(np.abs(np.minimum(p, slack))))
     return PressureField(
         values=p,
         residual_comp=comp,
@@ -374,7 +376,7 @@ def load_integral(field: PressureField, grid: Grid) -> float:
 
 def complementarity_report(field: PressureField, system: DiscreteSystem) -> CompReport:
     """Residual and active/free node counts; the active set is the cavitation region."""
-    comp, _ = _lcp_residuals(system, field.values)
+    comp, _ = lcp_residuals(system, field.values)
     n_active = int(np.count_nonzero(field.values == 0.0))
     return CompReport(residual=comp, n_active=n_active, n_free=field.values.size - n_active)
 

@@ -279,3 +279,60 @@ class TestMain:
         assert main(
             ["verify", "--config", str(cfgfile), "--out", str(out), "--seed", "11"]
         ) == EXIT_OK
+
+    @staticmethod
+    def _table_rows(grid):
+        from sliderfilm.geometry import SliderShape, eval_gradient_x1, eval_height
+
+        shape = SliderShape.line_contact(2.0)
+        return [
+            [repr(float(x)), repr(float(y)), repr(eval_height(shape, (x, y))),
+             repr(eval_gradient_x1(shape, (x, y)))]
+            for y in grid.ys
+            for x in grid.xs
+        ]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing_file", "non_numeric", "nan_gradient", "inf_height", "row_missing",
+         "node_uncovered", "off_lattice"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_bad_table_is_usage_error_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, domain_sym, case, command
+    ):
+        import sliderfilm.cli as cli
+        import sliderfilm.dynamics as dynamics
+        from sliderfilm.geometry import build_grid
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the table was checked")
+
+        for mod, name in ((dynamics, "solve_vi_psor"), (cli, "solve_vi_psor"),
+                          (cli, "solve_linear")):
+            monkeypatch.setattr(mod, name, no_solve)
+        rows = self._table_rows(build_grid(domain_sym, 5, 5))
+        if case == "non_numeric":
+            rows[3][2] = "abc"
+        elif case == "nan_gradient":
+            rows[7][3] = "nan"
+        elif case == "inf_height":
+            rows[7][2] = "inf"
+        elif case == "row_missing":
+            del rows[-1]
+        elif case == "node_uncovered":
+            rows[-1] = rows[0]
+        elif case == "off_lattice":
+            rows[-1][0] = "5.0"
+        table = tmp_path / "shape.csv"
+        if case != "missing_file":
+            table.write_text("x1,x2,h0,dh0_dx1\n" + "".join(",".join(r) + "\n" for r in rows))
+        doc = json.loads(SMALL_LINE)
+        doc["shape"] = {"variant": "tabulated", "table_path": str(table)}
+        doc["grid"] = {"nx": 5, "ny": 5}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_USAGE
+        assert "shape.table_path" in capsys.readouterr().err
+        assert list(out.iterdir()) == []

@@ -35,8 +35,9 @@ from sliderfilm.geometry import (
     build_grid,
     compute_V1,
     contact_box,
+    region_node_mask,
 )
-from sliderfilm.oracle import flat_C_omega
+from sliderfilm.oracle import comparison_check, flat_C_omega
 from sliderfilm.vi_solver import suggested_omega
 
 from .conftest import all_variant_shapes
@@ -129,6 +130,93 @@ class TestGEvaluatorFastPaths:
         g, load, iters = ev.eval(0.3, ev.V1 + 0.01)
         assert (g, load, iters) == (-1.0, 0.0, 0)
         assert ev.n_solves == 0
+
+
+class TestSingleFilmSolvePath:
+    """Every film pressure comes from Problem.solve_film with the problem's settings."""
+
+    @pytest.fixture
+    def psor_calls(self, monkeypatch):
+        import sliderfilm.dynamics as dynamics
+
+        calls = []
+        real = dynamics.solve_vi_psor
+
+        def recorder(system, **kwargs):  # system positional, settings by keyword
+            calls.append(kwargs)
+            return real(system, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_vi_psor", recorder)
+        return calls
+
+    @staticmethod
+    def _problem(shape, domain, warm_start):
+        grid = build_grid(domain, 10, 10)
+        solver = SolverParams(omega=1.7, tol=1e-9, max_iter=4000, warm_start=warm_start)
+        return Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0, solver=solver)
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_every_route_reaches_the_problem_settings(self, psor_calls, domain_sym, warm_start):
+        shape = SliderShape.line_contact(2.0)
+        prob = self._problem(shape, domain_sym, warm_start)
+        flat = self._problem(SliderShape.flat(), domain_sym, warm_start)
+        box = contact_box(shape, domain_sym, 0.1, delta=0.5)
+        chain = GEvaluator(prob)
+        routes = {
+            "eval": lambda: [chain.eval(0.3, g) for g in (-0.2, -0.1)],
+            "field": lambda: GEvaluator(prob).field(0.3, -0.2),
+            "flat_cache": lambda: GEvaluator(flat).eval(0.3, -0.2),
+            "eval_G": lambda: eval_G(prob, 0.3, -0.2),
+            "spring_damper": lambda: spring_damper_decomposition(
+                prob, 0.1, box, check_gammas=(-1.0, -0.5)
+            ),
+            "comparison_check": lambda: comparison_check(
+                prob, 0.3, -0.2, (-0.5, 0.5, -0.5, 0.5), psor_tol=1e-10
+            ),
+        }
+        expected = {  # route: (solves, tol)
+            "eval": (2, 1e-9),
+            "field": (1, 1e-9),
+            "flat_cache": (1, 1e-10),
+            "eval_G": (1, 1e-9),
+            "spring_damper": (2, 1e-9),
+            "comparison_check": (1, 1e-10),
+        }
+        for name, route in routes.items():
+            psor_calls.clear()
+            route()
+            n, tol = expected[name]
+            assert len(psor_calls) == n, name
+            for kw in psor_calls:
+                assert (kw["omega"], kw["tol"], kw["max_iter"]) == (1.7, tol, 4000), name
+                if not warm_start:
+                    assert kw["warm_start"] is None, name
+            if warm_start and n == 2:
+                assert psor_calls[0]["warm_start"] is None, name
+                assert psor_calls[1]["warm_start"] is not None, name
+
+    def test_comparison_check_on_empty_region_solves_nothing(self, psor_calls, domain_sym):
+        prob = self._problem(SliderShape.line_contact(2.0), domain_sym, True)
+        region = (0.01, 0.02, 0.01, 0.02)  # between nodes 2/11 apart
+        assert not np.any(region_node_mask(prob.grid, region))
+        verdict = comparison_check(prob, 0.3, -0.2, region)
+        assert (verdict.n_nodes, verdict.passed, verdict.worst_margin) == (0, True, 0.0)
+        assert psor_calls == []
+
+    def test_eval_is_eval_with_field_bitwise(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
+        a, b = GEvaluator(prob), GEvaluator(prob)
+        probes = [(0.3, -0.5), (0.31, -0.4), (0.3, a.V1 + 0.1), (0.2, 0.0), (0.5, -1.0)]
+        seq_a = [a.eval(beta, gamma) for beta, gamma in probes]
+        seq_b = [b.eval_with_field(beta, gamma)[:3] for beta, gamma in probes]
+        assert seq_a == seq_b
+        assert a.n_solves == b.n_solves == 4
+
+    def test_problem_keeps_a_private_solver_copy(self, domain_sym):
+        settings = SolverParams(omega=1.7)
+        prob = Problem(shape=SliderShape.flat(), grid=build_grid(domain_sym, 6, 6),
+                       F=1.0, eta0=1.0, eta1=0.0, solver=settings)
+        assert prob.solver == settings and prob.solver is not settings
 
 
 class TestBoundsReport:
