@@ -13,12 +13,13 @@ problem has a unique solution and projected SOR converges.
 The production solver sweeps nodes in red-black (checkerboard) order:
 first every node with i + j even, then every node with i + j odd.  For
 the five-point stencil all neighbours of a node have the other colour,
-so each colour is updated as a few vectorized strided slices and the
-order within a colour does not matter.  The five-point operator is
-consistently ordered, so this ordering has the same asymptotic SOR rate
-at the same omega as the lexicographic one (Young, Iterative Solution of
-Large Linear Systems, 1971).  Both orders converge to the same solution,
-so their results differ by the solve error, not bit for bit.
+so the order within a colour does not matter and each colour is updated
+as a few vectorized strided slices of a flat padded iterate.  The
+five-point operator is consistently ordered, so this ordering has the
+same asymptotic SOR rate at the same omega as the lexicographic one
+(Young, Iterative Solution of Large Linear Systems, 1971).  Both orders
+converge to the same solution, so their results differ by the solve
+error, not bit for bit.
 """
 
 from dataclasses import dataclass
@@ -146,43 +147,43 @@ def assemble_system(
     )
 
 
-def _red_black_lattices(system: DiscreteSystem, p_pad: np.ndarray):
-    """Views of the four strided sub-lattices in sweep order.
+def _red_black_lattices(system: DiscreteSystem):
+    """Flat padded iterate and, per colour, its slice views and buffers.
 
-    Sub-lattice (jo, io) holds the interior nodes (j, i) with
-    j = jo (mod 2) and i = io (mod 2); red is (0, 0) then (1, 1), black
-    is (0, 1) then (1, 0).  Every neighbour of a node has the other
-    colour, so each sub-lattice updates as one vectorized block.
-    Interior node (j, i) sits at p_pad[j + 1, i + 1].
+    Rows of odd width w (nx + 2, plus a ghost column for even nx) put
+    interior node (j, i) at flat index (j + 1) * w + i + 1, which is
+    even exactly when i + j is.  So red is one stride-2 slice from
+    w + 1 and black one from w, and the west, east, south and north
+    neighbours are that slice shifted by -1, +1, -w and +w.  b, the
+    couplings and 1/diag share the layout with zeros at the boundary and
+    ghost entries, which therefore compute exactly 0 on every sweep.
+    Also returns the (ny, nx) interior view of the iterate.
     """
     ny, nx = system.b.shape
-    dinv = 1.0 / system.diag
+    w = nx + 2 if nx % 2 else nx + 3
+    end = (ny + 1) * w
+    p = np.zeros((ny + 2) * w)
+    coefs = [
+        np.pad(a, ((1, 1), (1, w - nx - 1))).ravel()
+        for a in (system.b, system.cw, system.ce, system.cs, system.cn, 1.0 / system.diag)
+    ]
     out = []
-    for jo, io in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        sub = (slice(jo, None, 2), slice(io, None, 2))
-        b = system.b[sub]
-        if b.size == 0:
-            continue  # a grid one node wide or high has no odd column or row
-        rows = slice(1 + jo, ny + 1, 2)
-        cols = slice(1 + io, nx + 1, 2)
+    for start in (w + 1, w):
+        colour = slice(start, end, 2)
+        pd = p[colour]
         out.append(
             (
-                p_pad[rows, cols],
-                p_pad[rows, io : nx : 2],
-                p_pad[rows, 2 + io : nx + 2 : 2],
-                p_pad[jo : ny : 2, cols],
-                p_pad[2 + jo : ny + 2 : 2, cols],
-                b,
-                system.cw[sub],
-                system.ce[sub],
-                system.cs[sub],
-                system.cn[sub],
-                dinv[sub],
-                np.empty(b.shape),
-                np.empty(b.shape),
+                pd,
+                p[start - 1 : end - 1 : 2],
+                p[start + 1 : end + 1 : 2],
+                p[start - w : end - w : 2],
+                p[start + w : end + w : 2],
+                *(c[colour].copy() for c in coefs),
+                np.empty(pd.size),
+                np.empty(pd.size),
             )
         )
-    return out
+    return p.reshape(ny + 2, w)[1:-1, 1 : nx + 1], out
 
 
 def lcp_residuals(system: DiscreteSystem, p: np.ndarray) -> tuple[float, float]:
@@ -210,7 +211,7 @@ def solve_vi_psor(
         Relaxation factor in (0, 2).  The default 1.5 is conservative;
         suggested_omega(grid) is much faster on fine grids.
     tol : float
-        Convergence threshold: the largest nodal update of a sweep must
+        Convergence threshold, finite and positive: the largest nodal update of a sweep must
         fall below tol * max(1, ||p||_inf) and the complementarity
         residual below 10 * tol.
     max_iter : int, optional
@@ -233,8 +234,8 @@ def solve_vi_psor(
     """
     if not (0.0 < omega < 2.0):
         raise ValueError(f"relaxation omega must lie in (0, 2), got {omega}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     nx, ny = system.grid.nx, system.grid.ny
     if max_iter is None:
         max_iter = 50 * nx * ny
@@ -245,10 +246,9 @@ def solve_vi_psor(
             values=np.zeros((ny, nx)), residual_comp=0.0, residual_lin=0.0, iterations=0
         )
 
-    p_pad = np.zeros((ny + 2, nx + 2))
+    p_int, lattices = _red_black_lattices(system)
     if warm_start is not None:
-        p_pad[1:-1, 1:-1] = np.maximum(warm_start.values, 0.0)
-    lattices = _red_black_lattices(system, p_pad)
+        p_int[:] = np.maximum(warm_start.values, 0.0)
 
     sweeps = 0
     while sweeps < max_iter:
@@ -274,15 +274,15 @@ def solve_vi_psor(
                 max_delta = float(md)
             pd[:] = t1
         sweeps += 1
-        if max_delta <= tol * max(1.0, float(p_pad.max())):
-            p = p_pad[1:-1, 1:-1].copy()
+        if max_delta <= tol * max(1.0, float(p_int.max())):
+            p = p_int.copy()
             comp, lin = lcp_residuals(system, p)
             if comp <= 10.0 * tol:
                 return PressureField(
                     values=p, residual_comp=comp, residual_lin=lin, iterations=sweeps
                 )
 
-    p = p_pad[1:-1, 1:-1].copy()
+    p = p_int.copy()
     comp, lin = lcp_residuals(system, p)
     field = PressureField(values=p, residual_comp=comp, residual_lin=lin, iterations=sweeps)
     raise NoConvergence(
@@ -308,6 +308,8 @@ def solve_linear(
     sub-region.  Values may be negative.  residual_lin reports the final
     relative residual.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     rhs = system.b if rhs_override is None else rhs_override
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != system.b.shape:

@@ -8,7 +8,9 @@ from sliderfilm.oracle import flat_C_omega, lcp_enumerate
 from sliderfilm.vi_solver import (
     assemble_system,
     complementarity_report,
+    PressureField,
     dump_debug_csv,
+    lcp_residuals,
     load_integral,
     solve_linear,
     solve_vi_psor,
@@ -125,6 +127,12 @@ class TestPSOR:
         with pytest.raises(ValueError):
             solve_vi_psor(system, omega=2.0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_invalid_tol(self, domain_sym, tol):
+        system = assemble_system(build_grid(domain_sym, 3, 3), SliderShape.flat(), 1.0, -1.0)
+        with pytest.raises(ValueError, match="tol"):
+            solve_vi_psor(system, tol=tol)
+
     @settings(deadline=None, max_examples=15)
     @given(
         g1=st.floats(-1.5, 1.0),
@@ -155,7 +163,7 @@ class TestPSOR:
         # refuses a 1-high grid, so the grids are built by hand; that one's
         # odd-row sub-lattices are empty.
         omega, sweeps = 1.4, 3
-        for nx, ny in ((6, 5), (5, 7), (4, 1)):
+        for nx, ny in ((6, 5), (5, 7), (4, 1), (7, 4)):
             dx = domain_sym.length1 / (nx + 1)
             dy = domain_sym.length2 / (ny + 1)
             grid = Grid(
@@ -192,6 +200,88 @@ class TestPSOR:
         while _scalar_sweep(system, pad, omega, lexicographic) > tol * max(1.0, pad.max()):
             pass
         assert np.max(np.abs(fast.values - pad[1:-1, 1:-1])) <= 1e-9
+
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 6), (1, 5), (5, 1)])
+    def test_converged_solves_equal_four_sublattice_sweep(self, domain_sym, nx, ny):
+        # the two colour slices of the flat padded iterate must equal the
+        # same sweep over four 2-D sub-lattices bit for bit: values, sweep
+        # counts and residuals, cold and warm started, for both row-width
+        # cases (even and odd nx) and for grids one node wide or high
+        grid = _grid_by_hand(domain_sym, nx, ny)
+        omega, tol = suggested_omega(grid), 1e-10
+        line, point = SliderShape.line_contact(2.0), SliderShape.point_contact(2.0)
+        for shape, gamma in ((line, -0.3), (point, -0.1)):
+            prev = None
+            for beta in (0.3, 0.32):
+                system = assemble_system(grid, shape, beta, gamma)
+                fast = solve_vi_psor(system, omega=omega, tol=tol, warm_start=prev)
+                ref = _four_sublattice_solve(system, omega, tol, warm_start=prev)
+                assert fast.iterations > 0
+                assert np.array_equal(fast.values, ref.values)
+                assert (fast.iterations, fast.residual_comp, fast.residual_lin) == (
+                    ref.iterations, ref.residual_comp, ref.residual_lin
+                )
+                prev = fast
+
+
+def _grid_by_hand(domain, nx, ny):
+    """Grid with nx-by-ny interior nodes; unlike build_grid, allows 1 and 2."""
+    dx = domain.length1 / (nx + 1)
+    dy = domain.length2 / (ny + 1)
+    return Grid(
+        domain=domain, nx=nx, ny=ny, dx=dx, dy=dy,
+        xs=domain.x1_min + dx * np.arange(nx + 2),
+        ys=domain.x2_min + dy * np.arange(ny + 2),
+    )
+
+
+def _four_sublattice_solve(system, omega, tol, warm_start=None):
+    """Converged red-black PSOR over four 2-D strided sub-lattices.
+
+    Red is sub-lattice (j even, i even) then (j odd, i odd), black
+    (j even, i odd) then (j odd, i even), each updated as one block of
+    the padded 2-D iterate with the production expression order, stop
+    test and warm start.
+    """
+    ny, nx = system.b.shape
+    p_pad = np.zeros((ny + 2, nx + 2))
+    if warm_start is not None:
+        p_pad[1:-1, 1:-1] = np.maximum(warm_start.values, 0.0)
+    dinv = 1.0 / system.diag
+    lattices = []
+    for jo, io in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        sub = (slice(jo, None, 2), slice(io, None, 2))
+        if system.b[sub].size == 0:
+            continue
+        rows, cols = slice(1 + jo, ny + 1, 2), slice(1 + io, nx + 1, 2)
+        lattices.append((
+            p_pad[rows, cols],
+            p_pad[rows, io:nx:2], p_pad[rows, 2 + io:nx + 2:2],
+            p_pad[jo:ny:2, cols], p_pad[2 + jo:ny + 2:2, cols],
+            system.b[sub], system.cw[sub], system.ce[sub], system.cs[sub],
+            system.cn[sub], dinv[sub],
+        ))
+    for sweeps in range(1, 50 * nx * ny + 1):
+        max_delta = 0.0
+        for pd, wv, ev, sv, nv, bd, cw, ce, cs, cn, di in lattices:
+            t1 = cw * wv
+            t1 += bd
+            t1 += ce * ev
+            t1 += cs * sv
+            t1 += cn * nv
+            t1 *= di
+            t1 -= pd
+            t1 *= omega
+            t1 += pd
+            t1 = np.maximum(t1, 0.0)
+            max_delta = max(max_delta, float(np.abs(t1 - pd).max()))
+            pd[:] = t1
+        if max_delta <= tol * max(1.0, float(p_pad.max())):
+            p = p_pad[1:-1, 1:-1].copy()
+            comp, lin = lcp_residuals(system, p)
+            if comp <= 10.0 * tol:
+                return PressureField(p, comp, lin, sweeps)
+    raise AssertionError("reference sweep did not converge")
 
 
 def _scalar_sweep(system, pad, omega, nodes):
@@ -251,6 +341,13 @@ class TestLinearSolve:
         ref = np.linalg.solve(A[np.ix_(sub, sub)], b[sub])
         assert np.allclose(sol.values.ravel()[sub], ref, atol=1e-10)
         assert np.all(sol.values[~mask] == 0.0)
+
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_invalid_tol(self, domain_sym, tol):
+        system = assemble_system(build_grid(domain_sym, 3, 3), SliderShape.flat(), 1.0, -1.0)
+        with pytest.raises(ValueError, match="tol"):
+            solve_linear(system, tol=tol)
 
 
 class TestReportsAndDumps:
