@@ -20,7 +20,6 @@ from .dynamics import (
     GEvaluator,
     Problem,
     SolverParams,
-    StepControl,
     TerminationKind,
     bounds_report,
     integrate_trajectory,
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .geometry import (
     DomainRect,
+    ShapeKind,
     SliderShape,
     build_grid,
     compute_V1,
@@ -55,22 +55,14 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def build_problem(config: RunConfig) -> Problem:
-    domain = DomainRect(
-        config.domain.x1_min, config.domain.x1_max, config.domain.x2_min, config.domain.x2_max
-    )
-    grid = build_grid(domain, config.grid.nx, config.grid.ny)
-    variant = config.shape.variant
-    if variant == "line_contact":
-        shape = SliderShape.line_contact(config.shape.alpha)
-    elif variant == "point_contact":
-        shape = SliderShape.point_contact(config.shape.alpha)
-    elif variant == "flat":
-        shape = SliderShape.flat()
-    else:
+    grid = build_grid(config.domain, config.grid.nx, config.grid.ny)
+    if config.shape.variant == "tabulated":
         try:
             shape = load_tabulated_csv(config.shape.table_path, grid)
         except InvalidDomain as exc:
             raise ValidationError("shape.table_path", str(exc)) from exc
+    else:  # alpha is None for the flat variant
+        shape = SliderShape(ShapeKind(config.shape.variant), alpha=config.shape.alpha)
     return Problem(
         shape=shape,
         grid=grid,
@@ -83,13 +75,7 @@ def build_problem(config: RunConfig) -> Problem:
 
 def run_simulate(config: RunConfig, out_dir: Path) -> int:
     problem = build_problem(config)
-    sc = StepControl(
-        rel_tol=config.integrator.rel_tol,
-        abs_tol=config.integrator.abs_tol,
-        eps_contact=config.integrator.eps_contact,
-        max_samples=config.integrator.max_samples,
-    )
-    traj = integrate_trajectory(problem, config.integrator.t_end, sc)
+    traj = integrate_trajectory(problem, config.integrator.t_end, config.integrator)
     traj.to_csv(out_dir / "trajectory.csv")
     summary = {
         "termination": {
@@ -120,26 +106,14 @@ def run_simulate(config: RunConfig, out_dir: Path) -> int:
 def run_steady(config: RunConfig, out_dir: Path) -> int:
     problem = build_problem(config)
     ev = GEvaluator(problem)
+    st = config.steady
     try:
-        bracket = find_bracket(
-            problem,
-            beta_init=config.steady.beta_init,
-            max_expansions=config.steady.max_expansions,
-            evaluator=ev,
-        )
+        bracket = find_bracket(problem, st.beta_init, st.max_expansions, evaluator=ev)
         result = find_steady(
-            problem,
-            bracket,
-            tol_residual=config.steady.tol_residual,
-            tol_beta=config.steady.tol_beta,
-            max_bisections=config.steady.max_bisections,
-            evaluator=ev,
+            problem, bracket, st.tol_residual, st.tol_beta, st.max_bisections, evaluator=ev
         )
     except (InadmissibleShape, BracketFailure) as exc:
-        _write_json(
-            out_dir / "steady.json",
-            {"error": type(exc).__name__, "reason": str(exc)},
-        )
+        _write_json(out_dir / "steady.json", {"error": type(exc).__name__, "reason": str(exc)})
         return EXIT_DOMAIN
     _write_json(out_dir / "steady.json", result.to_dict())
     return EXIT_OK
@@ -162,9 +136,7 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     """The oracle cross-checks behind the `verify` subcommand."""
     problem = build_problem(config)  # a bad configuration fails before any solve
     rng = np.random.default_rng(config.seed)
-    domain = DomainRect(
-        config.domain.x1_min, config.domain.x1_max, config.domain.x2_min, config.domain.x2_max
-    )
+    domain = config.domain
     checks = []
 
     # 1. series constant vs fine-grid solve of the unit-load problem
@@ -188,13 +160,12 @@ def _verify_checks(config: RunConfig) -> list[dict]:
 
     # 2. exact pressure cutoff at gamma above the largest descending slope
     worst_load = 0.0
-    grid_c = build_grid(domain, config.grid.nx, config.grid.ny)
     for shape in (SliderShape.line_contact(2.0), SliderShape.point_contact(2.0), SliderShape.flat()):
-        v1 = compute_V1(shape, grid_c)
+        v1 = compute_V1(shape, problem.grid)
         for beta in (0.1, 1.0):
-            sysc = assemble_system(grid_c, shape, beta, v1 + 0.1)
+            sysc = assemble_system(problem.grid, shape, beta, v1 + 0.1)
             sol = solve_vi_psor(sysc, tol=1e-10)
-            worst_load = max(worst_load, abs(load_integral(sol, grid_c)))
+            worst_load = max(worst_load, abs(load_integral(sol, problem.grid)))
     checks.append(
         {"name": "cutoff_exactness", "passed": bool(worst_load <= 1e-10), "worst_load": worst_load}
     )
@@ -258,7 +229,7 @@ def _verify_checks(config: RunConfig) -> list[dict]:
         eta1=-0.5,
         solver=SolverParams(omega=1.8, tol=1e-9),
     )
-    traj = integrate_trajectory(prob_flat, 10.0, StepControl())
+    traj = integrate_trajectory(prob_flat, 10.0)
     model = oracle_mod.flat_model(domain, 1.0, 1.0, -0.5, cutoff=config.oracle.fourier_cutoff)
     pick = np.unique(np.linspace(0, len(traj) - 1, 200).astype(int))
     ref = oracle_mod.flat_reference_trajectory(model, 10.0, fine_tol=1e-8, t_eval=traj.t[pick])

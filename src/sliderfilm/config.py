@@ -1,21 +1,29 @@
 """Run configuration: JSON schema, validation, round-trip serialization.
 
+The section dataclasses are the schema (`domain` is a `DomainRect`,
+`solver` a `SolverParams`, `integrator` a `StepControl` plus `t_end`),
+and `_read_section` reads every section by their annotations.  Absent
+fields take `RunConfig()`'s values; `null` is accepted for the `X | None`
+fields, for `gcurve.betas` (the default list) and for a whole section.
 Unknown keys anywhere in the document are hard errors (a typo in a
-physical parameter must never be silently ignored), and every positivity
-constraint of the underlying modules is re-checked at parse time so
-failures carry the JSON field path.
+physical parameter must never be silently ignored), as is a shape field
+the variant does not use; every positivity constraint of the underlying
+modules is re-checked at parse time so failures carry the field path.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace, UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
-from .dynamics import SolverParams
+from .dynamics import SolverParams, StepControl
 from .errors import ParseError, ValidationError
+from .geometry import DomainRect
 
 __all__ = ["RunConfig", "parse_config", "default_gcurve_betas"]
 
-_SHAPE_VARIANTS = ("line_contact", "point_contact", "flat", "tabulated")
+_CONTACT_VARIANTS = ("line_contact", "point_contact")
 
 
 def default_gcurve_betas() -> list[float]:
@@ -25,18 +33,10 @@ def default_gcurve_betas() -> list[float]:
 
 
 @dataclass
-class DomainConfig:
-    x1_min: float = -1.0
-    x1_max: float = 1.0
-    x2_min: float = -1.0
-    x2_max: float = 1.0
-
-
-@dataclass
 class ShapeConfig:
-    variant: str = "line_contact"
-    alpha: float | None = 2.0
-    table_path: str | None = None
+    variant: Literal["line_contact", "point_contact", "flat", "tabulated"] = "line_contact"
+    alpha: float | None = 2.0  # contact variants only
+    table_path: str | None = None  # tabulated only
 
 
 @dataclass
@@ -53,12 +53,15 @@ class PhysicsConfig:
 
 
 @dataclass
-class IntegratorConfig:
+class _Horizon:
     t_end: float = 10.0
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
-    eps_contact: float | None = None  # null -> 1e-4 * eta0
-    max_samples: int = 2_000_000
+
+
+# StepControl plus t_end; fields are collected from the last base first,
+# so t_end leads the section when it is read, checked and serialized
+@dataclass
+class IntegratorConfig(StepControl, _Horizon):
+    pass
 
 
 @dataclass
@@ -66,13 +69,13 @@ class SteadyConfig:
     beta_init: float = 0.5
     tol_residual: float = 1e-6
     tol_beta: float | None = None
-    max_expansions: int = 60
-    max_bisections: int = 200
+    max_expansions: int = 60  # iteration cap of each find_bracket expansion loop
+    max_bisections: int = 200  # iteration cap of find_steady's bisection loop
 
 
 @dataclass
 class GCurveConfig:
-    betas: list = field(default_factory=default_gcurve_betas)
+    betas: list[float] = field(default_factory=default_gcurve_betas)
 
 
 @dataclass
@@ -85,7 +88,7 @@ class OracleConfig:
 
 @dataclass
 class RunConfig:
-    domain: DomainConfig = field(default_factory=DomainConfig)
+    domain: DomainRect = field(default_factory=lambda: DomainRect(-1.0, 1.0, -1.0, 1.0))
     shape: ShapeConfig = field(default_factory=ShapeConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     physics: PhysicsConfig = field(default_factory=PhysicsConfig)
@@ -103,9 +106,7 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
-def _float_field(raw, path, *, allow_none=False):
-    if raw is None and allow_none:
-        return None
+def _float_field(raw, path):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValidationError(path, f"must be a number, got {raw!r}")
     try:
@@ -117,9 +118,7 @@ def _float_field(raw, path, *, allow_none=False):
     return value
 
 
-def _int_field(raw, path, *, allow_none=False):
-    if raw is None and allow_none:
-        return None
+def _int_field(raw, path):
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ValidationError(path, f"must be an integer, got {raw!r}")
     return raw
@@ -131,158 +130,140 @@ def _bool_field(raw, path):
     return raw
 
 
-def _known_keys(obj) -> tuple:
-    return tuple(asdict(obj).keys())
+def _str_field(raw, path):  # the only string field is a file path
+    if not isinstance(raw, str):
+        raise ValidationError(path, "must be a string path")
+    return raw
 
 
-def _parse_domain(d, path):
-    out = DomainConfig(
-        x1_min=_float_field(d.get("x1_min", -1.0), f"{path}.x1_min"),
-        x1_max=_float_field(d.get("x1_max", 1.0), f"{path}.x1_max"),
-        x2_min=_float_field(d.get("x2_min", -1.0), f"{path}.x2_min"),
-        x2_max=_float_field(d.get("x2_max", 1.0), f"{path}.x2_max"),
-    )
-    if not out.x1_min < 0.0 < out.x1_max:
-        raise ValidationError(f"{path}.x1_min", "domain must contain 0 strictly: x1_min < 0 < x1_max")
-    if not out.x2_min < 0.0 < out.x2_max:
-        raise ValidationError(f"{path}.x2_min", "domain must contain 0 strictly: x2_min < 0 < x2_max")
-    return out
-
-
-def _parse_shape(d, path):
-    variant = d.get("variant", "line_contact")
-    if variant not in _SHAPE_VARIANTS:
-        raise ValidationError(f"{path}.variant", f"must be one of {_SHAPE_VARIANTS}")
-    alpha = _float_field(d.get("alpha", 2.0 if variant in ("line_contact", "point_contact") else None),
-                         f"{path}.alpha", allow_none=True)
-    table_path = d.get("table_path")
-    if table_path is not None and not isinstance(table_path, str):
-        raise ValidationError(f"{path}.table_path", "must be a string path")
-    if variant in ("line_contact", "point_contact"):
-        if alpha is None or alpha < 1.0:
-            raise ValidationError(f"{path}.alpha", "must be >= 1 for contact shapes")
-    if variant == "tabulated" and not table_path:
-        raise ValidationError(f"{path}.table_path", "required for tabulated shapes")
-    if variant == "flat":
-        alpha = None
-    return ShapeConfig(variant=variant, alpha=alpha, table_path=table_path)
-
-
-def _parse_grid(d, path):
-    out = GridConfig(
-        nx=_int_field(d.get("nx", 64), f"{path}.nx"),
-        ny=_int_field(d.get("ny", 64), f"{path}.ny"),
-    )
-    if out.nx < 3:
-        raise ValidationError(f"{path}.nx", "must be >= 3")
-    if out.ny < 3:
-        raise ValidationError(f"{path}.ny", "must be >= 3")
-    return out
-
-
-def _parse_physics(d, path):
-    out = PhysicsConfig(
-        F=_float_field(d.get("F", 1.0), f"{path}.F"),
-        eta0=_float_field(d.get("eta0", 1.0), f"{path}.eta0"),
-        eta1=_float_field(d.get("eta1", 0.0), f"{path}.eta1"),
-    )
-    if out.F <= 0.0:
-        raise ValidationError(f"{path}.F", "must be > 0")
-    if out.eta0 <= 0.0:
-        raise ValidationError(f"{path}.eta0", "must be > 0")
-    return out
-
-
-def _parse_solver(d, path):
-    out = SolverParams(
-        omega=_float_field(d.get("omega"), f"{path}.omega", allow_none=True),
-        tol=_float_field(d.get("tol", 1e-8), f"{path}.tol"),
-        max_iter=_int_field(d.get("max_iter"), f"{path}.max_iter", allow_none=True),
-        warm_start=_bool_field(d.get("warm_start", True), f"{path}.warm_start"),
-    )
-    if out.omega is not None and not 0.0 < out.omega < 2.0:
-        raise ValidationError(f"{path}.omega", "must lie in (0, 2)")
-    if out.tol <= 0.0:
-        raise ValidationError(f"{path}.tol", "must be > 0")
-    if out.max_iter is not None and out.max_iter < 1:
-        raise ValidationError(f"{path}.max_iter", "must be >= 1")
-    return out
-
-
-def _parse_integrator(d, path):
-    out = IntegratorConfig(
-        t_end=_float_field(d.get("t_end", 10.0), f"{path}.t_end"),
-        rel_tol=_float_field(d.get("rel_tol", 1e-6), f"{path}.rel_tol"),
-        abs_tol=_float_field(d.get("abs_tol", 1e-9), f"{path}.abs_tol"),
-        eps_contact=_float_field(d.get("eps_contact"), f"{path}.eps_contact", allow_none=True),
-        max_samples=_int_field(d.get("max_samples", 2_000_000), f"{path}.max_samples"),
-    )
-    if out.t_end <= 0.0:
-        raise ValidationError(f"{path}.t_end", "must be > 0")
-    if out.rel_tol <= 0.0 or out.abs_tol <= 0.0:
-        raise ValidationError(f"{path}.rel_tol", "tolerances must be > 0")
-    if out.eps_contact is not None and out.eps_contact <= 0.0:
-        raise ValidationError(f"{path}.eps_contact", "must be > 0 when given")
-    if out.max_samples < 2:
-        raise ValidationError(f"{path}.max_samples", "must be >= 2")
-    return out
-
-
-def _parse_steady(d, path):
-    out = SteadyConfig(
-        beta_init=_float_field(d.get("beta_init", 0.5), f"{path}.beta_init"),
-        tol_residual=_float_field(d.get("tol_residual", 1e-6), f"{path}.tol_residual"),
-        tol_beta=_float_field(d.get("tol_beta"), f"{path}.tol_beta", allow_none=True),
-        max_expansions=_int_field(d.get("max_expansions", 60), f"{path}.max_expansions"),
-        max_bisections=_int_field(d.get("max_bisections", 200), f"{path}.max_bisections"),
-    )
-    if out.beta_init <= 0.0:
-        raise ValidationError(f"{path}.beta_init", "must be > 0")
-    if out.tol_residual <= 0.0:
-        raise ValidationError(f"{path}.tol_residual", "must be > 0")
-    return out
-
-
-def _parse_gcurve(d, path):
-    raw = d.get("betas", None)
-    if raw is None:
-        return GCurveConfig()
+def _float_list_field(raw, path):
     if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"{path}.betas", "must be a non-empty list of numbers")
-    betas = [_float_field(v, f"{path}.betas[{k}]") for k, v in enumerate(raw)]
-    if any(b <= 0.0 for b in betas):
+        raise ValidationError(path, "must be a non-empty list of numbers")
+    return [_float_field(v, f"{path}[{k}]") for k, v in enumerate(raw)]
+
+
+_READERS = {float: _float_field, int: _int_field, bool: _bool_field, str: _str_field,
+            list[float]: _float_list_field}
+
+
+def _read_value(hint, raw, path):
+    origin = get_origin(hint)
+    if origin is UnionType:  # X | None
+        return None if raw is None else _read_value(get_args(hint)[0], raw, path)
+    if origin is Literal:
+        if raw not in get_args(hint):
+            raise ValidationError(path, f"must be one of {get_args(hint)}")
+        return raw
+    return _READERS[hint](raw, path)
+
+
+def _read_section(default, raw, path) -> SimpleNamespace:
+    """Read the JSON object raw against the dataclass instance default.
+
+    Unknown keys fail; each field present is read by its annotation, in
+    declaration order; absent fields, and a null list, keep the default.
+    """
+    if not isinstance(raw, dict):
+        raise ParseError(f"'{path}' must be an object", path=path)
+    values = {f.name: getattr(default, f.name) for f in fields(default)}
+    unknown = sorted(set(raw) - set(values))
+    if unknown:
+        raise ParseError(f"unknown key '{path}.{unknown[0]}'", path=f"{path}.{unknown[0]}")
+    hints = get_type_hints(type(default))
+    for name in values:
+        if name in raw and not (raw[name] is None and get_origin(hints[name]) is list):
+            values[name] = _read_value(hints[name], raw[name], f"{path}.{name}")
+    return SimpleNamespace(**values)
+
+
+def _check_domain(d, raw, path):
+    if not d.x1_min < 0.0 < d.x1_max:
+        raise ValidationError(f"{path}.x1_min", "domain must contain 0 strictly: x1_min < 0 < x1_max")
+    if not d.x2_min < 0.0 < d.x2_max:
+        raise ValidationError(f"{path}.x2_min", "domain must contain 0 strictly: x2_min < 0 < x2_max")
+
+
+def _check_shape(s, raw, path):
+    if s.variant in _CONTACT_VARIANTS and (s.alpha is None or s.alpha < 1.0):
+        raise ValidationError(f"{path}.alpha", "must be >= 1 for contact shapes")
+    if s.variant == "tabulated" and not s.table_path:
+        raise ValidationError(f"{path}.table_path", "required for tabulated shapes")
+    if s.variant not in _CONTACT_VARIANTS:
+        if raw.get("alpha") is not None:
+            raise ValidationError(f"{path}.alpha", "applies only to contact shapes; omit it or use null")
+        s.alpha = None
+    if s.variant != "tabulated" and s.table_path is not None:
+        raise ValidationError(f"{path}.table_path", "applies only to tabulated shapes; omit it or use null")
+
+
+def _check_grid(g, raw, path):
+    if g.nx < 3:
+        raise ValidationError(f"{path}.nx", "must be >= 3")
+    if g.ny < 3:
+        raise ValidationError(f"{path}.ny", "must be >= 3")
+
+
+def _check_physics(p, raw, path):
+    if p.F <= 0.0:
+        raise ValidationError(f"{path}.F", "must be > 0")
+    if p.eta0 <= 0.0:
+        raise ValidationError(f"{path}.eta0", "must be > 0")
+
+
+def _check_solver(s, raw, path):
+    if s.omega is not None and not 0.0 < s.omega < 2.0:
+        raise ValidationError(f"{path}.omega", "must lie in (0, 2)")
+    if s.tol <= 0.0:
+        raise ValidationError(f"{path}.tol", "must be > 0")
+    if s.max_iter is not None and s.max_iter < 1:
+        raise ValidationError(f"{path}.max_iter", "must be >= 1")
+
+
+def _check_integrator(i, raw, path):
+    if i.t_end <= 0.0:
+        raise ValidationError(f"{path}.t_end", "must be > 0")
+    if i.rel_tol <= 0.0 or i.abs_tol <= 0.0:
+        raise ValidationError(f"{path}.rel_tol", "tolerances must be > 0")
+    if i.eps_contact is not None and i.eps_contact <= 0.0:
+        raise ValidationError(f"{path}.eps_contact", "must be > 0 when given")
+    if i.max_samples < 2:
+        raise ValidationError(f"{path}.max_samples", "must be >= 2")
+
+
+def _check_steady(s, raw, path):
+    if s.beta_init <= 0.0:
+        raise ValidationError(f"{path}.beta_init", "must be > 0")
+    if s.tol_residual <= 0.0:
+        raise ValidationError(f"{path}.tol_residual", "must be > 0")
+
+
+def _check_gcurve(g, raw, path):
+    if any(b <= 0.0 for b in g.betas):
         raise ValidationError(f"{path}.betas", "all entries must be > 0")
-    return GCurveConfig(betas=betas)
 
 
-def _parse_oracle(d, path):
-    out = OracleConfig(
-        fourier_cutoff=_int_field(d.get("fourier_cutoff", 99), f"{path}.fourier_cutoff"),
-        fine_grid=_int_field(d.get("fine_grid", 192), f"{path}.fine_grid"),
-        lcp_cases=_int_field(d.get("lcp_cases", 100), f"{path}.lcp_cases"),
-        comparison_cases=_int_field(d.get("comparison_cases", 20), f"{path}.comparison_cases"),
-    )
-    if out.fourier_cutoff < 1:
+def _check_oracle(o, raw, path):
+    if o.fourier_cutoff < 1:
         raise ValidationError(f"{path}.fourier_cutoff", "must be >= 1")
-    if out.fine_grid < 16:
+    if o.fine_grid < 16:
         raise ValidationError(f"{path}.fine_grid", "must be >= 16")
-    if out.lcp_cases < 1:
+    if o.lcp_cases < 1:
         raise ValidationError(f"{path}.lcp_cases", "must be >= 1")
-    if out.comparison_cases < 1:
+    if o.comparison_cases < 1:
         raise ValidationError(f"{path}.comparison_cases", "must be >= 1")
-    return out
 
 
-_SECTIONS = {
-    "domain": (_parse_domain, DomainConfig),
-    "shape": (_parse_shape, ShapeConfig),
-    "grid": (_parse_grid, GridConfig),
-    "physics": (_parse_physics, PhysicsConfig),
-    "solver": (_parse_solver, SolverParams),
-    "integrator": (_parse_integrator, IntegratorConfig),
-    "steady": (_parse_steady, SteadyConfig),
-    "gcurve": (_parse_gcurve, GCurveConfig),
-    "oracle": (_parse_oracle, OracleConfig),
+# the range checks of each section, in document order
+_CHECKS = {
+    "domain": _check_domain,
+    "shape": _check_shape,
+    "grid": _check_grid,
+    "physics": _check_physics,
+    "solver": _check_solver,
+    "integrator": _check_integrator,
+    "steady": _check_steady,
+    "gcurve": _check_gcurve,
+    "oracle": _check_oracle,
 }
 
 
@@ -299,29 +280,24 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ParseError("configuration must be a JSON object")
 
-    kwargs = {}
-    for name, (parser, default_cls) in _SECTIONS.items():
+    cfg = RunConfig()
+    for name, check in _CHECKS.items():
         raw = doc.pop(name, None)
         if raw is None:
-            kwargs[name] = default_cls()
             continue
-        if not isinstance(raw, dict):
-            raise ParseError(f"'{name}' must be an object", path=name)
-        known = set(_known_keys(default_cls()))
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ParseError(f"unknown key '{name}.{unknown[0]}'", path=f"{name}.{unknown[0]}")
-        kwargs[name] = parser(raw, name)
+        default = getattr(cfg, name)
+        section = _read_section(default, raw, name)
+        check(section, raw, name)
+        setattr(cfg, name, type(default)(**vars(section)))
 
     if "seed" in doc:
         seed = doc.pop("seed")
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValidationError("seed", "must be a nonnegative integer")
-        kwargs["seed"] = seed
+        cfg.seed = seed
     if doc:
         extra = sorted(doc)[0]
         raise ParseError(f"unknown key '{extra}'", path=extra)
-    cfg = RunConfig(**kwargs)
     eps = cfg.integrator.eps_contact
     if eps is not None and eps >= cfg.physics.eta0:
         raise ValidationError(

@@ -119,16 +119,19 @@ class Problem:
         )
 
 
+# first step min(1e-3 * t_end, 0.1, t_end); a step under 1e-12 * t_end fails
+_DT_INIT_FRACTION, _DT_INIT_MAX, _DT_MIN_FRACTION = 1e-3, 0.1, 1e-12
+
+
 @dataclass
 class StepControl:
-    """Embedded Runge-Kutta step-size control parameters."""
+    """Embedded Runge-Kutta step-size control parameters (the config's
+    integrator section is this type plus the horizon t_end)."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
     eps_contact: float | None = None  # defaults to 1e-4 * eta0
     max_samples: int = 2_000_000
-    dt_init: float | None = None
-    dt_min_factor: float = 1e-12  # dt_min = factor * t_end
 
 
 @dataclass(frozen=True)
@@ -284,21 +287,17 @@ def bounds_report(problem: Problem) -> BoundsReport:
         2.0 * math.sqrt(2.0 * F * d2),
         2.0 * math.sqrt(eta1**2 + 2.0 * F * eta0),
     )
-    s1 = s2 = None
-    steady = glob = None
+    s1 = s2 = glob = None
     alpha = shape.alpha
     if shape.kind is ShapeKind.LINE_CONTACT:
         s1 = 2.0 * (1.0 - 1.0 / alpha)
         s2 = 2.0 - 3.0 / alpha
-        steady = alpha > 1.0
         glob = alpha >= 1.5
     elif shape.kind is ShapeKind.POINT_CONTACT:
         s1 = 2.0 - 3.0 / alpha
         s2 = 2.0 - 4.0 / alpha
-        steady = alpha > 1.5
         glob = alpha >= 2.0
     elif shape.kind is ShapeKind.FLAT:
-        steady = False  # the flat slider balances no load
         glob = True  # height stays positive but decays to zero
     return BoundsReport(
         shape=shape.describe(),
@@ -313,7 +312,7 @@ def bounds_report(problem: Problem) -> BoundsReport:
         D2=d2,
         s1=s1,
         s2=s2,
-        steady_state_guaranteed=steady,
+        steady_state_guaranteed=shape.steady_state_guaranteed,
         global_bounds_guaranteed=glob,
         gradient_kink_flagged=shape.gradient_kink,
     )
@@ -469,9 +468,9 @@ def integrate_trajectory(
     Every derivative evaluation is one film solve, warm started along
     the step chain; the exact shortcuts of GEvaluator apply.  The run
     ends early with CONTACT_GUARD when the height falls to the guard
-    and with STEP_FAILURE when the controller underflows dt_min or an
-    accepted step would add a sample beyond max_samples.  That step is
-    dropped: the trajectory holds at most max_samples samples and the
+    and with STEP_FAILURE when the controller underflows 1e-12 * t_end
+    or an accepted step would add a sample beyond max_samples.  That step
+    is dropped: the trajectory holds at most max_samples samples and the
     termination time is that of its last sample.
     """
     if t_end <= 0.0:
@@ -480,7 +479,7 @@ def integrate_trajectory(
     if sc.max_samples < 1:
         raise ValueError("max_samples must be at least 1")
     eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
-    dt_min = sc.dt_min_factor * t_end
+    dt_min = _DT_MIN_FRACTION * t_end
     abs_tol, rel_tol, max_samples = sc.abs_tol, sc.rel_tol, sc.max_samples
     ev = GEvaluator(problem)
     c1 = c1_constant(problem.shape, problem.grid.domain)
@@ -534,8 +533,7 @@ def integrate_trajectory(
     k1v, load1, it1 = f(y, v)
     record(t, y, v, k1v, load1, it1)
 
-    dt = sc.dt_init if sc.dt_init is not None else min(1e-3 * t_end, 0.1)
-    dt = min(dt, t_end)
+    dt = min(_DT_INIT_FRACTION * t_end, _DT_INIT_MAX, t_end)
 
     # The tableau unrolled; the last row of A equals b (FSAL).  Each
     # combination is sum()'s left fold over all seven terms: it starts

@@ -153,6 +153,19 @@ class SliderShape:
             and self.alpha == 1.0
         )
 
+    @property
+    def steady_state_guaranteed(self) -> bool | None:
+        """True where the paper guarantees a steady clearance (line contact
+        with alpha > 1, point contact with alpha > 3/2), False otherwise
+        (the flat slider balances no load), None for tabulated profiles."""
+        if self.kind is ShapeKind.LINE_CONTACT:
+            return self.alpha > 1.0
+        if self.kind is ShapeKind.POINT_CONTACT:
+            return self.alpha > 1.5
+        if self.kind is ShapeKind.FLAT:
+            return False
+        return None
+
     def describe(self) -> str:
         if self.kind in (ShapeKind.LINE_CONTACT, ShapeKind.POINT_CONTACT):
             return f"{self.kind.value}(alpha={self.alpha})"

@@ -68,9 +68,7 @@ class GCurve:
 
 def _require_admissible(problem: Problem) -> None:
     shape = problem.shape
-    if shape.kind is ShapeKind.LINE_CONTACT and shape.alpha > 1.0:
-        return
-    if shape.kind is ShapeKind.POINT_CONTACT and shape.alpha > 1.5:
+    if shape.steady_state_guaranteed:
         return
     if shape.kind is ShapeKind.FLAT:
         raise InadmissibleShape("no stationary solution for flat slider")
@@ -89,7 +87,8 @@ def find_bracket(
     """Expand geometrically from beta_init until g changes sign.
 
     Returns (beta_lo, beta_hi) with g(beta_lo) > 0 > g(beta_hi).  Fails
-    with BracketFailure when no positive g is found before the wedge
+    with BracketFailure when max_expansions doublings (then halvings) find
+    no sign change, as when no positive g is found before the wedge
     drops under the grid resolution (the load saturates there).
     """
     _require_admissible(problem)
@@ -132,9 +131,10 @@ def find_steady(
 ) -> SteadyResult:
     """Bisect the bracket down to |g| <= tol_residual.
 
-    Deterministic; the returned clearance is the best midpoint seen.  The
-    film solution is unique at every clearance, so warm starting cannot
-    change the result.
+    Deterministic; the returned clearance is the best midpoint seen, and
+    BracketFailure is raised when it misses tol_residual after
+    max_bisections steps.  The film solution is unique at every
+    clearance, so warm starting cannot change the result.
     """
     beta_lo, beta_hi = bracket
     if not (0.0 < beta_lo < beta_hi):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sliderfilm.cli import (
     dispatch,
     main,
 )
-from sliderfilm.config import RunConfig, parse_config
+from sliderfilm.config import RunConfig, default_gcurve_betas, parse_config
 from sliderfilm.errors import ParseError, ValidationError
 from sliderfilm.vi_solver import suggested_omega
 
@@ -141,6 +142,95 @@ class TestParse:
             cfg = parse_config(text)
             again = parse_config(cfg.to_json())
             assert again == cfg
+
+
+SCHEMA = [
+    (section.name, f.name)
+    for section in fields(RunConfig)
+    if section.name != "seed"
+    for f in fields(getattr(RunConfig(), section.name))
+]
+# the fields that accept null: the X | None fields, and gcurve.betas (the default list)
+NULLABLE = {
+    "shape.alpha",
+    "shape.table_path",
+    "solver.omega",
+    "solver.max_iter",
+    "integrator.eps_contact",
+    "steady.tol_beta",
+    "gcurve.betas",
+}
+
+
+@pytest.mark.parametrize("section, name", SCHEMA, ids=[f"{s}.{n}" for s, n in SCHEMA])
+class TestSchemaField:
+    def test_absent_takes_run_config_default(self, section, name):
+        cfg = parse_config(json.dumps({section: {}}))
+        assert getattr(getattr(cfg, section), name) == getattr(getattr(RunConfig(), section), name)
+
+    def test_wrong_type_rejected_with_path(self, section, name):
+        bad = 5 if (section, name) in {("shape", "variant"), ("shape", "table_path")} else "x"
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps({section: {name: bad}}))
+        assert exc.value.path == f"{section}.{name}"
+
+    def test_null_accepted_exactly_where_declared(self, section, name):
+        # flat takes neither alpha nor table_path, so a null one is all it checks
+        base = {"variant": "flat"} if section == "shape" and name != "variant" else {}
+        text = json.dumps({section: {**base, name: None}})
+        if f"{section}.{name}" not in NULLABLE:
+            with pytest.raises(ValidationError) as exc:
+                parse_config(text)
+            assert exc.value.path == f"{section}.{name}"
+            return
+        value = getattr(getattr(parse_config(text), section), name)
+        assert value == (default_gcurve_betas() if name == "betas" else None)
+
+
+class TestSchema:
+    def test_accepted_keys(self):
+        keys = {name: sorted(sec) for name, sec in RunConfig().to_dict().items() if name != "seed"}
+        assert keys == {
+            "domain": ["x1_max", "x1_min", "x2_max", "x2_min"],
+            "shape": ["alpha", "table_path", "variant"],
+            "grid": ["nx", "ny"],
+            "physics": ["F", "eta0", "eta1"],
+            "solver": ["max_iter", "omega", "tol", "warm_start"],
+            "integrator": ["abs_tol", "eps_contact", "max_samples", "rel_tol", "t_end"],
+            "steady": ["beta_init", "max_bisections", "max_expansions", "tol_beta", "tol_residual"],
+            "gcurve": ["betas"],
+            "oracle": ["comparison_cases", "fine_grid", "fourier_cutoff", "lcp_cases"],
+        }
+
+    @pytest.mark.parametrize(
+        "shape, path",
+        [
+            ({"variant": "flat", "alpha": 2.0}, "shape.alpha"),
+            ({"variant": "tabulated", "table_path": "t.csv", "alpha": 2.0}, "shape.alpha"),
+            ({"variant": "line_contact", "table_path": "t.csv"}, "shape.table_path"),
+            ({"variant": "point_contact", "alpha": 2.0, "table_path": ""}, "shape.table_path"),
+            ({"variant": "flat", "table_path": "t.csv"}, "shape.table_path"),
+        ],
+    )
+    def test_shape_field_of_another_variant_rejected(self, tmp_path, shape, path):
+        text = json.dumps({"shape": shape})
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert exc.value.path == path
+        assert exc.value.constraint.startswith("applies only to")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert main(["bounds", "--config", str(cfgfile), "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_null_shape_fields_accepted_and_round_trip(self):
+        for shape in (
+            {"variant": "flat", "alpha": None, "table_path": None},
+            {"variant": "tabulated", "alpha": None, "table_path": "t.csv"},
+            {"variant": "point_contact", "alpha": 1.5, "table_path": None},
+        ):
+            cfg = parse_config(json.dumps({"shape": shape}))
+            assert cfg.shape.alpha == shape["alpha"]
+            assert parse_config(cfg.to_json()) == cfg
 
 
 class TestDispatch:

@@ -7,6 +7,9 @@ from sliderfilm.dynamics import (
     _DP_A,
     _DP_B5,
     _DP_E,
+    _DT_INIT_FRACTION,
+    _DT_INIT_MAX,
+    _DT_MIN_FRACTION,
     GEvaluator,
     MonitorReport,
     MonitorSegment,
@@ -364,7 +367,7 @@ def generic_dp_columns(problem, t_end, sc):
     coefficient tables and the energies computed per sample in Python.
     """
     eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
-    dt_min = sc.dt_min_factor * t_end
+    dt_min = _DT_MIN_FRACTION * t_end
     ev = GEvaluator(problem)
     c1 = c1_constant(problem.shape, problem.grid.domain)
     F = problem.F
@@ -384,7 +387,7 @@ def generic_dp_columns(problem, t_end, sc):
     k1v, load1, it1 = ev.eval(y, v)
     k1y = v
     record(t, y, v, k1v, load1, it1)
-    dt = min(sc.dt_init if sc.dt_init is not None else min(1e-3 * t_end, 0.1), t_end)
+    dt = min(min(_DT_INIT_FRACTION * t_end, _DT_INIT_MAX), t_end)
     ky, kv = [0.0] * 7, [0.0] * 7
     while t < t_end * (1.0 - 1e-15):
         dt = min(dt, t_end - t)

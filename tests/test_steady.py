@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sliderfilm.dynamics import GEvaluator, Problem, SolverParams
+from sliderfilm.dynamics import GEvaluator, Problem, SolverParams, bounds_report
 from sliderfilm.errors import InadmissibleShape
 from sliderfilm.geometry import SliderShape, build_grid
-from sliderfilm.steady import find_bracket, find_steady, g_curve
+from sliderfilm.steady import _require_admissible, find_bracket, find_steady, g_curve
 from sliderfilm.vi_solver import suggested_omega
 
 
@@ -33,6 +33,24 @@ class TestAdmissibility:
         prob = Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0)
         with pytest.raises(InadmissibleShape):
             find_bracket(prob, 0.5)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.0001, 1.5, 1.5001, 2.0])
+    def test_bounds_verdict_agrees_with_steady_search(self, tabulated_line, alpha):
+        tabulated, grid = tabulated_line
+        cases = [  # the paper's thresholds: line contact alpha > 1, point contact alpha > 3/2
+            (SliderShape.line_contact(alpha), alpha > 1.0),
+            (SliderShape.point_contact(alpha), alpha > 1.5),
+            (SliderShape.flat(), False),
+            (tabulated, None),
+        ]
+        for shape, verdict in cases:
+            prob = Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0)
+            assert bounds_report(prob).steady_state_guaranteed is verdict
+            if verdict:
+                _require_admissible(prob)
+            else:
+                with pytest.raises(InadmissibleShape):
+                    _require_admissible(prob)
 
 
 class TestBracketAndRoot:
