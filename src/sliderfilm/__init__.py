@@ -52,8 +52,6 @@ from .dynamics import (
     TerminationKind,
     Trajectory,
     bounds_report,
-    energies,
-    eval_G,
     integrate_trajectory,
     monitor_energies,
     spring_damper_decomposition,

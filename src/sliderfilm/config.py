@@ -124,12 +124,6 @@ def _int_field(raw, path):
     return raw
 
 
-def _bool_field(raw, path):
-    if not isinstance(raw, bool):
-        raise ValidationError(path, f"must be a boolean, got {raw!r}")
-    return raw
-
-
 def _str_field(raw, path):  # the only string field is a file path
     if not isinstance(raw, str):
         raise ValidationError(path, "must be a string path")
@@ -142,8 +136,7 @@ def _float_list_field(raw, path):
     return [_float_field(v, f"{path}[{k}]") for k, v in enumerate(raw)]
 
 
-_READERS = {float: _float_field, int: _int_field, bool: _bool_field, str: _str_field,
-            list[float]: _float_list_field}
+_READERS = {float: _float_field, int: _int_field, str: _str_field, list[float]: _float_list_field}
 
 
 def _read_value(hint, raw, path):
@@ -222,8 +215,10 @@ def _check_solver(s, raw, path):
 def _check_integrator(i, raw, path):
     if i.t_end <= 0.0:
         raise ValidationError(f"{path}.t_end", "must be > 0")
-    if i.rel_tol <= 0.0 or i.abs_tol <= 0.0:
-        raise ValidationError(f"{path}.rel_tol", "tolerances must be > 0")
+    if i.rel_tol <= 0.0:
+        raise ValidationError(f"{path}.rel_tol", "must be > 0")
+    if i.abs_tol <= 0.0:
+        raise ValidationError(f"{path}.abs_tol", "must be > 0")
     if i.eps_contact is not None and i.eps_contact <= 0.0:
         raise ValidationError(f"{path}.eps_contact", "must be > 0 when given")
     if i.max_samples < 2:
@@ -235,6 +230,12 @@ def _check_steady(s, raw, path):
         raise ValidationError(f"{path}.beta_init", "must be > 0")
     if s.tol_residual <= 0.0:
         raise ValidationError(f"{path}.tol_residual", "must be > 0")
+    if s.tol_beta is not None and s.tol_beta <= 0.0:
+        raise ValidationError(f"{path}.tol_beta", "must be > 0 when given")
+    if s.max_expansions < 0:
+        raise ValidationError(f"{path}.max_expansions", "must be >= 0")
+    if s.max_bisections < 0:
+        raise ValidationError(f"{path}.max_bisections", "must be >= 0")
 
 
 def _check_gcurve(g, raw, path):

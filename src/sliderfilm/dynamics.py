@@ -4,8 +4,8 @@ The slider height obeys eta'' = G(eta, eta') with
 G(beta, gamma) = integral of the film pressure at clearance beta and
 squeeze velocity gamma, minus the applied load F.  Two exact shortcuts
 are used: gamma >= V1 forces zero pressure (G = -F), and for the flat
-profile the pressure scales exactly like (-gamma)/beta^3 times a single
-cached unit solve, which keeps long decay runs affordable.
+profile the film load scales exactly like (-gamma)/beta^3 times a single
+cached unit load, which keeps long decay runs affordable.
 """
 
 import math
@@ -40,7 +40,6 @@ __all__ = [
     "SolverParams",
     "Problem",
     "StepControl",
-    "SliderState",
     "Trajectory",
     "TerminationKind",
     "Termination",
@@ -48,8 +47,6 @@ __all__ = [
     "MonitorReport",
     "SpringDamper",
     "GEvaluator",
-    "eval_G",
-    "energies",
     "bounds_report",
     "integrate_trajectory",
     "monitor_energies",
@@ -70,7 +67,6 @@ class SolverParams:
     omega: float | None = None
     tol: float = 1e-8
     max_iter: int | None = None
-    warm_start: bool = True
 
 
 @dataclass(eq=False)
@@ -103,11 +99,10 @@ class Problem:
         """The film solve: pressure at clearance beta and squeeze velocity gamma.
 
         Assembles the system and runs projected SOR with this problem's
-        solver settings; every film pressure of the package comes from
-        here.  warm_start is ignored when solver.warm_start is off, and
-        tol, when given, overrides solver.tol.  No shortcut is applied:
-        a nonpositive load vector still returns the exact zero field from
-        the solver itself.
+        solver settings, started from warm_start when one is given; every
+        film pressure of the package comes from here.  tol, when given,
+        overrides solver.tol.  No shortcut is applied: a nonpositive load
+        vector still returns the exact zero field from the solver itself.
         """
         s = self.solver
         return solve_vi_psor(
@@ -115,7 +110,7 @@ class Problem:
             omega=s.omega,
             tol=s.tol if tol is None else tol,
             max_iter=s.max_iter,
-            warm_start=warm_start if s.warm_start else None,
+            warm_start=warm_start,
         )
 
 
@@ -132,13 +127,6 @@ class StepControl:
     abs_tol: float = 1e-9
     eps_contact: float | None = None  # defaults to 1e-4 * eta0
     max_samples: int = 2_000_000
-
-
-@dataclass(frozen=True)
-class SliderState:
-    t: float
-    eta: float
-    eta_dot: float
 
 
 class TerminationKind(Enum):
@@ -200,9 +188,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.t.size
 
-    def state(self, k: int) -> SliderState:
-        return SliderState(t=float(self.t[k]), eta=float(self.eta[k]), eta_dot=float(self.eta_dot[k]))
-
     def to_csv(self, path) -> None:
         write_csv(
             path,
@@ -232,12 +217,6 @@ def c1_constant(shape: SliderShape, domain: DomainRect) -> float:
     c1 = sup|h0| * |Omega| / sqrt(lambda1).
     """
     return sup_height(shape, domain) * domain.area / math.sqrt(poincare_lambda1(domain))
-
-
-def energies(state: SliderState, c1: float, F: float) -> tuple[float, float]:
-    """Mechanical energies at a state: E1 = v^2/2 + F eta, E2 = E1 + c1/(2 eta^2)."""
-    e1 = 0.5 * state.eta_dot**2 + F * state.eta
-    return e1, e1 + c1 / (2.0 * state.eta**2)
 
 
 @dataclass(frozen=True)
@@ -318,21 +297,16 @@ def bounds_report(problem: Problem) -> BoundsReport:
     )
 
 
-def _require_clearance(beta: float) -> None:
-    if beta <= 0.0:
-        raise NonPositiveClearance(f"film force undefined at beta = {beta}")
-
-
 class GEvaluator:
-    """Film force along a run: warm starting and the exact shortcuts.
+    """Film force along a run: the exact shortcuts and the warm chain.
 
-    Every pressure comes from field(): gamma >= V1 gives the zero field
-    outright; for the flat profile the operator is beta^3 times a fixed
-    stencil and the load vector is (-gamma) times a fixed one, so one
-    unit solve (beta 1, gamma -1) scaled by (-gamma)/beta^3 is the exact
-    discrete solution at every (beta, gamma); any other pair is one
-    Problem.solve_film, warm started from the previous one.  Cached and
-    cutoff evaluations report 0 sweeps.
+    Every film force of the package comes from here.  gamma >= V1 gives
+    the zero field outright.  For the flat profile the operator is
+    beta^3 times a fixed stencil and the load vector is (-gamma) times a
+    fixed one, so eval scales one cached unit load (beta 1, gamma -1) by
+    (-gamma)/beta^3, the exact discrete load at every (beta, gamma).
+    Any other field is one Problem.solve_film, warm started from the
+    previous one.  Cached and cutoff evaluations report 0 sweeps.
     """
 
     def __init__(self, problem: Problem):
@@ -341,48 +315,36 @@ class GEvaluator:
         self._flat = problem.shape.kind is ShapeKind.FLAT
         self._warm: PressureField | None = None
         self._flat_load_unit: float | None = None
-        self._flat_field_unit: np.ndarray | None = None
         self.n_solves = 0
-
-    def _fill_flat_cache(self) -> int:
-        """Solve the flat unit problem once; returns the sweeps it took (0 when cached)."""
-        if self._flat_load_unit is not None:
-            return 0
-        sol = self.problem.solve_film(1.0, -1.0, tol=min(self.problem.solver.tol, 1e-10))
-        self.n_solves += 1
-        self._flat_load_unit = load_integral(sol, self.problem.grid)
-        self._flat_field_unit = sol.values
-        return sol.iterations
 
     def eval(self, beta: float, gamma: float) -> tuple[float, float, int]:
         """Return (G, film load, solver sweeps) at (beta, gamma).
 
         eval_with_field without the field, except for the flat profile
-        below the cutoff: there the load stays a scalar on the cached
-        unit load, which keeps the millions of evaluations of a decay
-        run cheap (it is a different float sum than the field's).
+        below the cutoff: there the load is a scalar on the cached unit
+        load, which keeps the millions of evaluations of a decay run
+        cheap; the unit solve runs at tol min(solver.tol, 1e-10).
         """
         if self._flat and beta > 0.0 and gamma < self.V1:
-            iters = 0 if self._flat_load_unit is not None else self._fill_flat_cache()
+            iters = 0
+            if self._flat_load_unit is None:
+                unit = self.problem.solve_film(1.0, -1.0, tol=min(self.problem.solver.tol, 1e-10))
+                self.n_solves += 1
+                self._flat_load_unit = load_integral(unit, self.problem.grid)
+                iters = unit.iterations
             load = (-gamma) * self._flat_load_unit / beta**3
             return load - self.problem.F, load, iters
         return self.eval_with_field(beta, gamma)[:3]
 
     def field(self, beta: float, gamma: float) -> PressureField:
-        """Materialize the pressure field at (beta, gamma)."""
-        _require_clearance(beta)
+        """Materialize the pressure field at (beta, gamma): the zero field
+        at gamma >= V1, else one solve warm started from the previous one."""
+        if beta <= 0.0:
+            raise NonPositiveClearance(f"film force undefined at beta = {beta}")
         if gamma >= self.V1:
             ny, nx = self.problem.grid.ny, self.problem.grid.nx
             return PressureField(
                 values=np.zeros((ny, nx)), residual_comp=0.0, residual_lin=0.0, iterations=0
-            )
-        if self._flat:
-            iters = self._fill_flat_cache()
-            return PressureField(
-                values=self._flat_field_unit * ((-gamma) / beta**3),
-                residual_comp=0.0,
-                residual_lin=0.0,
-                iterations=iters,
             )
         sol = self.problem.solve_film(beta, gamma, warm_start=self._warm)
         self.n_solves += 1
@@ -394,23 +356,6 @@ class GEvaluator:
         fld = self.field(beta, gamma)
         load = load_integral(fld, self.problem.grid)
         return load - self.problem.F, load, fld.iterations, fld
-
-
-def eval_G(
-    problem: Problem,
-    beta: float,
-    gamma: float,
-    warm_start: PressureField | None = None,
-) -> tuple[float, PressureField]:
-    """One full film solve: returns (G, pressure field) at (beta, gamma).
-
-    A view over Problem.solve_film without GEvaluator's shortcuts or
-    flat-profile cache; pass the returned field back in as warm_start
-    when sweeping.
-    """
-    _require_clearance(beta)
-    sol = problem.solve_film(beta, gamma, warm_start=warm_start)
-    return load_integral(sol, problem.grid) - problem.F, sol
 
 
 # Dormand-Prince 5(4) coefficients; the system is autonomous so stage
@@ -682,7 +627,7 @@ class SpringDamper:
 
     G(beta, gamma) >= F_S - gamma * d - F for every gamma: F_S is the
     stationary wedge load of the region, d its damping coefficient.  The
-    checks record the inequality margin against full film solves.
+    checks record the inequality margin against the film force.
     """
 
     beta: float
@@ -704,7 +649,7 @@ def spring_damper_decomposition(
     The wedge problem (load -dh0/dx1) gives the spring force F_S, the
     unit-load problem the damping coefficient d, both on the box with
     zero boundary data.  The bound G >= F_S - gamma d - F is then checked
-    against direct film solves at the requested gammas.
+    against the film force of one GEvaluator at the requested gammas.
     """
     grid = problem.grid
     mask = region_node_mask(grid, box)
@@ -718,10 +663,10 @@ def spring_damper_decomposition(
     d = float(np.sum(q2.values[mask])) * grid.cell_area
 
     checks = []
-    warm = None
+    ev = GEvaluator(problem)
     ok = True
     for gamma in check_gammas:
-        g_val, warm = eval_G(problem, beta, gamma, warm_start=warm)
+        g_val = ev.eval(beta, gamma)[0]
         lower = F_S - gamma * d - problem.F
         margin = g_val - lower
         checks.append(SpringDamperCheck(gamma=gamma, G=g_val, lower_bound=lower, margin=margin))

@@ -397,14 +397,9 @@ class ContactBox:
 
     def node_mask(self, grid: Grid) -> np.ndarray:
         """Boolean (ny, nx) mask of interior nodes strictly inside the box."""
-        X1, X2 = grid.interior_mesh()
         if self.kind is BoxKind.LINE_BOX:
-            return (
-                (X1 > self.x1_lo)
-                & (X1 < self.x1_hi)
-                & (X2 > self.x2_lo)
-                & (X2 < self.x2_hi)
-            )
+            return region_node_mask(grid, (self.x1_lo, self.x1_hi, self.x2_lo, self.x2_hi))
+        X1, X2 = grid.interior_mesh()
         rho = np.hypot(X1, X2)
         theta = np.arctan2(X2, X1)  # in (-pi, pi], contact direction at pi
         dev = np.abs(np.pi - np.abs(theta))

@@ -47,7 +47,6 @@ class TestParse:
         cfg = parse_config(MINIMAL_FLAT)
         assert cfg.shape.variant == "flat"
         assert cfg.shape.alpha is None
-        assert cfg.solver.warm_start is True  # documented default
         assert cfg.integrator.rel_tol == 1e-6
         assert cfg.steady.beta_init == 0.5
         assert cfg.seed == 0
@@ -195,7 +194,7 @@ class TestSchema:
             "shape": ["alpha", "table_path", "variant"],
             "grid": ["nx", "ny"],
             "physics": ["F", "eta0", "eta1"],
-            "solver": ["max_iter", "omega", "tol", "warm_start"],
+            "solver": ["max_iter", "omega", "tol"],
             "integrator": ["abs_tol", "eps_contact", "max_samples", "rel_tol", "t_end"],
             "steady": ["beta_init", "max_bisections", "max_expansions", "tol_beta", "tol_residual"],
             "gcurve": ["betas"],
@@ -218,6 +217,50 @@ class TestSchema:
             parse_config(text)
         assert exc.value.path == path
         assert exc.value.constraint.startswith("applies only to")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert main(["bounds", "--config", str(cfgfile), "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_warm_start_switch_is_unknown(self, tmp_path):
+        text = '{"solver": {"warm_start": true}}'
+        with pytest.raises(ParseError) as exc:
+            parse_config(text)
+        assert exc.value.path == "solver.warm_start"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert main(["bounds", "--config", str(cfgfile), "--out", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "section, path",
+        [
+            ({"max_expansions": -1}, "steady.max_expansions"),
+            ({"max_bisections": -5}, "steady.max_bisections"),
+            ({"tol_beta": 0.0}, "steady.tol_beta"),
+            ({"tol_beta": -1e-9}, "steady.tol_beta"),
+        ],
+    )
+    def test_steady_loop_settings_range_checked(self, tmp_path, capsys, section, path):
+        doc = {"grid": {"nx": 16, "ny": 16}, "physics": {"eta0": 0.5}, "steady": section}
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.path == path
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["steady", "--config", str(cfgfile), "--out", str(out)]) == EXIT_USAGE
+        assert path in capsys.readouterr().err
+
+    def test_steady_loop_caps_accept_zero(self):
+        cfg = parse_config('{"steady": {"max_expansions": 0, "max_bisections": 0}}')
+        assert (cfg.steady.max_expansions, cfg.steady.max_bisections) == (0, 0)
+
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_integrator_tolerance_reported_under_its_own_path(self, tmp_path, name, value):
+        text = json.dumps({"integrator": {name: value}})
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert exc.value.path == f"integrator.{name}"
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(text)
         assert main(["bounds", "--config", str(cfgfile), "--out", str(tmp_path)]) == EXIT_USAGE

@@ -14,7 +14,6 @@ from sliderfilm.dynamics import (
     MonitorReport,
     MonitorSegment,
     Problem,
-    SliderState,
     SolverParams,
     StepControl,
     Termination,
@@ -22,8 +21,6 @@ from sliderfilm.dynamics import (
     Trajectory,
     bounds_report,
     c1_constant,
-    energies,
-    eval_G,
     integrate_trajectory,
     monitor_energies,
     poincare_lambda1,
@@ -41,7 +38,7 @@ from sliderfilm.geometry import (
     region_node_mask,
 )
 from sliderfilm.oracle import comparison_check, flat_C_omega
-from sliderfilm.vi_solver import suggested_omega
+from sliderfilm.vi_solver import load_integral, suggested_omega
 
 from .conftest import all_variant_shapes
 
@@ -54,19 +51,10 @@ def make_problem(shape, domain, n=16, F=1.0, eta0=0.5, eta1=0.0, tol=1e-9):
     )
 
 
-class TestEnergies:
-    def test_direct_substitution(self):
-        e1, e2 = energies(SliderState(0.0, 1.0, 0.0), c1=1.0, F=2.0)
-        assert (e1, e2) == (2.0, 2.5)
-
-    def test_barrier_vanishes_at_large_height(self):
-        e1, e2 = energies(SliderState(0.0, 1e6, 0.3), c1=1.0, F=2.0)
-        assert e2 - e1 == pytest.approx(0.0, abs=1e-11)
-
-    def test_negative_velocity(self):
-        e1, e2 = energies(SliderState(0.0, 0.5, -1.0), c1=0.04, F=1.0)
-        assert e1 == pytest.approx(1.0)
-        assert e2 == pytest.approx(1.08)
+def film_force(prob, beta, gamma):
+    """G = film load - F of one full solve, and the pressure field."""
+    field = prob.solve_film(beta, gamma)
+    return load_integral(field, prob.grid) - prob.F, field
 
 
 class TestEvalG:
@@ -76,25 +64,28 @@ class TestEvalG:
             prob = Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0)
             v1 = compute_V1(shape, grid)
             for beta in (0.1, 1.0):
-                g, field = eval_G(prob, beta, v1 + 1.0)
+                g, field = film_force(prob, beta, v1 + 1.0)
                 assert g == -1.0
                 assert np.all(field.values == 0.0)
 
     def test_flat_value_against_series(self, unit_domain):
         prob = make_problem(SliderShape.flat(), unit_domain, n=48)
-        g, _ = eval_G(prob, 1.0, -1.0)
+        g, _ = film_force(prob, 1.0, -1.0)
         series = flat_C_omega(unit_domain, 99).value
         assert g == pytest.approx(series - 1.0, abs=3e-4)
 
     def test_flat_zero_speed_gives_minus_F(self, unit_domain):
         prob = make_problem(SliderShape.flat(), unit_domain, n=16)
-        g, _ = eval_G(prob, 0.7, 0.0)
+        g, _ = film_force(prob, 0.7, 0.0)
         assert g == -1.0
 
     def test_nonpositive_clearance(self, unit_domain):
         prob = make_problem(SliderShape.flat(), unit_domain, n=16)
         with pytest.raises(NonPositiveClearance):
-            eval_G(prob, 0.0, -1.0)
+            film_force(prob, 0.0, -1.0)
+        ev = GEvaluator(prob)
+        with pytest.raises(NonPositiveClearance):  # checked before the cutoff
+            ev.field(0.0, ev.V1 + 1.0)
 
     def test_lipschitz_estimate_stable_under_refinement(self, domain_sym):
         # finite sampled slope in gamma, stable between resolutions
@@ -115,7 +106,7 @@ class TestGEvaluatorFastPaths:
         ev = GEvaluator(prob)
         for beta, gamma in ((0.5, -2.0), (1.0, -0.1), (2.0, -1.0)):
             g_fast, load_fast, _ = ev.eval(beta, gamma)
-            g_ref, field = eval_G(prob, beta, gamma)
+            g_ref, field = film_force(prob, beta, gamma)
             assert g_fast == pytest.approx(g_ref, abs=1e-9)
             fld = ev.field(beta, gamma)
             assert np.max(np.abs(fld.values - field.values)) <= 1e-9
@@ -153,23 +144,21 @@ class TestSingleFilmSolvePath:
         return calls
 
     @staticmethod
-    def _problem(shape, domain, warm_start):
+    def _problem(shape, domain):
         grid = build_grid(domain, 10, 10)
-        solver = SolverParams(omega=1.7, tol=1e-9, max_iter=4000, warm_start=warm_start)
+        solver = SolverParams(omega=1.7, tol=1e-9, max_iter=4000)
         return Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0, solver=solver)
 
-    @pytest.mark.parametrize("warm_start", [True, False])
-    def test_every_route_reaches_the_problem_settings(self, psor_calls, domain_sym, warm_start):
+    def test_every_route_reaches_the_problem_settings(self, psor_calls, domain_sym):
         shape = SliderShape.line_contact(2.0)
-        prob = self._problem(shape, domain_sym, warm_start)
-        flat = self._problem(SliderShape.flat(), domain_sym, warm_start)
+        prob = self._problem(shape, domain_sym)
+        flat = self._problem(SliderShape.flat(), domain_sym)
         box = contact_box(shape, domain_sym, 0.1, delta=0.5)
         chain = GEvaluator(prob)
         routes = {
             "eval": lambda: [chain.eval(0.3, g) for g in (-0.2, -0.1)],
             "field": lambda: GEvaluator(prob).field(0.3, -0.2),
             "flat_cache": lambda: GEvaluator(flat).eval(0.3, -0.2),
-            "eval_G": lambda: eval_G(prob, 0.3, -0.2),
             "spring_damper": lambda: spring_damper_decomposition(
                 prob, 0.1, box, check_gammas=(-1.0, -0.5)
             ),
@@ -181,7 +170,6 @@ class TestSingleFilmSolvePath:
             "eval": (2, 1e-9),
             "field": (1, 1e-9),
             "flat_cache": (1, 1e-10),
-            "eval_G": (1, 1e-9),
             "spring_damper": (2, 1e-9),
             "comparison_check": (1, 1e-10),
         }
@@ -192,14 +180,12 @@ class TestSingleFilmSolvePath:
             assert len(psor_calls) == n, name
             for kw in psor_calls:
                 assert (kw["omega"], kw["tol"], kw["max_iter"]) == (1.7, tol, 4000), name
-                if not warm_start:
-                    assert kw["warm_start"] is None, name
-            if warm_start and n == 2:
+            if n == 2:
                 assert psor_calls[0]["warm_start"] is None, name
                 assert psor_calls[1]["warm_start"] is not None, name
 
     def test_comparison_check_on_empty_region_solves_nothing(self, psor_calls, domain_sym):
-        prob = self._problem(SliderShape.line_contact(2.0), domain_sym, True)
+        prob = self._problem(SliderShape.line_contact(2.0), domain_sym)
         region = (0.01, 0.02, 0.01, 0.02)  # between nodes 2/11 apart
         assert not np.any(region_node_mask(prob.grid, region))
         verdict = comparison_check(prob, 0.3, -0.2, region)

@@ -210,6 +210,20 @@ class TestContactBox:
         assert mask.shape == X1.shape
         assert np.count_nonzero(mask) > 0
 
+    def test_line_box_mask_is_the_open_rectangle(self, domain_sym):
+        grid = build_grid(domain_sym, 9, 9)  # interior nodes at -0.8, -0.6, ..., 0.8
+        X1, X2 = grid.interior_mesh()
+        x1 = X1[0]
+        # x1 bounds on nodes (excluded, the box is open), x2 bounds between nodes
+        bounds = (x1[2], x1[6], -0.3, 0.7)
+        box = ContactBox(kind=BoxKind.LINE_BOX, beta=0.1, x1_lo=bounds[0], x1_hi=bounds[1],
+                         x2_lo=bounds[2], x2_hi=bounds[3])
+        mask = box.node_mask(grid)
+        assert np.array_equal(mask, region_node_mask(grid, bounds))
+        assert np.count_nonzero(mask) == 3 * 5
+        assert np.array_equal(np.unique(X1[mask]), x1[3:6])
+        assert np.allclose(np.unique(X2[mask]), [-0.2, 0.0, 0.2, 0.4, 0.6])
+
 
 class TestSupHeight:
     def test_line(self, domain_sym):

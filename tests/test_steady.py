@@ -85,15 +85,20 @@ class TestBracketAndRoot:
         assert res2.evaluations == 2
 
     def test_root_independent_of_warm_start(self, domain_sym):
-        shape = SliderShape.line_contact(2.0)
+        class ColdEvaluator(GEvaluator):
+            """Drops the warm start before every solve."""
+
+            def field(self, beta, gamma):
+                self._warm = None
+                return super().field(beta, gamma)
+
         grid = build_grid(domain_sym, 32, 32)
+        prob = Problem(
+            shape=SliderShape.line_contact(2.0), grid=grid, F=1.0, eta0=0.5, eta1=0.0,
+            solver=SolverParams(omega=suggested_omega(grid), tol=1e-10),
+        )
         roots = []
-        for warm in (True, False):
-            prob = Problem(
-                shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0,
-                solver=SolverParams(omega=suggested_omega(grid), tol=1e-10, warm_start=warm),
-            )
-            ev = GEvaluator(prob)
+        for ev in (GEvaluator(prob), ColdEvaluator(prob)):
             res = find_steady(prob, find_bracket(prob, 0.5, evaluator=ev), evaluator=ev)
             roots.append(res.beta_star)
         assert roots[0] == pytest.approx(roots[1], rel=1e-9)
