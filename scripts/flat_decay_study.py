@@ -40,7 +40,8 @@ def main():
         solver=SolverParams(omega=suggested_omega(grid), tol=1e-9),
     )
     traj = integrate_trajectory(prob, args.t_end, StepControl(rel_tol=1e-6, abs_tol=1e-9))
-    print(f"simulated: {len(traj)} samples, termination {traj.termination.kind.value}")
+    print(f"simulated: {len(traj)} samples, stiff from t = {traj.stiff_from}, "
+          f"termination {traj.termination.kind.value}")
 
     model = flat_model(domain, 1.0, args.eta0, args.eta1)
     pick = np.unique(np.linspace(0, len(traj) - 1, 500).astype(int))

@@ -85,6 +85,7 @@ def run_simulate(config: RunConfig, out_dir: Path) -> int:
         },
         "samples": len(traj),
         "rejected_steps": traj.n_rejected,
+        "stiff_from": traj.stiff_from,
         "eta_min": float(np.min(traj.eta)),
         "eta_max": float(np.max(traj.eta)),
         "eta_dot_min": float(np.min(traj.eta_dot)),

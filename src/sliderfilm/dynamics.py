@@ -5,7 +5,14 @@ G(beta, gamma) = integral of the film pressure at clearance beta and
 squeeze velocity gamma, minus the applied load F.  Two exact shortcuts
 are used: gamma >= V1 forces zero pressure (G = -F), and for the flat
 profile the film load scales exactly like (-gamma)/beta^3 times a single
-cached unit load, which keeps long decay runs affordable.
+cached unit load.
+
+Trajectories start with the explicit Dormand-Prince 5(4) pair.  The film
+acts like a spring plus a damper whose coefficient -dG/dgamma grows like
+1/beta^3, so a decaying height makes the problem stiff.  A flat-profile run
+that the DOPRI5 stiffness test flags continues with RODAS3, an L-stable
+Rosenbrock pair that takes the analytic Jacobian of G from the cached
+unit load (GEvaluator.jacobian); other shapes stay on Dormand-Prince.
 """
 
 import math
@@ -116,6 +123,9 @@ class Problem:
 
 # first step min(1e-3 * t_end, 0.1, t_end); a step under 1e-12 * t_end fails
 _DT_INIT_FRACTION, _DT_INIT_MAX, _DT_MIN_FRACTION = 1e-3, 0.1, 1e-12
+# the run switches to RODAS3 once h |k7 - k6| > 3.25 |y7 - y6| held on
+# this many accepted Dormand-Prince steps in a row (Hairer's DOPRI5 test)
+_STIFF_RHO, _STIFF_STEPS = 3.25, 15
 
 
 @dataclass
@@ -184,6 +194,7 @@ class Trajectory:
     termination: Termination
     n_rejected: int
     monitor: MonitorReport | None = None
+    stiff_from: float | None = None  # time of the switch to RODAS3, None if none
 
     def __len__(self) -> int:
         return self.t.size
@@ -322,8 +333,8 @@ class GEvaluator:
 
         eval_with_field without the field, except for the flat profile
         below the cutoff: there the load is a scalar on the cached unit
-        load, which keeps the millions of evaluations of a decay run
-        cheap; the unit solve runs at tol min(solver.tol, 1e-10).
+        load, which keeps the evaluations of a decay run cheap; the unit
+        solve runs at tol min(solver.tol, 1e-10).
         """
         if self._flat and beta > 0.0 and gamma < self.V1:
             iters = 0
@@ -357,6 +368,24 @@ class GEvaluator:
         load = load_integral(fld, self.problem.grid)
         return load - self.problem.F, load, fld.iterations, fld
 
+    def jacobian(self, beta: float, gamma: float) -> tuple[float, float]:
+        """(dG/dbeta, dG/dgamma) of the flat profile at (beta, gamma), the
+        second row of the Jacobian of (eta, eta') -> (eta', G).
+
+        Zero at gamma >= V1, where G = -F.  Below it, from the cached unit
+        load L (the load eval reports at beta 1, gamma -1):
+        dG/dgamma = -L/beta^3 and dG/dbeta = 3 gamma L/beta^4.  Other
+        shapes have no film Jacobian here.
+        """
+        if not self._flat:
+            raise ValueError("the film Jacobian is available for the flat profile only")
+        if beta <= 0.0:
+            raise NonPositiveClearance(f"film force undefined at beta = {beta}")
+        if gamma >= self.V1:
+            return 0.0, 0.0
+        unit = self.eval(1.0, -1.0)[1]
+        return 3.0 * gamma * unit / beta**4, -unit / beta**3
+
 
 # Dormand-Prince 5(4) coefficients; the system is autonomous so stage
 # times are not needed.  FSAL: the last stage of an accepted step is the
@@ -382,6 +411,43 @@ _DP_E = (
 )
 
 
+# RODAS3 (Sandu et al., Atmos. Environ. 31, 1997), autonomous form: a
+# 4-stage, stiffly accurate, L-stable Rosenbrock 3(2) pair with gamma 1/2.
+# Stage i solves (I/(h gamma) - J) K_i = f(y + sum a_ij K_j) + sum c_ij K_j / h;
+# a21 = a32 = a42 = 0, so stage 2 reuses f(y) and stage 4 is evaluated at
+# y + 2 K1 + K3.  y_new = y + 2 K1 + K3 + K4 (m = (2, 0, 1, 1)), error K4.
+_R3_GAMMA = 0.5
+_R3_A31, _R3_A43 = 2.0, 1.0  # a41 = a31
+_R3_C21, _R3_C31, _R3_C32, _R3_C41, _R3_C42, _R3_C43 = 4.0, 1.0, -1.0, 1.0, -1.0, -8.0 / 3.0
+
+
+def _rodas3_step(f, y, v, g, jb, jg, h):
+    """One RODAS3 step of (eta, eta')' = (eta', G) from (y, v).
+
+    g = G(y, v) and J = [[0, 1], [jb, jg]] at (y, v); f(eta, eta') returns
+    G first and is called twice.  Each stage's 2x2 system is solved by
+    Cramer's rule.  Returns (y_new, v_new, err_y, err_v).
+    """
+    a = 1.0 / (h * _R3_GAMMA)
+    d = a - jg
+    det = a * d - jb
+    hi = 1.0 / h
+    k1y, k1v = (d * v + g) / det, (a * g + jb * v) / det
+    r1, r2 = v + _R3_C21 * hi * k1y, g + _R3_C21 * hi * k1v
+    k2y, k2v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
+    y3, v3 = y + _R3_A31 * k1y, v + _R3_A31 * k1v
+    g3 = f(y3, v3)[0]
+    r1 = v3 + hi * (_R3_C31 * k1y + _R3_C32 * k2y)
+    r2 = g3 + hi * (_R3_C31 * k1v + _R3_C32 * k2v)
+    k3y, k3v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
+    y4, v4 = y3 + _R3_A43 * k3y, v3 + _R3_A43 * k3v
+    g4 = f(y4, v4)[0]
+    r1 = v4 + hi * (_R3_C41 * k1y + _R3_C42 * k2y + _R3_C43 * k3y)
+    r2 = g4 + hi * (_R3_C41 * k1v + _R3_C42 * k2v + _R3_C43 * k3v)
+    k4y, k4v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
+    return y4 + k4y, v4 + k4v, k4y, k4v
+
+
 class _StageContact(Exception):
     pass
 
@@ -389,7 +455,7 @@ class _StageContact(Exception):
 def integrate_trajectory(
     problem: Problem, t_end: float, step_control: StepControl | None = None
 ) -> Trajectory:
-    """Integrate the height equation with an embedded 4(5) pair.
+    """Integrate the height equation: Dormand-Prince, switching to RODAS3 when stiff.
 
     Parameters
     ----------
@@ -406,17 +472,35 @@ def integrate_trajectory(
     -------
     Trajectory
         Accepted samples (t, eta, eta', G, load, E1, E2, sweeps), the
-        termination record, and the energy-monitor report.
+        termination record, the energy-monitor report, and the time of
+        the switch to RODAS3 (stiff_from, None when the run never switched).
 
     Notes
     -----
     Every derivative evaluation is one film solve, warm started along
     the step chain; the exact shortcuts of GEvaluator apply.  The run
-    ends early with CONTACT_GUARD when the height falls to the guard
-    and with STEP_FAILURE when the controller underflows 1e-12 * t_end
-    or an accepted step would add a sample beyond max_samples.  That step
-    is dropped: the trajectory holds at most max_samples samples and the
-    termination time is that of its last sample.
+    starts with the embedded Dormand-Prince 5(4) pair.  After each
+    accepted step it applies the stiffness test of Hairer's DOPRI5 code,
+    h |k7 - k6| > 3.25 |y7 - y6| (_STIFF_RHO; Euclidean norms, y6 the
+    argument of stage 6, y7 the accepted state): |k7 - k6| / |y7 - y6|
+    estimates the spectral radius of the Jacobian, and 3.25 is about
+    where h times it leaves DP's stability region.  Once the test holds
+    on 15 accepted steps in a row (_STIFF_STEPS), the rest of the run
+    takes RODAS3 steps: the L-stable Rosenbrock pair needs no step
+    restriction from the damping dG/deta' ~ -1/eta^3.
+    Each RODAS3 step makes two force evaluations, plus one at the accepted
+    state that is its sample; the Jacobian (GEvaluator.jacobian) is taken
+    once per accepted state and reused when a step is retried.  The
+    switch is one-way, and only the flat profile makes it: its Jacobian
+    is analytic.  Other shapes have no film Jacobian and stay on
+    Dormand-Prince throughout.
+
+    Both phases end the run the same way: with CONTACT_GUARD when the
+    height falls to the guard and with STEP_FAILURE when the controller
+    underflows 1e-12 * t_end or an accepted step would add a sample
+    beyond max_samples.  That step is dropped: the trajectory holds at
+    most max_samples samples and the termination time is that of its
+    last sample.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -427,6 +511,7 @@ def integrate_trajectory(
     dt_min = _DT_MIN_FRACTION * t_end
     abs_tol, rel_tol, max_samples = sc.abs_tol, sc.rel_tol, sc.max_samples
     ev = GEvaluator(problem)
+    can_switch = problem.shape.kind is ShapeKind.FLAT
     c1 = c1_constant(problem.shape, problem.grid.domain)
     F = problem.F
 
@@ -455,6 +540,7 @@ def integrate_trajectory(
             psor_iters=np.frombuffer(sweeps, dtype=np.int64),
             termination=Termination(kind=kind, time=time, detail=detail),
             n_rejected=n_rejected,
+            stiff_from=stiff_from,
         )
         traj.monitor = monitor_energies(traj)
         return traj
@@ -471,6 +557,7 @@ def integrate_trajectory(
     y = problem.eta0
     v = problem.eta1
     n_rejected = 0
+    stiff_run, stiff_from = 0, None
     if y <= eps_contact:
         raise ValueError("eta0 is already at the contact guard")
 
@@ -502,9 +589,8 @@ def integrate_trajectory(
             k5y = v + dt * (0.0 + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
             k5v, _, _ = f(y + dt * (0.0 + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y), k5y)
             k6y = v + dt * (0.0 + a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-            k6v, _, _ = f(
-                y + dt * (0.0 + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y), k6y
-            )
+            y6 = y + dt * (0.0 + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
+            k6v, _, _ = f(y6, k6y)
             k7y = v + dt * (
                 0.0 + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v
             )
@@ -559,10 +645,58 @@ def integrate_trajectory(
             # step's first stage
             k1y, k1v = k7y, k7v
             record(t, y, v, k7v, load7, it7)
+            if can_switch:
+                # y7 - y6 = (y5 - y6, v5 - k6y)
+                dky, dkv, dy, dv = k7y - k6y, k7v - k6v, y5 - y6, v5 - k6y
+                stiff = dt * dt * (dky * dky + dkv * dkv) > _STIFF_RHO**2 * (dy * dy + dv * dv)
+                stiff_run = stiff_run + 1 if stiff else 0
             dt *= min(5.0, max(0.2, 0.9 * err**-0.2)) if err > 0.0 else 5.0
+            if stiff_run == _STIFF_STEPS:
+                stiff_from = t
+                break
         else:
             n_rejected += 1
             dt *= max(0.2, 0.9 * err**-0.2)
+
+    # RODAS3 for the rest of the run; k1v = G at the current sample
+    if stiff_from is not None:
+        jb, jg = ev.jacobian(y, v)
+    while stiff_from is not None and t < t_end * (1.0 - 1e-15):
+        dt = min(dt, t_end - t)
+        if dt < dt_min:
+            return finish(TerminationKind.STEP_FAILURE, t, f"step size underflow (dt={dt:.3e})")
+        try:
+            y_new, v_new, err_y, err_v = _rodas3_step(f, y, v, k1v, jb, jg, dt)
+            if y_new <= eps_contact:  # f is evaluated there once accepted
+                raise _StageContact
+        except _StageContact:
+            if dt * 0.25 < dt_min or y <= 2.0 * eps_contact:
+                return finish(
+                    TerminationKind.CONTACT_GUARD,
+                    t,
+                    f"height reached the contact guard {eps_contact:.3e}",
+                )
+            dt *= 0.25
+            n_rejected += 1
+            continue
+        sy = abs_tol + rel_tol * max(abs(y), abs(y_new))
+        sv = abs_tol + rel_tol * max(abs(v), abs(v_new))
+        err = math.sqrt(0.5 * ((err_y / sy) ** 2 + (err_v / sv) ** 2))
+        if not math.isfinite(err):
+            dt *= 0.2
+            n_rejected += 1
+            continue
+        if err <= 1.0:
+            if len(ts) >= max_samples:
+                return finish(TerminationKind.STEP_FAILURE, t, "max_samples exceeded")
+            t, y, v = t + dt, y_new, v_new
+            k1v, load, iters = f(y, v)
+            record(t, y, v, k1v, load, iters)
+            jb, jg = ev.jacobian(y, v)
+            dt *= min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 5.0
+        else:
+            n_rejected += 1
+            dt *= max(0.2, 0.9 * err ** (-1.0 / 3.0))
     return finish(TerminationKind.REACHED_HORIZON, t)
 
 

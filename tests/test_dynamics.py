@@ -10,6 +10,7 @@ from sliderfilm.dynamics import (
     _DT_INIT_FRACTION,
     _DT_INIT_MAX,
     _DT_MIN_FRACTION,
+    _rodas3_step,
     GEvaluator,
     MonitorReport,
     MonitorSegment,
@@ -123,6 +124,34 @@ class TestGEvaluatorFastPaths:
         ev = GEvaluator(prob)
         g, load, iters = ev.eval(0.3, ev.V1 + 0.01)
         assert (g, load, iters) == (-1.0, 0.0, 0)
+        assert ev.n_solves == 0
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("beta, gamma", [(0.4, -0.7), (0.1, -0.05), (2.0, -3.0)])
+    def test_flat_matches_central_differences(self, domain_sym, beta, gamma):
+        ev = GEvaluator(make_problem(SliderShape.flat(), domain_sym, n=16, tol=1e-12))
+        assert gamma < ev.V1
+        jb, jg = ev.jacobian(beta, gamma)
+        h = 1e-6 * beta
+        fd_b = (ev.eval(beta + h, gamma)[0] - ev.eval(beta - h, gamma)[0]) / (2.0 * h)
+        fd_g = (ev.eval(beta, gamma + h)[0] - ev.eval(beta, gamma - h)[0]) / (2.0 * h)
+        assert jb == pytest.approx(fd_b, rel=1e-6)
+        assert jg == pytest.approx(fd_g, rel=1e-6)
+        assert jb < 0.0 and jg < 0.0
+        assert ev.n_solves == 1  # the unit solve only
+
+    def test_zero_at_the_cutoff(self, domain_sym):
+        ev = GEvaluator(make_problem(SliderShape.flat(), domain_sym, n=12))
+        assert ev.jacobian(0.3, ev.V1) == (0.0, 0.0)
+        assert ev.n_solves == 0
+        with pytest.raises(NonPositiveClearance):
+            ev.jacobian(0.0, -1.0)
+
+    def test_flat_profile_only(self, domain_sym):
+        ev = GEvaluator(make_problem(SliderShape.line_contact(2.0), domain_sym, n=12))
+        with pytest.raises(ValueError, match="flat profile only"):
+            ev.jacobian(0.3, -0.5)
         assert ev.n_solves == 0
 
 
@@ -447,6 +476,164 @@ class TestUnrolledStages:
             got = getattr(traj, name)
             assert got.dtype == ref.dtype, name
             assert np.array_equal(got, ref), name
+
+
+class TestRodas3Step:
+    @staticmethod
+    def _vdp(y, v):
+        return (1.0 - y * y) * v - y
+
+    def _fixed_steps(self, n, t_end=2.0):
+        """Van der Pol (mu = 1) from (2, 0) in n RODAS3 steps, exact Jacobian."""
+        y, v, h = 2.0, 0.0, t_end / n
+        for _ in range(n):
+            y, v, _, _ = _rodas3_step(
+                lambda a, b: (self._vdp(a, b),), y, v, self._vdp(y, v),
+                -2.0 * y * v - 1.0, 1.0 - y * y, h,
+            )
+        return y, v
+
+    def test_third_order_at_fixed_steps(self):
+        # classical RK4 at 20k steps is exact to ~1e-15 here
+        y, v, h = 2.0, 0.0, 2.0 / 20000
+        for _ in range(20000):
+            k1 = (v, self._vdp(y, v))
+            k2 = (v + 0.5 * h * k1[1], self._vdp(y + 0.5 * h * k1[0], v + 0.5 * h * k1[1]))
+            k3 = (v + 0.5 * h * k2[1], self._vdp(y + 0.5 * h * k2[0], v + 0.5 * h * k2[1]))
+            k4 = (v + h * k3[1], self._vdp(y + h * k3[0], v + h * k3[1]))
+            y += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            v += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        errors = [math.hypot(a - y, b - v) for a, b in map(self._fixed_steps, (80, 160, 320))]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 2.8 <= math.log2(coarse / fine) <= 3.2
+
+    def test_l_stable_on_a_stiff_damper(self):
+        # eta'' = -k eta': one step with h k = 1e8 all but removes the velocity
+        k, h = 1e8, 1.0
+        y, v, _, err_v = _rodas3_step(lambda a, b: (-k * b,), 1.0, 1.0, -k, 0.0, -k, h)
+        assert abs(v) < 1e-6 and abs(err_v) < 1e-6
+        assert y == pytest.approx(1.0 + 1.0 / k, rel=1e-6)
+
+
+# the TestUnrolledStages cases: each stays on Dormand-Prince throughout
+UNROLLED_CASES = [("flat", 1.0, -0.5, 5.0, None), ("flat", 1.0, -1.0, 5.0, 0.5),
+                  ("line", 0.5, -0.5, 1.0, None)]
+
+
+class TestStiffSwitch:
+    @staticmethod
+    def _decay(n=16, eta1=-0.5):
+        """Criterion 7's flat decay; it turns stiff as the height falls."""
+        return make_problem(SliderShape.flat(), DomainRect(-1.0, 1.0, -1.0, 1.0), n=n,
+                            eta0=1.0, eta1=eta1)
+
+    @pytest.mark.parametrize("eta1", [-0.5, 0.5])
+    def test_criterion_7_case_switches_early(self, eta1):
+        traj = integrate_trajectory(self._decay(32, eta1), 200.0,
+                                    StepControl(rel_tol=1e-6, abs_tol=1e-9))
+        assert traj.termination.kind is TerminationKind.REACHED_HORIZON
+        assert 0.0 < traj.stiff_from < 20.0
+        assert traj.stiff_from in traj.t
+        assert len(traj) < 5000
+        assert traj.monitor.passed
+
+    @pytest.mark.parametrize("variant, eta0, eta1, t_end, eps_contact", UNROLLED_CASES)
+    def test_unrolled_stage_cases_stay_explicit(
+        self, unit_domain, domain_sym, variant, eta0, eta1, t_end, eps_contact
+    ):
+        if variant == "flat":
+            prob = make_problem(SliderShape.flat(), unit_domain, n=16, eta0=eta0, eta1=eta1)
+        else:
+            prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8, eta0=eta0,
+                                eta1=eta1)
+        traj = integrate_trajectory(prob, t_end, StepControl(eps_contact=eps_contact))
+        assert traj.stiff_from is None
+
+    @pytest.mark.parametrize("eta1", [-0.5, 0.5])
+    def test_transient_stays_explicit(self, domain_sym, eta1):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=32, eta1=eta1)
+        traj = integrate_trajectory(prob, 0.25, StepControl(rel_tol=1e-6, abs_tol=1e-9))
+        assert traj.termination.kind is TerminationKind.REACHED_HORIZON
+        assert traj.stiff_from is None
+
+    def test_non_flat_run_never_switches(self, domain_sym, monkeypatch):
+        # a settled line contact; with one stiff step enough to switch, a
+        # flat run would switch at its first accepted step
+        import sliderfilm.dynamics as dynamics
+
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12, eta1=-0.5)
+        control = StepControl(rel_tol=1e-6, abs_tol=1e-9)
+        ref = integrate_trajectory(prob, 50.0, control)
+        monkeypatch.setattr(dynamics, "_STIFF_RHO", 0.0)
+        monkeypatch.setattr(dynamics, "_STIFF_STEPS", 1)
+        traj = integrate_trajectory(prob, 50.0, control)
+        assert traj.termination.kind is TerminationKind.REACHED_HORIZON
+        assert traj.stiff_from is None and ref.stiff_from is None
+        for name in ("t", "eta", "eta_dot", "G", "psor_iters"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+    def _assert_prefix_of_full_run(self, traj):
+        full = integrate_trajectory(self._decay(), 200.0, StepControl())
+        n = len(traj)
+        assert traj.stiff_from == full.stiff_from is not None
+        assert traj.termination.time == traj.t[-1]
+        for name in ("t", "eta", "eta_dot", "G"):
+            assert np.array_equal(getattr(traj, name), getattr(full, name)[:n]), name
+        return full
+
+    def test_max_samples_on_the_stiff_path(self):
+        full = integrate_trajectory(self._decay(), 200.0, StepControl())
+        cap = int(np.flatnonzero(full.t == full.stiff_from)[0]) + 6
+        traj = integrate_trajectory(self._decay(), 200.0, StepControl(max_samples=cap))
+        assert traj.termination.kind is TerminationKind.STEP_FAILURE
+        assert "max_samples" in traj.termination.detail
+        assert len(traj) == cap
+        self._assert_prefix_of_full_run(traj)
+
+    def test_contact_guard_on_the_stiff_path(self):
+        eps = 0.05  # below the height at the switch, above the height at t = 200
+        traj = integrate_trajectory(self._decay(), 200.0, StepControl(eps_contact=eps))
+        assert traj.termination.kind is TerminationKind.CONTACT_GUARD
+        assert traj.stiff_from < traj.termination.time < 200.0
+        assert np.all(traj.eta > eps) and traj.eta[-1] <= 2.0 * eps
+        self._assert_prefix_of_full_run(traj)
+
+    def test_contact_guard_on_a_stiff_end_point(self, monkeypatch):
+        # a RODAS3 step that ends below the guard is retried smaller, as a
+        # stage below the guard is; its end point is never evaluated
+        import sliderfilm.dynamics as dynamics
+
+        eps = 1e-3
+        monkeypatch.setattr(dynamics, "_rodas3_step", lambda f, y, v, *_: (0.5 * eps, v, 0.0, 0.0))
+        traj = integrate_trajectory(self._decay(), 200.0, StepControl(eps_contact=eps))
+        monkeypatch.undo()
+        assert traj.termination.kind is TerminationKind.CONTACT_GUARD
+        assert traj.termination.time == traj.stiff_from
+        self._assert_prefix_of_full_run(traj)
+
+    def test_step_underflow_on_the_stiff_path(self, monkeypatch):
+        # every force evaluation after the first Jacobian is NaN, so every
+        # RODAS3 step is rejected until the step size underflows
+        real_eval, real_jacobian = GEvaluator.eval, GEvaluator.jacobian
+
+        def jacobian(self, beta, gamma):
+            jac = real_jacobian(self, beta, gamma)
+            self.broken = True
+            return jac
+
+        def evaluate(self, beta, gamma):
+            if getattr(self, "broken", False):
+                return math.nan, math.nan, 0
+            return real_eval(self, beta, gamma)
+
+        monkeypatch.setattr(GEvaluator, "jacobian", jacobian)
+        monkeypatch.setattr(GEvaluator, "eval", evaluate)
+        traj = integrate_trajectory(self._decay(), 200.0, StepControl())
+        monkeypatch.undo()
+        assert traj.termination.kind is TerminationKind.STEP_FAILURE
+        assert "step size underflow" in traj.termination.detail
+        assert traj.termination.time == traj.stiff_from
+        self._assert_prefix_of_full_run(traj)
 
 
 def scalar_monitor(trajectory, tol):

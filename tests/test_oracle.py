@@ -5,6 +5,10 @@ from sliderfilm.dynamics import Problem, SolverParams
 from sliderfilm.errors import TooLarge
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid, compute_V1, contact_box
 from sliderfilm.oracle import (
+    _CK_A,
+    _CK_B4,
+    _CK_B5,
+    RefTrajectory,
     comparison_check,
     flat_C_omega,
     flat_envelope,
@@ -102,6 +106,93 @@ class TestReferenceTrajectory:
         t_eval = np.array([0.0, 0.5, 1.7, 3.0])
         ref = flat_reference_trajectory(m, 3.0, fine_tol=1e-8, t_eval=t_eval)
         assert np.allclose(ref.t, t_eval, atol=1e-10)
+
+
+def generic_reference_trajectory(model, t_end, fine_tol=1e-8, t_eval=None):
+    """flat_reference_trajectory with its Cash-Karp stages as the loop
+    over the coefficient tables, each combination a sum() over them."""
+    F = model.F
+    targets = None if t_eval is None else np.asarray(t_eval, dtype=float)
+    ts, etas, vs = [], [], []
+
+    def record(t, eta, v):
+        ts.append(t)
+        etas.append(eta)
+        vs.append(v)
+
+    t_start, y, v = 0.0, model.eta0, model.eta1
+    if model.eta1 > 0.0:
+        t0 = min(model.t0, t_end)
+        if targets is None:
+            for t in np.linspace(0.0, t0, 65):
+                record(t, -0.5 * F * t * t + model.eta1 * t + model.eta0, model.eta1 - F * t)
+        else:
+            for t in targets[targets <= t0 + 1e-14]:
+                record(t, -0.5 * F * t * t + model.eta1 * t + model.eta0, model.eta1 - F * t)
+        if t0 >= t_end:
+            return RefTrajectory(np.array(ts), np.array(etas), np.array(vs), n_steps=0)
+        t_start, y, v = t0, model.eta0_hat, 0.0
+        pending = None if targets is None else targets[targets > t0 + 1e-14]
+    else:
+        pending = targets
+        if targets is None or (targets.size and abs(targets[0]) < 1e-14):
+            record(0.0, model.eta0, model.eta1)
+            if pending is not None:
+                pending = pending[1:]
+
+    atol = fine_tol * 1e-3
+    t, dt = t_start, min(1e-3, t_end - t_start)
+    n_steps = 0
+    next_idx = 0
+    while t < t_end - 1e-14:
+        target = None
+        if pending is not None and next_idx < pending.size:
+            target = pending[next_idx]
+            dt = min(dt, target - t)
+        dt = min(dt, t_end - t)
+        ky = [0.0] * 6
+        kv = [0.0] * 6
+        for s in range(6):
+            ys = y + dt * sum(_CK_A[s][r] * ky[r] for r in range(s))
+            vs_ = v + dt * sum(_CK_A[s][r] * kv[r] for r in range(s))
+            if ys <= 0.0:
+                ys = 1e-300
+            ky[s] = vs_
+            kv[s] = model.acceleration(ys, vs_)
+        y5 = y + dt * sum(_CK_B5[s] * ky[s] for s in range(6))
+        v5 = v + dt * sum(_CK_B5[s] * kv[s] for s in range(6))
+        y4 = y + dt * sum(_CK_B4[s] * ky[s] for s in range(6))
+        v4 = v + dt * sum(_CK_B4[s] * kv[s] for s in range(6))
+        sy = atol + fine_tol * max(abs(y), abs(y5))
+        sv = atol + fine_tol * max(abs(v), abs(v5))
+        err = np.sqrt(0.5 * (((y5 - y4) / sy) ** 2 + ((v5 - v4) / sv) ** 2))
+        if err <= 1.0 and y5 > 0.0:
+            t += dt
+            y, v = y5, v5
+            n_steps += 1
+            if pending is None:
+                record(t, y, v)
+            elif target is not None and t >= target - 1e-12:
+                record(t, y, v)
+                next_idx += 1
+        fac = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
+        dt *= min(5.0, max(0.2, fac))
+        if dt < 1e-14 * max(1.0, t_end):
+            raise RuntimeError("reference integrator step underflow")
+    return RefTrajectory(np.array(ts), np.array(etas), np.array(vs), n_steps=n_steps)
+
+
+class TestUnrolledReference:
+    @pytest.mark.parametrize("eta1", [-0.5, 0.0, 0.5])  # descent from t = 0, or after a coast
+    @pytest.mark.parametrize("with_t_eval", [False, True])
+    def test_equals_generic_tableau_loop(self, domain_sym, eta1, with_t_eval):
+        m = flat_model(domain_sym, F=1.0, eta0=1.0, eta1=eta1)
+        t_eval = np.linspace(0.0, 20.0, 57) if with_t_eval else None
+        ref = flat_reference_trajectory(m, 20.0, fine_tol=1e-8, t_eval=t_eval)
+        gen = generic_reference_trajectory(m, 20.0, fine_tol=1e-8, t_eval=t_eval)
+        assert ref.n_steps == gen.n_steps > 100
+        for name in ("t", "eta", "eta_dot"):
+            assert np.array_equal(getattr(ref, name), getattr(gen, name)), name
 
 
 class TestEnumeration:
