@@ -116,7 +116,10 @@ def run_steady(config: RunConfig, out_dir: Path) -> int:
     except (InadmissibleShape, BracketFailure) as exc:
         _write_json(out_dir / "steady.json", {"error": type(exc).__name__, "reason": str(exc)})
         return EXIT_DOMAIN
-    _write_json(out_dir / "steady.json", result.to_dict())
+    _write_json(
+        out_dir / "steady.json",
+        {**result.to_dict(), "solves": ev.n_solves, "sweeps": ev.n_sweeps},
+    )
     return EXIT_OK
 
 

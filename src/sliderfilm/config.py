@@ -70,7 +70,7 @@ class SteadyConfig:
     tol_residual: float = 1e-6
     tol_beta: float | None = None
     max_expansions: int = 60  # iteration cap of each find_bracket expansion loop
-    max_bisections: int = 200  # iteration cap of find_steady's bisection loop
+    max_bisections: int = 200  # iteration cap of find_steady's Brent loop
 
 
 @dataclass

@@ -318,6 +318,7 @@ class GEvaluator:
     (-gamma)/beta^3, the exact discrete load at every (beta, gamma).
     Any other field is one Problem.solve_film, warm started from the
     previous one.  Cached and cutoff evaluations report 0 sweeps.
+    n_solves and n_sweeps count the solves made and their sweeps.
     """
 
     def __init__(self, problem: Problem):
@@ -327,6 +328,7 @@ class GEvaluator:
         self._warm: PressureField | None = None
         self._flat_load_unit: float | None = None
         self.n_solves = 0
+        self.n_sweeps = 0
 
     def eval(self, beta: float, gamma: float) -> tuple[float, float, int]:
         """Return (G, film load, solver sweeps) at (beta, gamma).
@@ -341,6 +343,7 @@ class GEvaluator:
             if self._flat_load_unit is None:
                 unit = self.problem.solve_film(1.0, -1.0, tol=min(self.problem.solver.tol, 1e-10))
                 self.n_solves += 1
+                self.n_sweeps += unit.iterations
                 self._flat_load_unit = load_integral(unit, self.problem.grid)
                 iters = unit.iterations
             load = (-gamma) * self._flat_load_unit / beta**3
@@ -349,9 +352,12 @@ class GEvaluator:
 
     def field(self, beta: float, gamma: float) -> PressureField:
         """Materialize the pressure field at (beta, gamma): the zero field
-        at gamma >= V1, else one solve warm started from the previous one."""
-        if beta <= 0.0:
+        at gamma >= V1, else one solve warm started from the previous one.
+        A non-finite state is rejected before any solve."""
+        if not (beta > 0.0 and math.isfinite(beta)):
             raise NonPositiveClearance(f"film force undefined at beta = {beta}")
+        if not math.isfinite(gamma):
+            raise ValueError(f"film force undefined at gamma = {gamma}")
         if gamma >= self.V1:
             ny, nx = self.problem.grid.ny, self.problem.grid.nx
             return PressureField(
@@ -359,6 +365,7 @@ class GEvaluator:
             )
         sol = self.problem.solve_film(beta, gamma, warm_start=self._warm)
         self.n_solves += 1
+        self.n_sweeps += sol.iterations
         self._warm = sol
         return sol
 

@@ -2,12 +2,16 @@
 
 For admissible wedge shapes g is continuous, tends to -F for large
 clearance and grows without bound as the clearance closes, so a sign
-change exists and bisection needs nothing beyond continuity (neither
-smoothness nor monotonicity of g is guaranteed, and uniqueness of the
-root is an open question; the curve utilities expose the full sign
-structure).
+change exists.  Neither smoothness nor monotonicity of g is guaranteed,
+and uniqueness of the root is an open question (the curve utilities
+expose the full sign structure), so the root finder keeps a sign
+bracket at every step: Brent's method (Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 4) tries inverse quadratic
+or secant steps inside the bracket and falls back to bisection, which
+needs nothing beyond continuity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +21,18 @@ from .dynamics import GEvaluator, Problem
 from .errors import BracketFailure, InadmissibleShape
 from .geometry import ShapeKind
 
-__all__ = ["SteadyResult", "GCurve", "find_bracket", "find_steady", "g_curve"]
+__all__ = ["Bracket", "SteadyResult", "GCurve", "find_bracket", "find_steady", "g_curve"]
+
+
+class Bracket(tuple):
+    """(beta_lo, beta_hi) with g(beta_lo) > 0 > g(beta_hi), carrying both
+    values in g = (g_lo, g_hi) so that find_steady need not solve the
+    ends again.  It unpacks and compares like the plain pair."""
+
+    def __new__(cls, beta_lo: float, beta_hi: float, g_lo: float, g_hi: float):
+        self = super().__new__(cls, (beta_lo, beta_hi))
+        self.g = (g_lo, g_hi)
+        return self
 
 
 @dataclass(frozen=True)
@@ -83,13 +98,13 @@ def find_bracket(
     beta_init: float = 0.5,
     max_expansions: int = 60,
     evaluator: GEvaluator | None = None,
-) -> tuple[float, float]:
+) -> Bracket:
     """Expand geometrically from beta_init until g changes sign.
 
-    Returns (beta_lo, beta_hi) with g(beta_lo) > 0 > g(beta_hi).  Fails
-    with BracketFailure when max_expansions doublings (then halvings) find
-    no sign change, as when no positive g is found before the wedge
-    drops under the grid resolution (the load saturates there).
+    Returns the Bracket (beta_lo, beta_hi) with g(beta_lo) > 0 > g(beta_hi).
+    Fails with BracketFailure when max_expansions doublings (then
+    halvings) find no sign change, as when no positive g is found before
+    the wedge drops under the grid resolution (the load saturates there).
     """
     _require_admissible(problem)
     if beta_init <= 0.0:
@@ -98,16 +113,19 @@ def find_bracket(
 
     beta_hi = beta_init
     g_hi, _, _ = ev.eval(beta_hi, 0.0)
+    g_lo = None
     n = 0
     while g_hi >= 0.0:
         if n >= max_expansions:
             raise BracketFailure(f"no negative g up to beta = {beta_hi}")
+        beta_lo, g_lo = beta_hi, g_hi
         beta_hi *= 2.0
         g_hi, _, _ = ev.eval(beta_hi, 0.0)
         n += 1
 
-    beta_lo = min(beta_init, beta_hi / 2.0)
-    g_lo, _, _ = ev.eval(beta_lo, 0.0)
+    if g_lo is None:
+        beta_lo = 0.5 * beta_init
+        g_lo, _, _ = ev.eval(beta_lo, 0.0)
     n = 0
     while g_lo <= 0.0:
         if n >= max_expansions:
@@ -118,7 +136,7 @@ def find_bracket(
         beta_lo *= 0.5
         g_lo, _, _ = ev.eval(beta_lo, 0.0)
         n += 1
-    return beta_lo, beta_hi
+    return Bracket(beta_lo, beta_hi, g_lo, g_hi)
 
 
 def find_steady(
@@ -129,12 +147,17 @@ def find_steady(
     max_bisections: int = 200,
     evaluator: GEvaluator | None = None,
 ) -> SteadyResult:
-    """Bisect the bracket down to |g| <= tol_residual.
+    """Narrow the bracket by Brent's method to a root of g.
 
-    Deterministic; the returned clearance is the best midpoint seen, and
-    BracketFailure is raised when it misses tol_residual after
-    max_bisections steps.  The film solution is unique at every
-    clearance, so warm starting cannot change the result.
+    Every step keeps g(beta_lo) > 0 > g(beta_hi).  The search stops at
+    the first bracket end with |g| <= tol_residual whose bracket is at
+    most max(tol_beta, 1e-9 * beta) wide, or at an exact zero of g.  A
+    Bracket from find_bracket brings g at both ends; a plain pair costs
+    two evaluations first.  evaluations counts the film evaluations made
+    here.  Deterministic; after max_bisections steps the better end of
+    the bracket is returned if its |g| is within tol_residual, and
+    BracketFailure is raised otherwise.  The film solution is unique at
+    every clearance, so warm starting cannot change the result.
     """
     beta_lo, beta_hi = bracket
     if not (0.0 < beta_lo < beta_hi):
@@ -143,9 +166,13 @@ def find_steady(
     if tol_beta is None:
         tol_beta = 1e-12 * beta_hi
 
-    g_lo, _, _ = ev.eval(beta_lo, 0.0)
-    g_hi, _, _ = ev.eval(beta_hi, 0.0)
-    evals = 2
+    if isinstance(bracket, Bracket):
+        g_lo, g_hi = bracket.g
+        evals = 0
+    else:
+        g_lo, _, _ = ev.eval(beta_lo, 0.0)
+        g_hi, _, _ = ev.eval(beta_hi, 0.0)
+        evals = 2
     if abs(g_lo) <= tol_residual:
         return SteadyResult(beta_lo, g_lo, (beta_lo, beta_hi), evals)
     if abs(g_hi) <= tol_residual:
@@ -156,27 +183,59 @@ def find_steady(
             f"g({beta_hi}) = {g_hi}"
         )
 
-    best_beta, best_g = beta_lo, g_lo
+    # b is the bracket end with the smaller |g|, c the other end and a the
+    # previous b.  d is the last step and e the one before it.  An
+    # interpolation step is taken only if it stays within three quarters
+    # of the way from b to c and is shorter than half of e; otherwise the
+    # step bisects.
+    b, gb, c, gc = beta_hi, g_hi, beta_lo, g_lo
+    if abs(gc) < abs(gb):
+        b, gb, c, gc = c, gc, b, gb
+    a, ga = c, gc
+    d = e = b - c
     for _ in range(max_bisections):
-        mid = 0.5 * (beta_lo + beta_hi)
-        g_mid, _, _ = ev.eval(mid, 0.0)
-        evals += 1
-        if abs(g_mid) < abs(best_g):
-            best_beta, best_g = mid, g_mid
-        if abs(g_mid) <= tol_residual and beta_hi - beta_lo <= max(tol_beta, 1e-9 * mid):
-            return SteadyResult(mid, g_mid, (beta_lo, beta_hi), evals)
-        if g_mid > 0.0:
-            beta_lo = mid
+        m = 0.5 * (c - b)
+        tol1 = 0.5 * max(tol_beta, 1e-9 * b)
+        if abs(m) <= tol1 or abs(e) < tol1 or abs(ga) <= abs(gb):
+            d = e = m
         else:
-            beta_hi = mid
-        if beta_hi - beta_lo <= tol_beta and abs(best_g) <= tol_residual:
-            return SteadyResult(best_beta, best_g, (beta_lo, beta_hi), evals)
-    if abs(best_g) <= tol_residual:
-        return SteadyResult(best_beta, best_g, (beta_lo, beta_hi), evals)
-    raise BracketFailure(
-        f"bisection stalled: best |g| = {abs(best_g):.3e} > {tol_residual} "
-        f"after {evals} evaluations"
-    )
+            s = gb / ga
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation through a, b and c
+                q, r = ga / gc, gb / gc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, ga = b, gb
+        # a step is at least tol1 long, so once b is near the root the next
+        # point lands just past it and the bracket closes to tol1
+        x = b + d if abs(d) > tol1 or abs(m) <= tol1 else b + math.copysign(tol1, m)
+        gx, _, _ = ev.eval(x, 0.0)
+        evals += 1
+        if gx == 0.0:
+            return SteadyResult(x, gx, (min(b, c), max(b, c)), evals)
+        b, gb = x, gx
+        if (gb > 0.0) == (gc > 0.0):  # the sign change is now between a and b
+            c, gc = a, ga
+            d = e = b - a
+        if abs(gc) < abs(gb):
+            a, ga, b, gb, c, gc = b, gb, c, gc, b, gb
+        if abs(gb) <= tol_residual and abs(c - b) <= max(tol_beta, 1e-9 * b):
+            break
+    if abs(gb) > tol_residual:
+        raise BracketFailure(
+            f"Brent's method stalled: best |g| = {abs(gb):.3e} > {tol_residual} "
+            f"after {evals} evaluations"
+        )
+    return SteadyResult(b, gb, (min(b, c), max(b, c)), evals)
 
 
 def g_curve(problem: Problem, beta_values, evaluator: GEvaluator | None = None) -> GCurve:

@@ -304,6 +304,9 @@ class TestDispatch:
         doc = json.loads((tmp_path / "steady.json").read_text())
         assert abs(doc["g_at_root"]) <= cfg.steady.tol_residual
         assert doc["bracket"][0] <= doc["beta_star"] <= doc["bracket"][1]
+        # solves and sweeps cover the whole command, bracket search included
+        assert doc["solves"] > doc["evaluations"] > 0
+        assert doc["sweeps"] >= doc["solves"]
 
     def test_gcurve_csv(self, tmp_path):
         cfg = parse_config(SMALL_LINE)

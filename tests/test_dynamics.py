@@ -126,6 +126,41 @@ class TestGEvaluatorFastPaths:
         assert (g, load, iters) == (-1.0, 0.0, 0)
         assert ev.n_solves == 0
 
+    def test_sweeps_summed_beside_solves(self, domain_sym):
+        ev = GEvaluator(make_problem(SliderShape.line_contact(2.0), domain_sym, n=12))
+        sweeps = [ev.eval(beta, 0.0)[2] for beta in (0.3, 0.4)]
+        ev.eval(0.3, ev.V1)
+        assert (ev.n_solves, ev.n_sweeps) == (2, sum(sweeps))
+
+    @pytest.mark.parametrize(
+        "beta, gamma, error",
+        [
+            (math.nan, -0.5, NonPositiveClearance),
+            (math.inf, -0.5, NonPositiveClearance),
+            (0.0, -0.5, NonPositiveClearance),
+            (0.3, math.nan, ValueError),
+            (0.3, -math.inf, ValueError),
+            (0.3, math.inf, ValueError),
+        ],
+    )
+    def test_non_finite_state_rejected_before_any_solve(self, domain_sym, beta, gamma, error):
+        ev = GEvaluator(make_problem(SliderShape.line_contact(2.0), domain_sym, n=12))
+        with pytest.raises(error, match="film force undefined"):
+            ev.field(beta, gamma)
+        with pytest.raises(error, match="film force undefined"):
+            ev.eval(beta, gamma)
+        assert (ev.n_solves, ev.n_sweeps) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "beta, gamma, error",
+        [(math.nan, -0.5, NonPositiveClearance), (0.3, math.nan, ValueError)],
+    )
+    def test_flat_shortcut_passes_nan_to_the_check(self, unit_domain, beta, gamma, error):
+        ev = GEvaluator(make_problem(SliderShape.flat(), unit_domain, n=8))
+        with pytest.raises(error, match="film force undefined"):
+            ev.eval(beta, gamma)
+        assert ev.n_solves == 0
+
 
 class TestJacobian:
     @pytest.mark.parametrize("beta, gamma", [(0.4, -0.7), (0.1, -0.05), (2.0, -3.0)])

@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from sliderfilm.dynamics import GEvaluator, Problem, SolverParams, bounds_report
-from sliderfilm.errors import InadmissibleShape
+from sliderfilm.errors import BracketFailure, InadmissibleShape
 from sliderfilm.geometry import SliderShape, build_grid
-from sliderfilm.steady import _require_admissible, find_bracket, find_steady, g_curve
+from sliderfilm.steady import (
+    Bracket,
+    _require_admissible,
+    find_bracket,
+    find_steady,
+    g_curve,
+)
 from sliderfilm.vi_solver import suggested_omega
 
 
@@ -84,6 +92,19 @@ class TestBracketAndRoot:
         assert res2.beta_star == res.beta_star
         assert res2.evaluations == 2
 
+    @pytest.mark.parametrize("make", [SliderShape.line_contact, SliderShape.point_contact])
+    def test_search_evaluations_with_bracket_values(self, domain_sym, make):
+        # Brent takes 10 (line) and 13 (point) evaluations here, bisection 34 and 37
+        prob = make_problem(make(2.0), domain_sym)
+        ev = GEvaluator(prob)
+        br = find_bracket(prob, 0.5, evaluator=ev)
+        solves = ev.n_solves
+        res = find_steady(prob, br, tol_residual=1e-6, evaluator=ev)
+        assert ev.n_solves - solves == res.evaluations <= 16
+        assert abs(res.g_at_root) <= 1e-6
+        lo, hi = res.bracket
+        assert hi - lo <= 1e-9 * res.beta_star
+
     def test_root_independent_of_warm_start(self, domain_sym):
         class ColdEvaluator(GEvaluator):
             """Drops the warm start before every solve."""
@@ -114,6 +135,103 @@ class TestBracketAndRoot:
         print(f"steady clearance vs load 0.5/1/2: {roots}")
         assert all(np.isfinite(roots))
         assert roots[0] > roots[1] > roots[2]
+
+
+class StubEvaluator:
+    """Stands in for GEvaluator: g from a plain function, no film solve."""
+
+    def __init__(self, g):
+        self.g = g
+        self.calls = []
+
+    def eval(self, beta, gamma):
+        assert gamma == 0.0
+        self.calls.append(beta)
+        g = self.g(beta)
+        return g, g + 1.0, 0
+
+
+def assert_sign_bracket(g, res):
+    lo, hi = res.bracket
+    assert g(lo) > 0.0 > g(hi)
+    assert lo <= res.beta_star <= hi
+
+
+THREE_ROOTS = (lambda x: -(x - 0.2) * (x - 0.5) * (x - 0.9), (0.1, 1.5))
+# g is below 1e-6 over about +-0.05 around its root and carries a 1e-9
+# ripple, so its sign there is noise
+FLAT_AT_ROOT = (lambda x: 1e-2 * (0.3 - x) ** 3 + 1e-9 * math.sin(1e9 * x), (0.05, 2.0))
+LOAD_LIKE = (lambda x: 1.0 / x**3 - 1.0, (0.5, 2.0))
+
+
+class TestBrent:
+    @pytest.mark.parametrize("case", [THREE_ROOTS, FLAT_AT_ROOT, LOAD_LIKE])
+    def test_keeps_a_sign_bracket_to_the_stop_rule(self, case):
+        g, bracket = case
+        ev = StubEvaluator(g)
+        res = find_steady(None, bracket, tol_residual=1e-6, evaluator=ev)
+        assert_sign_bracket(g, res)
+        lo, hi = res.bracket
+        assert abs(res.g_at_root) <= 1e-6
+        assert hi - lo <= 1e-9 * res.beta_star
+        assert res.evaluations == len(ev.calls)
+
+    def test_converges_to_one_of_three_roots(self):
+        g, bracket = THREE_ROOTS
+        res = find_steady(None, bracket, evaluator=StubEvaluator(g))
+        assert min(abs(res.beta_star - r) for r in (0.2, 0.5, 0.9)) <= 1e-9
+
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    def test_iteration_cap(self, cap):
+        # tol_residual 0.5 is first met on the third step, long before the
+        # width rule: the cap alone decides the outcome
+        g, bracket = LOAD_LIKE
+        ev = StubEvaluator(g)
+        if cap < 3:
+            with pytest.raises(BracketFailure, match="Brent's method stalled"):
+                find_steady(None, bracket, tol_residual=0.5, max_bisections=cap, evaluator=ev)
+        else:
+            res = find_steady(None, bracket, tol_residual=0.5, max_bisections=cap, evaluator=ev)
+            assert_sign_bracket(g, res)
+            assert abs(res.g_at_root) <= 0.5
+            assert res.bracket[1] - res.bracket[0] > 1e-9 * res.beta_star
+            assert res.evaluations == 5
+        assert len(ev.calls) == 2 + cap
+
+    def test_exact_zero_ends_the_search(self):
+        ev = StubEvaluator(lambda x: 1.0 - x)
+        res = find_steady(None, (0.5, 3.0), evaluator=ev)
+        assert (res.beta_star, res.g_at_root, res.bracket) == (1.0, 0.0, (0.5, 3.0))
+        assert ev.calls == [0.5, 3.0, 1.0]
+
+    def test_bracket_values_make_no_endpoint_solve(self):
+        g, (lo, hi) = LOAD_LIKE
+        ev = StubEvaluator(g)
+        res = find_steady(None, Bracket(lo, hi, g(lo), g(hi)), evaluator=ev)
+        assert lo not in ev.calls and hi not in ev.calls
+        assert res.evaluations == len(ev.calls)
+        plain = find_steady(None, (lo, hi), evaluator=StubEvaluator(g))
+        assert plain.evaluations == res.evaluations + 2
+        assert plain.beta_star == res.beta_star
+
+
+class TestBracketSearch:
+    @pytest.mark.parametrize(
+        "beta_init, calls, bracket",
+        [
+            (4.0, [4.0, 2.0, 1.0, 0.5], (0.5, 4.0)),  # halvings only
+            (0.3, [0.3, 0.6, 1.2], (0.6, 1.2)),  # the last doubling's lower end is reused
+            (0.25, [0.25, 0.5, 1.0, 2.0, 0.5], (0.5, 2.0)),  # g(1) == 0 there: still halves
+        ],
+    )
+    def test_solves_each_point_once(self, domain_sym, beta_init, calls, bracket):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8)
+        g = LOAD_LIKE[0]
+        ev = StubEvaluator(g)
+        lo, hi = br = find_bracket(prob, beta_init, evaluator=ev)
+        assert ev.calls == calls
+        assert (lo, hi) == bracket
+        assert br.g == (g(lo), g(hi))
 
 
 class TestGCurve:
