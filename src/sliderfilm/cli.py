@@ -85,6 +85,8 @@ def run_simulate(config: RunConfig, out_dir: Path) -> int:
         },
         "samples": len(traj),
         "rejected_steps": traj.n_rejected,
+        "solves": traj.n_solves,
+        "sweeps": traj.n_sweeps,
         "stiff_from": traj.stiff_from,
         "eta_min": float(np.min(traj.eta)),
         "eta_max": float(np.max(traj.eta)),

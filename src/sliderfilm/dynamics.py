@@ -7,6 +7,11 @@ are used: gamma >= V1 forces zero pressure (G = -F), and for the flat
 profile the film load scales exactly like (-gamma)/beta^3 times a single
 cached unit load.
 
+Every other film force is one projected-SOR solve, warm started by a
+secant predictor of the last two solves.  A trajectory's first step
+follows the Hairer-Norsett-Wanner starting-step rule, so it does not
+depend on the horizon.
+
 Trajectories start with the explicit Dormand-Prince 5(4) pair.  The film
 acts like a spring plus a damper whose coefficient -dG/dgamma grows like
 1/beta^3, so a decaying height makes the problem stiff.  A flat-profile run
@@ -121,8 +126,8 @@ class Problem:
         )
 
 
-# first step min(1e-3 * t_end, 0.1, t_end); a step under 1e-12 * t_end fails
-_DT_INIT_FRACTION, _DT_INIT_MAX, _DT_MIN_FRACTION = 1e-3, 0.1, 1e-12
+# a step under 1e-12 * t_end fails
+_DT_MIN_FRACTION = 1e-12
 # the run switches to RODAS3 once h |k7 - k6| > 3.25 |y7 - y6| held on
 # this many accepted Dormand-Prince steps in a row (Hairer's DOPRI5 test)
 _STIFF_RHO, _STIFF_STEPS = 3.25, 15
@@ -195,6 +200,10 @@ class Trajectory:
     n_rejected: int
     monitor: MonitorReport | None = None
     stiff_from: float | None = None  # time of the switch to RODAS3, None if none
+    # every film solve of the run and its sweeps: the start probe and the
+    # stages of rejected steps included
+    n_solves: int = 0
+    n_sweeps: int = 0
 
     def __len__(self) -> int:
         return self.t.size
@@ -317,15 +326,19 @@ class GEvaluator:
     fixed one, so eval scales one cached unit load (beta 1, gamma -1) by
     (-gamma)/beta^3, the exact discrete load at every (beta, gamma).
     Any other field is one Problem.solve_film, warm started from the
-    previous one.  Cached and cutoff evaluations report 0 sweeps.
-    n_solves and n_sweeps count the solves made and their sweeps.
+    secant predictor of the last two solves (see field).  Cached and
+    cutoff evaluations report 0 sweeps.  n_solves and n_sweeps count the
+    solves made and their sweeps.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self.V1 = compute_V1(problem.shape, problem.grid)
         self._flat = problem.shape.kind is ShapeKind.FLAT
+        # the last solve, where it was made, and (beta, gamma, p) of the one before
         self._warm: PressureField | None = None
+        self._warm_at = (math.nan, math.nan)
+        self._prior: tuple[float, float, np.ndarray] | None = None
         self._flat_load_unit: float | None = None
         self.n_solves = 0
         self.n_sweeps = 0
@@ -336,9 +349,10 @@ class GEvaluator:
         eval_with_field without the field, except for the flat profile
         below the cutoff: there the load is a scalar on the cached unit
         load, which keeps the evaluations of a decay run cheap; the unit
-        solve runs at tol min(solver.tol, 1e-10).
+        solve runs at tol min(solver.tol, 1e-10).  A non-finite state
+        skips the shortcut and is rejected by field before any solve.
         """
-        if self._flat and beta > 0.0 and gamma < self.V1:
+        if self._flat and 0.0 < beta < math.inf and -math.inf < gamma < self.V1:
             iters = 0
             if self._flat_load_unit is None:
                 unit = self.problem.solve_film(1.0, -1.0, tol=min(self.problem.solver.tol, 1e-10))
@@ -352,8 +366,18 @@ class GEvaluator:
 
     def field(self, beta: float, gamma: float) -> PressureField:
         """Materialize the pressure field at (beta, gamma): the zero field
-        at gamma >= V1, else one solve warm started from the previous one.
-        A non-finite state is rejected before any solve."""
+        at gamma >= V1, else one solve, warm started by the secant
+        predictor of the last two solves.
+
+        With p0 at (beta0, gamma0) and p1 at (beta1, gamma1), the start is
+        p1 + s (p1 - p0), where s projects (beta - beta1, gamma - gamma1)
+        onto (beta1 - beta0, gamma1 - gamma0); the solver projects it onto
+        p >= 0.  A point behind p1 (s < 0) starts from p1: interpolating
+        hands the solve the errors of both fields, and a solve that stops
+        after a sweep or two keeps them.  After a single solve the start
+        is p1, and with no warm field (_warm None) the solve is cold.  A
+        non-finite state is rejected before any solve.
+        """
         if not (beta > 0.0 and math.isfinite(beta)):
             raise NonPositiveClearance(f"film force undefined at beta = {beta}")
         if not math.isfinite(gamma):
@@ -363,10 +387,21 @@ class GEvaluator:
             return PressureField(
                 values=np.zeros((ny, nx)), residual_comp=0.0, residual_lin=0.0, iterations=0
             )
-        sol = self.problem.solve_film(beta, gamma, warm_start=self._warm)
+        warm = self._warm
+        if warm is not None and self._prior is not None:
+            beta0, gamma0, p0 = self._prior
+            beta1, gamma1 = self._warm_at
+            db, dg = beta1 - beta0, gamma1 - gamma0
+            dd = db * db + dg * dg
+            if dd > 0.0:
+                s = max(0.0, ((beta - beta1) * db + (gamma - gamma1) * dg) / dd)
+                # only the values seed the solve
+                warm = replace(warm, values=warm.values + s * (warm.values - p0))
+        sol = self.problem.solve_film(beta, gamma, warm_start=warm)
         self.n_solves += 1
         self.n_sweeps += sol.iterations
-        self._warm = sol
+        self._prior = None if self._warm is None else (*self._warm_at, self._warm.values)
+        self._warm, self._warm_at = sol, (beta, gamma)
         return sol
 
     def eval_with_field(self, beta: float, gamma: float) -> tuple[float, float, int, PressureField]:
@@ -459,6 +494,36 @@ class _StageContact(Exception):
     pass
 
 
+def _initial_step(f, y, v, ky, kv, abs_tol, rel_tol, t_end):
+    """The first step size: the starting-step rule of Hairer, Norsett and
+    Wanner (Solving ODEs I, sec. II.4) for the order-5 pair.
+
+    (ky, kv) = f0, the derivative at the start (y, v).  Norms are the
+    controller's weighted RMS norm with scale abs_tol + rel_tol |y0|.
+    h0 = 0.01 |y0| / |f0| (1e-6 when either norm is below 1e-5) sizes one
+    explicit Euler probe f1 = f(y0 + h0 f0), made through the guarded f;
+    a probe at or below the contact guard starts the run at h0.  With
+    d2 = |f1 - f0| / h0 the step is min(100 h0, h1, t_end), where
+    h1 = (0.01 / max(|f0|, d2))^(1/5), or max(1e-6, 1e-3 h0) when both
+    vanish (a start at rest in equilibrium).
+    """
+    sy, sv = abs_tol + rel_tol * abs(y), abs_tol + rel_tol * abs(v)
+
+    def norm(a, b):
+        return math.sqrt(0.5 * ((a / sy) ** 2 + (b / sv) ** 2))
+
+    d0, d1 = norm(y, v), norm(ky, kv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    try:
+        g1 = f(y + h0 * ky, v + h0 * kv)[0]
+    except _StageContact:
+        return min(h0, t_end)
+    d2 = norm(v + h0 * kv - ky, g1 - kv) / h0
+    dmax = max(d1, d2)
+    h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, 1e-3 * h0)
+    return min(100.0 * h0, h1, t_end)
+
+
 def integrate_trajectory(
     problem: Problem, t_end: float, step_control: StepControl | None = None
 ) -> Trajectory:
@@ -479,15 +544,20 @@ def integrate_trajectory(
     -------
     Trajectory
         Accepted samples (t, eta, eta', G, load, E1, E2, sweeps), the
-        termination record, the energy-monitor report, and the time of
-        the switch to RODAS3 (stiff_from, None when the run never switched).
+        termination record, the energy-monitor report, the time of the
+        switch to RODAS3 (stiff_from, None when the run never switched),
+        and the run's film solves and sweeps (n_solves, n_sweeps).
 
     Notes
     -----
-    Every derivative evaluation is one film solve, warm started along
-    the step chain; the exact shortcuts of GEvaluator apply.  The run
-    starts with the embedded Dormand-Prince 5(4) pair.  After each
-    accepted step it applies the stiffness test of Hairer's DOPRI5 code,
+    Every derivative evaluation is one film solve, warm started by
+    GEvaluator's secant predictor along the step chain; the exact
+    shortcuts of GEvaluator apply.  The first step size comes from the
+    starting-step rule of Hairer, Norsett and Wanner (_initial_step): it
+    costs one more force evaluation, an explicit Euler probe, and depends
+    on t_end only through the cap dt <= t_end.  The run starts with the embedded
+    Dormand-Prince 5(4) pair.  After each accepted step it applies the
+    stiffness test of Hairer's DOPRI5 code,
     h |k7 - k6| > 3.25 |y7 - y6| (_STIFF_RHO; Euclidean norms, y6 the
     argument of stage 6, y7 the accepted state): |k7 - k6| / |y7 - y6|
     estimates the spectral radius of the Jacobian, and 3.25 is about
@@ -548,6 +618,8 @@ def integrate_trajectory(
             termination=Termination(kind=kind, time=time, detail=detail),
             n_rejected=n_rejected,
             stiff_from=stiff_from,
+            n_solves=ev.n_solves,
+            n_sweeps=ev.n_sweeps,
         )
         traj.monitor = monitor_energies(traj)
         return traj
@@ -572,7 +644,7 @@ def integrate_trajectory(
     k1v, load1, it1 = f(y, v)
     record(t, y, v, k1v, load1, it1)
 
-    dt = min(_DT_INIT_FRACTION * t_end, _DT_INIT_MAX, t_end)
+    dt = _initial_step(f, y, v, k1y, k1v, abs_tol, rel_tol, t_end)
 
     # The tableau unrolled; the last row of A equals b (FSAL).  Each
     # combination is sum()'s left fold over all seven terms: it starts

@@ -308,6 +308,27 @@ class TestDispatch:
         assert doc["solves"] > doc["evaluations"] > 0
         assert doc["sweeps"] >= doc["solves"]
 
+    @pytest.mark.parametrize("doc", [SMALL_LINE, MINIMAL_FLAT])
+    def test_simulate_counts_every_film_solve(self, tmp_path, monkeypatch, doc):
+        # an external count of Problem.solve_film: the start probe and the
+        # stages of rejected steps included
+        from sliderfilm.dynamics import Problem
+
+        counted = {"solves": 0, "sweeps": 0}
+        real_solve = Problem.solve_film
+
+        def solve_film(self, *args, **kwargs):
+            fld = real_solve(self, *args, **kwargs)
+            counted["solves"] += 1
+            counted["sweeps"] += fld.iterations
+            return fld
+
+        monkeypatch.setattr(Problem, "solve_film", solve_film)
+        assert dispatch(parse_config(doc), "simulate", tmp_path) == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert counted["solves"] > 0
+        assert {k: summary[k] for k in counted} == counted
+
     def test_gcurve_csv(self, tmp_path):
         cfg = parse_config(SMALL_LINE)
         assert dispatch(cfg, "gcurve", tmp_path) == EXIT_OK

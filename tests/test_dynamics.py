@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from sliderfilm.dynamics import (
     _DP_A,
     _DP_B5,
     _DP_E,
-    _DT_INIT_FRACTION,
-    _DT_INIT_MAX,
     _DT_MIN_FRACTION,
+    _StageContact,
+    _initial_step,
     _rodas3_step,
     GEvaluator,
     MonitorReport,
@@ -160,6 +161,120 @@ class TestGEvaluatorFastPaths:
         with pytest.raises(error, match="film force undefined"):
             ev.eval(beta, gamma)
         assert ev.n_solves == 0
+
+    @pytest.mark.parametrize(
+        "beta, gamma, error",
+        [(math.inf, -0.5, NonPositiveClearance), (0.5, -math.inf, ValueError)],
+    )
+    def test_flat_shortcut_rejects_infinite_state(self, unit_domain, beta, gamma, error):
+        ev = GEvaluator(make_problem(SliderShape.flat(), unit_domain, n=8))
+        with pytest.raises(error, match="film force undefined"):
+            ev.eval(beta, gamma)
+        assert (ev.n_solves, ev.n_sweeps) == (0, 0)
+
+
+class TestSecantWarmStart:
+    def test_exact_on_a_linear_path(self, unit_domain):
+        # flat profile at fixed beta: p is exactly linear in gamma, so the
+        # third solve starts within the solver tolerance of its answer
+        prob = make_problem(SliderShape.flat(), unit_domain, n=16)
+        ev = GEvaluator(prob)
+        ev.field(0.5, -0.2)
+        ev.field(0.5, -0.4)
+        fld = ev.field(0.5, -0.6)
+        assert fld.iterations <= 3
+        cold = prob.solve_film(0.5, -0.6)
+        scale = max(1.0, np.max(cold.values))
+        assert np.max(np.abs(fld.values - cold.values)) <= prob.solver.tol * scale
+
+    def test_start_is_the_extrapolated_field(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
+        ev = GEvaluator(prob)
+        p0, p1 = ev.field(0.25, -0.125), ev.field(0.5, -0.25)
+        # (0.625, -0.25) projects to s = 0.03125 / 0.078125 = 0.4 on the
+        # step from p0 to p1
+        start = replace(p1, values=p1.values + 0.4 * (p1.values - p0.values))
+        ref = prob.solve_film(0.625, -0.25, warm_start=start)
+        fld = ev.field(0.625, -0.25)
+        assert fld.iterations == ref.iterations
+        assert np.array_equal(fld.values, ref.values)
+
+    def test_point_behind_the_last_solve_starts_from_it(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
+        ev = GEvaluator(prob)
+        ev.field(0.3, 0.0)
+        p1 = ev.field(0.4, 0.0)
+        ref = prob.solve_film(0.35, 0.0, warm_start=p1)
+        fld = ev.field(0.35, 0.0)
+        assert fld.iterations == ref.iterations
+        assert np.array_equal(fld.values, ref.values)
+
+    def test_without_a_warm_field_the_solve_is_cold(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
+        ev = GEvaluator(prob)
+        ev.field(0.3, 0.0)
+        ev.field(0.4, 0.0)
+        ev._warm = None
+        fld = ev.field(0.5, 0.0)
+        ref = prob.solve_film(0.5, 0.0)
+        assert fld.iterations == ref.iterations
+        assert np.array_equal(fld.values, ref.values)
+
+
+class TestInitialStep:
+    @staticmethod
+    def _free_fall(y, v):
+        return -1.0, 0.0, 0
+
+    def test_rule_on_free_fall(self):
+        # unit weights: d0 = d1 = 1, h0 = 0.01, d2 = |(-0.01, 0)| / h0 = 0.707,
+        # so h1 = 0.01^(1/5) sets the step unless the horizon is shorter
+        args = (self._free_fall, 1.0, 1.0, 1.0, -1.0, 0.0, 1.0)
+        assert _initial_step(*args, 10.0) == pytest.approx(10.0**-0.4, rel=1e-14)
+        assert _initial_step(*args, 0.1) == 0.1
+
+    def test_probe_at_the_guard_starts_at_h0(self):
+        def guarded(y, v):
+            raise _StageContact
+
+        # d0 = 1, d1 = |(-1, 0)| = 0.707: h0 = 0.01 * sqrt(2)
+        h = _initial_step(guarded, 1.0, -1.0, -1.0, 0.0, 0.0, 1.0, 10.0)
+        assert h == pytest.approx(0.01 * math.sqrt(2.0), rel=1e-14)
+
+    def test_at_rest_in_equilibrium(self):
+        # f0 = f1 = 0: h0 = 1e-6 and h1 = max(1e-6, 1e-3 h0)
+        h = _initial_step(lambda y, v: (0.0, 0.0, 0), 1.0, 0.0, 0.0, 0.0, 1e-9, 1e-6, 10.0)
+        assert h == 1e-6
+
+    def test_first_step_independent_of_the_horizon(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=32, eta1=-0.5)
+        control = StepControl(rel_tol=1e-6, abs_tol=1e-9, max_samples=2)
+        short = integrate_trajectory(prob, 0.25, control)
+        long = integrate_trajectory(prob, 50.0, control)
+        assert len(short) == len(long) == 2
+        assert short.t[1] == long.t[1]
+
+    def test_probe_below_the_guard_ends_at_the_guard(self, unit_domain):
+        prob = make_problem(SliderShape.flat(), unit_domain, n=8, eta0=1.0, eta1=-1.0)
+        sc = StepControl(eps_contact=0.999)
+        ev = GEvaluator(prob)
+        probes = []
+
+        def f(y, v):
+            probes.append(y)
+            return ev.eval(y, v)
+
+        _initial_step(f, 1.0, -1.0, -1.0, ev.eval(1.0, -1.0)[0], sc.abs_tol, sc.rel_tol, 5.0)
+        assert probes[0] <= sc.eps_contact
+        traj = integrate_trajectory(prob, 5.0, sc)
+        assert traj.termination.kind is TerminationKind.CONTACT_GUARD
+        assert len(traj) == 1 and traj.termination.time == 0.0
+
+    def test_trajectory_counts_every_solve(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8, eta1=-0.5)
+        traj = integrate_trajectory(prob, 1.0, StepControl())
+        # the start solve, one start probe and six stages per attempted step
+        assert traj.n_solves == 2 + 6 * (len(traj) - 1 + traj.n_rejected)
 
 
 class TestJacobian:
@@ -433,11 +548,16 @@ def generic_dp_columns(problem, t_end, sc):
     def done(kind):
         return {k: np.array(v) for k, v in cols.items()}, kind, n_rejected
 
+    def guarded(eta, v):
+        if eta <= eps_contact:
+            raise _StageContact
+        return ev.eval(eta, v)
+
     t, y, v, n_rejected = 0.0, problem.eta0, problem.eta1, 0
     k1v, load1, it1 = ev.eval(y, v)
     k1y = v
     record(t, y, v, k1v, load1, it1)
-    dt = min(min(_DT_INIT_FRACTION * t_end, _DT_INIT_MAX), t_end)
+    dt = _initial_step(guarded, y, v, k1y, k1v, sc.abs_tol, sc.rel_tol, t_end)
     ky, kv = [0.0] * 7, [0.0] * 7
     while t < t_end * (1.0 - 1e-15):
         dt = min(dt, t_end - t)
@@ -489,7 +609,7 @@ class TestUnrolledStages:
         "variant, eta0, eta1, t_end, eps_contact",
         [
             ("flat", 1.0, -0.5, 5.0, None),
-            ("flat", 1.0, -1.0, 5.0, 0.5),  # stage probes below the guard
+            ("flat", 1.0, -1.0, 5.0, 0.25),  # stage probes below the guard
             ("line", 0.5, -0.5, 1.0, None),  # error-controlled rejections
         ],
     )
