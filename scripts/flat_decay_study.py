@@ -16,6 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from sliderfilm.csvio import write_csv
 from sliderfilm.dynamics import Problem, SolverParams, StepControl, integrate_trajectory
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid
 from sliderfilm.oracle import flat_envelope, flat_model, flat_reference_trajectory
@@ -55,11 +56,8 @@ def main():
     print(f"min simulated/envelope = {np.min(traj.eta[pick] / env):.6f}")
     print(f"eta({args.t_end}) = {traj.eta[-1]:.5f} (started at {args.eta0})")
 
-    with open(out / "decay.csv", "w") as f:
-        f.write("t,eta_sim,eta_ref,eta_envelope\n")
-        for k, idx in enumerate(pick):
-            f.write(f"{float(traj.t[idx])!r},{float(traj.eta[idx])!r},"
-                    f"{float(ref.eta[k])!r},{float(env[k])!r}\n")
+    write_csv(out / "decay.csv", {"t": traj.t[pick], "eta_sim": traj.eta[pick],
+                                  "eta_ref": ref.eta, "eta_envelope": env})
     print(f"wrote {out / 'decay.csv'}")
 
 

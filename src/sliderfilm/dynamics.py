@@ -12,12 +12,15 @@ secant predictor of the last two solves.  A trajectory's first step
 follows the Hairer-Norsett-Wanner starting-step rule, so it does not
 depend on the horizon.
 
-Trajectories start with the explicit Dormand-Prince 5(4) pair.  The film
-acts like a spring plus a damper whose coefficient -dG/dgamma grows like
-1/beta^3, so a decaying height makes the problem stiff.  A flat-profile run
-that the DOPRI5 stiffness test flags continues with RODAS3, an L-stable
-Rosenbrock pair that takes the analytic Jacobian of G from the cached
-unit load (GEvaluator.jacobian); other shapes stay on Dormand-Prince.
+A trajectory is one adaptive step loop with two steppers.  It starts
+with the explicit Dormand-Prince 5(4) pair.  The film acts like a spring
+plus a damper whose coefficient -dG/dgamma grows like 1/beta^3, so a
+decaying height makes the problem stiff.  A flat-profile run that the
+DOPRI5 stiffness test flags, counted as Hairer's DOPRI5 code counts it,
+continues with RODAS3, an L-stable Rosenbrock pair that takes the
+analytic Jacobian of G from the cached unit load (GEvaluator.jacobian);
+other shapes stay on Dormand-Prince.  The same loop clamps, guards,
+accepts and rejects the steps of both.
 """
 
 import math
@@ -128,9 +131,11 @@ class Problem:
 
 # a step under 1e-12 * t_end fails
 _DT_MIN_FRACTION = 1e-12
-# the run switches to RODAS3 once h |k7 - k6| > 3.25 |y7 - y6| held on
-# this many accepted Dormand-Prince steps in a row (Hairer's DOPRI5 test)
-_STIFF_RHO, _STIFF_STEPS = 3.25, 15
+# the run switches to RODAS3 once h |k7 - k6| > 3.25 |y7 - y6| has held on
+# 15 accepted Dormand-Prince steps, counted as Hairer's DOPRI5 code counts
+# them: a stiff step adds one, and only 6 non-stiff steps in a row reset
+# the count
+_STIFF_RHO, _STIFF_STEPS, _STIFF_RESET = 3.25, 15, 6
 
 
 @dataclass
@@ -453,6 +458,48 @@ _DP_E = (
 )
 
 
+def _dp_step(f, y, v, g, h):
+    """One Dormand-Prince 5(4) step of (eta, eta')' = (eta', G) from (y, v).
+
+    g = G(y, v) is the first stage; f(eta, eta') returns G first and is
+    called six times.  Returns (y_new, v_new, err_y, err_v, f7, stiff):
+    f7, f's result at stage 7, is taken at the new state exactly (FSAL),
+    and stiff is DOPRI5's verdict h |k7 - k6| > _STIFF_RHO |y7 - y6|.
+
+    The tableau is unrolled, each combination as sum()'s left fold over
+    its terms: from 0.0 (so a -0.0 term gives +0.0), zero coefficients
+    kept, which makes every result bit-equal to the generic tableau sums.
+    The last row of A is b, and b7 = 0 adds only +-0.0 to a fold that is
+    never -0.0, so the new state is stage 7's argument.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _DP_A[1:5]
+    a61, a62, a63, a64, a65 = _DP_A[5]
+    b1, b2, b3, b4, b5, b6, _ = _DP_B5
+    e1, e2, e3, e4, e5, e6, e7 = _DP_E
+    k1y, k1v = v, g
+    k2y = v + h * (0.0 + a21 * k1v)
+    k2v = f(y + h * (0.0 + a21 * k1y), k2y)[0]
+    k3y = v + h * (0.0 + a31 * k1v + a32 * k2v)
+    k3v = f(y + h * (0.0 + a31 * k1y + a32 * k2y), k3y)[0]
+    k4y = v + h * (0.0 + a41 * k1v + a42 * k2v + a43 * k3v)
+    k4v = f(y + h * (0.0 + a41 * k1y + a42 * k2y + a43 * k3y), k4y)[0]
+    k5y = v + h * (0.0 + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
+    k5v = f(y + h * (0.0 + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y), k5y)[0]
+    k6y = v + h * (0.0 + a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+    y6 = y + h * (0.0 + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
+    k6v = f(y6, k6y)[0]
+    k7y = v + h * (0.0 + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+    y7 = y + h * (0.0 + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
+    f7 = f(y7, k7y)
+    k7v = f7[0]
+    err_y = h * (0.0 + e1 * k1y + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
+    err_v = h * (0.0 + e1 * k1v + e2 * k2v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
+    # the two states differ by (y7 - y6, k7y - k6y): a state's velocity is its first slope
+    dky, dkv, dy = k7y - k6y, k7v - k6v, y7 - y6
+    stiff = h * h * (dky * dky + dkv * dkv) > _STIFF_RHO**2 * (dy * dy + dky * dky)
+    return y7, k7y, err_y, err_v, f7, stiff
+
+
 # RODAS3 (Sandu et al., Atmos. Environ. 31, 1997), autonomous form: a
 # 4-stage, stiffly accurate, L-stable Rosenbrock 3(2) pair with gamma 1/2.
 # Stage i solves (I/(h gamma) - J) K_i = f(y + sum a_ij K_j) + sum c_ij K_j / h;
@@ -555,29 +602,42 @@ def integrate_trajectory(
     shortcuts of GEvaluator apply.  The first step size comes from the
     starting-step rule of Hairer, Norsett and Wanner (_initial_step): it
     costs one more force evaluation, an explicit Euler probe, and depends
-    on t_end only through the cap dt <= t_end.  The run starts with the embedded
-    Dormand-Prince 5(4) pair.  After each accepted step it applies the
-    stiffness test of Hairer's DOPRI5 code,
+    on t_end only through the cap dt <= t_end.
+
+    One step loop serves both steppers and owns the controller: the cap
+    dt <= t_end - t, the weighted RMS error with scale
+    abs_tol + rel_tol max(|y|, |y_new|), acceptance at error <= 1, the
+    step factor 0.9 err^(-1/(q+1)) clamped to [0.2, 5] for an error
+    estimate of order q (5 at zero error), a retry at 0.2 h when the
+    error is not finite, and a retry at 0.25 h when a stage or the end
+    point falls to the contact guard.  A stepper contributes its
+    step, its exponent and what follows an accepted step.
+
+    The run starts with the embedded Dormand-Prince 5(4) pair (_dp_step,
+    exponent -1/5): its seventh stage is the accepted state, so that
+    force value is the sample and the next step's first stage (FSAL).
+    Each step also applies the stiffness test of Hairer's DOPRI5 code,
     h |k7 - k6| > 3.25 |y7 - y6| (_STIFF_RHO; Euclidean norms, y6 the
-    argument of stage 6, y7 the accepted state): |k7 - k6| / |y7 - y6|
+    argument of stage 6, y7 the new state): |k7 - k6| / |y7 - y6|
     estimates the spectral radius of the Jacobian, and 3.25 is about
-    where h times it leaves DP's stability region.  Once the test holds
-    on 15 accepted steps in a row (_STIFF_STEPS), the rest of the run
-    takes RODAS3 steps: the L-stable Rosenbrock pair needs no step
-    restriction from the damping dG/deta' ~ -1/eta^3.
-    Each RODAS3 step makes two force evaluations, plus one at the accepted
-    state that is its sample; the Jacobian (GEvaluator.jacobian) is taken
-    once per accepted state and reused when a step is retried.  The
-    switch is one-way, and only the flat profile makes it: its Jacobian
-    is analytic.  Other shapes have no film Jacobian and stay on
+    where h times it leaves DP's stability region.  The count follows
+    DOPRI5: each accepted stiff step adds one, and 6 accepted non-stiff
+    steps in a row (_STIFF_RESET) set it back to 0.  When it reaches 15
+    (_STIFF_STEPS), the rest of the run takes RODAS3 steps (_rodas3_step,
+    exponent -1/3): the L-stable Rosenbrock pair needs no step
+    restriction from the damping dG/deta' ~ -1/eta^3.  Each RODAS3 step
+    makes two force evaluations, plus one at the accepted state that is
+    its sample; the Jacobian (GEvaluator.jacobian) is taken once per
+    accepted state and reused when a step is retried.  The switch is
+    one-way, and only the flat profile makes it: its Jacobian is
+    analytic.  Other shapes have no film Jacobian and stay on
     Dormand-Prince throughout.
 
-    Both phases end the run the same way: with CONTACT_GUARD when the
-    height falls to the guard and with STEP_FAILURE when the controller
-    underflows 1e-12 * t_end or an accepted step would add a sample
-    beyond max_samples.  That step is dropped: the trajectory holds at
-    most max_samples samples and the termination time is that of its
-    last sample.
+    The run ends with CONTACT_GUARD when the height falls to the guard
+    and with STEP_FAILURE when the controller underflows 1e-12 * t_end or
+    an accepted step would add a sample beyond max_samples.  That step
+    is dropped: the trajectory holds at most max_samples samples and the
+    termination time is that of its last sample.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -636,119 +696,30 @@ def integrate_trajectory(
     y = problem.eta0
     v = problem.eta1
     n_rejected = 0
-    stiff_run, stiff_from = 0, None
+    stiff_run = calm_run = 0
+    stiff_from = jac = None  # jac: the Jacobian (dG/deta, dG/deta') once on RODAS3
+    expo = -0.2  # the controller exponent, -1/(1 + the error estimate's order)
     if y <= eps_contact:
         raise ValueError("eta0 is already at the contact guard")
 
-    k1y = v
-    k1v, load1, it1 = f(y, v)
-    record(t, y, v, k1v, load1, it1)
+    g, load, iters = f(y, v)
+    record(t, y, v, g, load, iters)
+    dt = _initial_step(f, y, v, v, g, abs_tol, rel_tol, t_end)
 
-    dt = _initial_step(f, y, v, k1y, k1v, abs_tol, rel_tol, t_end)
-
-    # The tableau unrolled; the last row of A equals b (FSAL).  Each
-    # combination is sum()'s left fold over all seven terms: it starts
-    # from 0.0 (so a -0.0 term gives +0.0) and keeps the zero-coefficient
-    # terms, which makes every column bit-equal to the generic loop.
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _DP_A[1:5]
-    a61, a62, a63, a64, a65 = _DP_A[5]
-    b1, b2, b3, b4, b5, b6, b7 = _DP_B5
-    e1, e2, e3, e4, e5, e6, e7 = _DP_E
     while t < t_end * (1.0 - 1e-15):
         dt = min(dt, t_end - t)
         if dt < dt_min:
             return finish(TerminationKind.STEP_FAILURE, t, f"step size underflow (dt={dt:.3e})")
         try:
-            k2y = v + dt * (0.0 + a21 * k1v)
-            k2v, _, _ = f(y + dt * (0.0 + a21 * k1y), k2y)
-            k3y = v + dt * (0.0 + a31 * k1v + a32 * k2v)
-            k3v, _, _ = f(y + dt * (0.0 + a31 * k1y + a32 * k2y), k3y)
-            k4y = v + dt * (0.0 + a41 * k1v + a42 * k2v + a43 * k3v)
-            k4v, _, _ = f(y + dt * (0.0 + a41 * k1y + a42 * k2y + a43 * k3y), k4y)
-            k5y = v + dt * (0.0 + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
-            k5v, _, _ = f(y + dt * (0.0 + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y), k5y)
-            k6y = v + dt * (0.0 + a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-            y6 = y + dt * (0.0 + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
-            k6v, _, _ = f(y6, k6y)
-            k7y = v + dt * (
-                0.0 + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v
-            )
-            k7v, load7, it7 = f(
-                y + dt * (0.0 + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y),
-                k7y,
-            )
+            if jac is None:
+                y_new, v_new, err_y, err_v, f_new, stiff = _dp_step(f, y, v, g, dt)
+            else:
+                y_new, v_new, err_y, err_v = _rodas3_step(f, y, v, g, *jac, dt)
+                if y_new <= eps_contact:  # f is evaluated there once accepted
+                    raise _StageContact
         except _StageContact:
             # a stage probed at or below the guard: shrink, or give up and
             # report the guard when the step cannot be resolved
-            if dt * 0.25 < dt_min or y <= 2.0 * eps_contact:
-                return finish(
-                    TerminationKind.CONTACT_GUARD,
-                    t,
-                    f"height reached the contact guard {eps_contact:.3e}",
-                )
-            dt *= 0.25
-            n_rejected += 1
-            continue
-        y5 = y + dt * (
-            0.0 + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y + b7 * k7y
-        )
-        v5 = v + dt * (
-            0.0 + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v + b7 * k7v
-        )
-        err_y = dt * (
-            0.0 + e1 * k1y + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y
-        )
-        err_v = dt * (
-            0.0 + e1 * k1v + e2 * k2v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
-        )
-        sy = abs_tol + rel_tol * max(abs(y), abs(y5))
-        sv = abs_tol + rel_tol * max(abs(v), abs(v5))
-        err = math.sqrt(0.5 * ((err_y / sy) ** 2 + (err_v / sv) ** 2))
-        if not math.isfinite(err):
-            dt *= 0.2
-            n_rejected += 1
-            continue
-        if err <= 1.0:
-            t_new = t + dt
-            if y5 <= eps_contact:
-                return finish(
-                    TerminationKind.CONTACT_GUARD,
-                    t_new,
-                    f"height reached the contact guard {eps_contact:.3e}",
-                )
-            if len(ts) >= max_samples:
-                return finish(TerminationKind.STEP_FAILURE, t, "max_samples exceeded")
-            t, y, v = t_new, y5, v5
-            # FSAL: stage 7 was evaluated exactly at the accepted state, so
-            # its force value and metadata are this sample's and the next
-            # step's first stage
-            k1y, k1v = k7y, k7v
-            record(t, y, v, k7v, load7, it7)
-            if can_switch:
-                # y7 - y6 = (y5 - y6, v5 - k6y)
-                dky, dkv, dy, dv = k7y - k6y, k7v - k6v, y5 - y6, v5 - k6y
-                stiff = dt * dt * (dky * dky + dkv * dkv) > _STIFF_RHO**2 * (dy * dy + dv * dv)
-                stiff_run = stiff_run + 1 if stiff else 0
-            dt *= min(5.0, max(0.2, 0.9 * err**-0.2)) if err > 0.0 else 5.0
-            if stiff_run == _STIFF_STEPS:
-                stiff_from = t
-                break
-        else:
-            n_rejected += 1
-            dt *= max(0.2, 0.9 * err**-0.2)
-
-    # RODAS3 for the rest of the run; k1v = G at the current sample
-    if stiff_from is not None:
-        jb, jg = ev.jacobian(y, v)
-    while stiff_from is not None and t < t_end * (1.0 - 1e-15):
-        dt = min(dt, t_end - t)
-        if dt < dt_min:
-            return finish(TerminationKind.STEP_FAILURE, t, f"step size underflow (dt={dt:.3e})")
-        try:
-            y_new, v_new, err_y, err_v = _rodas3_step(f, y, v, k1v, jb, jg, dt)
-            if y_new <= eps_contact:  # f is evaluated there once accepted
-                raise _StageContact
-        except _StageContact:
             if dt * 0.25 < dt_min or y <= 2.0 * eps_contact:
                 return finish(
                     TerminationKind.CONTACT_GUARD,
@@ -765,17 +736,32 @@ def integrate_trajectory(
             dt *= 0.2
             n_rejected += 1
             continue
-        if err <= 1.0:
-            if len(ts) >= max_samples:
-                return finish(TerminationKind.STEP_FAILURE, t, "max_samples exceeded")
-            t, y, v = t + dt, y_new, v_new
-            k1v, load, iters = f(y, v)
-            record(t, y, v, k1v, load, iters)
-            jb, jg = ev.jacobian(y, v)
-            dt *= min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 5.0
-        else:
+        if err > 1.0:
             n_rejected += 1
-            dt *= max(0.2, 0.9 * err ** (-1.0 / 3.0))
+            dt *= max(0.2, 0.9 * err**expo)
+            continue
+        if len(ts) >= max_samples:
+            return finish(TerminationKind.STEP_FAILURE, t, "max_samples exceeded")
+        t, y, v = t + dt, y_new, v_new
+        dt *= min(5.0, max(0.2, 0.9 * err**expo)) if err > 0.0 else 5.0
+        if jac is None:
+            # FSAL: stage 7 was evaluated at (y, v); it is this sample and
+            # the next step's first stage
+            g, load, iters = f_new
+            if can_switch:
+                if stiff:
+                    stiff_run, calm_run = stiff_run + 1, 0
+                else:
+                    calm_run += 1
+                    if calm_run == _STIFF_RESET:
+                        stiff_run = 0
+                if stiff_run == _STIFF_STEPS:
+                    stiff_from, expo = t, -1.0 / 3.0
+        else:
+            g, load, iters = f(y, v)
+        record(t, y, v, g, load, iters)
+        if stiff_from is not None:
+            jac = ev.jacobian(y, v)
     return finish(TerminationKind.REACHED_HORIZON, t)
 
 

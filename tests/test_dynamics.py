@@ -10,6 +10,7 @@ from sliderfilm.dynamics import (
     _DP_E,
     _DT_MIN_FRACTION,
     _StageContact,
+    _dp_step,
     _initial_step,
     _rodas3_step,
     GEvaluator,
@@ -604,15 +605,16 @@ def generic_dp_columns(problem, t_end, sc):
     return done(TerminationKind.REACHED_HORIZON)
 
 
+# (variant, eta0, eta1, t_end, eps_contact): each stays on Dormand-Prince throughout
+UNROLLED_CASES = [
+    ("flat", 1.0, -0.5, 5.0, None),
+    ("flat", 1.0, -1.0, 5.0, 0.25),  # stage probes below the guard
+    ("line", 0.5, -0.5, 1.0, None),  # error-controlled rejections
+]
+
+
 class TestUnrolledStages:
-    @pytest.mark.parametrize(
-        "variant, eta0, eta1, t_end, eps_contact",
-        [
-            ("flat", 1.0, -0.5, 5.0, None),
-            ("flat", 1.0, -1.0, 5.0, 0.25),  # stage probes below the guard
-            ("line", 0.5, -0.5, 1.0, None),  # error-controlled rejections
-        ],
-    )
+    @pytest.mark.parametrize("variant, eta0, eta1, t_end, eps_contact", UNROLLED_CASES)
     def test_columns_equal_generic_tableau_loop(
         self, unit_domain, domain_sym, variant, eta0, eta1, t_end, eps_contact
     ):
@@ -631,6 +633,38 @@ class TestUnrolledStages:
             got = getattr(traj, name)
             assert got.dtype == ref.dtype, name
             assert np.array_equal(got, ref), name
+
+
+class TestDpStep:
+    @staticmethod
+    def _damped(n, t_end=2.0):
+        """eta'' = -eta - eta'/2 from (1, 0) in n Dormand-Prince steps; the
+        arguments of the last force evaluation are returned too."""
+        calls = []
+
+        def f(a, b):
+            calls.append((a, b))
+            return (-a - 0.5 * b,)
+
+        y, v, h = 1.0, 0.0, t_end / n
+        g = f(y, v)[0]
+        for _ in range(n):
+            y, v, _, _, f7, _ = _dp_step(f, y, v, g, h)
+            g = f7[0]
+        return y, v, calls[-1]
+
+    def test_fifth_order_at_fixed_steps(self):
+        # exact: eta = exp(-t/4) (cos wt + sin(wt) / (4w)), w^2 = 15/16
+        w, t = math.sqrt(15.0) / 4.0, 2.0
+        y_ex = math.exp(-t / 4.0) * (math.cos(w * t) + math.sin(w * t) / (4.0 * w))
+        v_ex = -math.exp(-t / 4.0) * math.sin(w * t) / w
+        errors = []
+        for n in (10, 20, 40, 80):
+            y, v, last = self._damped(n)
+            assert last == (y, v)  # stage 7 is the new state (FSAL)
+            errors.append(math.hypot(y - y_ex, v - v_ex))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 4.8 <= math.log2(coarse / fine) <= 5.2
 
 
 class TestRodas3Step:
@@ -668,11 +702,6 @@ class TestRodas3Step:
         y, v, _, err_v = _rodas3_step(lambda a, b: (-k * b,), 1.0, 1.0, -k, 0.0, -k, h)
         assert abs(v) < 1e-6 and abs(err_v) < 1e-6
         assert y == pytest.approx(1.0 + 1.0 / k, rel=1e-6)
-
-
-# the TestUnrolledStages cases: each stays on Dormand-Prince throughout
-UNROLLED_CASES = [("flat", 1.0, -0.5, 5.0, None), ("flat", 1.0, -1.0, 5.0, 0.5),
-                  ("line", 0.5, -0.5, 1.0, None)]
 
 
 class TestStiffSwitch:
@@ -765,6 +794,65 @@ class TestStiffSwitch:
         assert traj.termination.kind is TerminationKind.CONTACT_GUARD
         assert traj.termination.time == traj.stiff_from
         self._assert_prefix_of_full_run(traj)
+
+    def test_error_rejection_on_the_stiff_path(self, monkeypatch):
+        # the first RODAS3 step reports an error of about 8 tolerances; its
+        # retry is shrunk by the order-3 rule, 0.9 err^(-1/3)
+        import sliderfilm.dynamics as dynamics
+
+        real_step, control, steps = dynamics._rodas3_step, StepControl(), []
+
+        def step(f, y, v, g, jb, jg, h):
+            y_new, v_new, err_y, err_v = real_step(f, y, v, g, jb, jg, h)
+            if not steps:
+                sv = control.abs_tol + control.rel_tol * max(abs(v), abs(v_new))
+                err_y, err_v = 0.0, 8.0 * math.sqrt(2.0) * sv
+            steps.append((h, y, v, y_new, v_new, err_y, err_v))
+            return y_new, v_new, err_y, err_v
+
+        monkeypatch.setattr(dynamics, "_rodas3_step", step)
+        traj = integrate_trajectory(self._decay(), 200.0, control)
+        monkeypatch.undo()
+        full = integrate_trajectory(self._decay(), 200.0, control)
+        assert traj.termination.kind is TerminationKind.REACHED_HORIZON
+        assert traj.n_rejected == full.n_rejected + 1
+        (h, y, v, y_new, v_new, err_y, err_v), retry = steps[0], steps[1]
+        assert retry[1:3] == (y, v)  # the retry starts from the same sample
+        sy = control.abs_tol + control.rel_tol * max(abs(y), abs(y_new))
+        sv = control.abs_tol + control.rel_tol * max(abs(v), abs(v_new))
+        err = math.sqrt(0.5 * ((err_y / sy) ** 2 + (err_v / sv) ** 2))
+        assert err == pytest.approx(8.0)
+        assert retry[0] == pytest.approx(h * max(0.2, 0.9 * err ** (-1.0 / 3.0)), rel=1e-12)
+
+    def test_loose_tolerance_switches(self):
+        # rel_tol 1e-3 interleaves non-stiff steps with the stiff ones; a
+        # count that any non-stiff step restarts never reaches 15
+        control = StepControl(rel_tol=1e-3, max_samples=5000)
+        traj = integrate_trajectory(self._decay(), 200.0, control)
+        assert traj.termination.kind is TerminationKind.REACHED_HORIZON
+        assert traj.stiff_from is not None
+        assert traj.monitor.passed
+
+    @pytest.mark.parametrize("calm, switch_at", [(5, 20), (6, 35)])
+    def test_dopri5_stiffness_count(self, monkeypatch, calm, switch_at):
+        # the steps from samples 0..13 are stiff, the next `calm` are not,
+        # and every later one is: 5 non-stiff steps keep the count of 14,
+        # and the 6th resets it to 0
+        import sliderfilm.dynamics as dynamics
+
+        real_step, starts = dynamics._dp_step, []
+
+        def step(f, y, v, g, h):
+            if not starts or starts[-1] != y:
+                starts.append(y)
+            *out, _ = real_step(f, y, v, g, h)
+            k = len(starts) - 1  # the sample the step starts from
+            return (*out, not 14 <= k < 14 + calm)
+
+        monkeypatch.setattr(dynamics, "_dp_step", step)
+        traj = integrate_trajectory(self._decay(), 200.0, StepControl())
+        monkeypatch.undo()
+        assert traj.stiff_from == traj.t[switch_at]
 
     def test_step_underflow_on_the_stiff_path(self, monkeypatch):
         # every force evaluation after the first Jacobian is NaN, so every
