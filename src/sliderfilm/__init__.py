@@ -36,7 +36,6 @@ from .vi_solver import (
     DiscreteSystem,
     PressureField,
     assemble_system,
-    complementarity_report,
     load_integral,
     solve_linear,
     solve_vi_psor,

@@ -94,6 +94,9 @@ class Problem:
     solver: SolverParams = field(default_factory=SolverParams)
 
     def __post_init__(self):
+        for name, value in (("F", self.F), ("eta0", self.eta0), ("eta1", self.eta1)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.F <= 0.0:
             raise ValueError(f"applied load F must be positive, got {self.F}")
         if self.eta0 <= 0.0:
@@ -322,6 +325,14 @@ def bounds_report(problem: Problem) -> BoundsReport:
     )
 
 
+def _check_state(beta: float, gamma: float) -> None:
+    """Reject a state at which the film force is undefined."""
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise NonPositiveClearance(f"film force undefined at beta = {beta}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"film force undefined at gamma = {gamma}")
+
+
 class GEvaluator:
     """Film force along a run: the exact shortcuts and the warm chain.
 
@@ -383,10 +394,7 @@ class GEvaluator:
         is p1, and with no warm field (_warm None) the solve is cold.  A
         non-finite state is rejected before any solve.
         """
-        if not (beta > 0.0 and math.isfinite(beta)):
-            raise NonPositiveClearance(f"film force undefined at beta = {beta}")
-        if not math.isfinite(gamma):
-            raise ValueError(f"film force undefined at gamma = {gamma}")
+        _check_state(beta, gamma)
         if gamma >= self.V1:
             ny, nx = self.problem.grid.ny, self.problem.grid.nx
             return PressureField(
@@ -422,12 +430,12 @@ class GEvaluator:
         Zero at gamma >= V1, where G = -F.  Below it, from the cached unit
         load L (the load eval reports at beta 1, gamma -1):
         dG/dgamma = -L/beta^3 and dG/dbeta = 3 gamma L/beta^4.  Other
-        shapes have no film Jacobian here.
+        shapes have no film Jacobian here.  A non-finite state is rejected
+        as in field.
         """
         if not self._flat:
             raise ValueError("the film Jacobian is available for the flat profile only")
-        if beta <= 0.0:
-            raise NonPositiveClearance(f"film force undefined at beta = {beta}")
+        _check_state(beta, gamma)
         if gamma >= self.V1:
             return 0.0, 0.0
         unit = self.eval(1.0, -1.0)[1]
@@ -642,8 +650,8 @@ def integrate_trajectory(
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     sc = step_control or StepControl()
-    if sc.max_samples < 1:
-        raise ValueError("max_samples must be at least 1")
+    if sc.max_samples < 2:
+        raise ValueError("max_samples must be at least 2")
     eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
     dt_min = _DT_MIN_FRACTION * t_end
     abs_tol, rel_tol, max_samples = sc.abs_tol, sc.rel_tol, sc.max_samples

@@ -341,34 +341,25 @@ def sup_height(shape: SliderShape, domain: DomainRect) -> float:
     return float(np.max(shape.table.heights))
 
 
-_BOUNDARY_SAMPLES = 4001
-
-
 def compute_V1(shape: SliderShape, grid: Grid) -> float:
     """Largest descending slope sup(-dh0/dx1), clamped below at 0.
 
-    Nodal maximum over the full lattice; analytic variants additionally
-    maximize along densely sampled boundary edges so a coarse grid cannot
-    undersample the supremum (for the power profiles the supremum lies on
-    the boundary).
+    Exact for the analytic variants: flat gives 0, line contact
+    alpha |x1_min|^(alpha-1), point contact alpha |x1_min| r^(alpha-2)
+    with r = |(x1_min, x2)|.  The descending slope grows with |x1| on the
+    upstream side, and with |x2| only when alpha >= 2, so the supremum
+    sits at x1 = x1_min and at the farther x2 edge (alpha >= 2) or on the
+    axis x2 = 0 (alpha < 2).
+    Tabulated profiles give the nodal maximum over the full lattice.
     """
     if shape.kind is ShapeKind.FLAT:
         return 0.0
-    g = lattice_grad_x1(shape, grid)
-    v1 = max(0.0, float(np.max(-g)))
     if shape.kind is ShapeKind.TABULATED:
-        return v1
+        return max(0.0, float(np.max(-lattice_grad_x1(shape, grid))))
     d = grid.domain
-    t1 = np.linspace(d.x1_min, d.x1_max, _BOUNDARY_SAMPLES)
-    t2 = np.linspace(d.x2_min, d.x2_max, _BOUNDARY_SAMPLES)
-    for ex1, ex2 in (
-        (t1, np.full_like(t1, d.x2_min)),
-        (t1, np.full_like(t1, d.x2_max)),
-        (np.full_like(t2, d.x1_min), t2),
-        (np.full_like(t2, d.x1_max), t2),
-    ):
-        v1 = max(v1, float(np.max(-_grad_x1_analytic(shape, ex1, ex2))))
-    return max(0.0, v1)
+    far_edge = shape.kind is ShapeKind.POINT_CONTACT and shape.alpha >= 2.0
+    x2 = max(-d.x2_min, d.x2_max) if far_edge else 0.0
+    return -float(_grad_x1_analytic(shape, d.x1_min, x2))
 
 
 class BoxKind(Enum):

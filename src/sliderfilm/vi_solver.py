@@ -22,26 +22,23 @@ converge to the same solution, so their results differ by the solve
 error, not bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import NoConvergence, NonPositiveClearance
 from .geometry import Grid, SliderShape, edge_midpoint_heights, lattice_grad_x1
 
 __all__ = [
     "DiscreteSystem",
     "PressureField",
-    "CompReport",
     "assemble_system",
     "solve_vi_psor",
     "solve_linear",
     "load_integral",
     "lcp_residuals",
-    "complementarity_report",
     "suggested_omega",
-    "dump_debug_csv",
 ]
 
 
@@ -107,21 +104,14 @@ class PressureField:
 
     For complementarity solves, residual_comp = max |min(p, Ap - b)| and
     residual_lin = max violation of Ap >= b.  For plain linear solves,
-    residual_lin holds the relative linear residual instead and values
-    may be negative.
+    residual_comp is NaN, residual_lin holds the relative linear residual
+    instead and values may be negative.
     """
 
     values: np.ndarray
     residual_comp: float
     residual_lin: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class CompReport:
-    residual: float
-    n_active: int
-    n_free: int
 
 
 def assemble_system(
@@ -306,7 +296,8 @@ def solve_linear(
     with zero values elsewhere (zero Dirichlet data on the inner
     boundary); this is the operator of the auxiliary problems posed on a
     sub-region.  Values may be negative.  residual_lin reports the final
-    relative residual.
+    relative residual; residual_comp is NaN, since an unconstrained solve
+    has no complementarity residual (lcp_residuals measures one).
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -325,7 +316,7 @@ def solve_linear(
     bnorm = float(np.linalg.norm(rhs))
     zero = np.zeros_like(rhs)
     if bnorm == 0.0 or n_unknown == 0:
-        return PressureField(values=zero, residual_comp=0.0, residual_lin=0.0, iterations=0)
+        return PressureField(values=zero, residual_comp=math.nan, residual_lin=0.0, iterations=0)
 
     def op(v):
         av = system.apply(v)
@@ -338,20 +329,7 @@ def solve_linear(
     d = r.copy()
     rs = float(np.vdot(r, r))
     it = 0
-    while np.sqrt(rs) > tol * bnorm:
-        if it >= max_iter:
-            field = PressureField(
-                values=p,
-                residual_comp=float("nan"),
-                residual_lin=float(np.sqrt(rs) / bnorm),
-                iterations=it,
-            )
-            raise NoConvergence(
-                f"CG did not converge in {it} iterations "
-                f"(relative residual {np.sqrt(rs) / bnorm:.3e})",
-                field=field,
-                iterations=it,
-            )
+    while np.sqrt(rs) > tol * bnorm and it < max_iter:
         ad = op(d)
         alpha = rs / float(np.vdot(d, ad))
         p += alpha * d
@@ -361,14 +339,15 @@ def solve_linear(
         rs = rs_new
         it += 1
 
-    slack = op(p) - rhs
-    comp = float(np.max(np.abs(np.minimum(p, slack))))
-    return PressureField(
-        values=p,
-        residual_comp=comp,
-        residual_lin=float(np.sqrt(rs) / bnorm),
-        iterations=it,
-    )
+    rel = float(np.sqrt(rs) / bnorm)
+    field = PressureField(values=p, residual_comp=math.nan, residual_lin=rel, iterations=it)
+    if np.sqrt(rs) > tol * bnorm:
+        raise NoConvergence(
+            f"CG did not converge in {it} iterations (relative residual {rel:.3e})",
+            field=field,
+            iterations=it,
+        )
+    return field
 
 
 def load_integral(field: PressureField, grid: Grid) -> float:
@@ -376,32 +355,8 @@ def load_integral(field: PressureField, grid: Grid) -> float:
     return float(np.sum(field.values)) * grid.cell_area
 
 
-def complementarity_report(field: PressureField, system: DiscreteSystem) -> CompReport:
-    """Residual and active/free node counts; the active set is the cavitation region."""
-    comp, _ = lcp_residuals(system, field.values)
-    n_active = int(np.count_nonzero(field.values == 0.0))
-    return CompReport(residual=comp, n_active=n_active, n_free=field.values.size - n_active)
-
-
 def suggested_omega(grid: Grid) -> float:
     """Near-optimal SOR relaxation for the five-point operator at this resolution."""
     n = max(grid.nx, grid.ny)
     return 2.0 / (1.0 + np.sin(np.pi / (n + 1)))
 
-
-def dump_debug_csv(field: PressureField, system: DiscreteSystem, path) -> None:
-    """Write (x1, x2, p, slack, active) rows for all interior nodes."""
-    grid = system.grid
-    X1, X2 = grid.interior_mesh()
-    slack = system.apply(field.values) - system.b
-    active = (field.values == 0.0).astype(int)
-    write_csv(
-        path,
-        {
-            "x1": X1.ravel(),
-            "x2": X2.ravel(),
-            "p": field.values.ravel(),
-            "slack": slack.ravel(),
-            "active": active.ravel(),
-        },
-    )

@@ -305,6 +305,23 @@ class TestJacobian:
             ev.jacobian(0.3, -0.5)
         assert ev.n_solves == 0
 
+    @pytest.mark.parametrize(
+        "beta, gamma, error",
+        [
+            (math.nan, -0.5, NonPositiveClearance),
+            (math.inf, -0.5, NonPositiveClearance),
+            (0.5, math.nan, ValueError),
+            (0.5, -math.inf, ValueError),
+            (0.5, math.inf, ValueError),
+        ],
+    )
+    def test_non_finite_state_rejected(self, unit_domain, beta, gamma, error):
+        # the same check and message as field, before any solve
+        ev = GEvaluator(make_problem(SliderShape.flat(), unit_domain, n=8))
+        with pytest.raises(error, match="film force undefined"):
+            ev.jacobian(beta, gamma)
+        assert ev.n_solves == 0
+
 
 class TestSingleFilmSolvePath:
     """Every film pressure comes from Problem.solve_film with the problem's settings."""
@@ -386,6 +403,14 @@ class TestSingleFilmSolvePath:
         prob = Problem(shape=SliderShape.flat(), grid=build_grid(domain_sym, 6, 6),
                        F=1.0, eta0=1.0, eta1=0.0, solver=settings)
         assert prob.solver == settings and prob.solver is not settings
+
+    @pytest.mark.parametrize("name", ["F", "eta0", "eta1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_problem_rejects_non_finite_inputs(self, domain_sym, name, value):
+        kwargs = dict(F=1.0, eta0=1.0, eta1=0.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            Problem(shape=SliderShape.flat(), grid=build_grid(domain_sym, 6, 6), **kwargs)
 
 
 class TestBoundsReport:
@@ -482,8 +507,9 @@ class TestIntegration:
         assert "max_samples" in traj.termination.detail
         assert len(traj) == 5
         assert traj.termination.time == traj.t[-1]
-        with pytest.raises(ValueError):
-            integrate_trajectory(prob, 5.0, StepControl(max_samples=0))
+        for cap in (0, 1):  # a cap of 1 could never accept a step
+            with pytest.raises(ValueError, match="max_samples"):
+                integrate_trajectory(prob, 5.0, StepControl(max_samples=cap))
 
     def test_sample_times_strictly_increasing(self, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)

@@ -10,6 +10,7 @@ from sliderfilm.errors import (
     UnsupportedShape,
 )
 from sliderfilm.geometry import (
+    _grad_x1_analytic,
     BoxKind,
     ContactBox,
     DomainRect,
@@ -19,6 +20,7 @@ from sliderfilm.geometry import (
     contact_box,
     eval_gradient_x1,
     eval_height,
+    lattice_grad_x1,
     load_tabulated_csv,
     region_node_mask,
     sup_height,
@@ -161,6 +163,56 @@ class TestV1:
         shape, grid = tabulated_line
         v1 = compute_V1(shape, grid)
         assert v1 == pytest.approx(2.0, abs=1e-12)  # boundary nodes carry the sup
+
+    def test_point_contact_sup_on_the_axis_below_alpha_2(self):
+        # for alpha < 2 the sup sits on the axis, at (x1_min, 0), which no
+        # node or edge sample of this asymmetric x2 range reaches: 1.5 * 0.5**0.5
+        grid = build_grid(DomainRect(-0.5, 2.0, -2.0, 0.3), 16, 16)
+        assert compute_V1(SliderShape.point_contact(1.5), grid) == 1.0606601717798214
+
+    @pytest.mark.parametrize("kind", ["line_contact", "point_contact"])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+    def test_closed_form_equals_boundary_sampling_on_symmetric_domains(self, kind, alpha):
+        shape = getattr(SliderShape, kind)(alpha)
+        for domain in (
+            DomainRect(-1.0, 1.0, -1.0, 1.0),
+            DomainRect(-0.5, 0.5, -0.5, 0.5),
+            DomainRect(-2.0, 2.0, -0.3, 0.3),
+            DomainRect(-0.7, 0.7, -1.9, 1.9),
+        ):
+            for nx, ny in ((3, 3), (8, 5), (16, 16), (33, 20)):
+                grid = build_grid(domain, nx, ny)
+                assert compute_V1(shape, grid) == _sampled_V1(shape, grid), (domain, nx, ny)
+
+    def test_bounds_every_interior_slope(self):
+        # the cutoff's safety property: at gamma = V1 every entry of b is <= 0
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            x1_min, x2_min = -rng.uniform(0.05, 3.0, size=2)
+            x1_max, x2_max = rng.uniform(0.05, 3.0, size=2)
+            grid = build_grid(
+                DomainRect(x1_min, x1_max, x2_min, x2_max), *rng.integers(3, 40, size=2)
+            )
+            alpha = rng.uniform(1.0, 4.0)
+            for shape in (SliderShape.line_contact(alpha), SliderShape.point_contact(alpha)):
+                slopes = -lattice_grad_x1(shape, grid)[1:-1, 1:-1]
+                assert compute_V1(shape, grid) >= slopes.max()
+
+
+def _sampled_V1(shape, grid, samples=4001):
+    """sup(-dh0/dx1) as the lattice maximum and dense samples of the four edges."""
+    v1 = float(np.max(-lattice_grad_x1(shape, grid)))
+    d = grid.domain
+    t1 = np.linspace(d.x1_min, d.x1_max, samples)
+    t2 = np.linspace(d.x2_min, d.x2_max, samples)
+    for x1, x2 in (
+        (t1, np.full_like(t1, d.x2_min)),
+        (t1, np.full_like(t1, d.x2_max)),
+        (np.full_like(t2, d.x1_min), t2),
+        (np.full_like(t2, d.x1_max), t2),
+    ):
+        v1 = max(v1, float(np.max(-_grad_x1_analytic(shape, x1, x2))))
+    return max(0.0, v1)
 
 
 class TestContactBox:
