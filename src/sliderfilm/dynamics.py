@@ -43,8 +43,11 @@ from .geometry import (
     sup_height,
 )
 from .vi_solver import (
+    DiscreteSystem,
+    FilmGeometry,
     PressureField,
     assemble_system,
+    film_geometry,
     load_integral,
     solve_linear,
     solve_vi_psor,
@@ -84,14 +87,22 @@ class SolverParams:
     max_iter: int | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Problem:
+    """A slider run's data: profile, grid, load, initial state, solver knobs.
+
+    Frozen: the beta-independent assembly data (film_geometry) is built
+    once here and would go stale if the profile or grid changed;
+    dataclasses.replace builds a new Problem instead.
+    """
+
     shape: SliderShape
     grid: Grid
     F: float
     eta0: float
     eta1: float
     solver: SolverParams = field(default_factory=SolverParams)
+    _geometry: FilmGeometry = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, value in (("F", self.F), ("eta0", self.eta0), ("eta1", self.eta1)):
@@ -103,9 +114,16 @@ class Problem:
             raise ValueError(f"initial height eta0 must be positive, got {self.eta0}")
         # a private copy: the caller's settings are never aliased or written back
         omega = self.solver.omega
-        self.solver = replace(
-            self.solver, omega=suggested_omega(self.grid) if omega is None else omega
+        object.__setattr__(
+            self,
+            "solver",
+            replace(self.solver, omega=suggested_omega(self.grid) if omega is None else omega),
         )
+        object.__setattr__(self, "_geometry", film_geometry(self.grid, self.shape))
+
+    def assemble(self, beta: float, gamma: float) -> DiscreteSystem:
+        """The film system at clearance beta and squeeze velocity gamma."""
+        return assemble_system(self.grid, self.shape, beta, gamma, geometry=self._geometry)
 
     def solve_film(
         self,
@@ -124,7 +142,7 @@ class Problem:
         """
         s = self.solver
         return solve_vi_psor(
-            assemble_system(self.grid, self.shape, beta, gamma),
+            self.assemble(beta, gamma),
             omega=s.omega,
             tol=s.tol if tol is None else tol,
             max_iter=s.max_iter,
@@ -862,7 +880,7 @@ def spring_damper_decomposition(
     mask = region_node_mask(grid, box)
     if not np.any(mask):
         raise BoxOutsideDomain("no grid nodes fall inside the box; refine the grid")
-    system = assemble_system(grid, problem.shape, beta, 0.0)
+    system = problem.assemble(beta, 0.0)
     q1 = solve_linear(system, tol=1e-11, mask=mask)  # b at gamma=0 is the wedge load
     ones = np.full_like(system.b, grid.cell_area)
     q2 = solve_linear(system, rhs_override=ones, tol=1e-11, mask=mask)

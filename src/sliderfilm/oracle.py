@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoSolution, TooLarge
 from .geometry import DomainRect, region_node_mask
-from .vi_solver import DiscreteSystem, PressureField, assemble_system, lcp_residuals, solve_linear
+from .vi_solver import DiscreteSystem, PressureField, lcp_residuals, solve_linear
 
 __all__ = [
     "FourierConstant",
@@ -325,6 +325,6 @@ def comparison_check(problem, beta: float, gamma: float, region, psor_tol: float
     if n_nodes == 0:
         return ComparisonVerdict(worst_margin=0.0, passed=True, n_nodes=0)
     q = problem.solve_film(beta, gamma, tol=psor_tol)
-    r = solve_linear(assemble_system(grid, problem.shape, beta, gamma), tol=1e-11, mask=mask)
+    r = solve_linear(problem.assemble(beta, gamma), tol=1e-11, mask=mask)
     margin = float(np.min(q.values[mask] - r.values[mask]))
     return ComparisonVerdict(worst_margin=margin, passed=margin >= -10.0 * psor_tol, n_nodes=n_nodes)

@@ -20,8 +20,18 @@ same asymptotic SOR rate at the same omega as the lexicographic one
 (Young, Iterative Solution of Large Linear Systems, 1971).  Both orders
 converge to the same solution, so their results differ by the solve
 error, not bit for bit.
+
+The relaxation is folded into the coefficients once per solve: with
+s = omega / diag, c' = c * s for each coupling and b' = b * s, so a node
+update is
+
+    new = max(0, c'_w p_w + b' + c'_e p_e + c'_s p_s + c'_n p_n + (1 - omega) p),
+
+summed left to right in that order.  It equals the textbook
+p + omega ((b + sum c p_nb) / diag - p) up to rounding.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +42,9 @@ from .geometry import Grid, SliderShape, edge_midpoint_heights, lattice_grad_x1
 
 __all__ = [
     "DiscreteSystem",
+    "FilmGeometry",
     "PressureField",
+    "film_geometry",
     "assemble_system",
     "solve_vi_psor",
     "solve_linear",
@@ -114,53 +126,99 @@ class PressureField:
     iterations: int
 
 
+@dataclass(frozen=True, eq=False)
+class FilmGeometry:
+    """The part of the assembly that does not depend on beta or gamma.
+
+    h_v and h_h are the edge-midpoint heights of edge_midpoint_heights,
+    grad is dh0/dx1 at the interior nodes (shape (ny, nx)).
+    """
+
+    h_v: np.ndarray
+    h_h: np.ndarray
+    grad: np.ndarray
+
+
+def film_geometry(grid: Grid, shape: SliderShape) -> FilmGeometry:
+    """The beta-independent assembly data of a profile on a grid."""
+    h_v, h_h = edge_midpoint_heights(shape, grid)
+    return FilmGeometry(h_v=h_v, h_h=h_h, grad=lattice_grad_x1(shape, grid)[1:-1, 1:-1])
+
+
 def assemble_system(
-    grid: Grid, shape: SliderShape, beta: float, gamma: float
+    grid: Grid,
+    shape: SliderShape,
+    beta: float,
+    gamma: float,
+    geometry: FilmGeometry | None = None,
 ) -> DiscreteSystem:
-    """Assemble the five-point system for clearance beta, squeeze gamma."""
+    """Assemble the five-point system for clearance beta, squeeze gamma.
+
+    geometry, when given, must be film_geometry(grid, shape); a caller
+    that assembles many systems of one profile computes it once.
+    """
     if beta <= 0.0:
         raise NonPositiveClearance(
             f"assembly requires beta > 0 (physical contact at beta <= 0), got {beta}"
         )
-    h_v, h_h = edge_midpoint_heights(shape, grid)
-    coef_v = (h_v + beta) ** 3 * (grid.dy / grid.dx)
-    coef_h = (h_h + beta) ** 3 * (grid.dx / grid.dy)
-    cw = coef_v[:, :-1].copy()
-    ce = coef_v[:, 1:].copy()
-    cs = coef_h[:-1, :].copy()
-    cn = coef_h[1:, :].copy()
+    geo = film_geometry(grid, shape) if geometry is None else geometry
+    coef_v = (geo.h_v + beta) ** 3 * (grid.dy / grid.dx)
+    coef_h = (geo.h_h + beta) ** 3 * (grid.dx / grid.dy)
+    cw, ce = coef_v[:, :-1], coef_v[:, 1:]
+    cs, cn = coef_h[:-1, :], coef_h[1:, :]
     diag = cw + ce + cs + cn
-    grad = lattice_grad_x1(shape, grid)[1:-1, 1:-1]
-    b = -(grad + gamma) * grid.cell_area
+    b = -(geo.grad + gamma) * grid.cell_area
     return DiscreteSystem(
         grid=grid, beta=beta, gamma=gamma, diag=diag, cw=cw, ce=ce, cs=cs, cn=cn, b=b
     )
 
 
-def _red_black_lattices(system: DiscreteSystem):
-    """Flat padded iterate and, per colour, its slice views and buffers.
+@functools.lru_cache(maxsize=32)
+def _colour_maps(ny: int, nx: int) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+    """Row width w and, per colour, the gather map of its slice.
 
     Rows of odd width w (nx + 2, plus a ghost column for even nx) put
     interior node (j, i) at flat index (j + 1) * w + i + 1, which is
-    even exactly when i + j is.  So red is one stride-2 slice from
-    w + 1 and black one from w, and the west, east, south and north
-    neighbours are that slice shifted by -1, +1, -w and +w.  b, the
-    couplings and 1/diag share the layout with zeros at the boundary and
-    ghost entries, which therefore compute exactly 0 on every sweep.
-    Also returns the (ny, nx) interior view of the iterate.
+    even exactly when i + j is.  So red is the stride-2 slice from w + 1
+    and black the one from w, up to (ny + 1) * w.  A map holds, for each
+    entry of its slice, the row-major interior index j * nx + i, or
+    ny * nx at boundary and ghost entries.
+    """
+    w = nx + 2 if nx % 2 else nx + 3
+    index = np.full((ny + 2, w), ny * nx)
+    index[1:-1, 1 : nx + 1] = np.arange(ny * nx).reshape(ny, nx)
+    maps = tuple(index.ravel()[start : (ny + 1) * w : 2] for start in (w + 1, w))
+    for m in maps:
+        m.flags.writeable = False
+    return w, maps
+
+
+def _red_black_lattices(system: DiscreteSystem, omega: float):
+    """Flat padded iterate and, per colour, its slice views and buffers.
+
+    The west, east, south and north neighbours of a colour slice (see
+    _colour_maps) are that slice shifted by -1, +1, -w and +w.  b and
+    the couplings, pre-scaled by omega / diag, are gathered into the
+    same layout with zeros at the boundary and ghost entries, which
+    therefore compute exactly 0 on every sweep.  Per colour: the slice,
+    its four neighbour views, b', c'_w, c'_e, c'_s, c'_n, two scratch
+    buffers and its part of the one |update| buffer.  Also returns the
+    (ny, nx) interior view of the iterate, the flat iterate and the
+    update buffer.
     """
     ny, nx = system.b.shape
-    w = nx + 2 if nx % 2 else nx + 3
+    w, maps = _colour_maps(ny, nx)
+    n = ny * nx
+    scale = omega / system.diag
+    coefs = np.zeros((5, n + 1))
+    for row, a in zip(coefs, (system.b, system.cw, system.ce, system.cs, system.cn)):
+        np.multiply(a, scale, out=row[:n].reshape(ny, nx))
     end = (ny + 1) * w
     p = np.zeros((ny + 2) * w)
-    coefs = [
-        np.pad(a, ((1, 1), (1, w - nx - 1))).ravel()
-        for a in (system.b, system.cw, system.ce, system.cs, system.cn, 1.0 / system.diag)
-    ]
+    delta = np.empty(maps[0].size + maps[1].size)
     out = []
-    for start in (w + 1, w):
-        colour = slice(start, end, 2)
-        pd = p[colour]
+    for start, m, d in zip((w + 1, w), maps, np.split(delta, [maps[0].size])):
+        pd = p[start:end:2]
         out.append(
             (
                 pd,
@@ -168,12 +226,13 @@ def _red_black_lattices(system: DiscreteSystem):
                 p[start + 1 : end + 1 : 2],
                 p[start - w : end - w : 2],
                 p[start + w : end + w : 2],
-                *(c[colour].copy() for c in coefs),
-                np.empty(pd.size),
-                np.empty(pd.size),
+                *coefs[:, m],
+                np.empty(m.size),
+                np.empty(m.size),
+                d,
             )
         )
-    return p.reshape(ny + 2, w)[1:-1, 1 : nx + 1], out
+    return p.reshape(ny + 2, w)[1:-1, 1 : nx + 1], p, delta, out
 
 
 def lcp_residuals(system: DiscreteSystem, p: np.ndarray) -> tuple[float, float]:
@@ -208,7 +267,8 @@ def solve_vi_psor(
         Sweep cap; defaults to 50 * nx * ny.
     warm_start : PressureField, optional
         Initial iterate (projected onto p >= 0); the converged solution
-        does not depend on it, only the sweep count does.
+        does not depend on it, only the sweep count does.  Its values
+        must be finite and of shape (ny, nx), else ValueError.
 
     Returns
     -------
@@ -219,8 +279,14 @@ def solve_vi_psor(
     -----
     Sweep order is red-black: nodes with i + j even, then nodes with
     i + j odd (see module docstring); results are deterministic for
-    fixed inputs.  A nonpositive load vector returns the exact zero
-    solution immediately.
+    fixed inputs.  s = omega / diag is folded into the coefficients
+    once per solve, c' = c * s for each coupling and b' = b * s, so a
+    node update is
+
+        new = max(0, c'_w p_w + b' + c'_e p_e + c'_s p_s + c'_n p_n + (1 - omega) p),
+
+    summed left to right.  A nonpositive load vector returns the exact
+    zero solution immediately.
     """
     if not (0.0 < omega < 2.0):
         raise ValueError(f"relaxation omega must lie in (0, 2), got {omega}")
@@ -229,6 +295,14 @@ def solve_vi_psor(
     nx, ny = system.grid.nx, system.grid.ny
     if max_iter is None:
         max_iter = 50 * nx * ny
+    if warm_start is not None:
+        start = warm_start.values
+        if np.shape(start) != (ny, nx):
+            raise ValueError(
+                f"warm start has shape {np.shape(start)}, the grid's interior is {(ny, nx)}"
+            )
+        if not np.isfinite(start).all():
+            raise ValueError("warm start must be finite")
 
     if np.all(system.b <= 0.0):
         # exact cutoff: p = 0 solves the problem (slack -b >= 0)
@@ -236,14 +310,14 @@ def solve_vi_psor(
             values=np.zeros((ny, nx)), residual_comp=0.0, residual_lin=0.0, iterations=0
         )
 
-    p_int, lattices = _red_black_lattices(system)
+    p_int, p_flat, delta, lattices = _red_black_lattices(system, omega)
     if warm_start is not None:
-        p_int[:] = np.maximum(warm_start.values, 0.0)
+        p_int[:] = np.maximum(start, 0.0)
 
+    keep = 1.0 - omega
     sweeps = 0
     while sweeps < max_iter:
-        max_delta = 0.0
-        for pd, wv, ev, sv, nv, bd, cw_d, ce_d, cs_d, cn_d, dinv, t1, t2 in lattices:
+        for pd, wv, ev, sv, nv, bd, cw_d, ce_d, cs_d, cn_d, t1, t2, dd in lattices:
             np.multiply(cw_d, wv, out=t1)
             t1 += bd
             np.multiply(ce_d, ev, out=t2)
@@ -252,19 +326,15 @@ def solve_vi_psor(
             t1 += t2
             np.multiply(cn_d, nv, out=t2)
             t1 += t2
-            t1 *= dinv
-            t1 -= pd
-            t1 *= omega
-            t1 += pd
+            np.multiply(pd, keep, out=t2)
+            t1 += t2
             np.maximum(t1, 0.0, out=t1)
-            np.subtract(t1, pd, out=t2)
-            np.abs(t2, out=t2)
-            md = t2.max()
-            if md > max_delta:
-                max_delta = float(md)
+            np.subtract(t1, pd, out=dd)
             pd[:] = t1
         sweeps += 1
-        if max_delta <= tol * max(1.0, float(p_int.max())):
+        # p_flat is zero off the interior and p >= 0, so its max is ||p||_inf
+        np.abs(delta, out=delta)
+        if delta.max() <= tol * max(1.0, float(p_flat.max())):
             p = p_int.copy()
             comp, lin = lcp_residuals(system, p)
             if comp <= 10.0 * tol:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -403,6 +403,18 @@ class TestSingleFilmSolvePath:
         prob = Problem(shape=SliderShape.flat(), grid=build_grid(domain_sym, 6, 6),
                        F=1.0, eta0=1.0, eta1=0.0, solver=settings)
         assert prob.solver == settings and prob.solver is not settings
+
+    def test_problem_is_frozen_and_replace_rebuilds_its_geometry(self, domain_sym):
+        # the assembly data built once per Problem must not go stale
+        grid = build_grid(domain_sym, 6, 6)
+        prob = Problem(shape=SliderShape.flat(), grid=grid, F=1.0, eta0=1.0, eta1=0.0)
+        with pytest.raises(FrozenInstanceError):
+            prob.shape = SliderShape.line_contact(2.0)
+        line = SliderShape.line_contact(2.0)
+        moved = replace(prob, shape=line).solve_film(0.3, -0.2)
+        fresh = Problem(shape=line, grid=grid, F=1.0, eta0=1.0, eta1=0.0).solve_film(0.3, -0.2)
+        assert np.array_equal(moved.values, fresh.values)
+        assert moved.iterations == fresh.iterations
 
     @pytest.mark.parametrize("name", ["F", "eta0", "eta1"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

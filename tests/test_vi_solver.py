@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sliderfilm.dynamics import Problem, SolverParams
 from sliderfilm.errors import NoConvergence, NonPositiveClearance
-from sliderfilm.geometry import DomainRect, Grid, SliderShape, build_grid, compute_V1
+from sliderfilm.geometry import (
+    DomainRect,
+    Grid,
+    SliderShape,
+    TabulatedData,
+    build_grid,
+    compute_V1,
+)
 from sliderfilm.oracle import flat_C_omega, lcp_enumerate
 from sliderfilm.vi_solver import (
+    _red_black_lattices,
     assemble_system,
     PressureField,
     lcp_residuals,
@@ -220,6 +229,80 @@ class TestPSOR:
                 )
                 prev = fast
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros(8), r"shape \(8,\), the grid's interior is \(8, 8\)"),
+            (np.zeros((1, 8)), r"shape \(1, 8\), the grid's interior is \(8, 8\)"),
+            (np.array(0.5), r"shape \(\), the grid's interior is \(8, 8\)"),
+            (np.where(np.eye(8) > 0, np.nan, 0.1), "finite"),
+            (np.where(np.eye(8) > 0, np.inf, 0.1), "finite"),
+        ],
+        ids=["row_vector", "one_row", "scalar", "nan", "inf"],
+    )
+    def test_bad_warm_start_rejected_before_any_sweep(self, domain_sym, values, message):
+        # broadcast before; a NaN or inf start ran all 3,200 sweeps and
+        # raised NoConvergence
+        system = assemble_system(build_grid(domain_sym, 8, 8), SliderShape.flat(), 1.0, -1.0)
+        start = PressureField(values=values, residual_comp=0.0, residual_lin=0.0, iterations=0)
+        with pytest.raises(ValueError, match=message):
+            solve_vi_psor(system, warm_start=start)
+
+
+class TestLayoutAndFilmPath:
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 6), (1, 5), (5, 1)])
+    def test_gathered_layout_and_problem_solve(self, domain_sym, nx, ny):
+        # the gathered colour arrays equal the np.pad layout, boundary and
+        # ghost entries exactly 0; Problem.solve_film, which assembles from
+        # its stored geometry, equals the plain assembly and solve bitwise
+        grid = _grid_by_hand(domain_sym, nx, ny)
+        omega = suggested_omega(grid)
+        w = nx + 2 if nx % 2 else nx + 3
+        end = (ny + 1) * w
+        pad = ((1, 1), (1, w - nx - 1))
+        for shape in (
+            SliderShape.line_contact(2.0),
+            SliderShape.point_contact(2.0),
+            SliderShape.flat(),
+            _tabulated_parabola(grid),
+        ):
+            system = assemble_system(grid, shape, 0.3, -0.3)
+            p_int, _, _, lattices = _red_black_lattices(system, omega)
+            p_int[:] = 1.0 + np.arange(nx * ny).reshape(ny, nx)
+            scale = omega / system.diag
+            iterate = np.pad(p_int, pad).ravel()
+            coefs = [
+                np.pad(a * scale, pad).ravel()
+                for a in (system.b, system.cw, system.ce, system.cs, system.cn)
+            ]
+            for start, lattice in zip((w + 1, w), lattices):
+                colour = slice(start, end, 2)
+                outside = iterate[colour] == 0.0
+                assert np.array_equal(lattice[0], iterate[colour])
+                for got, ref in zip(lattice[5:10], coefs):
+                    assert np.array_equal(got, ref[colour])
+                    assert np.all(got[outside] == 0.0)
+
+            problem = Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0,
+                              solver=SolverParams(tol=1e-10))
+            film = problem.solve_film(0.3, -0.3)
+            plain = solve_vi_psor(system, omega=problem.solver.omega, tol=1e-10)
+            assert film.iterations > 0
+            assert np.array_equal(film.values, plain.values)
+            assert (film.iterations, film.residual_comp, film.residual_lin) == (
+                plain.iterations, plain.residual_comp, plain.residual_lin
+            )
+
+
+def _tabulated_parabola(grid):
+    """Tabulated (x1 - c)^2 with c the node column nearest x1 = 0, where
+    tabulated data must vanish."""
+    c = grid.xs[np.argmin(np.abs(grid.xs))]
+    X1 = np.broadcast_to(grid.xs - c, (grid.ys.size, grid.xs.size))
+    return SliderShape.tabulated(
+        TabulatedData(xs=grid.xs, ys=grid.ys, heights=X1**2, grad_x1=2.0 * X1)
+    )
+
 
 def _grid_by_hand(domain, nx, ny):
     """Grid with nx-by-ny interior nodes; unlike build_grid, allows 1 and 2."""
@@ -237,14 +320,14 @@ def _four_sublattice_solve(system, omega, tol, warm_start=None):
 
     Red is sub-lattice (j even, i even) then (j odd, i odd), black
     (j even, i odd) then (j odd, i even), each updated as one block of
-    the padded 2-D iterate with the production expression order, stop
-    test and warm start.
+    the padded 2-D iterate with the production's folded update and
+    expression order, stop test and warm start.
     """
     ny, nx = system.b.shape
     p_pad = np.zeros((ny + 2, nx + 2))
     if warm_start is not None:
         p_pad[1:-1, 1:-1] = np.maximum(warm_start.values, 0.0)
-    dinv = 1.0 / system.diag
+    b, cw, ce, cs, cn = _folded(system, omega)
     lattices = []
     for jo, io in ((0, 0), (1, 1), (0, 1), (1, 0)):
         sub = (slice(jo, None, 2), slice(io, None, 2))
@@ -255,21 +338,17 @@ def _four_sublattice_solve(system, omega, tol, warm_start=None):
             p_pad[rows, cols],
             p_pad[rows, io:nx:2], p_pad[rows, 2 + io:nx + 2:2],
             p_pad[jo:ny:2, cols], p_pad[2 + jo:ny + 2:2, cols],
-            system.b[sub], system.cw[sub], system.ce[sub], system.cs[sub],
-            system.cn[sub], dinv[sub],
+            b[sub], cw[sub], ce[sub], cs[sub], cn[sub],
         ))
     for sweeps in range(1, 50 * nx * ny + 1):
         max_delta = 0.0
-        for pd, wv, ev, sv, nv, bd, cw, ce, cs, cn, di in lattices:
-            t1 = cw * wv
+        for pd, wv, ev, sv, nv, bd, cw_d, ce_d, cs_d, cn_d in lattices:
+            t1 = cw_d * wv
             t1 += bd
-            t1 += ce * ev
-            t1 += cs * sv
-            t1 += cn * nv
-            t1 *= di
-            t1 -= pd
-            t1 *= omega
-            t1 += pd
+            t1 += ce_d * ev
+            t1 += cs_d * sv
+            t1 += cn_d * nv
+            t1 += pd * (1.0 - omega)
             t1 = np.maximum(t1, 0.0)
             max_delta = max(max_delta, float(np.abs(t1 - pd).max()))
             pd[:] = t1
@@ -281,25 +360,29 @@ def _four_sublattice_solve(system, omega, tol, warm_start=None):
     raise AssertionError("reference sweep did not converge")
 
 
+def _folded(system, omega):
+    """b and the couplings scaled by s = omega / diag, as the solver folds them."""
+    scale = omega / system.diag
+    return tuple(a * scale for a in (system.b, system.cw, system.ce, system.cs, system.cn))
+
+
 def _scalar_sweep(system, pad, omega, nodes):
     """One projected SOR sweep over the interior nodes in the given order.
 
     Updates the padded iterate in place, node by node, with the
-    production expression order; returns the largest update.
+    production expression order of the folded update; returns the
+    largest update.
     """
-    dinv = 1.0 / system.diag
+    b, cw, ce, cs, cn = _folded(system, omega)
     max_delta = 0.0
     for j, i in nodes:
         old = pad[j + 1, i + 1]
-        acc = system.cw[j, i] * pad[j + 1, i]
-        acc = acc + system.b[j, i]
-        acc = acc + system.ce[j, i] * pad[j + 1, i + 2]
-        acc = acc + system.cs[j, i] * pad[j, i + 1]
-        acc = acc + system.cn[j, i] * pad[j + 2, i + 1]
-        acc = acc * dinv[j, i]
-        acc = acc - old
-        acc = acc * omega
-        acc = acc + old
+        acc = cw[j, i] * pad[j + 1, i]
+        acc = acc + b[j, i]
+        acc = acc + ce[j, i] * pad[j + 1, i + 2]
+        acc = acc + cs[j, i] * pad[j, i + 1]
+        acc = acc + cn[j, i] * pad[j + 2, i + 1]
+        acc = acc + old * (1.0 - omega)
         pad[j + 1, i + 1] = max(acc, 0.0)
         max_delta = max(max_delta, abs(pad[j + 1, i + 1] - old))
     return max_delta
