@@ -9,6 +9,14 @@ bracket at every step: Brent's method (Brent, Algorithms for
 Minimization without Derivatives, 1973, ch. 4) tries inverse quadratic
 or secant steps inside the bracket and falls back to bisection, which
 needs nothing beyond continuity.
+
+The film load L = g + F is close to a power of beta (at 64^2 its local
+slope d log L / d log beta runs from about -1.1 to -2.2 over two
+decades, for line and point contact alike), so Brent's method
+interpolates in log-log coordinates: u = log beta against
+h = log(L / F) = log1p(g / F), which has the same root and sign as g
+and is nearly linear in u.  Bisection halves the bracket in u.  Signs,
+the stop rule and the iteration cap are decided on g and beta alone.
 """
 
 import math
@@ -26,12 +34,16 @@ __all__ = ["Bracket", "SteadyResult", "GCurve", "find_bracket", "find_steady", "
 
 class Bracket(tuple):
     """(beta_lo, beta_hi) with g(beta_lo) > 0 > g(beta_hi), carrying both
-    values in g = (g_lo, g_hi) so that find_steady need not solve the
-    ends again.  It unpacks and compares like the plain pair."""
+    values in g = (g_lo, g_hi) and the applied load F = L - g, when known,
+    so that find_steady need not solve the ends again.  It unpacks and
+    compares like the plain pair."""
 
-    def __new__(cls, beta_lo: float, beta_hi: float, g_lo: float, g_hi: float):
+    def __new__(
+        cls, beta_lo: float, beta_hi: float, g_lo: float, g_hi: float, F: float | None = None
+    ):
         self = super().__new__(cls, (beta_lo, beta_hi))
         self.g = (g_lo, g_hi)
+        self.F = F
         return self
 
 
@@ -101,10 +113,13 @@ def find_bracket(
 ) -> Bracket:
     """Expand geometrically from beta_init until g changes sign.
 
-    Returns the Bracket (beta_lo, beta_hi) with g(beta_lo) > 0 > g(beta_hi).
-    Fails with BracketFailure when max_expansions doublings (then
-    halvings) find no sign change, as when no positive g is found before
-    the wedge drops under the grid resolution (the load saturates there).
+    Returns the Bracket (beta_lo, beta_hi) with g(beta_lo) > 0 > g(beta_hi),
+    carrying both values and the applied load F.  Doubling keeps the last
+    beta with g >= 0 as the lower end, and halving keeps the last beta
+    with g < 0 as the upper end.  Fails with BracketFailure when
+    max_expansions doublings (then halvings) find no sign change, as when
+    no positive g is found before the wedge drops under the grid
+    resolution (the load saturates there).
     """
     _require_admissible(problem)
     if beta_init <= 0.0:
@@ -112,7 +127,8 @@ def find_bracket(
     ev = evaluator or GEvaluator(problem)
 
     beta_hi = beta_init
-    g_hi, _, _ = ev.eval(beta_hi, 0.0)
+    g_hi, load, _ = ev.eval(beta_hi, 0.0)
+    F = load - g_hi
     g_lo = None
     n = 0
     while g_hi >= 0.0:
@@ -133,10 +149,12 @@ def find_bracket(
                 f"no positive g down to beta = {beta_lo}; "
                 f"the grid is too coarse to resolve the wedge near contact"
             )
+        if g_lo < 0.0:
+            beta_hi, g_hi = beta_lo, g_lo
         beta_lo *= 0.5
         g_lo, _, _ = ev.eval(beta_lo, 0.0)
         n += 1
-    return Bracket(beta_lo, beta_hi, g_lo, g_hi)
+    return Bracket(beta_lo, beta_hi, g_lo, g_hi, F)
 
 
 def find_steady(
@@ -149,12 +167,15 @@ def find_steady(
 ) -> SteadyResult:
     """Narrow the bracket by Brent's method to a root of g.
 
+    The steps interpolate log(L / F) over log beta (module docstring); a
+    point whose load is not positive makes the step bisect in log beta.
     Every step keeps g(beta_lo) > 0 > g(beta_hi).  The search stops at
     the first bracket end with |g| <= tol_residual whose bracket is at
     most max(tol_beta, 1e-9 * beta) wide, or at an exact zero of g.  A
-    Bracket from find_bracket brings g at both ends; a plain pair costs
-    two evaluations first.  evaluations counts the film evaluations made
-    here.  Deterministic; after max_bisections steps the better end of
+    Bracket from find_bracket brings g at both ends and F; a plain pair
+    costs two evaluations first, which give F as load - g.  A Bracket
+    without F bisects until the first evaluation gives it.  evaluations
+    counts the film evaluations made here.  Deterministic; after max_bisections steps the better end of
     the bracket is returned if its |g| is within tol_residual, and
     BracketFailure is raised otherwise.  The film solution is unique at
     every clearance, so warm starting cannot change the result.
@@ -168,10 +189,12 @@ def find_steady(
 
     if isinstance(bracket, Bracket):
         g_lo, g_hi = bracket.g
+        F = bracket.F
         evals = 0
     else:
-        g_lo, _, _ = ev.eval(beta_lo, 0.0)
+        g_lo, load, _ = ev.eval(beta_lo, 0.0)
         g_hi, _, _ = ev.eval(beta_hi, 0.0)
+        F = load - g_lo
         evals = 2
     if abs(g_lo) <= tol_residual:
         return SteadyResult(beta_lo, g_lo, (beta_lo, beta_hi), evals)
@@ -183,28 +206,41 @@ def find_steady(
             f"g({beta_hi}) = {g_hi}"
         )
 
-    # b is the bracket end with the smaller |g|, c the other end and a the
-    # previous b.  d is the last step and e the one before it.  An
-    # interpolation step is taken only if it stays within three quarters
-    # of the way from b to c and is shorter than half of e; otherwise the
-    # step bisects.
+    # The points a, b and c are kept in beta as evaluated; steps are made
+    # in u = log beta on h = log1p(g / F), nan where the load is not
+    # positive.  b is the bracket end with the smaller |g|, c the other
+    # end and a the previous b.  d is the last step and e the one before
+    # it, and tol1 is half the width rule, all in u.  An interpolation
+    # step is taken only if every h is finite and the step stays within
+    # three quarters of the way from b to c and is shorter than half of
+    # e; otherwise the step bisects in u.
+    def h(g):
+        return math.log1p(g / F) if F is not None and g > -F else math.nan
+
     b, gb, c, gc = beta_hi, g_hi, beta_lo, g_lo
     if abs(gc) < abs(gb):
         b, gb, c, gc = c, gc, b, gb
     a, ga = c, gc
-    d = e = b - c
+    d = e = math.log(b / c)
     for _ in range(max_bisections):
-        m = 0.5 * (c - b)
-        tol1 = 0.5 * max(tol_beta, 1e-9 * b)
-        if abs(m) <= tol1 or abs(e) < tol1 or abs(ga) <= abs(gb):
+        ub = math.log(b)
+        m = 0.5 * (math.log(c) - ub)
+        tol1 = 0.5 * max(tol_beta, 1e-9 * b) / b
+        ha, hb, hc = h(ga), h(gb), h(gc)
+        if (
+            abs(m) <= tol1
+            or abs(e) < tol1
+            or abs(ga) <= abs(gb)
+            or not math.isfinite(ha + hb + hc)
+        ):
             d = e = m
         else:
-            s = gb / ga
+            s = hb / ha
             if a == c:  # secant
                 p, q = 2.0 * m * s, 1.0 - s
             else:  # inverse quadratic interpolation through a, b and c
-                q, r = ga / gc, gb / gc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q, r = ha / hc, hb / hc
+                p = s * (2.0 * m * q * (q - r) - (ub - math.log(a)) * (r - 1.0))
                 q = (q - 1.0) * (r - 1.0) * (s - 1.0)
             if p > 0.0:
                 q = -q
@@ -217,15 +253,17 @@ def find_steady(
         a, ga = b, gb
         # a step is at least tol1 long, so once b is near the root the next
         # point lands just past it and the bracket closes to tol1
-        x = b + d if abs(d) > tol1 or abs(m) <= tol1 else b + math.copysign(tol1, m)
-        gx, _, _ = ev.eval(x, 0.0)
+        x = math.exp(ub + (d if abs(d) > tol1 or abs(m) <= tol1 else math.copysign(tol1, m)))
+        gx, load, _ = ev.eval(x, 0.0)
         evals += 1
+        if F is None:
+            F = load - gx
         if gx == 0.0:
             return SteadyResult(x, gx, (min(b, c), max(b, c)), evals)
         b, gb = x, gx
         if (gb > 0.0) == (gc > 0.0):  # the sign change is now between a and b
             c, gc = a, ga
-            d = e = b - a
+            d = e = math.log(b / a)
         if abs(gc) < abs(gb):
             a, ga, b, gb, c, gc = b, gb, c, gc, b, gb
         if abs(gb) <= tol_residual and abs(c - b) <= max(tol_beta, 1e-9 * b):

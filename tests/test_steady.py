@@ -94,16 +94,34 @@ class TestBracketAndRoot:
 
     @pytest.mark.parametrize("make", [SliderShape.line_contact, SliderShape.point_contact])
     def test_search_evaluations_with_bracket_values(self, domain_sym, make):
-        # Brent takes 10 (line) and 13 (point) evaluations here, bisection 34 and 37
+        # Brent on (log beta, log L/F) takes 6 (line) and 7 (point) evaluations here
         prob = make_problem(make(2.0), domain_sym)
         ev = GEvaluator(prob)
         br = find_bracket(prob, 0.5, evaluator=ev)
+        assert br.F == pytest.approx(prob.F)
         solves = ev.n_solves
         res = find_steady(prob, br, tol_residual=1e-6, evaluator=ev)
-        assert ev.n_solves - solves == res.evaluations <= 16
+        assert ev.n_solves - solves == res.evaluations <= 10
         assert abs(res.g_at_root) <= 1e-6
         lo, hi = res.bracket
         assert hi - lo <= 1e-9 * res.beta_star
+
+    def test_search_work_over_starting_points(self, domain_sym):
+        # 14 searches (line and point contact, 32^2, beta_init at 7 points in
+        # [0.25, 1]) take 8,701 sweeps in 140 solves; on (beta, g), with
+        # find_bracket keeping beta_init as the upper end, they took 13,103
+        # sweeps in 190 solves
+        sweeps = solves = 0
+        for make in (SliderShape.line_contact, SliderShape.point_contact):
+            prob = make_problem(make(2.0), domain_sym)
+            for beta_init in np.linspace(0.25, 1.0, 7):
+                ev = GEvaluator(prob)
+                res = find_steady(prob, find_bracket(prob, beta_init, evaluator=ev), evaluator=ev)
+                assert abs(res.g_at_root) <= 1e-6
+                sweeps += ev.n_sweeps
+                solves += ev.n_solves
+        assert sweeps <= 9_600
+        assert solves <= 150
 
     def test_root_independent_of_warm_start(self, domain_sym):
         class ColdEvaluator(GEvaluator):
@@ -161,11 +179,18 @@ THREE_ROOTS = (lambda x: -(x - 0.2) * (x - 0.5) * (x - 0.9), (0.1, 1.5))
 # g is below 1e-6 over about +-0.05 around its root and carries a 1e-9
 # ripple, so its sign there is noise
 FLAT_AT_ROOT = (lambda x: 1e-2 * (0.3 - x) ** 3 + 1e-9 * math.sin(1e9 * x), (0.05, 2.0))
+# the stubs' load is L = g + 1, so F = 1.  LOAD_LIKE's L = 1/x^3 is an exact
+# power law, on which the log-log secant step is exact; TWO_POWERS's local
+# slope d log L / d log x runs from -3 to -1, as the film load's does over a
+# narrower range, and its root is the real root of x^3 - x^2 - 1
 LOAD_LIKE = (lambda x: 1.0 / x**3 - 1.0, (0.5, 2.0))
+TWO_POWERS = (lambda x: 1.0 / x**3 + 1.0 / x - 1.0, (0.5, 3.0))
+# its load 2 - x is negative at the upper end, where log(L/F) is undefined
+NEGATIVE_LOAD = (lambda x: 1.0 - x, (0.5, 3.0))
 
 
 class TestBrent:
-    @pytest.mark.parametrize("case", [THREE_ROOTS, FLAT_AT_ROOT, LOAD_LIKE])
+    @pytest.mark.parametrize("case", [THREE_ROOTS, FLAT_AT_ROOT, TWO_POWERS])
     def test_keeps_a_sign_bracket_to_the_stop_rule(self, case):
         g, bracket = case
         ev = StubEvaluator(g)
@@ -183,26 +208,38 @@ class TestBrent:
 
     @pytest.mark.parametrize("cap", [0, 1, 3])
     def test_iteration_cap(self, cap):
-        # tol_residual 0.5 is first met on the third step, long before the
+        # tol_residual 0.01 is first met on the third step, long before the
         # width rule: the cap alone decides the outcome
-        g, bracket = LOAD_LIKE
+        g, bracket = TWO_POWERS
         ev = StubEvaluator(g)
         if cap < 3:
             with pytest.raises(BracketFailure, match="Brent's method stalled"):
-                find_steady(None, bracket, tol_residual=0.5, max_bisections=cap, evaluator=ev)
+                find_steady(None, bracket, tol_residual=0.01, max_bisections=cap, evaluator=ev)
         else:
-            res = find_steady(None, bracket, tol_residual=0.5, max_bisections=cap, evaluator=ev)
+            res = find_steady(None, bracket, tol_residual=0.01, max_bisections=cap, evaluator=ev)
             assert_sign_bracket(g, res)
-            assert abs(res.g_at_root) <= 0.5
+            assert abs(res.g_at_root) <= 0.01
             assert res.bracket[1] - res.bracket[0] > 1e-9 * res.beta_star
             assert res.evaluations == 5
         assert len(ev.calls) == 2 + cap
 
     def test_exact_zero_ends_the_search(self):
-        ev = StubEvaluator(lambda x: 1.0 - x)
-        res = find_steady(None, (0.5, 3.0), evaluator=ev)
-        assert (res.beta_star, res.g_at_root, res.bracket) == (1.0, 0.0, (0.5, 3.0))
-        assert ev.calls == [0.5, 3.0, 1.0]
+        # on a power-law load the first secant step lands on the root
+        g, bracket = LOAD_LIKE
+        ev = StubEvaluator(g)
+        res = find_steady(None, bracket, evaluator=ev)
+        assert (res.beta_star, res.g_at_root, res.bracket) == (1.0, 0.0, (0.5, 2.0))
+        assert ev.calls == [0.5, 2.0, 1.0]
+
+    def test_non_positive_load_takes_the_bisection_branch(self):
+        # the first step bisects in log beta
+        g, bracket = NEGATIVE_LOAD
+        ev = StubEvaluator(g)
+        res = find_steady(None, bracket, tol_residual=1e-6, evaluator=ev)
+        assert ev.calls[:3] == [0.5, 3.0, pytest.approx(math.sqrt(1.5), rel=1e-15)]
+        assert_sign_bracket(g, res)
+        assert abs(res.g_at_root) <= 1e-6
+        assert res.evaluations == len(ev.calls)
 
     def test_bracket_values_make_no_endpoint_solve(self):
         g, (lo, hi) = LOAD_LIKE
@@ -219,7 +256,7 @@ class TestBracketSearch:
     @pytest.mark.parametrize(
         "beta_init, calls, bracket",
         [
-            (4.0, [4.0, 2.0, 1.0, 0.5], (0.5, 4.0)),  # halvings only
+            (4.0, [4.0, 2.0, 1.0, 0.5], (0.5, 2.0)),  # halvings only; 2 is the last g < 0
             (0.3, [0.3, 0.6, 1.2], (0.6, 1.2)),  # the last doubling's lower end is reused
             (0.25, [0.25, 0.5, 1.0, 2.0, 0.5], (0.5, 2.0)),  # g(1) == 0 there: still halves
         ],
