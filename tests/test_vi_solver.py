@@ -229,6 +229,32 @@ class TestPSOR:
                 )
                 prev = fast
 
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (16, 16), (9, 6)])
+    def test_large_pressures_stop_on_the_exact_norm(self, domain_sym, nx, ny):
+        # flat profile at beta 0.2: ||p||_inf is about 36, so the stop
+        # test's tol * max(1, ||p||_inf) depends on it.  The solver reads
+        # ||p||_inf only when a running upper bound cannot reject the
+        # sweep, and the exact value must still decide every stop: cold
+        # and warm solves stop at the same sweep as the reference, which
+        # reads ||p||_inf on every sweep
+        grid = _grid_by_hand(domain_sym, nx, ny)
+        omega = suggested_omega(grid)
+        flat = SliderShape.flat()
+        system = assemble_system(grid, flat, 0.2, -1.0)
+        for tol in (1e-8, 1e-10, 1e-12):
+            starts = [None] + [
+                solve_vi_psor(assemble_system(grid, flat, beta, gamma), omega=omega, tol=tol)
+                for beta, gamma in ((0.19, -1.0), (0.2, -1.1))
+            ]
+            for start in starts:
+                fast = solve_vi_psor(system, omega=omega, tol=tol, warm_start=start)
+                ref = _four_sublattice_solve(system, omega, tol, warm_start=start)
+                assert fast.values.max() > 30.0
+                assert np.array_equal(fast.values, ref.values)
+                assert (fast.iterations, fast.residual_comp, fast.residual_lin) == (
+                    ref.iterations, ref.residual_comp, ref.residual_lin
+                )
+
     @pytest.mark.parametrize(
         "values, message",
         [
@@ -250,11 +276,14 @@ class TestPSOR:
 
 
 class TestLayoutAndFilmPath:
-    @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 6), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 6), (1, 5), (5, 1), (4, 1), (1, 1)])
     def test_gathered_layout_and_problem_solve(self, domain_sym, nx, ny):
-        # the gathered colour arrays equal the np.pad layout, boundary and
-        # ghost entries exactly 0; Problem.solve_film, which assembles from
-        # its stored geometry, equals the plain assembly and solve bitwise
+        # the split iterate's halves are the even and odd entries of the
+        # np.pad layout, and per colour the range, the strided neighbour
+        # view, b' and the couplings equal its stride-2 slices and their
+        # W/E/S/N shifts, boundary and ghost entries exactly 0;
+        # Problem.solve_film, which assembles from its stored geometry,
+        # equals the plain assembly and solve bitwise
         grid = _grid_by_hand(domain_sym, nx, ny)
         omega = suggested_omega(grid)
         w = nx + 2 if nx % 2 else nx + 3
@@ -267,19 +296,27 @@ class TestLayoutAndFilmPath:
             _tabulated_parabola(grid),
         ):
             system = assemble_system(grid, shape, 0.3, -0.3)
-            p_int, _, _, lattices = _red_black_lattices(system, omega)
-            p_int[:] = 1.0 + np.arange(nx * ny).reshape(ny, nx)
-            scale = omega / system.diag
+            p, interior, lattices = _red_black_lattices(system, omega)
+            p_int = 1.0 + np.arange(nx * ny).reshape(ny, nx)
+            p[interior] = p_int.ravel()
             iterate = np.pad(p_int, pad).ravel()
+            half = (iterate.size + 1) // 2
+            assert np.array_equal(p[:half], iterate[0::2])
+            assert np.array_equal(p[half:], iterate[1::2])
+            scale = omega / system.diag
             coefs = [
                 np.pad(a * scale, pad).ravel()
-                for a in (system.b, system.cw, system.ce, system.cs, system.cn)
+                for a in (system.b, system.cs, system.cw, system.ce, system.cn)
             ]
             for start, lattice in zip((w + 1, w), lattices):
+                pd, neighbours, couplings, *_, bd = lattice
                 colour = slice(start, end, 2)
                 outside = iterate[colour] == 0.0
-                assert np.array_equal(lattice[0], iterate[colour])
-                for got, ref in zip(lattice[5:10], coefs):
+                assert np.array_equal(pd, iterate[colour])
+                # [[south, west], [east, north]]
+                shifted = [iterate[start + k : end + k : 2] for k in (-w, -1, 1, w)]
+                assert np.array_equal(neighbours.reshape(4, -1), shifted)
+                for got, ref in zip((bd, *couplings.reshape(4, -1)), coefs):
                     assert np.array_equal(got, ref[colour])
                     assert np.all(got[outside] == 0.0)
 
@@ -293,6 +330,24 @@ class TestLayoutAndFilmPath:
                 plain.iterations, plain.residual_comp, plain.residual_lin
             )
 
+    @pytest.mark.parametrize("nx", range(1, 10))
+    def test_neighbour_views_stay_inside_the_half_they_read(self, domain_sym, nx):
+        # each colour's neighbour view is strided by hand over the other
+        # colour's half: red reads the odd half, black the even one.  Its
+        # first element must not come before that half, its last not after
+        for ny in range(1, 10):
+            grid = _grid_by_hand(domain_sym, nx, ny)
+            system = assemble_system(grid, SliderShape.flat(), 1.0, -1.0)
+            p, _, lattices = _red_black_lattices(system, 1.5)
+            half = (p.size + 1) // 2
+            for lattice, (lo, hi) in zip(lattices, ((half, p.size), (0, half))):
+                view = lattice[1]
+                assert view.size > 0
+                first = _offset(view, p)
+                last = first + sum((d - 1) * s for d, s in zip(view.shape, view.strides))
+                assert lo * p.itemsize <= first, (nx, ny)
+                assert last < hi * p.itemsize, (nx, ny)
+
 
 def _tabulated_parabola(grid):
     """Tabulated (x1 - c)^2 with c the node column nearest x1 = 0, where
@@ -302,6 +357,11 @@ def _tabulated_parabola(grid):
     return SliderShape.tabulated(
         TabulatedData(xs=grid.xs, ys=grid.ys, heights=X1**2, grad_x1=2.0 * X1)
     )
+
+
+def _offset(view, base):
+    """Byte offset of view's first element from base's first element."""
+    return view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
 
 
 def _grid_by_hand(domain, nx, ny):
