@@ -99,7 +99,7 @@ def measure(n, repeat):
     system = assemble_system(grid, shape, BETA, GAMMA, geometry)
     start = solve_vi_psor(
         assemble_system(grid, shape, WARM_FROM, GAMMA, geometry), omega=omega, tol=TOL
-    )
+    ).values
     cold = solve_vi_psor(system, omega=omega, tol=TOL)
     warm = solve_vi_psor(system, omega=omega, tol=TOL, warm_start=start)
 

@@ -48,11 +48,10 @@ def main():
     for name, shape in cases:
         prob = Problem(shape=shape, grid=grid, F=args.F, eta0=0.5, eta1=0.0, solver=solver)
         ev = GEvaluator(prob)
-        curve = g_curve(prob, betas, evaluator=ev)
+        curve = g_curve(ev, betas)
         curve.to_csv(out / f"gcurve_{name}.csv")
         try:
-            bracket = find_bracket(prob, 0.5, evaluator=ev)
-            res = find_steady(prob, bracket, tol_residual=1e-6, evaluator=ev)
+            res = find_steady(ev, find_bracket(ev, 0.5), tol_residual=1e-6)
             print(f"{name:<12} {res.beta_star:>12.6f} {res.g_at_root:>12.2e} {res.evaluations:>6}")
         except (InadmissibleShape, BracketFailure) as exc:
             print(f"{name:<12} -- {exc}")

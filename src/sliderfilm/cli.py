@@ -107,14 +107,11 @@ def run_simulate(config: RunConfig, out_dir: Path) -> int:
 
 
 def run_steady(config: RunConfig, out_dir: Path) -> int:
-    problem = build_problem(config)
-    ev = GEvaluator(problem)
+    ev = GEvaluator(build_problem(config))
     st = config.steady
     try:
-        bracket = find_bracket(problem, st.beta_init, st.max_expansions, evaluator=ev)
-        result = find_steady(
-            problem, bracket, st.tol_residual, st.tol_beta, st.max_bisections, evaluator=ev
-        )
+        bracket = find_bracket(ev, st.beta_init, st.max_expansions)
+        result = find_steady(ev, bracket, st.tol_residual, st.max_bisections)
     except (InadmissibleShape, BracketFailure) as exc:
         _write_json(out_dir / "steady.json", {"error": type(exc).__name__, "reason": str(exc)})
         return EXIT_DOMAIN
@@ -126,8 +123,7 @@ def run_steady(config: RunConfig, out_dir: Path) -> int:
 
 
 def run_gcurve(config: RunConfig, out_dir: Path) -> int:
-    problem = build_problem(config)
-    curve = g_curve(problem, config.gcurve.betas)
+    curve = g_curve(GEvaluator(build_problem(config)), config.gcurve.betas)
     curve.to_csv(out_dir / "gcurve.csv")
     return EXIT_OK
 

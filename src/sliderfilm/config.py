@@ -68,7 +68,6 @@ class IntegratorConfig(StepControl, _Horizon):
 class SteadyConfig:
     beta_init: float = 0.5
     tol_residual: float = 1e-6
-    tol_beta: float | None = None
     max_expansions: int = 60  # iteration cap of each find_bracket expansion loop
     max_bisections: int = 200  # iteration cap of find_steady's Brent loop
 
@@ -230,8 +229,6 @@ def _check_steady(s, raw, path):
         raise ValidationError(f"{path}.beta_init", "must be > 0")
     if s.tol_residual <= 0.0:
         raise ValidationError(f"{path}.tol_residual", "must be > 0")
-    if s.tol_beta is not None and s.tol_beta <= 0.0:
-        raise ValidationError(f"{path}.tol_beta", "must be > 0 when given")
     if s.max_expansions < 0:
         raise ValidationError(f"{path}.max_expansions", "must be >= 0")
     if s.max_bisections < 0:

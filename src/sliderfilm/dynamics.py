@@ -129,7 +129,7 @@ class Problem:
         self,
         beta: float,
         gamma: float,
-        warm_start: PressureField | None = None,
+        warm_start: np.ndarray | None = None,
         tol: float | None = None,
     ) -> PressureField:
         """The film solve: pressure at clearance beta and squeeze velocity gamma.
@@ -369,8 +369,8 @@ class GEvaluator:
         self.problem = problem
         self.V1 = compute_V1(problem.shape, problem.grid)
         self._flat = problem.shape.kind is ShapeKind.FLAT
-        # the last solve, where it was made, and (beta, gamma, p) of the one before
-        self._warm: PressureField | None = None
+        # the last solve's values, where it was made, and (beta, gamma, p) of the one before
+        self._warm: np.ndarray | None = None
         self._warm_at = (math.nan, math.nan)
         self._prior: tuple[float, float, np.ndarray] | None = None
         self._flat_load_unit: float | None = None
@@ -380,11 +380,12 @@ class GEvaluator:
     def eval(self, beta: float, gamma: float) -> tuple[float, float, int]:
         """Return (G, film load, solver sweeps) at (beta, gamma).
 
-        eval_with_field without the field, except for the flat profile
-        below the cutoff: there the load is a scalar on the cached unit
-        load, which keeps the evaluations of a decay run cheap; the unit
-        solve runs at tol min(solver.tol, 1e-10).  A non-finite state
-        skips the shortcut and is rejected by field before any solve.
+        G is load_integral of field(beta, gamma) minus F, except for the
+        flat profile below the cutoff: there the load is a scalar on the
+        cached unit load, which keeps the evaluations of a decay run
+        cheap; the unit solve runs at tol min(solver.tol, 1e-10).  A
+        non-finite state skips the shortcut and is rejected by field
+        before any solve.
         """
         if self._flat and 0.0 < beta < math.inf and -math.inf < gamma < self.V1:
             iters = 0
@@ -396,7 +397,9 @@ class GEvaluator:
                 iters = unit.iterations
             load = (-gamma) * self._flat_load_unit / beta**3
             return load - self.problem.F, load, iters
-        return self.eval_with_field(beta, gamma)[:3]
+        fld = self.field(beta, gamma)
+        load = load_integral(fld, self.problem.grid)
+        return load - self.problem.F, load, fld.iterations
 
     def field(self, beta: float, gamma: float) -> PressureField:
         """Materialize the pressure field at (beta, gamma): the zero field
@@ -409,7 +412,7 @@ class GEvaluator:
         p >= 0.  A point behind p1 (s < 0) starts from p1: interpolating
         hands the solve the errors of both fields, and a solve that stops
         after a sweep or two keeps them.  After a single solve the start
-        is p1, and with no warm field (_warm None) the solve is cold.  A
+        is p1, and with no earlier solve (_warm None) the solve is cold.  A
         non-finite state is rejected before any solve.
         """
         _check_state(beta, gamma)
@@ -418,28 +421,21 @@ class GEvaluator:
             return PressureField(
                 values=np.zeros((ny, nx)), residual_comp=0.0, residual_lin=0.0, iterations=0
             )
-        warm = self._warm
-        if warm is not None and self._prior is not None:
+        start = self._warm
+        if start is not None and self._prior is not None:
             beta0, gamma0, p0 = self._prior
             beta1, gamma1 = self._warm_at
             db, dg = beta1 - beta0, gamma1 - gamma0
             dd = db * db + dg * dg
             if dd > 0.0:
                 s = max(0.0, ((beta - beta1) * db + (gamma - gamma1) * dg) / dd)
-                # only the values seed the solve
-                warm = replace(warm, values=warm.values + s * (warm.values - p0))
-        sol = self.problem.solve_film(beta, gamma, warm_start=warm)
+                start = start + s * (start - p0)
+        sol = self.problem.solve_film(beta, gamma, warm_start=start)
         self.n_solves += 1
         self.n_sweeps += sol.iterations
-        self._prior = None if self._warm is None else (*self._warm_at, self._warm.values)
-        self._warm, self._warm_at = sol, (beta, gamma)
+        self._prior = None if self._warm is None else (*self._warm_at, self._warm)
+        self._warm, self._warm_at = sol.values, (beta, gamma)
         return sol
-
-    def eval_with_field(self, beta: float, gamma: float) -> tuple[float, float, int, PressureField]:
-        """Like eval, but also materializes the field (one solve total)."""
-        fld = self.field(beta, gamma)
-        load = load_integral(fld, self.problem.grid)
-        return load - self.problem.F, load, fld.iterations, fld
 
     def jacobian(self, beta: float, gamma: float) -> tuple[float, float]:
         """(dG/dbeta, dG/dgamma) of the flat profile at (beta, gamma), the

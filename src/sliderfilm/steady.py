@@ -17,6 +17,10 @@ interpolates in log-log coordinates: u = log beta against
 h = log(L / F) = log1p(g / F), which has the same root and sign as g
 and is nearly linear in u.  Bisection halves the bracket in u.  Signs,
 the stop rule and the iteration cap are decided on g and beta alone.
+
+Every entry point takes the GEvaluator that makes the solves, so a
+bracket search, the root search after it and a curve can share one
+warm chain; the problem is ev.problem.
 """
 
 import math
@@ -28,23 +32,22 @@ from .csvio import write_csv
 from .dynamics import GEvaluator, Problem
 from .errors import BracketFailure, InadmissibleShape
 from .geometry import ShapeKind
+from .vi_solver import load_integral
 
 __all__ = ["Bracket", "SteadyResult", "GCurve", "find_bracket", "find_steady", "g_curve"]
 
 
-class Bracket(tuple):
-    """(beta_lo, beta_hi) with g(beta_lo) > 0 > g(beta_hi), carrying both
-    values in g = (g_lo, g_hi) and the applied load F = L - g, when known,
-    so that find_steady need not solve the ends again.  It unpacks and
-    compares like the plain pair."""
+@dataclass(frozen=True)
+class Bracket:
+    """A sign bracket g(beta_lo) > 0 > g(beta_hi) with g at both ends and
+    the applied load F = L - g, so that find_steady need not solve the
+    ends again."""
 
-    def __new__(
-        cls, beta_lo: float, beta_hi: float, g_lo: float, g_hi: float, F: float | None = None
-    ):
-        self = super().__new__(cls, (beta_lo, beta_hi))
-        self.g = (g_lo, g_hi)
-        self.F = F
-        return self
+    beta_lo: float
+    beta_hi: float
+    g_lo: float
+    g_hi: float
+    F: float
 
 
 @dataclass(frozen=True)
@@ -105,26 +108,20 @@ def _require_admissible(problem: Problem) -> None:
     )
 
 
-def find_bracket(
-    problem: Problem,
-    beta_init: float = 0.5,
-    max_expansions: int = 60,
-    evaluator: GEvaluator | None = None,
-) -> Bracket:
+def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 60) -> Bracket:
     """Expand geometrically from beta_init until g changes sign.
 
-    Returns the Bracket (beta_lo, beta_hi) with g(beta_lo) > 0 > g(beta_hi),
-    carrying both values and the applied load F.  Doubling keeps the last
-    beta with g >= 0 as the lower end, and halving keeps the last beta
-    with g < 0 as the upper end.  Fails with BracketFailure when
-    max_expansions doublings (then halvings) find no sign change, as when
-    no positive g is found before the wedge drops under the grid
-    resolution (the load saturates there).
+    ev makes the solves, for the problem ev.problem.  Returns the Bracket
+    with g(beta_lo) > 0 > g(beta_hi), both values and the applied load F.
+    Doubling keeps the last beta with g >= 0 as the lower end, and
+    halving keeps the last beta with g < 0 as the upper end.  Fails with
+    BracketFailure when max_expansions doublings (then halvings) find no
+    sign change, as when no positive g is found before the wedge drops
+    under the grid resolution (the load saturates there).
     """
-    _require_admissible(problem)
+    _require_admissible(ev.problem)
     if beta_init <= 0.0:
         raise ValueError("beta_init must be positive")
-    ev = evaluator or GEvaluator(problem)
 
     beta_hi = beta_init
     g_hi, load, _ = ev.eval(beta_hi, 0.0)
@@ -158,44 +155,31 @@ def find_bracket(
 
 
 def find_steady(
-    problem: Problem,
-    bracket: tuple[float, float],
+    ev: GEvaluator,
+    bracket: Bracket,
     tol_residual: float = 1e-6,
-    tol_beta: float | None = None,
     max_bisections: int = 200,
-    evaluator: GEvaluator | None = None,
 ) -> SteadyResult:
     """Narrow the bracket by Brent's method to a root of g.
 
-    The steps interpolate log(L / F) over log beta (module docstring); a
-    point whose load is not positive makes the step bisect in log beta.
-    Every step keeps g(beta_lo) > 0 > g(beta_hi).  The search stops at
-    the first bracket end with |g| <= tol_residual whose bracket is at
-    most max(tol_beta, 1e-9 * beta) wide, or at an exact zero of g.  A
-    Bracket from find_bracket brings g at both ends and F; a plain pair
-    costs two evaluations first, which give F as load - g.  A Bracket
-    without F bisects until the first evaluation gives it.  evaluations
-    counts the film evaluations made here.  Deterministic; after max_bisections steps the better end of
-    the bracket is returned if its |g| is within tol_residual, and
-    BracketFailure is raised otherwise.  The film solution is unique at
-    every clearance, so warm starting cannot change the result.
+    ev makes the solves; the bracket, as find_bracket returns it, brings
+    g at both ends and F, so no end is solved again.  The steps
+    interpolate log(L / F) over log beta (module docstring); a point
+    whose load is not positive makes the step bisect in log beta.  Every
+    step keeps g(beta_lo) > 0 > g(beta_hi).  The search stops at the
+    first bracket end with |g| <= tol_residual whose bracket is at most
+    1e-9 * beta wide, or at an exact zero of g.  evaluations counts the
+    film evaluations made here.  Deterministic; after max_bisections
+    steps the better end of the bracket is returned if its |g| is within
+    tol_residual, and BracketFailure is raised otherwise.  The film
+    solution is unique at every clearance, so warm starting cannot
+    change the result.
     """
-    beta_lo, beta_hi = bracket
+    beta_lo, beta_hi = bracket.beta_lo, bracket.beta_hi
     if not (0.0 < beta_lo < beta_hi):
         raise ValueError(f"invalid bracket {bracket}")
-    ev = evaluator or GEvaluator(problem)
-    if tol_beta is None:
-        tol_beta = 1e-12 * beta_hi
-
-    if isinstance(bracket, Bracket):
-        g_lo, g_hi = bracket.g
-        F = bracket.F
-        evals = 0
-    else:
-        g_lo, load, _ = ev.eval(beta_lo, 0.0)
-        g_hi, _, _ = ev.eval(beta_hi, 0.0)
-        F = load - g_lo
-        evals = 2
+    g_lo, g_hi, F = bracket.g_lo, bracket.g_hi, bracket.F
+    evals = 0
     if abs(g_lo) <= tol_residual:
         return SteadyResult(beta_lo, g_lo, (beta_lo, beta_hi), evals)
     if abs(g_hi) <= tol_residual:
@@ -215,7 +199,7 @@ def find_steady(
     # three quarters of the way from b to c and is shorter than half of
     # e; otherwise the step bisects in u.
     def h(g):
-        return math.log1p(g / F) if F is not None and g > -F else math.nan
+        return math.log1p(g / F) if g > -F else math.nan
 
     b, gb, c, gc = beta_hi, g_hi, beta_lo, g_lo
     if abs(gc) < abs(gb):
@@ -225,7 +209,7 @@ def find_steady(
     for _ in range(max_bisections):
         ub = math.log(b)
         m = 0.5 * (math.log(c) - ub)
-        tol1 = 0.5 * max(tol_beta, 1e-9 * b) / b
+        tol1 = 0.5e-9
         ha, hb, hc = h(ga), h(gb), h(gc)
         if (
             abs(m) <= tol1
@@ -254,10 +238,8 @@ def find_steady(
         # a step is at least tol1 long, so once b is near the root the next
         # point lands just past it and the bracket closes to tol1
         x = math.exp(ub + (d if abs(d) > tol1 or abs(m) <= tol1 else math.copysign(tol1, m)))
-        gx, load, _ = ev.eval(x, 0.0)
+        gx, _, _ = ev.eval(x, 0.0)
         evals += 1
-        if F is None:
-            F = load - gx
         if gx == 0.0:
             return SteadyResult(x, gx, (min(b, c), max(b, c)), evals)
         b, gb = x, gx
@@ -266,7 +248,7 @@ def find_steady(
             d = e = math.log(b / a)
         if abs(gc) < abs(gb):
             a, ga, b, gb, c, gc = b, gb, c, gc, b, gb
-        if abs(gb) <= tol_residual and abs(c - b) <= max(tol_beta, 1e-9 * b):
+        if abs(gb) <= tol_residual and abs(c - b) <= 1e-9 * b:
             break
     if abs(gb) > tol_residual:
         raise BracketFailure(
@@ -276,12 +258,13 @@ def find_steady(
     return SteadyResult(b, gb, (min(b, c), max(b, c)), evals)
 
 
-def g_curve(problem: Problem, beta_values, evaluator: GEvaluator | None = None) -> GCurve:
-    """Tabulate g, the film load, and the cavitated fraction along a sweep."""
+def g_curve(ev: GEvaluator, beta_values) -> GCurve:
+    """Tabulate g, the film load, and the cavitated fraction along a
+    sweep, each point one ev.field solve."""
     betas = np.asarray(beta_values, dtype=float)
     if np.any(betas <= 0.0):
         raise ValueError("all beta values must be positive")
-    ev = evaluator or GEvaluator(problem)
+    problem = ev.problem
     shape = problem.shape
     n = betas.size
     g = np.empty(n)
@@ -291,7 +274,9 @@ def g_curve(problem: Problem, beta_values, evaluator: GEvaluator | None = None) 
     resolved = np.ones(n, dtype=bool)
     dx = problem.grid.dx
     for k, beta in enumerate(betas):
-        g[k], load[k], iters[k], field = ev.eval_with_field(float(beta), 0.0)
+        field = ev.field(float(beta), 0.0)
+        load[k] = load_integral(field, problem.grid)
+        g[k], iters[k] = load[k] - problem.F, field.iterations
         frac[k] = float(np.count_nonzero(field.values == 0.0)) / field.values.size
         if shape.kind in (ShapeKind.LINE_CONTACT, ShapeKind.POINT_CONTACT):
             resolved[k] = beta ** (1.0 / shape.alpha) >= 4.0 * dx

@@ -163,12 +163,16 @@ def assemble_system(
     """Assemble the five-point system for clearance beta, squeeze gamma.
 
     geometry, when given, must be film_geometry(grid, shape); a caller
-    that assembles many systems of one profile computes it once.
+    that assembles many systems of one profile computes it once.  A
+    nonpositive or non-finite beta raises NonPositiveClearance and a
+    non-finite gamma ValueError, before any array work.
     """
-    if beta <= 0.0:
+    if not (0.0 < beta < math.inf):
         raise NonPositiveClearance(
-            f"assembly requires beta > 0 (physical contact at beta <= 0), got {beta}"
+            f"assembly requires finite beta > 0 (physical contact at beta <= 0), got {beta}"
         )
+    if not math.isfinite(gamma):
+        raise ValueError(f"assembly requires a finite gamma, got {gamma}")
     geo = film_geometry(grid, shape) if geometry is None else geometry
     coef_v = (geo.h_v + beta) ** 3 * (grid.dy / grid.dx)
     coef_h = (geo.h_h + beta) ** 3 * (grid.dx / grid.dy)
@@ -282,7 +286,7 @@ def solve_vi_psor(
     omega: float = 1.5,
     tol: float = 1e-8,
     max_iter: int | None = None,
-    warm_start: PressureField | None = None,
+    warm_start: np.ndarray | None = None,
 ) -> PressureField:
     """Projected SOR solve of the pressure complementarity problem.
 
@@ -299,10 +303,10 @@ def solve_vi_psor(
         residual below 10 * tol.
     max_iter : int, optional
         Sweep cap; defaults to 50 * nx * ny.
-    warm_start : PressureField, optional
+    warm_start : ndarray, optional
         Initial iterate (projected onto p >= 0); the converged solution
-        does not depend on it, only the sweep count does.  Its values
-        must be finite and of shape (ny, nx), else ValueError.
+        does not depend on it, only the sweep count does.  It must be
+        finite and of shape (ny, nx), else ValueError.
 
     Returns
     -------
@@ -335,12 +339,11 @@ def solve_vi_psor(
     if max_iter is None:
         max_iter = 50 * nx * ny
     if warm_start is not None:
-        start = warm_start.values
-        if np.shape(start) != (ny, nx):
+        if np.shape(warm_start) != (ny, nx):
             raise ValueError(
-                f"warm start has shape {np.shape(start)}, the grid's interior is {(ny, nx)}"
+                f"warm start has shape {np.shape(warm_start)}, the grid's interior is {(ny, nx)}"
             )
-        if not np.isfinite(start).all():
+        if not np.isfinite(warm_start).all():
             raise ValueError("warm start must be finite")
 
     if np.all(system.b <= 0.0):
@@ -351,7 +354,7 @@ def solve_vi_psor(
 
     p_split, interior, lattices = _red_black_lattices(system, omega)
     if warm_start is not None:
-        p_split[interior] = np.maximum(start, 0.0).ravel()
+        p_split[interior] = np.maximum(warm_start, 0.0).ravel()
     previous = np.empty_like(p_split)
 
     keep = 1.0 - omega

@@ -164,14 +164,13 @@ def test_criterion_5_steady_state_existence():
             for n in (96, 128):
                 prob = problem_on(make(2.0), SYM, n)
                 ev = GEvaluator(prob)
-                bracket = find_bracket(prob, 0.5, evaluator=ev)
-                res = find_steady(prob, bracket, tol_residual=1e-6, evaluator=ev)
+                res = find_steady(ev, find_bracket(ev, 0.5), tol_residual=1e-6)
                 assert abs(res.g_at_root) <= 1e-6
                 roots[n] = res.beta_star
             assert abs(roots[96] - roots[128]) / roots[128] <= 5e-2
         flat_prob = problem_on(SliderShape.flat(), SYM, 16)
         with pytest.raises(InadmissibleShape, match="no stationary solution for flat slider"):
-            find_bracket(flat_prob, 0.5)
+            find_bracket(GEvaluator(flat_prob), 0.5)
 
 
 def test_criterion_6_trajectory_bounds_and_energies():

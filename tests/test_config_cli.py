@@ -156,7 +156,6 @@ NULLABLE = {
     "solver.omega",
     "solver.max_iter",
     "integrator.eps_contact",
-    "steady.tol_beta",
     "gcurve.betas",
 }
 
@@ -196,7 +195,7 @@ class TestSchema:
             "physics": ["F", "eta0", "eta1"],
             "solver": ["max_iter", "omega", "tol"],
             "integrator": ["abs_tol", "eps_contact", "max_samples", "rel_tol", "t_end"],
-            "steady": ["beta_init", "max_bisections", "max_expansions", "tol_beta", "tol_residual"],
+            "steady": ["beta_init", "max_bisections", "max_expansions", "tol_residual"],
             "gcurve": ["betas"],
             "oracle": ["comparison_cases", "fine_grid", "fourier_cutoff", "lcp_cases"],
         }
@@ -230,13 +229,21 @@ class TestSchema:
         cfgfile.write_text(text)
         assert main(["bounds", "--config", str(cfgfile), "--out", str(tmp_path)]) == EXIT_USAGE
 
+    def test_steady_width_knob_is_unknown(self, tmp_path):
+        # the steady search's width rule is the constant 1e-9 * beta, so no key sets it
+        text = '{"steady": {"tol_beta": 1e-12}}'
+        with pytest.raises(ParseError) as exc:
+            parse_config(text)
+        assert exc.value.path == "steady.tol_beta"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert main(["steady", "--config", str(cfgfile), "--out", str(tmp_path)]) == EXIT_USAGE
+
     @pytest.mark.parametrize(
         "section, path",
         [
             ({"max_expansions": -1}, "steady.max_expansions"),
             ({"max_bisections": -5}, "steady.max_bisections"),
-            ({"tol_beta": 0.0}, "steady.tol_beta"),
-            ({"tol_beta": -1e-9}, "steady.tol_beta"),
         ],
     )
     def test_steady_loop_settings_range_checked(self, tmp_path, capsys, section, path):

@@ -28,19 +28,19 @@ class TestAdmissibility:
     def test_flat_rejected_with_documented_reason(self, domain_sym):
         prob = make_problem(SliderShape.flat(), domain_sym, n=8)
         with pytest.raises(InadmissibleShape, match="no stationary solution for flat slider"):
-            find_bracket(prob, 0.5)
+            find_bracket(GEvaluator(prob), 0.5)
 
     def test_threshold_alphas_rejected(self, domain_sym):
         with pytest.raises(InadmissibleShape):
-            find_bracket(make_problem(SliderShape.line_contact(1.0), domain_sym, n=8), 0.5)
+            find_bracket(GEvaluator(make_problem(SliderShape.line_contact(1.0), domain_sym, n=8)))
         with pytest.raises(InadmissibleShape):
-            find_bracket(make_problem(SliderShape.point_contact(1.5), domain_sym, n=8), 0.5)
+            find_bracket(GEvaluator(make_problem(SliderShape.point_contact(1.5), domain_sym, n=8)))
 
     def test_tabulated_rejected(self, tabulated_line):
         shape, grid = tabulated_line
         prob = Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0)
         with pytest.raises(InadmissibleShape):
-            find_bracket(prob, 0.5)
+            find_bracket(GEvaluator(prob), 0.5)
 
     @pytest.mark.parametrize("alpha", [1.0, 1.0001, 1.5, 1.5001, 2.0])
     def test_bounds_verdict_agrees_with_steady_search(self, tabulated_line, alpha):
@@ -65,16 +65,16 @@ class TestBracketAndRoot:
     def test_line_contact_root(self, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym)
         ev = GEvaluator(prob)
-        lo, hi = find_bracket(prob, 0.5, evaluator=ev)
-        assert 0.0 < lo < hi
-        res = find_steady(prob, (lo, hi), tol_residual=1e-6, evaluator=ev)
+        br = find_bracket(ev, 0.5)
+        assert 0.0 < br.beta_lo < br.beta_hi
+        res = find_steady(ev, br, tol_residual=1e-6)
         assert abs(res.g_at_root) <= 1e-6
-        assert lo <= res.beta_star <= hi
+        assert br.beta_lo <= res.beta_star <= br.beta_hi
 
     def test_sign_structure_on_log_sweep(self, domain_sym):
         # exactly one sign-change region at this resolution
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym)
-        curve = g_curve(prob, np.logspace(-3, 1, 20))
+        curve = g_curve(GEvaluator(prob), np.logspace(-3, 1, 20))
         signs = np.sign(curve.g)
         changes = np.count_nonzero(np.diff(signs))
         assert changes == 1
@@ -83,24 +83,24 @@ class TestBracketAndRoot:
     def test_near_endpoint_short_circuit(self, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym)
         ev = GEvaluator(prob)
-        lo, hi = find_bracket(prob, 0.5, evaluator=ev)
-        res = find_steady(prob, (lo, hi), tol_residual=1e-6, evaluator=ev)
+        br = find_bracket(ev, 0.5)
+        res = find_steady(ev, br, tol_residual=1e-6)
         # re-run with the root as an endpoint: returned immediately
-        res2 = find_steady(
-            prob, (res.beta_star, hi), tol_residual=1e-6, evaluator=GEvaluator(prob)
-        )
+        fresh = GEvaluator(prob)
+        at_root = Bracket(res.beta_star, br.beta_hi, res.g_at_root, br.g_hi, br.F)
+        res2 = find_steady(fresh, at_root, tol_residual=1e-6)
         assert res2.beta_star == res.beta_star
-        assert res2.evaluations == 2
+        assert res2.evaluations == fresh.n_solves == 0
 
     @pytest.mark.parametrize("make", [SliderShape.line_contact, SliderShape.point_contact])
     def test_search_evaluations_with_bracket_values(self, domain_sym, make):
         # Brent on (log beta, log L/F) takes 6 (line) and 7 (point) evaluations here
         prob = make_problem(make(2.0), domain_sym)
         ev = GEvaluator(prob)
-        br = find_bracket(prob, 0.5, evaluator=ev)
+        br = find_bracket(ev, 0.5)
         assert br.F == pytest.approx(prob.F)
         solves = ev.n_solves
-        res = find_steady(prob, br, tol_residual=1e-6, evaluator=ev)
+        res = find_steady(ev, br, tol_residual=1e-6)
         assert ev.n_solves - solves == res.evaluations <= 10
         assert abs(res.g_at_root) <= 1e-6
         lo, hi = res.bracket
@@ -116,7 +116,7 @@ class TestBracketAndRoot:
             prob = make_problem(make(2.0), domain_sym)
             for beta_init in np.linspace(0.25, 1.0, 7):
                 ev = GEvaluator(prob)
-                res = find_steady(prob, find_bracket(prob, beta_init, evaluator=ev), evaluator=ev)
+                res = find_steady(ev, find_bracket(ev, beta_init))
                 assert abs(res.g_at_root) <= 1e-6
                 sweeps += ev.n_sweeps
                 solves += ev.n_solves
@@ -138,7 +138,7 @@ class TestBracketAndRoot:
         )
         roots = []
         for ev in (GEvaluator(prob), ColdEvaluator(prob)):
-            res = find_steady(prob, find_bracket(prob, 0.5, evaluator=ev), evaluator=ev)
+            res = find_steady(ev, find_bracket(ev, 0.5))
             roots.append(res.beta_star)
         assert roots[0] == pytest.approx(roots[1], rel=1e-9)
 
@@ -148,7 +148,7 @@ class TestBracketAndRoot:
         for F in (0.5, 1.0, 2.0):
             prob = make_problem(SliderShape.line_contact(2.0), domain_sym, F=F)
             ev = GEvaluator(prob)
-            res = find_steady(prob, find_bracket(prob, 0.5, evaluator=ev), evaluator=ev)
+            res = find_steady(ev, find_bracket(ev, 0.5))
             roots.append(res.beta_star)
         print(f"steady clearance vs load 0.5/1/2: {roots}")
         assert all(np.isfinite(roots))
@@ -156,10 +156,12 @@ class TestBracketAndRoot:
 
 
 class StubEvaluator:
-    """Stands in for GEvaluator: g from a plain function, no film solve."""
+    """Stands in for GEvaluator: g from a plain function, no film solve.
+    The load is g + 1, so F = 1."""
 
-    def __init__(self, g):
+    def __init__(self, g, problem=None):
         self.g = g
+        self.problem = problem
         self.calls = []
 
     def eval(self, beta, gamma):
@@ -167,6 +169,11 @@ class StubEvaluator:
         self.calls.append(beta)
         g = self.g(beta)
         return g, g + 1.0, 0
+
+
+def stub_bracket(g, ends):
+    lo, hi = ends
+    return Bracket(lo, hi, g(lo), g(hi), 1.0)
 
 
 def assert_sign_bracket(g, res):
@@ -194,7 +201,7 @@ class TestBrent:
     def test_keeps_a_sign_bracket_to_the_stop_rule(self, case):
         g, bracket = case
         ev = StubEvaluator(g)
-        res = find_steady(None, bracket, tol_residual=1e-6, evaluator=ev)
+        res = find_steady(ev, stub_bracket(g, bracket), tol_residual=1e-6)
         assert_sign_bracket(g, res)
         lo, hi = res.bracket
         assert abs(res.g_at_root) <= 1e-6
@@ -203,7 +210,7 @@ class TestBrent:
 
     def test_converges_to_one_of_three_roots(self):
         g, bracket = THREE_ROOTS
-        res = find_steady(None, bracket, evaluator=StubEvaluator(g))
+        res = find_steady(StubEvaluator(g), stub_bracket(g, bracket))
         assert min(abs(res.beta_star - r) for r in (0.2, 0.5, 0.9)) <= 1e-9
 
     @pytest.mark.parametrize("cap", [0, 1, 3])
@@ -214,29 +221,29 @@ class TestBrent:
         ev = StubEvaluator(g)
         if cap < 3:
             with pytest.raises(BracketFailure, match="Brent's method stalled"):
-                find_steady(None, bracket, tol_residual=0.01, max_bisections=cap, evaluator=ev)
+                find_steady(ev, stub_bracket(g, bracket), tol_residual=0.01, max_bisections=cap)
         else:
-            res = find_steady(None, bracket, tol_residual=0.01, max_bisections=cap, evaluator=ev)
+            res = find_steady(ev, stub_bracket(g, bracket), tol_residual=0.01, max_bisections=cap)
             assert_sign_bracket(g, res)
             assert abs(res.g_at_root) <= 0.01
             assert res.bracket[1] - res.bracket[0] > 1e-9 * res.beta_star
-            assert res.evaluations == 5
-        assert len(ev.calls) == 2 + cap
+            assert res.evaluations == 3
+        assert len(ev.calls) == cap
 
     def test_exact_zero_ends_the_search(self):
         # on a power-law load the first secant step lands on the root
         g, bracket = LOAD_LIKE
         ev = StubEvaluator(g)
-        res = find_steady(None, bracket, evaluator=ev)
+        res = find_steady(ev, stub_bracket(g, bracket))
         assert (res.beta_star, res.g_at_root, res.bracket) == (1.0, 0.0, (0.5, 2.0))
-        assert ev.calls == [0.5, 2.0, 1.0]
+        assert ev.calls == [1.0]
 
     def test_non_positive_load_takes_the_bisection_branch(self):
         # the first step bisects in log beta
         g, bracket = NEGATIVE_LOAD
         ev = StubEvaluator(g)
-        res = find_steady(None, bracket, tol_residual=1e-6, evaluator=ev)
-        assert ev.calls[:3] == [0.5, 3.0, pytest.approx(math.sqrt(1.5), rel=1e-15)]
+        res = find_steady(ev, stub_bracket(g, bracket), tol_residual=1e-6)
+        assert ev.calls[0] == pytest.approx(math.sqrt(1.5), rel=1e-15)
         assert_sign_bracket(g, res)
         assert abs(res.g_at_root) <= 1e-6
         assert res.evaluations == len(ev.calls)
@@ -244,12 +251,9 @@ class TestBrent:
     def test_bracket_values_make_no_endpoint_solve(self):
         g, (lo, hi) = LOAD_LIKE
         ev = StubEvaluator(g)
-        res = find_steady(None, Bracket(lo, hi, g(lo), g(hi)), evaluator=ev)
+        res = find_steady(ev, stub_bracket(g, (lo, hi)))
         assert lo not in ev.calls and hi not in ev.calls
         assert res.evaluations == len(ev.calls)
-        plain = find_steady(None, (lo, hi), evaluator=StubEvaluator(g))
-        assert plain.evaluations == res.evaluations + 2
-        assert plain.beta_star == res.beta_star
 
 
 class TestBracketSearch:
@@ -264,24 +268,25 @@ class TestBracketSearch:
     def test_solves_each_point_once(self, domain_sym, beta_init, calls, bracket):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8)
         g = LOAD_LIKE[0]
-        ev = StubEvaluator(g)
-        lo, hi = br = find_bracket(prob, beta_init, evaluator=ev)
+        ev = StubEvaluator(g, prob)
+        br = find_bracket(ev, beta_init)
         assert ev.calls == calls
-        assert (lo, hi) == bracket
-        assert br.g == (g(lo), g(hi))
+        assert (br.beta_lo, br.beta_hi) == bracket
+        assert (br.g_lo, br.g_hi) == (g(bracket[0]), g(bracket[1]))
+        assert br.F == pytest.approx(1.0)
 
 
 class TestGCurve:
     def test_flat_curve_is_minus_F(self, unit_domain):
         prob = make_problem(SliderShape.flat(), unit_domain, n=8)
-        curve = g_curve(prob, [0.1, 0.5, 1.0, 3.0])
+        curve = g_curve(GEvaluator(prob), [0.1, 0.5, 1.0, 3.0])
         assert np.all(curve.g == -1.0)
         assert np.all(curve.load == 0.0)
         assert np.all(curve.active_fraction == 1.0)
 
     def test_g_above_minus_F(self, domain_sym):
         prob = make_problem(SliderShape.point_contact(2.0), domain_sym, n=16)
-        curve = g_curve(prob, np.logspace(-2, 1, 8))
+        curve = g_curve(GEvaluator(prob), np.logspace(-2, 1, 8))
         assert np.all(curve.g > -prob.F)
 
     def test_large_beta_within_upper_bound(self, domain_sym):
@@ -291,19 +296,19 @@ class TestGCurve:
         c1 = c1_constant(prob.shape, domain_sym)
         betas = np.array([2.0, 5.0, 10.0])
         assert np.all(betas > (c1 / prob.F) ** (1.0 / 3.0))
-        curve = g_curve(prob, betas)
+        curve = g_curve(GEvaluator(prob), betas)
         assert np.all(curve.g <= c1 / betas**3 - prob.F + 1e-9)
         assert np.all(curve.g < 0.0)  # past the capacity clearance the film loses
 
     def test_resolution_flag(self, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=16)
-        curve = g_curve(prob, [1e-4, 1.0])
+        curve = g_curve(GEvaluator(prob), [1e-4, 1.0])
         assert not curve.resolved[0]
         assert curve.resolved[1]
 
     def test_csv_format(self, tmp_path, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8)
-        curve = g_curve(prob, [0.5, 1.0])
+        curve = g_curve(GEvaluator(prob), [0.5, 1.0])
         path = tmp_path / "gcurve.csv"
         curve.to_csv(path)
         lines = path.read_text().strip().split("\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,21 @@ class TestAssembly:
         with pytest.raises(NonPositiveClearance):
             assemble_system(grid9, SliderShape.flat(), 0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "beta, gamma, error",
+        [
+            (math.nan, 0.0, NonPositiveClearance),
+            (0.3, math.nan, ValueError),
+            (math.inf, -1.0, NonPositiveClearance),
+        ],
+    )
+    def test_non_finite_state_rejected_at_assembly(self, domain_sym, beta, gamma, error):
+        # unchecked, such a system makes the solve run all 3,200 sweeps of
+        # an 8x8 grid and raise NoConvergence
+        grid = build_grid(domain_sym, 8, 8)
+        with pytest.raises(error):
+            assemble_system(grid, SliderShape.line_contact(2.0), beta, gamma)
+
     def test_coefficient_depends_on_beta_cubed(self, domain_sym):
         grid = build_grid(domain_sym, 5, 5)
         s1 = assemble_system(grid, SliderShape.flat(), 1.0, -1.0)
@@ -108,7 +125,7 @@ class TestPSOR:
         sys_a = assemble_system(grid, shape, 0.2, 0.0)
         sys_b = assemble_system(grid, shape, 0.21, 0.0)
         cold = solve_vi_psor(sys_b, tol=1e-11)
-        warm = solve_vi_psor(sys_b, tol=1e-11, warm_start=solve_vi_psor(sys_a, tol=1e-11))
+        warm = solve_vi_psor(sys_b, tol=1e-11, warm_start=solve_vi_psor(sys_a, tol=1e-11).values)
         assert np.max(np.abs(cold.values - warm.values)) <= 1e-9
 
     def test_deterministic(self, domain_sym):
@@ -227,7 +244,7 @@ class TestPSOR:
                 assert (fast.iterations, fast.residual_comp, fast.residual_lin) == (
                     ref.iterations, ref.residual_comp, ref.residual_lin
                 )
-                prev = fast
+                prev = fast.values
 
     @pytest.mark.parametrize("nx, ny", [(8, 8), (16, 16), (9, 6)])
     def test_large_pressures_stop_on_the_exact_norm(self, domain_sym, nx, ny):
@@ -243,7 +260,7 @@ class TestPSOR:
         system = assemble_system(grid, flat, 0.2, -1.0)
         for tol in (1e-8, 1e-10, 1e-12):
             starts = [None] + [
-                solve_vi_psor(assemble_system(grid, flat, beta, gamma), omega=omega, tol=tol)
+                solve_vi_psor(assemble_system(grid, flat, beta, gamma), omega=omega, tol=tol).values
                 for beta, gamma in ((0.19, -1.0), (0.2, -1.1))
             ]
             for start in starts:
@@ -270,9 +287,8 @@ class TestPSOR:
         # broadcast before; a NaN or inf start ran all 3,200 sweeps and
         # raised NoConvergence
         system = assemble_system(build_grid(domain_sym, 8, 8), SliderShape.flat(), 1.0, -1.0)
-        start = PressureField(values=values, residual_comp=0.0, residual_lin=0.0, iterations=0)
         with pytest.raises(ValueError, match=message):
-            solve_vi_psor(system, warm_start=start)
+            solve_vi_psor(system, warm_start=values)
 
 
 class TestLayoutAndFilmPath:
@@ -386,7 +402,7 @@ def _four_sublattice_solve(system, omega, tol, warm_start=None):
     ny, nx = system.b.shape
     p_pad = np.zeros((ny + 2, nx + 2))
     if warm_start is not None:
-        p_pad[1:-1, 1:-1] = np.maximum(warm_start.values, 0.0)
+        p_pad[1:-1, 1:-1] = np.maximum(warm_start, 0.0)
     b, cw, ce, cs, cn = _folded(system, omega)
     lattices = []
     for jo, io in ((0, 0), (1, 1), (0, 1), (1, 0)):
