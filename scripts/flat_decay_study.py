@@ -20,7 +20,6 @@ from sliderfilm.csvio import write_csv
 from sliderfilm.dynamics import Problem, SolverParams, StepControl, integrate_trajectory
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid
 from sliderfilm.oracle import flat_envelope, flat_model, flat_reference_trajectory
-from sliderfilm.vi_solver import suggested_omega
 
 
 def main():
@@ -38,7 +37,7 @@ def main():
     grid = build_grid(domain, args.nx, args.nx)
     prob = Problem(
         shape=SliderShape.flat(), grid=grid, F=1.0, eta0=args.eta0, eta1=args.eta1,
-        solver=SolverParams(omega=suggested_omega(grid), tol=1e-9),
+        solver=SolverParams(tol=1e-9),
     )
     traj = integrate_trajectory(prob, args.t_end, StepControl(rel_tol=1e-6, abs_tol=1e-9))
     print(f"simulated: {len(traj)} samples, stiff from t = {traj.stiff_from}, "

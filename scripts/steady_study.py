@@ -19,7 +19,6 @@ from sliderfilm.dynamics import GEvaluator, Problem, SolverParams
 from sliderfilm.errors import BracketFailure, InadmissibleShape
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid
 from sliderfilm.steady import find_bracket, find_steady, g_curve
-from sliderfilm.vi_solver import suggested_omega
 
 
 def main():
@@ -33,7 +32,7 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     domain = DomainRect(-1.0, 1.0, -1.0, 1.0)
     grid = build_grid(domain, args.nx, args.nx)
-    solver = SolverParams(omega=suggested_omega(grid), tol=1e-9)
+    solver = SolverParams(tol=1e-9)
     betas = np.logspace(-3, 1, 33)
 
     cases = [

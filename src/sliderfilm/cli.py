@@ -9,7 +9,7 @@ config, command and seed (no timestamps, repr-exact floats).
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,8 +165,7 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     for shape in (SliderShape.line_contact(2.0), SliderShape.point_contact(2.0), SliderShape.flat()):
         v1 = compute_V1(shape, problem.grid)
         for beta in (0.1, 1.0):
-            sysc = assemble_system(problem.grid, shape, beta, v1 + 0.1)
-            sol = solve_vi_psor(sysc, tol=1e-10)
+            sol = replace(problem, shape=shape).solve_film(beta, v1 + 0.1)
             worst_load = max(worst_load, abs(load_integral(sol, problem.grid)))
     checks.append(
         {"name": "cutoff_exactness", "passed": bool(worst_load <= 1e-10), "worst_load": worst_load}
@@ -205,17 +204,16 @@ def _verify_checks(config: RunConfig) -> list[dict]:
 
     # 4. constrained solution dominates sub-region solves
     worst_margin = np.inf
-    tol = 1e-8
     for _ in range(config.oracle.comparison_cases):
         beta = float(rng.uniform(0.05, 1.0))
         gamma = float(rng.uniform(-1.0, 0.0))
         rect = _random_subrect(rng, domain)
-        verdict = oracle_mod.comparison_check(problem, beta, gamma, rect, psor_tol=tol)
+        verdict = oracle_mod.comparison_check(problem, beta, gamma, rect)
         worst_margin = min(worst_margin, verdict.worst_margin)
     checks.append(
         {
             "name": "comparison_principle",
-            "passed": bool(worst_margin >= -10.0 * tol),
+            "passed": bool(worst_margin >= -10.0 * problem.solver.tol),
             "cases": config.oracle.comparison_cases,
             "worst_margin": float(worst_margin),
         }
@@ -276,7 +274,11 @@ _COMMANDS = {
 def dispatch(config: RunConfig, command: str, out_dir) -> int:
     """Run one subcommand; returns the process exit code."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return _COMMANDS[command](config, out)
     except NoConvergence as exc:

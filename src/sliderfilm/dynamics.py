@@ -25,7 +25,7 @@ accepts and rejects the steps of both.
 
 import math
 from array import array
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -51,7 +51,6 @@ from .vi_solver import (
     load_integral,
     solve_linear,
     solve_vi_psor,
-    suggested_omega,
 )
 
 __all__ = [
@@ -74,12 +73,12 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
     """Pressure-solver knobs shared by every film solve of a run.
 
-    omega None means suggested_omega of the problem's grid, resolved
-    once when the Problem is built.
+    omega None means suggested_omega of the grid of each solve, resolved
+    by solve_vi_psor.  Frozen: a Problem keeps the caller's object as given.
     """
 
     omega: float | None = None
@@ -112,13 +111,6 @@ class Problem:
             raise ValueError(f"applied load F must be positive, got {self.F}")
         if self.eta0 <= 0.0:
             raise ValueError(f"initial height eta0 must be positive, got {self.eta0}")
-        # a private copy: the caller's settings are never aliased or written back
-        omega = self.solver.omega
-        object.__setattr__(
-            self,
-            "solver",
-            replace(self.solver, omega=suggested_omega(self.grid) if omega is None else omega),
-        )
         object.__setattr__(self, "_geometry", film_geometry(self.grid, self.shape))
 
     def assemble(self, beta: float, gamma: float) -> DiscreteSystem:

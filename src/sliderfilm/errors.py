@@ -31,7 +31,7 @@ class UnsupportedShape(SliderFilmError):
 
 
 class NonPositiveClearance(SliderFilmError):
-    """Clearance beta <= 0: the film model is only defined before contact."""
+    """Clearance outside the film model's range: contact (beta <= 0) or overflow."""
 
 
 class NoConvergence(SliderFilmError):

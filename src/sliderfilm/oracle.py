@@ -310,21 +310,20 @@ class ComparisonVerdict:
     n_nodes: int
 
 
-def comparison_check(problem, beta: float, gamma: float, region, psor_tol: float = 1e-8) -> ComparisonVerdict:
+def comparison_check(problem, beta: float, gamma: float, region) -> ComparisonVerdict:
     """Check domination of the constrained solution over a sub-region solve.
 
     Solves the full constrained problem for q through the production
-    film solve at tol psor_tol, then the unconstrained problem on the
-    sub-region with the same operator and load and zero data on the
-    inner boundary, and verifies q >= r - 10 * tol nodewise.  A region
-    holding no grid node passes without solving.
+    film solve at the problem's own settings, then the unconstrained
+    problem on the sub-region with the same operator and load and zero
+    data on the inner boundary, and verifies q >= r - 10 * solver.tol
+    nodewise.  A region holding no grid node passes without solving.
     """
-    grid = problem.grid
-    mask = region_node_mask(grid, region)
+    mask = region_node_mask(problem.grid, region)
     n_nodes = int(np.count_nonzero(mask))
     if n_nodes == 0:
         return ComparisonVerdict(worst_margin=0.0, passed=True, n_nodes=0)
-    q = problem.solve_film(beta, gamma, tol=psor_tol)
+    q = problem.solve_film(beta, gamma)
     r = solve_linear(problem.assemble(beta, gamma), tol=1e-11, mask=mask)
     margin = float(np.min(q.values[mask] - r.values[mask]))
-    return ComparisonVerdict(worst_margin=margin, passed=margin >= -10.0 * psor_tol, n_nodes=n_nodes)
+    return ComparisonVerdict(margin, margin >= -10.0 * problem.solver.tol, n_nodes)

@@ -41,6 +41,7 @@ already reject.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,18 +140,23 @@ class FilmGeometry:
     """The part of the assembly that does not depend on beta or gamma.
 
     h_v and h_h are the edge-midpoint heights of edge_midpoint_heights,
-    grad is dh0/dx1 at the interior nodes (shape (ny, nx)).
+    grad is dh0/dx1 at the interior nodes (shape (ny, nx)).  Up to beta_max
+    the diagonal, at most 4 (h0 + beta)^3 max(dx/dy, dy/dx), stays < float max / 2.
     """
 
     h_v: np.ndarray
     h_h: np.ndarray
     grad: np.ndarray
+    beta_max: float
 
 
 def film_geometry(grid: Grid, shape: SliderShape) -> FilmGeometry:
     """The beta-independent assembly data of a profile on a grid."""
     h_v, h_h = edge_midpoint_heights(shape, grid)
-    return FilmGeometry(h_v=h_v, h_h=h_h, grad=lattice_grad_x1(shape, grid)[1:-1, 1:-1])
+    span = sys.float_info.max / (8.0 * max(grid.dx / grid.dy, grid.dy / grid.dx))
+    beta_max = float(span ** (1.0 / 3.0) - max(h_v.max(), h_h.max()))
+    grad = lattice_grad_x1(shape, grid)[1:-1, 1:-1]
+    return FilmGeometry(h_v=h_v, h_h=h_h, grad=grad, beta_max=beta_max)
 
 
 def assemble_system(
@@ -163,17 +169,15 @@ def assemble_system(
     """Assemble the five-point system for clearance beta, squeeze gamma.
 
     geometry, when given, must be film_geometry(grid, shape); a caller
-    that assembles many systems of one profile computes it once.  A
-    nonpositive or non-finite beta raises NonPositiveClearance and a
-    non-finite gamma ValueError, before any array work.
+    that assembles many systems of one profile computes it once.  A beta
+    outside (0, geometry.beta_max] raises NonPositiveClearance and a
+    non-finite gamma ValueError, before any array work on beta.
     """
-    if not (0.0 < beta < math.inf):
-        raise NonPositiveClearance(
-            f"assembly requires finite beta > 0 (physical contact at beta <= 0), got {beta}"
-        )
     if not math.isfinite(gamma):
         raise ValueError(f"assembly requires a finite gamma, got {gamma}")
     geo = film_geometry(grid, shape) if geometry is None else geometry
+    if not (0.0 < beta <= geo.beta_max):
+        raise NonPositiveClearance(f"assembly requires 0 < beta <= {geo.beta_max:.6g}, got {beta}")
     coef_v = (geo.h_v + beta) ** 3 * (grid.dy / grid.dx)
     coef_h = (geo.h_h + beta) ** 3 * (grid.dx / grid.dy)
     cw, ce = coef_v[:, :-1], coef_v[:, 1:]
@@ -283,7 +287,7 @@ def lcp_residuals(system: DiscreteSystem, p: np.ndarray) -> tuple[float, float]:
 
 def solve_vi_psor(
     system: DiscreteSystem,
-    omega: float = 1.5,
+    omega: float | None = None,
     tol: float = 1e-8,
     max_iter: int | None = None,
     warm_start: np.ndarray | None = None,
@@ -294,9 +298,9 @@ def solve_vi_psor(
     ----------
     system : DiscreteSystem
         Assembled operator and load vector.
-    omega : float
-        Relaxation factor in (0, 2).  The default 1.5 is conservative;
-        suggested_omega(grid) is much faster on fine grids.
+    omega : float, optional
+        Relaxation factor in (0, 2); None, the default, means
+        suggested_omega(system.grid), the grid of this solve.
     tol : float
         Convergence threshold, finite and positive: the largest nodal update of a sweep must
         fall below tol * max(1, ||p||_inf) and the complementarity
@@ -331,6 +335,7 @@ def solve_vi_psor(
     value decides every stop.  A nonpositive load vector returns the
     exact zero solution immediately.
     """
+    omega = suggested_omega(system.grid) if omega is None else omega
     if not (0.0 < omega < 2.0):
         raise ValueError(f"relaxation omega must lie in (0, 2), got {omega}")
     if not 0.0 < tol < np.inf:

@@ -152,7 +152,7 @@ def test_criterion_4_comparison_principle():
                     continue
                 beta = float(rng.uniform(0.05, 1.0))
                 gamma = float(rng.uniform(-1.0, 0.0))
-                verdict = comparison_check(prob, beta, gamma, (xa, xb, ya, yb), psor_tol=tol)
+                verdict = comparison_check(prob, beta, gamma, (xa, xb, ya, yb))
                 assert verdict.worst_margin >= -10.0 * tol
                 done += 1
 

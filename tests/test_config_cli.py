@@ -1,11 +1,13 @@
 import json
-from dataclasses import fields
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from sliderfilm.cli import (
     EXIT_DOMAIN,
+    EXIT_NOCONV,
     EXIT_OK,
     EXIT_USAGE,
     _write_json,
@@ -14,6 +16,7 @@ from sliderfilm.cli import (
     main,
 )
 from sliderfilm.config import RunConfig, default_gcurve_betas, parse_config
+from sliderfilm.dynamics import SolverParams
 from sliderfilm.errors import ParseError, ValidationError
 from sliderfilm.vi_solver import suggested_omega
 
@@ -111,10 +114,12 @@ class TestParse:
 
     def test_unset_omega_resolves_to_suggested_omega(self):
         cfg = parse_config('{"grid": {"nx": 12, "ny": 20}}')
-        assert cfg.solver.omega is None
         prob = build_problem(cfg)
-        assert prob.solver.omega == suggested_omega(prob.grid)
-        assert cfg.solver.omega is None  # resolving does not write back
+        assert prob.solver.omega is None  # resolved by each solve, from its grid
+        pinned = replace(prob, solver=SolverParams(omega=suggested_omega(prob.grid)))
+        unset, explicit = prob.solve_film(0.3, -0.3), pinned.solve_film(0.3, -0.3)
+        assert unset.iterations == explicit.iterations > 0
+        assert np.array_equal(unset.values, explicit.values)
         assert build_problem(parse_config(SMALL_LINE)).solver.omega == 1.6
 
     def test_to_json_refuses_non_finite(self):
@@ -424,6 +429,46 @@ class TestMain:
         assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == EXIT_USAGE
         assert "integrator.t_end" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unusable_out_is_usage_error(self, tmp_path, capsys, below):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(MINIMAL_FLAT)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "out" if below else taken
+        assert main(["bounds", "--config", str(cfgfile), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "steady"])
+    def test_solver_cap_is_nonconvergence(self, tmp_path, capsys, command):
+        doc = json.loads(SMALL_LINE)
+        doc["grid"] = {"nx": 16, "ny": 16}
+        doc["solver"]["max_iter"] = 1
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_NOCONV
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_overflowing_clearance_fails_before_solving(self, tmp_path, capsys):
+        # unchecked, the solve at beta 1e110 runs all 204,800 sweeps of the
+        # 64x64 grid on NaN coefficients and exits 3
+        doc = {
+            "shape": {"variant": "line_contact", "alpha": 2.0},
+            "grid": {"nx": 64, "ny": 64},
+            "solver": {"omega": 1.9, "tol": 1e-8},
+            "gcurve": {"betas": [0.3, 1e110]},
+        }
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["gcurve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_DOMAIN
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: assembly requires 0 < beta") and err.count("\n") == 1
 
     def test_json_artifacts_refuse_non_finite(self, tmp_path):
         with pytest.raises(ValueError):

@@ -240,7 +240,7 @@ class TestComparison:
         prob = self._problem(SliderShape.flat(), domain_sym)
         d = domain_sym
         verdict = comparison_check(
-            prob, 1.0, -1.0, (d.x1_min, d.x1_max, d.x2_min, d.x2_max), psor_tol=1e-10
+            prob, 1.0, -1.0, (d.x1_min, d.x1_max, d.x2_min, d.x2_max)
         )
         assert verdict.passed
         assert abs(verdict.worst_margin) <= 1e-8
@@ -249,7 +249,7 @@ class TestComparison:
         shape = SliderShape.line_contact(2.0)
         prob = self._problem(shape, domain_sym, n=24)
         box = contact_box(shape, domain_sym, 0.05, delta=0.5)
-        verdict = comparison_check(prob, 0.05, -0.5, box, psor_tol=1e-9)
+        verdict = comparison_check(prob, 0.05, -0.5, box)
         assert verdict.n_nodes > 0
         assert verdict.passed
         assert verdict.worst_margin > 0.0
@@ -264,5 +264,5 @@ class TestComparison:
                 continue
             beta = float(rng.uniform(0.05, 1.0))
             gamma = float(rng.uniform(-1.0, 0.0))
-            verdict = comparison_check(prob, beta, gamma, (xa, xb, ya, yb), psor_tol=1e-9)
+            verdict = comparison_check(prob, beta, gamma, (xa, xb, ya, yb))
             assert verdict.passed

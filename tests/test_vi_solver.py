@@ -18,6 +18,7 @@ from sliderfilm.oracle import flat_C_omega, lcp_enumerate
 from sliderfilm.vi_solver import (
     _red_black_lattices,
     assemble_system,
+    film_geometry,
     PressureField,
     lcp_residuals,
     load_integral,
@@ -75,6 +76,7 @@ class TestAssembly:
             (math.nan, 0.0, NonPositiveClearance),
             (0.3, math.nan, ValueError),
             (math.inf, -1.0, NonPositiveClearance),
+            (1e110, -1.0, NonPositiveClearance),  # (h0 + beta)^3 overflows
         ],
     )
     def test_non_finite_state_rejected_at_assembly(self, domain_sym, beta, gamma, error):
@@ -83,6 +85,17 @@ class TestAssembly:
         grid = build_grid(domain_sym, 8, 8)
         with pytest.raises(error):
             assemble_system(grid, SliderShape.line_contact(2.0), beta, gamma)
+
+    def test_largest_clearance_still_solves(self, domain_sym):
+        grid = build_grid(domain_sym, 8, 8)
+        shape = SliderShape.line_contact(2.0)
+        geometry = film_geometry(grid, shape)
+        beta_max = geometry.beta_max
+        assert 1e102 < beta_max < 1e103
+        sol = solve_vi_psor(assemble_system(grid, shape, beta_max, -0.3, geometry=geometry))
+        assert np.all(np.isfinite(sol.values)) and sol.residual_comp <= 1e-7
+        with pytest.raises(NonPositiveClearance):
+            assemble_system(grid, shape, math.nextafter(beta_max, math.inf), -0.3)
 
     def test_coefficient_depends_on_beta_cubed(self, domain_sym):
         grid = build_grid(domain_sym, 5, 5)
@@ -143,6 +156,17 @@ class TestPSOR:
             solve_vi_psor(system, tol=1e-12, max_iter=3)
         assert exc.value.field is not None
         assert exc.value.field.values.shape == (8, 8)
+
+    def test_default_omega_is_suggested_omega_bitwise(self, domain_sym):
+        grid = build_grid(domain_sym, 16, 12)
+        system = assemble_system(grid, SliderShape.line_contact(2.0), 0.3, -0.3)
+        default = solve_vi_psor(system)
+        explicit = solve_vi_psor(system, omega=suggested_omega(system.grid))
+        assert default.iterations == explicit.iterations > 0
+        assert np.array_equal(default.values, explicit.values)
+        assert (default.residual_comp, default.residual_lin) == (
+            explicit.residual_comp, explicit.residual_lin
+        )
 
     def test_invalid_omega(self, domain_sym):
         grid = build_grid(domain_sym, 3, 3)
