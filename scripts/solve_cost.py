@@ -11,7 +11,13 @@ grids of [-1, 1]^2 with suggested_omega and solver tol 1e-8:
   that never stop (tol 1e-300) capped at 1 and at 1 + SWEEPS sweeps,
   so a sweep whose stop test rejects without reading ||p||_inf;
 - warm: a solve warm-started from the solution at beta 0.303;
-- cold: a solve from p = 0.
+- cold: a solve from p = 0;
+- estimate: young_omega, the relaxation an unset omega takes, on the
+  free set b > 0 of a cold start.
+
+The sweep counts of the warm and cold solves are also given at the
+omega the unset rule picks for each (young_omega on the start's free
+set), beside those at suggested_omega.
 
 Each figure is the best of --repeat timings of a loop sized to about
 20 ms; the loops of all figures of a grid take turns.  The script times
@@ -39,9 +45,11 @@ from sliderfilm.vi_solver import (
     _red_black_lattices,
     assemble_system,
     film_geometry,
+    free_set,
     lcp_residuals,
     solve_vi_psor,
     suggested_omega,
+    young_omega,
 )
 
 BETA, GAMMA, WARM_FROM, TOL = 0.3, -0.3, 0.303, 1e-8
@@ -102,6 +110,9 @@ def measure(n, repeat):
     ).values
     cold = solve_vi_psor(system, omega=omega, tol=TOL)
     warm = solve_vi_psor(system, omega=omega, tol=TOL, warm_start=start)
+    cold_free = free_set(system, None)
+    rule_cold = solve_vi_psor(system, tol=TOL)
+    rule_warm = solve_vi_psor(system, tol=TOL, warm_start=start)
 
     t = best_seconds(
         {
@@ -112,6 +123,7 @@ def measure(n, repeat):
             "many": lambda: capped_solve(system, omega, 1 + SWEEPS),
             "warm": lambda: solve_vi_psor(system, omega=omega, tol=TOL, warm_start=start),
             "cold": lambda: solve_vi_psor(system, omega=omega, tol=TOL),
+            "estimate": lambda: young_omega(system, cold_free),
         },
         repeat,
     )
@@ -125,6 +137,9 @@ def measure(n, repeat):
         "warm_ms": 1e3 * t["warm"],
         "cold_sweeps": cold.iterations,
         "cold_ms": 1e3 * t["cold"],
+        "estimate_us": 1e6 * t["estimate"],
+        "rule_warm_sweeps": rule_warm.iterations,
+        "rule_cold_sweeps": rule_cold.iterations,
     }
 
 
@@ -147,7 +162,8 @@ def main():
     }
     print(" ".join(f"{k} {v}" for k, v in host.items()))
     header = ("n", "assemble_us", "layout_us", "residual_us", "sweep_us",
-              "warm_sweeps", "warm_ms", "cold_sweeps", "cold_ms")
+              "warm_sweeps", "warm_ms", "cold_sweeps", "cold_ms",
+              "estimate_us", "rule_warm_sweeps", "rule_cold_sweeps")
     print(" ".join(f"{h:>12}" for h in header))
     rows = []
     for n in args.sizes:

@@ -87,6 +87,7 @@ def run_simulate(config: RunConfig, out_dir: Path) -> int:
         "rejected_steps": traj.n_rejected,
         "solves": traj.n_solves,
         "sweeps": traj.n_sweeps,
+        "omega_estimates": traj.n_omega_estimates,
         "stiff_from": traj.stiff_from,
         "eta_min": float(np.min(traj.eta)),
         "eta_max": float(np.max(traj.eta)),
@@ -117,7 +118,12 @@ def run_steady(config: RunConfig, out_dir: Path) -> int:
         return EXIT_DOMAIN
     _write_json(
         out_dir / "steady.json",
-        {**result.to_dict(), "solves": ev.n_solves, "sweeps": ev.n_sweeps},
+        {
+            **result.to_dict(),
+            "solves": ev.n_solves,
+            "sweeps": ev.n_sweeps,
+            "omega_estimates": ev.n_omega_estimates,
+        },
     )
     return EXIT_OK
 

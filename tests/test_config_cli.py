@@ -18,7 +18,7 @@ from sliderfilm.cli import (
 from sliderfilm.config import RunConfig, default_gcurve_betas, parse_config
 from sliderfilm.dynamics import SolverParams
 from sliderfilm.errors import ParseError, ValidationError
-from sliderfilm.vi_solver import suggested_omega
+from sliderfilm.vi_solver import young_omega
 
 MINIMAL_FLAT = """
 {
@@ -112,11 +112,12 @@ class TestParse:
             parse_config('{"oracle": {"lcp_cases": 0}}')
         assert exc.value.path == "oracle.lcp_cases"
 
-    def test_unset_omega_resolves_to_suggested_omega(self):
+    def test_unset_omega_resolves_to_young_omega(self):
         cfg = parse_config('{"grid": {"nx": 12, "ny": 20}}')
         prob = build_problem(cfg)
-        assert prob.solver.omega is None  # resolved by each solve, from its grid
-        pinned = replace(prob, solver=SolverParams(omega=suggested_omega(prob.grid)))
+        assert prob.solver.omega is None  # resolved by each solve, from its own system
+        system = prob.assemble(0.3, -0.3)
+        pinned = replace(prob, solver=SolverParams(omega=young_omega(system, system.b > 0.0)))
         unset, explicit = prob.solve_film(0.3, -0.3), pinned.solve_film(0.3, -0.3)
         assert unset.iterations == explicit.iterations > 0
         assert np.array_equal(unset.values, explicit.values)
@@ -319,6 +320,14 @@ class TestDispatch:
         # solves and sweeps cover the whole command, bracket search included
         assert doc["solves"] > doc["evaluations"] > 0
         assert doc["sweeps"] >= doc["solves"]
+        assert doc["omega_estimates"] == 0  # omega is pinned
+
+    def test_steady_estimates_an_unset_omega_less_often_than_it_solves(self, tmp_path):
+        cfg = parse_config(SMALL_LINE.replace('"omega": 1.6, ', ""))
+        assert cfg.solver.omega is None
+        assert dispatch(cfg, "steady", tmp_path) == EXIT_OK
+        doc = json.loads((tmp_path / "steady.json").read_text())
+        assert 0 < doc["omega_estimates"] < doc["solves"]
 
     @pytest.mark.parametrize("doc", [SMALL_LINE, MINIMAL_FLAT])
     def test_simulate_counts_every_film_solve(self, tmp_path, monkeypatch, doc):
@@ -340,6 +349,7 @@ class TestDispatch:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert counted["solves"] > 0
         assert {k: summary[k] for k in counted} == counted
+        assert summary["omega_estimates"] == 0  # both configs pin omega
 
     def test_gcurve_csv(self, tmp_path):
         cfg = parse_config(SMALL_LINE)
@@ -467,6 +477,19 @@ class TestMain:
         start = time.perf_counter()
         assert main(["gcurve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_DOMAIN
         assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: assembly requires 0 < beta") and err.count("\n") == 1
+
+    def test_overflowing_flat_clearance_exits_1(self, tmp_path, capsys):
+        # the flat profile's cached-load shortcut divided by beta**3 in
+        # Python floats and ended in an OverflowError traceback
+        doc = json.loads(MINIMAL_FLAT)
+        doc["physics"]["eta0"] = 1e110
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == (
+            EXIT_DOMAIN
+        )
         err = capsys.readouterr().err
         assert err.startswith("error: assembly requires 0 < beta") and err.count("\n") == 1
 

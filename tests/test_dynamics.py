@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -299,6 +300,20 @@ class TestJacobian:
         with pytest.raises(NonPositiveClearance):
             ev.jacobian(0.0, -1.0)
 
+    def test_clearance_beyond_the_model_range(self, domain_sym):
+        # beta**3 and beta**4 in Python floats overflowed above about 5.6e102
+        # and 1.2e77: the shortcut now rejects what the assembly rejects
+        ev = GEvaluator(make_problem(SliderShape.flat(), domain_sym, n=12))
+        beta_max = ev.problem._geometry.beta_max
+        for call in (ev.eval, ev.jacobian):
+            with pytest.raises(NonPositiveClearance, match=re.escape(f"beta <= {beta_max:.6g}")):
+                call(1e110, -0.5)
+        assert ev.n_solves == 0
+        jb, jg = ev.jacobian(1e100, -0.5)  # below beta_max: tiny, finite
+        unit = ev.eval(1.0, -1.0)[1]
+        assert (jb, jg) == (-3.0 * -0.5 / 1e100 * (-unit / 1e300), -unit / 1e300)
+        assert ev.eval(beta_max, -0.5)[1] == 0.5 * unit / beta_max**3
+
     def test_flat_profile_only(self, domain_sym):
         ev = GEvaluator(make_problem(SliderShape.line_contact(2.0), domain_sym, n=12))
         with pytest.raises(ValueError, match="flat profile only"):
@@ -346,7 +361,15 @@ class TestSingleFilmSolvePath:
         solver = SolverParams(omega=1.7, tol=1e-9, max_iter=4000)
         return Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0, solver=solver)
 
-    def test_every_route_reaches_the_problem_settings(self, psor_calls, domain_sym):
+    def test_every_route_reaches_the_problem_settings(self, psor_calls, monkeypatch, domain_sym):
+        import sliderfilm.dynamics as dynamics
+        import sliderfilm.vi_solver as vi_solver
+
+        def no_estimate(system, free):
+            raise AssertionError("an explicit omega needs no estimate")
+
+        for module in (dynamics, vi_solver):
+            monkeypatch.setattr(module, "young_omega", no_estimate)
         shape = SliderShape.line_contact(2.0)
         prob = self._problem(shape, domain_sym)
         flat = self._problem(SliderShape.flat(), domain_sym)
@@ -378,6 +401,43 @@ class TestSingleFilmSolvePath:
             if n == 2:
                 assert psor_calls[0]["warm_start"] is None, name
                 assert psor_calls[1]["warm_start"] is not None, name
+
+    def test_unset_omega_is_estimated_once_per_warm_chain(self, psor_calls, monkeypatch,
+                                                          domain_sym):
+        # a solve reuses the chain's last estimate while its start's free set
+        # differs from that estimate's in at most 10% of its nodes
+        import sliderfilm.dynamics as dynamics
+
+        estimates = []
+        real = dynamics.young_omega
+
+        def spy(system, free):
+            omega = real(system, free)
+            estimates.append((len(psor_calls), free, omega))
+            return omega
+
+        monkeypatch.setattr(dynamics, "young_omega", spy)
+        prob = Problem(shape=SliderShape.line_contact(2.0), grid=build_grid(domain_sym, 16, 16),
+                       F=1.0, eta0=0.5, eta1=0.0, solver=SolverParams(tol=1e-9))
+        ev = GEvaluator(prob)
+        states = [(0.3, -0.3), (0.3, -0.29), (0.3, -0.28), (0.3, -0.27), (0.05, 0.5), (0.05, 0.49)]
+        for beta, gamma in states:
+            ev.eval(beta, gamma)
+        assert ev.n_solves == len(psor_calls) == len(states)
+        assert ev.n_omega_estimates == len(estimates)
+        fresh = {at: (free, omega) for at, free, omega in estimates}
+        kept = None
+        for k, call in enumerate(psor_calls):
+            start = call["warm_start"]
+            if k in fresh:  # estimated just before this solve, from its start
+                if kept is not None:
+                    assert np.count_nonzero((start > 0.0) != kept[0]) > 0.1 * kept[0].sum()
+                    assert np.array_equal(fresh[k][0], start > 0.0)
+                kept = fresh[k]
+            else:
+                assert np.count_nonzero((start > 0.0) != kept[0]) <= 0.1 * kept[0].sum()
+            assert call["omega"] == kept[1]
+        assert 1 < len(estimates) < len(states) - 1  # both branches taken
 
     def test_comparison_check_on_empty_region_solves_nothing(self, psor_calls, domain_sym):
         prob = self._problem(SliderShape.line_contact(2.0), domain_sym)
@@ -411,8 +471,8 @@ class TestSingleFilmSolvePath:
         assert settings.omega == 1.7
 
     def test_replace_onto_a_coarser_grid_solves_like_a_fresh_problem(self, domain_sym):
-        # an unset omega follows the grid of each solve, so it cannot stay
-        # at the 64x64 value (1.9078) on a 16x16 grid (1.6895)
+        # an unset omega follows the system of each solve, so it cannot stay
+        # at a 64x64 value on a 16x16 grid
         shape = SliderShape.line_contact(2.0)
         fine = Problem(shape=shape, grid=build_grid(domain_sym, 64, 64), F=1.0, eta0=0.5,
                        eta1=0.0, solver=SolverParams(tol=1e-8))
@@ -420,7 +480,7 @@ class TestSingleFilmSolvePath:
         moved = replace(fine, grid=coarse).solve_film(0.3, -0.3)
         fresh = Problem(shape=shape, grid=coarse, F=1.0, eta0=0.5, eta1=0.0,
                         solver=SolverParams(tol=1e-8)).solve_film(0.3, -0.3)
-        assert moved.iterations == fresh.iterations == 50
+        assert moved.iterations == fresh.iterations == 39
         assert np.array_equal(moved.values, fresh.values)
 
     def test_problem_is_frozen_and_replace_rebuilds_its_geometry(self, domain_sym):
