@@ -82,14 +82,15 @@ class SolverParams:
     omega None means Young's factor of the operator being solved
     (vi_solver.young_omega): 2 / (1 + sqrt(1 - mu^2)) with mu the Jacobi
     spectral radius of A on the free set of the solve's start, p > 0 of
-    the warm start or b > 0 when cold, from 24 Lanczos steps.  A lone
-    solve estimates it in solve_vi_psor; a GEvaluator chain estimates it
-    once and keeps it until the start's free set differs from the
-    estimate's in more than 10% of its nodes.  On the steady workload's
-    40 searches at 64^2 this takes 23,894 sweeps where omega 1.9 took
-    38,152, with 85 estimates for 491 solves.  An explicit omega in
-    (0, 2) is used as given.  Frozen: a Problem keeps the caller's object
-    as given.
+    the warm start or b > 0 when cold, from a Lanczos run that stops
+    once its top Ritz value settles.  A lone solve estimates it in
+    solve_vi_psor; a GEvaluator chain estimates it once and keeps it
+    until the start's free set differs from the estimate's in more than
+    10% of its nodes.  A cutoff solve (b <= 0 everywhere) estimates
+    nothing.  On the steady workload's 40 searches at 64^2 this takes
+    23,775 sweeps where omega 1.9 took 38,152, with 85 estimates for
+    494 solves.  An explicit omega in (0, 2) is used as given.  Frozen:
+    a Problem keeps the caller's object as given.
     """
 
     omega: float | None = None
@@ -134,20 +135,31 @@ class Problem:
         gamma: float,
         warm_start: np.ndarray | None = None,
         tol: float | None = None,
-        omega: float | None = None,
     ) -> PressureField:
         """The film solve: pressure at clearance beta and squeeze velocity gamma.
 
-        Assembles the system and runs projected SOR with this problem's
-        solver settings, started from warm_start when one is given; every
-        film pressure of the package comes from here.  tol and omega,
-        when given, override solver.tol and solver.omega.  No shortcut is
-        applied: a nonpositive load vector still returns the exact zero
-        field from the solver itself.
+        Assembles the system and solves it with solve_system, started
+        from warm_start when one is given.  tol, when given, overrides
+        solver.tol.  No shortcut is applied: a nonpositive load vector
+        still returns the exact zero field from the solver itself.
+        """
+        return self.solve_system(self.assemble(beta, gamma), warm_start=warm_start, tol=tol)
+
+    def solve_system(
+        self,
+        system: DiscreteSystem,
+        warm_start: np.ndarray | None = None,
+        tol: float | None = None,
+        omega: float | None = None,
+    ) -> PressureField:
+        """Projected SOR on an assembled film system with this problem's
+        solver settings; every film pressure of the package comes from
+        here.  tol and omega, when given, override solver.tol and
+        solver.omega (GEvaluator passes the omega its warm chain keeps).
         """
         s = self.solver
         return solve_vi_psor(
-            self.assemble(beta, gamma),
+            system,
             omega=s.omega if omega is None else omega,
             tol=s.tol if tol is None else tol,
             max_iter=s.max_iter,
@@ -370,7 +382,7 @@ class GEvaluator:
     beta^3 times a fixed stencil and the load vector is (-gamma) times a
     fixed one, so eval scales one cached unit load (beta 1, gamma -1) by
     (-gamma)/beta^3, the exact discrete load at every (beta, gamma).
-    Any other field is one Problem.solve_film, warm started from the
+    Any other field is one Problem.solve_system, warm started from the
     secant predictor of the last two solves (see field).  With solver.omega
     unset, the chain estimates young_omega on the free set of a solve's
     start and hands it to the following solves; it estimates again only
@@ -411,14 +423,7 @@ class GEvaluator:
         if self._flat and 0.0 < beta <= self._beta_max and -math.inf < gamma < self.V1:
             iters = 0
             if self._flat_load_unit is None:
-                unit = self.problem.solve_film(
-                    1.0,
-                    -1.0,
-                    tol=min(self.problem.solver.tol, 1e-10),
-                    omega=self._omega(1.0, -1.0, None),
-                )
-                self.n_solves += 1
-                self.n_sweeps += unit.iterations
+                unit = self._solve(1.0, -1.0, None, tol=min(self.problem.solver.tol, 1e-10))
                 self._flat_load_unit = load_integral(unit, self.problem.grid)
                 iters = unit.iterations
             load = (-gamma) * self._flat_load_unit / beta**3
@@ -456,33 +461,40 @@ class GEvaluator:
             if dd > 0.0:
                 s = max(0.0, ((beta - beta1) * db + (gamma - gamma1) * dg) / dd)
                 start = start + s * (start - p0)
-        sol = self.problem.solve_film(
-            beta, gamma, warm_start=start, omega=self._omega(beta, gamma, start)
-        )
-        self.n_solves += 1
-        self.n_sweeps += sol.iterations
+        sol = self._solve(beta, gamma, start)
         self._prior = None if self._warm is None else (*self._warm_at, self._warm)
         self._warm, self._warm_at = sol.values, (beta, gamma)
         return sol
 
-    def _omega(self, beta: float, gamma: float, start: np.ndarray | None) -> float | None:
-        """The relaxation of the solve at (beta, gamma) from start: None
-        for an explicit solver.omega, else the kept estimate while the
-        start's free set stays within _FREE_SET_DRIFT of the kept one,
-        else a new estimate on free_set(system, start), kept.  A cold
-        start always estimates."""
-        if self.problem.solver.omega is not None:
-            return None
-        kept = self._relax
-        if start is not None and kept is not None:
-            moved = np.count_nonzero((start > 0.0) != kept[0])
-            if moved <= _FREE_SET_DRIFT * np.count_nonzero(kept[0]):
-                return kept[1]
+    def _solve(
+        self, beta: float, gamma: float, start: np.ndarray | None, tol: float | None = None
+    ) -> PressureField:
+        """One counted Problem.solve_system at (beta, gamma) from start.
+
+        With solver.omega unset, the relaxation is the kept estimate while
+        the start's free set stays within _FREE_SET_DRIFT of the kept one,
+        else a new young_omega on free_set(system, start), kept; a cold
+        start always estimates.  A solve that the solver cuts off (b <= 0
+        everywhere) estimates nothing and keeps what was kept.
+        """
         system = self.problem.assemble(beta, gamma)
-        free = free_set(system, start)
-        self._relax = (free, young_omega(system, free))
-        self.n_omega_estimates += 1
-        return self._relax[1]
+        omega = None
+        if self.problem.solver.omega is None and (system.b > 0.0).any():
+            kept = self._relax
+            if start is not None and kept is not None and (
+                np.count_nonzero((start > 0.0) != kept[0])
+                <= _FREE_SET_DRIFT * np.count_nonzero(kept[0])
+            ):
+                omega = kept[1]
+            else:
+                free = free_set(system, start)
+                omega = young_omega(system, free)
+                self._relax = (free, omega)
+                self.n_omega_estimates += 1
+        sol = self.problem.solve_system(system, warm_start=start, tol=tol, omega=omega)
+        self.n_solves += 1
+        self.n_sweeps += sol.iterations
+        return sol
 
     def jacobian(self, beta: float, gamma: float) -> tuple[float, float]:
         """(dG/dbeta, dG/dgamma) of the flat profile at (beta, gamma), the

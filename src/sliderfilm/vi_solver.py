@@ -494,8 +494,11 @@ def suggested_omega(grid: Grid) -> float:
     return 2.0 / (1.0 + np.sin(np.pi / (n + 1)))
 
 
-# Lanczos steps of young_omega's estimate of mu
-_LANCZOS_STEPS = 24
+# young_omega's Lanczos run checks its top Ritz value every _LANCZOS_CHECK
+# steps and stops once a check has raised it by at most _LANCZOS_SETTLE of
+# its distance to 1
+_LANCZOS_CHECK = 8
+_LANCZOS_SETTLE = 0.01
 
 
 def free_set(system: DiscreteSystem, start: np.ndarray | None) -> np.ndarray:
@@ -514,78 +517,69 @@ def young_omega(system: DiscreteSystem, free: np.ndarray) -> float:
 
     mu is the spectral radius of the Jacobi matrix D^-1/2 (D - A)_FF D^-1/2
     of A on the nodes F of the boolean mask free (shape (ny, nx), at least
-    one node), estimated as the largest Ritz value of _LANCZOS_STEPS
-    Lanczos steps started from F's indicator.  A_FF is the operator PSOR
-    iterates on once the active set has settled; it is consistently
-    ordered, so Young's rule gives its optimal SOR factor (Young,
-    Iterative Solution of Large Linear Systems, 1971).  A Ritz value
-    never exceeds mu, so the estimate errs low, where SOR is the more
-    sensitive to omega.
+    one node), estimated as the largest Ritz value of a Lanczos run
+    started from F's indicator.  Every _LANCZOS_CHECK steps the run
+    takes the top eigenvalue of its tridiagonal matrix, and it stops once
+    that value has risen since the last check by at most _LANCZOS_SETTLE
+    of its distance to 1 (or at an invariant subspace, or after |F|
+    steps).  1 - mu shrinks as the free set grows, and Lanczos needs
+    more steps for it, so the rule sizes the run to the free set: a
+    fixed 24 steps left mu 2.4e-4 low on a fully free 128 x 128 square,
+    where the solve then took 629 sweeps against suggested_omega's 353.
+    A_FF is the operator PSOR iterates on once the active set has
+    settled; it is consistently ordered, so Young's rule gives its
+    optimal SOR factor (Young, Iterative Solution of Large Linear
+    Systems, 1971).  A Ritz value never exceeds mu, so the estimate errs
+    low, where SOR is the more sensitive to omega.
 
-    Measured with scripts/solve_cost.py (line contact alpha 2, beta 0.3,
-    gamma -0.3, tol 1e-8) on 32/64/128 grids: cold solves take
-    88/171/333 sweeps at suggested_omega and 75/143/320 at this factor
-    on F = b > 0, and solves warm started from beta 0.303 take 71/129/249
-    and 48/96/222 on F = p > 0 of the start.  An estimate costs about
-    0.8/1.5/6 ms, the time of some 30 to 50 sweeps.  On a fully free
-    32 x 32 square it matches cos(pi/33), the exact radius, to 2e-6.
-    24 steps resolve mu less well as the grid grows: on a fully free
-    128 x 128 square (flat profile, tol 1e-8) mu comes out 2.4e-4 low
-    and the solve takes 629 sweeps instead of suggested_omega's 353.
+    Measured (tol 1e-8) on 32/64/128 grids of [-1, 1]^2: on a fully free
+    square (flat profile) the run takes 32/48/88 steps, mu is within
+    5e-7 of cos(pi/(n+1)), the exact radius, and the solve takes
+    99/186/353 sweeps, as at suggested_omega.  On the line contact
+    (alpha 2, beta 0.3, gamma -0.3, scripts/solve_cost.py) cold solves
+    take 88/171/333 sweeps at suggested_omega and 75/139/268 at this
+    factor on F = b > 0, and solves warm started from beta 0.303 take
+    71/129/249 and 48/90/172 on F = p > 0 of the start.  An estimate
+    on the cold free set costs about 0.7/1.8/7 ms, the time of some 30
+    to 45 sweeps.
     """
-    scale = 1.0 / np.sqrt(system.diag)
-    f = np.where(free, scale, 0.0)
-    # the Jacobi matrix D^-1/2 (D - A) D^-1/2 on the free nodes: its
-    # couplings along x (node to its east) and along y (node to its north)
-    ex = system.ce[:, :-1] * f[:, :-1] * f[:, 1:]
-    ey = system.cn[:-1] * f[:-1] * f[1:]
-    q = free.astype(float)
-    q /= math.sqrt(float(np.vdot(q, q)))
+    n_free = int(np.count_nonzero(free))
+    if n_free == 0:
+        raise ValueError("the free set has no node")
+    # the run works on the free set's bounding box: no node outside it couples
+    rows = np.flatnonzero(free.any(axis=1))
+    cols = np.flatnonzero(free.any(axis=0))
+    box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    free = free[box]
+    nx = free.shape[1]
+    f = np.where(free, 1.0 / np.sqrt(system.diag[box]), 0.0)
+    # the Jacobi matrix D^-1/2 (D - A) D^-1/2 on the free nodes, with the
+    # box's nodes in row order: ex couples each node to the next (its east
+    # neighbour, 0 across a row end), ey to the one nx on (its north one)
+    ex = (system.ce[box] * f * np.pad(f[:, 1:], ((0, 0), (0, 1)))).ravel()[:-1]
+    ey = (system.cn[box][:-1] * f[:-1] * f[1:]).ravel()
+    q = (free / math.sqrt(n_free)).ravel()
     q_prev = np.zeros_like(q)
     w = np.empty_like(q)
     alphas, betas = [], []
-    beta = 0.0
-    for _ in range(_LANCZOS_STEPS):
-        w.fill(0.0)
-        w[:, :-1] += ex * q[:, 1:]
-        w[:, 1:] += ex * q[:, :-1]
-        w[:-1] += ey * q[1:]
-        w[1:] += ey * q[:-1]
+    beta, mu = 0.0, -1.0
+    for k in range(1, n_free + 1):
+        np.multiply(ex, q[1:], out=w[:-1])
+        w[-1] = 0.0
+        w[1:] += ex * q[:-1]
+        w[:-nx] += ey * q[nx:]
+        w[nx:] += ey * q[:-nx]
         alpha = float(np.vdot(w, q))
         alphas.append(alpha)
         w -= alpha * q
         w -= beta * q_prev
         beta = math.sqrt(float(np.vdot(w, w)))
-        if beta <= 1e-12:
-            break
+        last = beta <= 1e-12 or k == n_free
+        if last or k % _LANCZOS_CHECK == 0:
+            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            prev, mu = mu, float(np.linalg.eigvalsh(tri)[-1])
+            if last or mu - prev <= _LANCZOS_SETTLE * (1.0 - mu):
+                break
         betas.append(beta)
         q_prev, q, w = q, w / beta, q_prev
-    mu = _largest_eigenvalue(alphas, betas[: len(alphas) - 1])
     return 2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - mu * mu)))
-
-
-def _largest_eigenvalue(diag: list[float], off: list[float]) -> float:
-    """Largest eigenvalue of a symmetric tridiagonal matrix, by bisection.
-
-    x lies above every eigenvalue exactly when x I - T is positive
-    definite, that is, when every pivot of its LDL^T factorization is
-    positive (a Sturm count of zero).  The search starts between the
-    largest diagonal entry and the Gershgorin bound and stops at a width
-    of 1e-14.  Plain Python: a LAPACK call would touch its workspace and
-    grow the process by about half a megabyte for a 24 x 24 matrix.
-    """
-    squares = [0.0] + [b * b for b in off]
-    reach = [abs(a) + abs(b) for a, b in zip([0.0, *off], [*off, 0.0])]
-    lo = max(diag)
-    hi = max(a + r for a, r in zip(diag, reach))
-    while hi - lo > 1e-14:
-        x = 0.5 * (lo + hi)
-        pivot = 1.0
-        for a, b2 in zip(diag, squares):
-            pivot = x - a - b2 / pivot
-            if pivot <= 0.0:
-                lo = x
-                break
-        else:
-            hi = x
-    return hi

@@ -331,20 +331,20 @@ class TestDispatch:
 
     @pytest.mark.parametrize("doc", [SMALL_LINE, MINIMAL_FLAT])
     def test_simulate_counts_every_film_solve(self, tmp_path, monkeypatch, doc):
-        # an external count of Problem.solve_film: the start probe and the
-        # stages of rejected steps included
+        # an external count of Problem.solve_system, which every film solve
+        # goes through: the start probe and the stages of rejected steps included
         from sliderfilm.dynamics import Problem
 
         counted = {"solves": 0, "sweeps": 0}
-        real_solve = Problem.solve_film
+        real_solve = Problem.solve_system
 
-        def solve_film(self, *args, **kwargs):
+        def solve_system(self, *args, **kwargs):
             fld = real_solve(self, *args, **kwargs)
             counted["solves"] += 1
             counted["sweeps"] += fld.iterations
             return fld
 
-        monkeypatch.setattr(Problem, "solve_film", solve_film)
+        monkeypatch.setattr(Problem, "solve_system", solve_system)
         assert dispatch(parse_config(doc), "simulate", tmp_path) == EXIT_OK
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert counted["solves"] > 0

@@ -339,7 +339,7 @@ class TestJacobian:
 
 
 class TestSingleFilmSolvePath:
-    """Every film pressure comes from Problem.solve_film with the problem's settings."""
+    """Every film pressure comes from Problem.solve_system with the problem's settings."""
 
     @pytest.fixture
     def psor_calls(self, monkeypatch):
@@ -438,6 +438,25 @@ class TestSingleFilmSolvePath:
                 assert np.count_nonzero((start > 0.0) != kept[0]) <= 0.1 * kept[0].sum()
             assert call["omega"] == kept[1]
         assert 1 < len(estimates) < len(states) - 1  # both branches taken
+
+    def test_unset_omega_cutoff_solve_estimates_nothing(self, domain_sym):
+        # just below V1 the load vector of the line contact is nonpositive at
+        # every node, so the solve returns the exact zero field without a sweep
+        # or an estimate, cold or warm, and a later solve still estimates anew
+        prob = Problem(shape=SliderShape.line_contact(2.0), grid=build_grid(domain_sym, 16, 16),
+                       F=1.0, eta0=0.5, eta1=0.0, solver=SolverParams(tol=1e-9))
+        cold = GEvaluator(prob)
+        gamma = cold.V1 - 1e-3
+        assert np.all(prob.assemble(0.3, gamma).b <= 0.0)
+        assert cold.eval(0.3, gamma) == (-prob.F, 0.0, 0)
+        assert (cold.n_solves, cold.n_sweeps, cold.n_omega_estimates) == (1, 0, 0)
+        warm = GEvaluator(prob)
+        warm.eval(0.3, -0.3)
+        assert warm.n_omega_estimates == 1
+        assert warm.eval(0.3, gamma) == (-prob.F, 0.0, 0)
+        assert warm.n_omega_estimates == 1
+        warm.eval(0.3, -0.3)  # from the zero field: the free set b > 0 is new
+        assert warm.n_omega_estimates == 2
 
     def test_comparison_check_on_empty_region_solves_nothing(self, psor_calls, domain_sym):
         prob = self._problem(SliderShape.line_contact(2.0), domain_sym)
