@@ -171,7 +171,8 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     for shape in (SliderShape.line_contact(2.0), SliderShape.point_contact(2.0), SliderShape.flat()):
         v1 = compute_V1(shape, problem.grid)
         for beta in (0.1, 1.0):
-            sol = replace(problem, shape=shape).solve_film(beta, v1 + 0.1)
+            # the solver's own cutoff, not GEvaluator's gamma >= V1 shortcut
+            sol = solve_vi_psor(replace(problem, shape=shape).assemble(beta, v1 + 0.1))
             worst_load = max(worst_load, abs(load_integral(sol, problem.grid)))
     checks.append(
         {"name": "cutoff_exactness", "passed": bool(worst_load <= 1e-10), "worst_load": worst_load}
@@ -233,7 +234,7 @@ def _verify_checks(config: RunConfig) -> list[dict]:
         F=1.0,
         eta0=1.0,
         eta1=-0.5,
-        solver=SolverParams(omega=1.8, tol=1e-9),
+        solver=SolverParams(tol=1e-9),
     )
     traj = integrate_trajectory(prob_flat, 10.0)
     model = oracle_mod.flat_model(domain, 1.0, 1.0, -0.5, cutoff=config.oracle.fourier_cutoff)

@@ -48,11 +48,10 @@ from .vi_solver import (
     PressureField,
     assemble_system,
     film_geometry,
-    free_set,
     load_integral,
+    relaxation,
     solve_linear,
     solve_vi_psor,
-    young_omega,
 )
 
 __all__ = [
@@ -77,20 +76,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Pressure-solver knobs shared by every film solve of a run.
+    """Pressure-solver knobs of every film solve of a run (GEvaluator).
 
     omega None means Young's factor of the operator being solved
-    (vi_solver.young_omega): 2 / (1 + sqrt(1 - mu^2)) with mu the Jacobi
+    (vi_solver.relaxation): 2 / (1 + sqrt(1 - mu^2)) with mu the Jacobi
     spectral radius of A on the free set of the solve's start, p > 0 of
     the warm start or b > 0 when cold, from a Lanczos run that stops
-    once its top Ritz value settles.  A lone solve estimates it in
-    solve_vi_psor; a GEvaluator chain estimates it once and keeps it
-    until the start's free set differs from the estimate's in more than
-    10% of its nodes.  A cutoff solve (b <= 0 everywhere) estimates
-    nothing.  On the steady workload's 40 searches at 64^2 this takes
-    23,775 sweeps where omega 1.9 took 38,152, with 85 estimates for
-    494 solves.  An explicit omega in (0, 2) is used as given.  Frozen:
-    a Problem keeps the caller's object as given.
+    once its top Ritz value settles.  A GEvaluator chain estimates it
+    once and keeps it until the start's free set differs from the
+    estimate's in more than 10% of its nodes.  A cutoff solve (b <= 0
+    everywhere) estimates nothing.  On the steady workload's 40
+    searches at 64^2 this takes 23,775 sweeps where omega 1.9 took
+    38,152, with 85 estimates for 494 solves.  An explicit omega in
+    (0, 2) is used as given.  Frozen: a Problem keeps the caller's
+    object as given.
     """
 
     omega: float | None = None
@@ -102,9 +101,11 @@ class SolverParams:
 class Problem:
     """A slider run's data: profile, grid, load, initial state, solver knobs.
 
-    Frozen: the beta-independent assembly data (film_geometry) is built
-    once here and would go stale if the profile or grid changed;
-    dataclasses.replace builds a new Problem instead.
+    It assembles film systems but solves none: every film solve of a
+    run is made by its GEvaluator.  Frozen: the beta-independent
+    assembly data (film_geometry) is built once here and would go stale
+    if the profile or grid changed; dataclasses.replace builds a new
+    Problem instead.
     """
 
     shape: SliderShape
@@ -128,43 +129,6 @@ class Problem:
     def assemble(self, beta: float, gamma: float) -> DiscreteSystem:
         """The film system at clearance beta and squeeze velocity gamma."""
         return assemble_system(self.grid, self.shape, beta, gamma, geometry=self._geometry)
-
-    def solve_film(
-        self,
-        beta: float,
-        gamma: float,
-        warm_start: np.ndarray | None = None,
-        tol: float | None = None,
-    ) -> PressureField:
-        """The film solve: pressure at clearance beta and squeeze velocity gamma.
-
-        Assembles the system and solves it with solve_system, started
-        from warm_start when one is given.  tol, when given, overrides
-        solver.tol.  No shortcut is applied: a nonpositive load vector
-        still returns the exact zero field from the solver itself.
-        """
-        return self.solve_system(self.assemble(beta, gamma), warm_start=warm_start, tol=tol)
-
-    def solve_system(
-        self,
-        system: DiscreteSystem,
-        warm_start: np.ndarray | None = None,
-        tol: float | None = None,
-        omega: float | None = None,
-    ) -> PressureField:
-        """Projected SOR on an assembled film system with this problem's
-        solver settings; every film pressure of the package comes from
-        here.  tol and omega, when given, override solver.tol and
-        solver.omega (GEvaluator passes the omega its warm chain keeps).
-        """
-        s = self.solver
-        return solve_vi_psor(
-            system,
-            omega=s.omega if omega is None else omega,
-            tol=s.tol if tol is None else tol,
-            max_iter=s.max_iter,
-            warm_start=warm_start,
-        )
 
 
 # a step under 1e-12 * t_end fails
@@ -361,11 +325,6 @@ def bounds_report(problem: Problem) -> BoundsReport:
     )
 
 
-# a warm chain estimates omega again once its start's free set differs
-# from that of the last estimate in more than this share of its nodes
-_FREE_SET_DRIFT = 0.1
-
-
 def _check_state(beta: float, gamma: float) -> None:
     """Reject a state at which the film force is undefined."""
     if not (beta > 0.0 and math.isfinite(beta)):
@@ -377,17 +336,19 @@ def _check_state(beta: float, gamma: float) -> None:
 class GEvaluator:
     """Film force along a run: the exact shortcuts and the warm chain.
 
-    Every film force of the package comes from here.  gamma >= V1 gives
-    the zero field outright.  For the flat profile the operator is
-    beta^3 times a fixed stencil and the load vector is (-gamma) times a
-    fixed one, so eval scales one cached unit load (beta 1, gamma -1) by
-    (-gamma)/beta^3, the exact discrete load at every (beta, gamma).
-    Any other field is one Problem.solve_system, warm started from the
-    secant predictor of the last two solves (see field).  With solver.omega
-    unset, the chain estimates young_omega on the free set of a solve's
-    start and hands it to the following solves; it estimates again only
-    when a start's free set (p > 0) differs from the kept one in more than
-    _FREE_SET_DRIFT of the kept one's nodes.  Cached and cutoff
+    Every film force and every film solve of a run comes from here.
+    gamma >= V1 gives the zero field outright.  For the flat profile the
+    operator is beta^3 times a fixed stencil and the load vector is
+    (-gamma) times a fixed one, so eval scales one cached unit load
+    (beta 1, gamma -1) by (-gamma)/beta^3, the exact discrete load at
+    every (beta, gamma).  Any other field is one solve_vi_psor at the
+    problem's solver settings, warm started from the secant predictor of
+    the last two solves (see field).  With solver.omega unset, the chain
+    keeps the (free set, omega) pair of vi_solver.relaxation and hands
+    it back with each start, so it estimates again only when a start's
+    free set (p > 0) drifts from the kept one.  A fresh evaluator's
+    first field below V1 equals a lone cold solve_vi_psor of the
+    problem's system at its settings, bit for bit.  Cached and cutoff
     evaluations report 0 sweeps.  n_solves, n_sweeps and
     n_omega_estimates count the solves made, their sweeps and the
     estimates.
@@ -423,7 +384,7 @@ class GEvaluator:
         if self._flat and 0.0 < beta <= self._beta_max and -math.inf < gamma < self.V1:
             iters = 0
             if self._flat_load_unit is None:
-                unit = self._solve(1.0, -1.0, None, tol=min(self.problem.solver.tol, 1e-10))
+                unit = self._solve(1.0, -1.0, None, min(self.problem.solver.tol, 1e-10))
                 self._flat_load_unit = load_integral(unit, self.problem.grid)
                 iters = unit.iterations
             load = (-gamma) * self._flat_load_unit / beta**3
@@ -461,37 +422,33 @@ class GEvaluator:
             if dd > 0.0:
                 s = max(0.0, ((beta - beta1) * db + (gamma - gamma1) * dg) / dd)
                 start = start + s * (start - p0)
-        sol = self._solve(beta, gamma, start)
+        sol = self._solve(beta, gamma, start, self.problem.solver.tol)
         self._prior = None if self._warm is None else (*self._warm_at, self._warm)
         self._warm, self._warm_at = sol.values, (beta, gamma)
         return sol
 
     def _solve(
-        self, beta: float, gamma: float, start: np.ndarray | None, tol: float | None = None
+        self, beta: float, gamma: float, start: np.ndarray | None, tol: float
     ) -> PressureField:
-        """One counted Problem.solve_system at (beta, gamma) from start.
+        """One counted solve_vi_psor at (beta, gamma) from start, at tol and
+        the problem's other solver settings.
 
-        With solver.omega unset, the relaxation is the kept estimate while
-        the start's free set stays within _FREE_SET_DRIFT of the kept one,
-        else a new young_omega on free_set(system, start), kept; a cold
-        start always estimates.  A solve that the solver cuts off (b <= 0
-        everywhere) estimates nothing and keeps what was kept.
+        With solver.omega unset, the relaxation is vi_solver.relaxation of
+        the start and the kept pair: the kept omega while the start's free
+        set stays near the kept one, else a new estimate, kept.  A solve
+        that the solver cuts off (b <= 0 everywhere) estimates nothing and
+        keeps what was kept.
         """
+        s = self.problem.solver
         system = self.problem.assemble(beta, gamma)
-        omega = None
-        if self.problem.solver.omega is None and (system.b > 0.0).any():
-            kept = self._relax
-            if start is not None and kept is not None and (
-                np.count_nonzero((start > 0.0) != kept[0])
-                <= _FREE_SET_DRIFT * np.count_nonzero(kept[0])
-            ):
-                omega = kept[1]
-            else:
-                free = free_set(system, start)
-                omega = young_omega(system, free)
-                self._relax = (free, omega)
+        omega = s.omega
+        if omega is None and (system.b > 0.0).any():
+            relax = relaxation(system, start, self._relax)
+            if relax is not self._relax:
+                self._relax = relax
                 self.n_omega_estimates += 1
-        sol = self.problem.solve_system(system, warm_start=start, tol=tol, omega=omega)
+            omega = relax[1]
+        sol = solve_vi_psor(system, omega=omega, tol=tol, max_iter=s.max_iter, warm_start=start)
         self.n_solves += 1
         self.n_sweeps += sol.iterations
         return sol

@@ -7,7 +7,8 @@ Dormand-Prince, switching to RODAS3 when stiff), and tiny
 complementarity problems are solved by enumerating active sets against
 dense linear algebra.  The
 comparison-principle check differs by design: it checks the production
-film solve (Problem.solve_film) against an unconstrained sub-region solve.
+film solve (a fresh GEvaluator's field) against an unconstrained
+sub-region solve.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import GEvaluator
 from .errors import NoSolution, TooLarge
 from .geometry import DomainRect, region_node_mask
 from .vi_solver import DiscreteSystem, PressureField, lcp_residuals, solve_linear
@@ -314,16 +316,18 @@ def comparison_check(problem, beta: float, gamma: float, region) -> ComparisonVe
     """Check domination of the constrained solution over a sub-region solve.
 
     Solves the full constrained problem for q through the production
-    film solve at the problem's own settings, then the unconstrained
-    problem on the sub-region with the same operator and load and zero
-    data on the inner boundary, and verifies q >= r - 10 * solver.tol
-    nodewise.  A region holding no grid node passes without solving.
+    film solve, GEvaluator(problem).field, at the problem's own settings
+    (one cold solve, or the zero field at gamma >= V1), then the
+    unconstrained problem on the sub-region with the same operator and
+    load and zero data on the inner boundary, and verifies
+    q >= r - 10 * solver.tol nodewise.  A region holding no grid node
+    passes without solving.
     """
     mask = region_node_mask(problem.grid, region)
     n_nodes = int(np.count_nonzero(mask))
     if n_nodes == 0:
         return ComparisonVerdict(worst_margin=0.0, passed=True, n_nodes=0)
-    q = problem.solve_film(beta, gamma)
+    q = GEvaluator(problem).field(beta, gamma)
     r = solve_linear(problem.assemble(beta, gamma), tol=1e-11, mask=mask)
     margin = float(np.min(q.values[mask] - r.values[mask]))
     return ComparisonVerdict(margin, margin >= -10.0 * problem.solver.tol, n_nodes)

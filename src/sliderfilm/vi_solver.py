@@ -22,8 +22,8 @@ same asymptotic SOR rate at the same omega as the lexicographic one
 (Young, Iterative Solution of Large Linear Systems, 1971).  Both orders
 converge to the same solution, so their results differ by the solve
 error, not bit for bit.  An unset omega is Young's optimal factor for
-the operator on the free set of the start iterate (young_omega), not
-the whole grid's.
+the operator on the free set of the start iterate, not the whole
+grid's; relaxation is the one place that rule lives.
 
 The relaxation is folded into the coefficients once per solve: with
 s = omega / diag, c' = c * s for each coupling and b' = b * s, so a node
@@ -57,6 +57,7 @@ __all__ = [
     "PressureField",
     "film_geometry",
     "free_set",
+    "relaxation",
     "assemble_system",
     "solve_vi_psor",
     "solve_linear",
@@ -304,11 +305,11 @@ def solve_vi_psor(
         Assembled operator and load vector.
     omega : float, optional
         Relaxation factor in (0, 2), used as given.  None, the default,
-        means young_omega(system, free_set(system, warm_start)): Young's
-        factor for the operator on the start's free set, estimated in
-        this solve after the argument checks (a cutoff solve estimates
-        nothing).  A caller that makes many nearby solves, as GEvaluator
-        does, estimates once and passes the factor on.
+        means relaxation(system, warm_start): Young's factor for the
+        operator on the start's free set, estimated in this solve after
+        the argument checks (a cutoff solve estimates nothing).  A caller
+        that makes many nearby solves, as GEvaluator does, keeps the
+        pair relaxation returns and passes its factor on.
     tol : float
         Convergence threshold, finite and positive: the largest nodal update of a sweep must
         fall below tol * max(1, ||p||_inf) and the complementarity
@@ -364,7 +365,7 @@ def solve_vi_psor(
             values=np.zeros((ny, nx)), residual_comp=0.0, residual_lin=0.0, iterations=0
         )
     if omega is None:
-        omega = young_omega(system, free_set(system, warm_start))
+        omega = relaxation(system, warm_start)[1]
 
     p_split, interior, lattices = _red_black_lattices(system, omega)
     if warm_start is not None:
@@ -499,6 +500,9 @@ def suggested_omega(grid: Grid) -> float:
 # its distance to 1
 _LANCZOS_CHECK = 8
 _LANCZOS_SETTLE = 0.01
+# relaxation estimates again once a start's free set differs from the
+# kept one in more than this share of the kept one's nodes
+_FREE_SET_DRIFT = 0.1
 
 
 def free_set(system: DiscreteSystem, start: np.ndarray | None) -> np.ndarray:
@@ -510,6 +514,28 @@ def free_set(system: DiscreteSystem, start: np.ndarray | None) -> np.ndarray:
         if free.any():
             return free
     return system.b > 0.0
+
+
+def relaxation(
+    system: DiscreteSystem,
+    start: np.ndarray | None,
+    kept: tuple[np.ndarray, float] | None = None,
+) -> tuple[np.ndarray, float]:
+    """(free set, omega) to relax a solve of system from start.
+
+    kept is the pair of an earlier estimate of nearby solves.  It is
+    returned as is while start's free set (p > 0) differs from kept's in
+    at most _FREE_SET_DRIFT of kept's nodes; otherwise, and always for a
+    cold start, the pair is free_set(system, start) and young_omega on
+    it, a new estimate.  The free set must hold a node, so a cutoff
+    system (b <= 0 everywhere) needs a start with a positive entry.
+    """
+    if start is not None and kept is not None and (
+        np.count_nonzero((start > 0.0) != kept[0]) <= _FREE_SET_DRIFT * np.count_nonzero(kept[0])
+    ):
+        return kept
+    free = free_set(system, start)
+    return free, young_omega(system, free)
 
 
 def young_omega(system: DiscreteSystem, free: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sliderfilm.geometry import DomainRect, SliderShape, TabulatedData, build_grid
+from sliderfilm.vi_solver import solve_vi_psor
 
 
 @pytest.fixture
@@ -39,6 +40,19 @@ def tabulated_from(shape: SliderShape, grid):
 def tabulated_line(domain_sym):
     grid = build_grid(domain_sym, 11, 11)
     return tabulated_from(SliderShape.line_contact(2.0), grid), grid
+
+
+def solve_at_settings(problem, beta, gamma, warm_start=None):
+    """One plain solve_vi_psor of problem's system at (beta, gamma) with the
+    problem's solver settings: no V1 shortcut, no kept relaxation."""
+    s = problem.solver
+    return solve_vi_psor(
+        problem.assemble(beta, gamma),
+        omega=s.omega,
+        tol=s.tol,
+        max_iter=s.max_iter,
+        warm_start=warm_start,
+    )
 
 
 def all_variant_shapes(grid):

@@ -16,7 +16,7 @@ from sliderfilm.cli import (
     main,
 )
 from sliderfilm.config import RunConfig, default_gcurve_betas, parse_config
-from sliderfilm.dynamics import SolverParams
+from sliderfilm.dynamics import GEvaluator, SolverParams
 from sliderfilm.errors import ParseError, ValidationError
 from sliderfilm.vi_solver import young_omega
 
@@ -118,7 +118,7 @@ class TestParse:
         assert prob.solver.omega is None  # resolved by each solve, from its own system
         system = prob.assemble(0.3, -0.3)
         pinned = replace(prob, solver=SolverParams(omega=young_omega(system, system.b > 0.0)))
-        unset, explicit = prob.solve_film(0.3, -0.3), pinned.solve_film(0.3, -0.3)
+        unset, explicit = GEvaluator(prob).field(0.3, -0.3), GEvaluator(pinned).field(0.3, -0.3)
         assert unset.iterations == explicit.iterations > 0
         assert np.array_equal(unset.values, explicit.values)
         assert build_problem(parse_config(SMALL_LINE)).solver.omega == 1.6
@@ -331,20 +331,20 @@ class TestDispatch:
 
     @pytest.mark.parametrize("doc", [SMALL_LINE, MINIMAL_FLAT])
     def test_simulate_counts_every_film_solve(self, tmp_path, monkeypatch, doc):
-        # an external count of Problem.solve_system, which every film solve
+        # an external count of dynamics.solve_vi_psor, which every film solve
         # goes through: the start probe and the stages of rejected steps included
-        from sliderfilm.dynamics import Problem
+        import sliderfilm.dynamics as dynamics
 
         counted = {"solves": 0, "sweeps": 0}
-        real_solve = Problem.solve_system
+        real_solve = dynamics.solve_vi_psor
 
-        def solve_system(self, *args, **kwargs):
-            fld = real_solve(self, *args, **kwargs)
+        def solve_vi_psor(*args, **kwargs):
+            fld = real_solve(*args, **kwargs)
             counted["solves"] += 1
             counted["sweeps"] += fld.iterations
             return fld
 
-        monkeypatch.setattr(Problem, "solve_system", solve_system)
+        monkeypatch.setattr(dynamics, "solve_vi_psor", solve_vi_psor)
         assert dispatch(parse_config(doc), "simulate", tmp_path) == EXIT_OK
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert counted["solves"] > 0

@@ -44,7 +44,7 @@ from sliderfilm.geometry import (
 from sliderfilm.oracle import comparison_check, flat_C_omega
 from sliderfilm.vi_solver import load_integral, suggested_omega
 
-from .conftest import all_variant_shapes
+from .conftest import all_variant_shapes, solve_at_settings
 
 
 def make_problem(shape, domain, n=16, F=1.0, eta0=0.5, eta1=0.0, tol=1e-9):
@@ -57,7 +57,7 @@ def make_problem(shape, domain, n=16, F=1.0, eta0=0.5, eta1=0.0, tol=1e-9):
 
 def film_force(prob, beta, gamma):
     """G = film load - F of one full solve, and the pressure field."""
-    field = prob.solve_film(beta, gamma)
+    field = solve_at_settings(prob, beta, gamma)
     return load_integral(field, prob.grid) - prob.F, field
 
 
@@ -185,7 +185,7 @@ class TestSecantWarmStart:
         ev.field(0.5, -0.4)
         fld = ev.field(0.5, -0.6)
         assert fld.iterations <= 3
-        cold = prob.solve_film(0.5, -0.6)
+        cold = solve_at_settings(prob, 0.5, -0.6)
         scale = max(1.0, np.max(cold.values))
         assert np.max(np.abs(fld.values - cold.values)) <= prob.solver.tol * scale
 
@@ -196,7 +196,7 @@ class TestSecantWarmStart:
         # (0.625, -0.25) projects to s = 0.03125 / 0.078125 = 0.4 on the
         # step from p0 to p1
         start = p1.values + 0.4 * (p1.values - p0.values)
-        ref = prob.solve_film(0.625, -0.25, warm_start=start)
+        ref = solve_at_settings(prob, 0.625, -0.25, warm_start=start)
         fld = ev.field(0.625, -0.25)
         assert fld.iterations == ref.iterations
         assert np.array_equal(fld.values, ref.values)
@@ -206,7 +206,7 @@ class TestSecantWarmStart:
         ev = GEvaluator(prob)
         ev.field(0.3, 0.0)
         p1 = ev.field(0.4, 0.0)
-        ref = prob.solve_film(0.35, 0.0, warm_start=p1.values)
+        ref = solve_at_settings(prob, 0.35, 0.0, warm_start=p1.values)
         fld = ev.field(0.35, 0.0)
         assert fld.iterations == ref.iterations
         assert np.array_equal(fld.values, ref.values)
@@ -218,7 +218,7 @@ class TestSecantWarmStart:
         ev.field(0.4, 0.0)
         ev._warm = None
         fld = ev.field(0.5, 0.0)
-        ref = prob.solve_film(0.5, 0.0)
+        ref = solve_at_settings(prob, 0.5, 0.0)
         assert fld.iterations == ref.iterations
         assert np.array_equal(fld.values, ref.values)
 
@@ -339,7 +339,7 @@ class TestJacobian:
 
 
 class TestSingleFilmSolvePath:
-    """Every film pressure comes from Problem.solve_system with the problem's settings."""
+    """Every film pressure comes from GEvaluator's solve_vi_psor with the problem's settings."""
 
     @pytest.fixture
     def psor_calls(self, monkeypatch):
@@ -362,14 +362,12 @@ class TestSingleFilmSolvePath:
         return Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0, solver=solver)
 
     def test_every_route_reaches_the_problem_settings(self, psor_calls, monkeypatch, domain_sym):
-        import sliderfilm.dynamics as dynamics
         import sliderfilm.vi_solver as vi_solver
 
         def no_estimate(system, free):
             raise AssertionError("an explicit omega needs no estimate")
 
-        for module in (dynamics, vi_solver):
-            monkeypatch.setattr(module, "young_omega", no_estimate)
+        monkeypatch.setattr(vi_solver, "young_omega", no_estimate)
         shape = SliderShape.line_contact(2.0)
         prob = self._problem(shape, domain_sym)
         flat = self._problem(SliderShape.flat(), domain_sym)
@@ -406,17 +404,17 @@ class TestSingleFilmSolvePath:
                                                           domain_sym):
         # a solve reuses the chain's last estimate while its start's free set
         # differs from that estimate's in at most 10% of its nodes
-        import sliderfilm.dynamics as dynamics
+        import sliderfilm.vi_solver as vi_solver
 
         estimates = []
-        real = dynamics.young_omega
+        real = vi_solver.young_omega
 
         def spy(system, free):
             omega = real(system, free)
             estimates.append((len(psor_calls), free, omega))
             return omega
 
-        monkeypatch.setattr(dynamics, "young_omega", spy)
+        monkeypatch.setattr(vi_solver, "young_omega", spy)
         prob = Problem(shape=SliderShape.line_contact(2.0), grid=build_grid(domain_sym, 16, 16),
                        F=1.0, eta0=0.5, eta1=0.0, solver=SolverParams(tol=1e-9))
         ev = GEvaluator(prob)
@@ -438,6 +436,48 @@ class TestSingleFilmSolvePath:
                 assert np.count_nonzero((start > 0.0) != kept[0]) <= 0.1 * kept[0].sum()
             assert call["omega"] == kept[1]
         assert 1 < len(estimates) < len(states) - 1  # both branches taken
+
+    def test_patching_vi_solver_young_omega_alone_intercepts_every_estimate(
+        self, psor_calls, monkeypatch, domain_sym
+    ):
+        # the relaxation rule lives in vi_solver alone: a chain and a lone
+        # solve with omega unset both take the factor the patched name gives
+        import sliderfilm.vi_solver as vi_solver
+
+        estimates = []
+
+        def fixed(system, free):
+            estimates.append(free)
+            return 1.5
+
+        monkeypatch.setattr(vi_solver, "young_omega", fixed)
+        prob = Problem(shape=SliderShape.line_contact(2.0), grid=build_grid(domain_sym, 12, 12),
+                       F=1.0, eta0=0.5, eta1=0.0, solver=SolverParams(tol=1e-9))
+        ev = GEvaluator(prob)
+        for beta, gamma in ((0.3, -0.3), (0.3, -0.29), (0.05, 0.5)):
+            ev.eval(beta, gamma)
+        assert ev.n_omega_estimates == len(estimates) > 0
+        assert [call["omega"] for call in psor_calls] == [1.5] * 3
+        system = prob.assemble(0.3, -0.3)
+        lone = vi_solver.solve_vi_psor(system, tol=1e-9)
+        assert len(estimates) == ev.n_omega_estimates + 1
+        assert np.array_equal(estimates[-1], system.b > 0.0)
+        pinned = vi_solver.solve_vi_psor(system, omega=1.5, tol=1e-9)
+        assert lone.iterations == pinned.iterations > 0
+        assert np.array_equal(lone.values, pinned.values)
+
+    @pytest.mark.parametrize("omega", [None, 1.7])
+    def test_fresh_field_is_the_plain_solve_at_the_problem_settings(self, domain_sym, omega):
+        # the film solve that comparison_check takes: one GEvaluator field
+        # equals solve_vi_psor of the problem's system bit for bit
+        for shape in all_variant_shapes(build_grid(domain_sym, 11, 11)):
+            prob = Problem(shape=shape, grid=build_grid(domain_sym, 11, 11), F=1.0, eta0=0.5,
+                           eta1=0.0, solver=SolverParams(omega=omega, tol=1e-9, max_iter=4000))
+            fld = GEvaluator(prob).field(0.3, -0.3)
+            ref = solve_at_settings(prob, 0.3, -0.3)
+            assert fld.iterations == ref.iterations > 0
+            assert np.array_equal(fld.values, ref.values)
+            assert (fld.residual_comp, fld.residual_lin) == (ref.residual_comp, ref.residual_lin)
 
     def test_unset_omega_cutoff_solve_estimates_nothing(self, domain_sym):
         # just below V1 the load vector of the line contact is nonpositive at
@@ -496,9 +536,9 @@ class TestSingleFilmSolvePath:
         fine = Problem(shape=shape, grid=build_grid(domain_sym, 64, 64), F=1.0, eta0=0.5,
                        eta1=0.0, solver=SolverParams(tol=1e-8))
         coarse = build_grid(domain_sym, 16, 16)
-        moved = replace(fine, grid=coarse).solve_film(0.3, -0.3)
-        fresh = Problem(shape=shape, grid=coarse, F=1.0, eta0=0.5, eta1=0.0,
-                        solver=SolverParams(tol=1e-8)).solve_film(0.3, -0.3)
+        moved = GEvaluator(replace(fine, grid=coarse)).field(0.3, -0.3)
+        fresh = GEvaluator(Problem(shape=shape, grid=coarse, F=1.0, eta0=0.5, eta1=0.0,
+                                   solver=SolverParams(tol=1e-8))).field(0.3, -0.3)
         assert moved.iterations == fresh.iterations == 39
         assert np.array_equal(moved.values, fresh.values)
 
@@ -509,8 +549,10 @@ class TestSingleFilmSolvePath:
         with pytest.raises(FrozenInstanceError):
             prob.shape = SliderShape.line_contact(2.0)
         line = SliderShape.line_contact(2.0)
-        moved = replace(prob, shape=line).solve_film(0.3, -0.2)
-        fresh = Problem(shape=line, grid=grid, F=1.0, eta0=1.0, eta1=0.0).solve_film(0.3, -0.2)
+        moved = GEvaluator(replace(prob, shape=line)).field(0.3, -0.2)
+        fresh = GEvaluator(Problem(shape=line, grid=grid, F=1.0, eta0=1.0, eta1=0.0)).field(
+            0.3, -0.2
+        )
         assert np.array_equal(moved.values, fresh.values)
         assert moved.iterations == fresh.iterations
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sliderfilm.dynamics import Problem, SolverParams
+from sliderfilm.dynamics import GEvaluator, Problem, SolverParams
 from sliderfilm.errors import NoConvergence, NonPositiveClearance
 from sliderfilm.geometry import (
     DomainRect,
@@ -331,8 +331,8 @@ class TestLayoutAndFilmPath:
         # np.pad layout, and per colour the range, the strided neighbour
         # view, b' and the couplings equal its stride-2 slices and their
         # W/E/S/N shifts, boundary and ghost entries exactly 0;
-        # Problem.solve_film, which assembles from its stored geometry,
-        # equals the plain assembly and solve bitwise
+        # a fresh GEvaluator's field, which assembles from the problem's
+        # stored geometry, equals the plain assembly and solve bitwise
         grid = _grid_by_hand(domain_sym, nx, ny)
         omega = suggested_omega(grid)
         w = nx + 2 if nx % 2 else nx + 3
@@ -371,7 +371,7 @@ class TestLayoutAndFilmPath:
 
             problem = Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0,
                               solver=SolverParams(tol=1e-10))
-            film = problem.solve_film(0.3, -0.3)
+            film = GEvaluator(problem).field(0.3, -0.3)
             plain = solve_vi_psor(system, omega=problem.solver.omega, tol=1e-10)
             assert film.iterations > 0
             assert np.array_equal(film.values, plain.values)
