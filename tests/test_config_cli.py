@@ -377,6 +377,25 @@ class TestDispatch:
             "flat_reference_match",
         }
 
+    def test_verify_flat_reference_covers_the_stiff_phase(self, tmp_path, monkeypatch):
+        # check 5's descent to t = 10 switches to RODAS3 at t ~ 7.4, so the
+        # scalar reference also checks samples of the stiff stepper
+        import sliderfilm.cli as cli
+
+        real, runs = cli.integrate_trajectory, []
+
+        def integrate(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "integrate_trajectory", integrate)
+        assert dispatch(parse_config(SMALL_LINE), "verify", tmp_path) == EXIT_OK
+        (traj,) = runs
+        assert traj.t[-1] == 10.0
+        assert traj.stiff_from is not None and traj.stiff_from < 10.0
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert next(c for c in checks if c["name"] == "flat_reference_match")["passed"] is True
+
     def test_verify_enumeration_check_at_stop_test_edge(self, tmp_path):
         # config seed 3844556615 draws, as its tenth case, a flat case at
         # beta ~ 0.05 with p ~ 3e3, where a relative stop test at tol 1e-12
