@@ -91,6 +91,13 @@ class SolverParams:
     38,152, with 85 estimates for 494 solves.  An explicit omega in
     (0, 2) is used as given.  Frozen: a Problem keeps the caller's
     object as given.
+
+    tol is the PSOR stop tolerance.  steady, gcurve and verify solve at
+    tol throughout.  A simulate run solves its start and its start probe
+    at tol, and each Dormand-Prince step's stages at that step's share
+    of its error budget (integrate_trajectory), never below tol: there
+    tol is the floor.  The flat profile's one unit solve runs at
+    min(tol, 1e-10).
     """
 
     omega: float | None = None
@@ -345,11 +352,12 @@ class GEvaluator:
     (-gamma) times a fixed one, so eval scales one cached unit load
     (beta 1, gamma -1) by (-gamma)/beta^3, the exact discrete load at
     every (beta, gamma).  Any other field is one solve_vi_psor at the
-    problem's solver settings, warm started from the secant predictor of
-    the last two solves (see field).  With solver.omega unset, the chain
-    keeps the (free set, omega) pair of vi_solver.relaxation and hands
-    it back with each start, so it estimates again only when a start's
-    free set (p > 0) drifts from the kept one.  A fresh evaluator's
+    problem's solver settings, or at the tolerance the call asks for,
+    warm started from the secant predictor of the last two solves (see
+    field).  With solver.omega unset, the chain keeps the (free set,
+    omega) pair of vi_solver.relaxation and hands it back with each
+    start, so it estimates again only when a start's free set (p > 0)
+    drifts from the kept one.  A fresh evaluator's
     first field below V1 equals a lone cold solve_vi_psor of the
     problem's system at its settings, bit for bit.  Cached and cutoff
     evaluations report 0 sweeps.  n_solves, n_sweeps and
@@ -373,16 +381,19 @@ class GEvaluator:
         self.n_sweeps = 0
         self.n_omega_estimates = 0
 
-    def eval(self, beta: float, gamma: float) -> tuple[float, float, int]:
+    def eval(
+        self, beta: float, gamma: float, tol: float | None = None
+    ) -> tuple[float, float, int]:
         """Return (G, film load, solver sweeps) at (beta, gamma).
 
-        G is load_integral of field(beta, gamma) minus F, except for the
-        flat profile below the cutoff: there the load is a scalar on the
-        cached unit load, which keeps the evaluations of a decay run
-        cheap; the unit solve runs at tol min(solver.tol, 1e-10).  A
-        non-finite state, or a beta above the geometry's beta_max, skips
-        the shortcut and is rejected by field before any solve, the
-        latter with NonPositiveClearance from the assembly.
+        G is load_integral of field(beta, gamma, tol) minus F, except for
+        the flat profile below the cutoff: there the load is a scalar on
+        the cached unit load, which keeps the evaluations of a decay run
+        cheap; the unit solve runs at tol min(solver.tol, 1e-10) whatever
+        tol is asked.  tol None means solver.tol.  A non-finite state, or
+        a beta above the geometry's beta_max, skips the shortcut and is
+        rejected by field before any solve, the latter with
+        NonPositiveClearance from the assembly.
         """
         if self._flat and 0.0 < beta <= self._beta_max and -math.inf < gamma < self.V1:
             iters = 0
@@ -392,14 +403,14 @@ class GEvaluator:
                 iters = unit.iterations
             load = (-gamma) * self._flat_load_unit / beta**3
             return load - self.problem.F, load, iters
-        fld = self.field(beta, gamma)
+        fld = self.field(beta, gamma, tol)
         load = load_integral(fld, self.problem.grid)
         return load - self.problem.F, load, fld.iterations
 
-    def field(self, beta: float, gamma: float) -> PressureField:
+    def field(self, beta: float, gamma: float, tol: float | None = None) -> PressureField:
         """Materialize the pressure field at (beta, gamma): the zero field
-        at gamma >= V1, else one solve, warm started by the secant
-        predictor of the last two solves.
+        at gamma >= V1, else one solve at tol (None means solver.tol),
+        warm started by the secant predictor of the last two solves.
 
         With p0 at (beta0, gamma0) and p1 at (beta1, gamma1), the start is
         p1 + s (p1 - p0), where s projects (beta - beta1, gamma - gamma1)
@@ -425,7 +436,9 @@ class GEvaluator:
             if dd > 0.0:
                 s = max(0.0, ((beta - beta1) * db + (gamma - gamma1) * dg) / dd)
                 start = start + s * (start - p0)
-        sol = self._solve(beta, gamma, start, self.problem.solver.tol)
+        if tol is None:
+            tol = self.problem.solver.tol
+        sol = self._solve(beta, gamma, start, tol)
         self._prior = None if self._warm is None else (*self._warm_at, self._warm)
         self._warm, self._warm_at = sol.values, (beta, gamma)
         return sol
@@ -502,6 +515,25 @@ _DP_E = (
     11.0 / 84.0 - 187.0 / 2100.0,
     -1.0 / 40.0,
 )
+# a Dormand-Prince step's film solves stop at _SOLVE_KAPPA of its error
+# budget, and never looser than _SOLVE_TOL_MAX (see _step_solve_tol)
+_SOLVE_KAPPA, _SOLVE_TOL_MAX = 0.3, 1e-6
+_DP_E_SUM = sum(abs(e) for e in _DP_E)  # ~0.160
+
+
+def _step_solve_tol(problem, abs_tol, rel_tol):
+    """The film-solve tolerance of a run's Dormand-Prince steps, as a
+    function of the velocity v at a step's start and its size h:
+    _SOLVE_KAPPA (abs_tol + rel_tol |v|) / (area(Omega) sum|e_i| h),
+    clamped to [solver.tol, _SOLVE_TOL_MAX] (integrate_trajectory, Notes).
+    """
+    floor = problem.solver.tol
+    scale = _SOLVE_KAPPA / (problem.grid.domain.area * _DP_E_SUM)
+
+    def tol(v, h):
+        return max(floor, min(_SOLVE_TOL_MAX, scale * (abs_tol + rel_tol * abs(v)) / h))
+
+    return tol
 
 
 def _dp_step(f, y, v, g, h):
@@ -627,7 +659,8 @@ def integrate_trajectory(
     ----------
     problem : Problem
         Shape, grid, load and initial data; solver knobs are taken from
-        problem.solver for every film solve.
+        problem.solver for every film solve, solver.tol as the floor of
+        the step tolerance (Notes).
     t_end : float
         Integration horizon (> 0).
     step_control : StepControl, optional
@@ -650,6 +683,27 @@ def integrate_trajectory(
     starting-step rule of Hairer, Norsett and Wanner (_initial_step): it
     costs one more force evaluation, an explicit Euler probe, and depends
     on t_end only through the cap dt <= t_end.
+
+    A Dormand-Prince step's film solves are only as accurate as the step
+    needs, as Hairer and Wanner stop the Newton iterations of implicit
+    Runge-Kutta methods at kappa Tol (Solving ODEs II, sec. IV.8).  Each
+    attempt, retries included, solves its six stages at
+    max(solver.tol, min(1e-6, 0.3 (abs_tol + rel_tol |eta'|) /
+    (area(Omega) sum|e_i| h))) (_step_solve_tol), with eta' at the step's
+    start and sum|e_i| ~ 0.160 over DP's error weights: a load error
+    area(Omega) tol in every stage moves the error estimate by at most
+    h sum|e_i| area(Omega) tol, so kappa = 0.3 leaves the solves 30% of
+    the budget.  kappa is a fixed safety factor in place of a certified
+    solve-error bound: it absorbs the PSOR stop test's understatement of
+    the true error (2.4-15 times), which the worst-sign sum above leaves
+    room for; rejected steps do not rise, where a fixed solve tol of 1e-7
+    triples them on a long run.  The start and the starting-step probe
+    solve at solver.tol; RODAS3 steps run on the flat profile, whose
+    loads skip PSOR.  On the
+    three 32^2 line-contact runs to t = 50 at solver.tol 1e-9 and
+    omega = suggested_omega this takes 83,009 sweeps and 121 rejected
+    steps where solves at 1e-9 took 119,864 and 123; the final eta moves
+    by under 3e-10.
 
     One step loop serves both steppers and owns the controller: the cap
     dt <= t_end - t, the weighted RMS error with scale
@@ -737,12 +791,17 @@ def integrate_trajectory(
         return traj
 
     ev_eval = ev.eval
+    step_tol = _step_solve_tol(problem, abs_tol, rel_tol)
+    # the tolerance of f's solves: solver.tol (None) for the start and its
+    # probe, then the current Dormand-Prince step's; RODAS3 steps run on
+    # the flat profile only, whose loads never reach PSOR
+    solve_tol = None
 
     def f(eta, v):
         """One derivative evaluation: returns (eta'', load, sweeps)."""
         if eta <= eps_contact:
             raise _StageContact
-        return ev_eval(eta, v)
+        return ev_eval(eta, v, solve_tol)
 
     t = 0.0
     y = problem.eta0
@@ -764,6 +823,7 @@ def integrate_trajectory(
             return finish(TerminationKind.STEP_FAILURE, t, f"step size underflow (dt={dt:.3e})")
         try:
             if jac is None:
+                solve_tol = step_tol(v, dt)
                 y_new, v_new, err_y, err_v, f_new, stiff = _dp_step(f, y, v, g, dt)
             else:
                 y_new, v_new, err_y, err_v = _rodas3_step(f, y, v, g, *jac, dt)

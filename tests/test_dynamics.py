@@ -14,6 +14,7 @@ from sliderfilm.dynamics import (
     _dp_step,
     _initial_step,
     _rodas3_step,
+    _step_solve_tol,
     GEvaluator,
     MonitorReport,
     MonitorSegment,
@@ -565,6 +566,88 @@ class TestSingleFilmSolvePath:
             Problem(shape=SliderShape.flat(), grid=build_grid(domain_sym, 6, 6), **kwargs)
 
 
+class TestStepSolveTolerance:
+    """A Dormand-Prince step's film solves stop at its share of the error budget."""
+
+    def test_rule_between_the_solver_tol_and_the_ceiling(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8, tol=1e-9)
+        e_sum = sum(abs(e) for e in _DP_E)
+        assert e_sum == pytest.approx(0.160, abs=5e-4)
+        step_tol = _step_solve_tol(prob, 1e-9, 1e-6)
+        budget = 0.3 * (1e-9 + 1e-6 * 0.5)
+        assert step_tol(-0.5, 1.0) == pytest.approx(budget / (domain_sym.area * e_sum), rel=1e-12)
+        assert step_tol(-0.5, 1e3) == 1e-9  # the floor, solver.tol
+        assert step_tol(-0.5, 1e-3) == 1e-6  # the ceiling
+
+    def test_start_at_the_solver_tol_stages_at_their_step_tol(self, domain_sym, monkeypatch):
+        import sliderfilm.dynamics as dynamics
+
+        tols, real = [], dynamics.solve_vi_psor
+
+        def recorder(system, **kwargs):
+            tols.append(kwargs["tol"])
+            return real(system, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_vi_psor", recorder)
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8, eta1=-0.5)
+        traj = integrate_trajectory(prob, 1.0, StepControl())
+        # the start solve and the start probe, then six stages per attempted step
+        assert len(tols) == traj.n_solves == 2 + 6 * (len(traj) - 1 + traj.n_rejected)
+        assert tols[:2] == [1e-9, 1e-9]
+        steps = [tols[k:k + 6] for k in range(2, len(tols), 6)]
+        assert all(len(set(step)) == 1 and 1e-9 <= step[0] <= 1e-6 for step in steps)
+        assert any(step[0] > 1e-9 for step in steps)
+
+    def test_default_tol_is_the_solver_tol_bitwise(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
+        probes = [(0.3, -0.2), (0.31, -0.1), (0.32, 0.0)]
+        a, b = GEvaluator(prob), GEvaluator(prob)
+        assert [a.eval(*p) for p in probes] == [b.eval(*p, prob.solver.tol) for p in probes]
+        assert (a.n_solves, a.n_sweeps) == (b.n_solves, b.n_sweeps)
+        assert a.n_solves == 3
+
+    def test_looser_tol_takes_no_more_sweeps(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=16, tol=1e-10)
+        sweeps = []
+        for tol in (1e-10, 1e-8, 1e-6):
+            ev = GEvaluator(prob)
+            for beta, gamma in ((0.3, -0.2), (0.31, -0.15)):  # the same warm chain
+                ev.eval(beta, gamma)
+            sweeps.append(ev.eval(0.32, -0.1, tol)[2])
+        assert sweeps[0] >= sweeps[1] >= sweeps[2]
+        assert sweeps[0] > sweeps[2]
+
+    def test_flat_shortcut_ignores_tol(self, unit_domain):
+        prob = make_problem(SliderShape.flat(), unit_domain, n=16)
+        ref = GEvaluator(prob).eval(0.5, -1.0)
+        for tol in (1e-12, 1e-6, 1e-3):
+            assert GEvaluator(prob).eval(0.5, -1.0, tol) == ref
+
+    def test_transient_within_rel_tol_of_a_tight_reference(self, domain_sym, monkeypatch):
+        # the CI transient against a run at solve tol 1e-13, rel_tol 1e-11
+        import sliderfilm.dynamics as dynamics
+
+        grid = build_grid(domain_sym, 32, 32)
+
+        def run(tol, sc):
+            prob = Problem(
+                shape=SliderShape.line_contact(2.0), grid=grid, F=1.0, eta0=0.5, eta1=-0.5,
+                solver=SolverParams(tol=tol),
+            )
+            traj = integrate_trajectory(prob, 0.25, sc)
+            assert traj.termination.kind is TerminationKind.REACHED_HORIZON
+            return traj
+
+        sc = StepControl(rel_tol=1e-6, abs_tol=1e-9)
+        traj = run(1e-9, sc)
+        # with the ceiling at the floor, every reference solve stops at 1e-13
+        monkeypatch.setattr(dynamics, "_SOLVE_TOL_MAX", 1e-13)
+        ref = run(1e-13, StepControl(rel_tol=1e-11, abs_tol=1e-14))
+        monkeypatch.undo()
+        assert abs(traj.eta[-1] / ref.eta[-1] - 1.0) <= sc.rel_tol
+        assert abs(traj.eta_dot[-1] - ref.eta_dot[-1]) <= 10.0 * sc.rel_tol
+
+
 class TestBoundsReport:
     def test_flat(self, unit_domain):
         prob = make_problem(SliderShape.flat(), unit_domain, n=16)
@@ -706,13 +789,15 @@ class TestIntegration:
 def generic_dp_columns(problem, t_end, sc):
     """The Dormand-Prince loop applied through the generic tableau sums.
 
-    Same controller, guard and FSAL bookkeeping as integrate_trajectory,
-    with every stage combination written as sum(a[r] * k[r] ...) over the
-    coefficient tables and the energies computed per sample in Python.
+    Same controller, guard, FSAL bookkeeping and per-step solve tolerance
+    as integrate_trajectory, with every stage combination written as
+    sum(a[r] * k[r] ...) over the coefficient tables and the energies
+    computed per sample in Python.
     """
     eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
     dt_min = _DT_MIN_FRACTION * t_end
     ev = GEvaluator(problem)
+    step_tol = _step_solve_tol(problem, sc.abs_tol, sc.rel_tol)
     c1 = c1_constant(problem.shape, problem.grid.domain)
     F = problem.F
     cols = {k: [] for k in ("t", "eta", "eta_dot", "G", "load", "E1", "E2", "psor_iters")}
@@ -743,6 +828,7 @@ def generic_dp_columns(problem, t_end, sc):
         if dt < dt_min:
             return done(TerminationKind.STEP_FAILURE)
         ky[0], kv[0] = k1y, k1v
+        solve_tol = step_tol(v, dt)
         contact = False
         for s in range(1, 7):
             a = _DP_A[s]
@@ -752,7 +838,7 @@ def generic_dp_columns(problem, t_end, sc):
                 contact = True
                 break
             ky[s] = vs
-            kv[s], load7, it7 = ev.eval(ys, vs)
+            kv[s], load7, it7 = ev.eval(ys, vs, solve_tol)
         if contact:
             if dt * 0.25 < dt_min or y <= 2.0 * eps_contact:
                 return done(TerminationKind.CONTACT_GUARD)
@@ -1050,10 +1136,10 @@ class TestStiffSwitch:
             self.broken = True
             return jac
 
-        def evaluate(self, beta, gamma):
+        def evaluate(self, beta, gamma, tol=None):
             if getattr(self, "broken", False):
                 return math.nan, math.nan, 0
-            return real_eval(self, beta, gamma)
+            return real_eval(self, beta, gamma, tol)
 
         monkeypatch.setattr(GEvaluator, "jacobian", jacobian)
         monkeypatch.setattr(GEvaluator, "eval", evaluate)

@@ -127,9 +127,9 @@ class TestBracketAndRoot:
         class ColdEvaluator(GEvaluator):
             """Drops the warm start before every solve."""
 
-            def field(self, beta, gamma):
+            def field(self, beta, gamma, tol=None):
                 self._warm = None
-                return super().field(beta, gamma)
+                return super().field(beta, gamma, tol)
 
         grid = build_grid(domain_sym, 32, 32)
         prob = Problem(
