@@ -87,16 +87,19 @@ class SolverParams:
     once and keeps it until the start's free set differs from the
     estimate's in more than 10% of its nodes.  A cutoff solve (b <= 0
     everywhere) estimates nothing.  On the steady workload's 40
-    searches at 64^2 this takes 23,775 sweeps where omega 1.9 took
-    38,152, with 85 estimates for 494 solves.  An explicit omega in
-    (0, 2) is used as given.  Frozen: a Problem keeps the caller's
-    object as given.
+    searches at 64^2, every point solved at tol, this took 23,775 sweeps
+    where omega 1.9 took 38,152, with 85 estimates for 494 solves.  An
+    explicit omega in (0, 2) is used as given.  Frozen: a Problem keeps
+    the caller's object as given.
 
-    tol is the PSOR stop tolerance.  steady, gcurve and verify solve at
-    tol throughout.  A simulate run solves its start and its start probe
-    at tol, and each Dormand-Prince step's stages at that step's share
-    of its error budget (integrate_trajectory), never below tol: there
-    tol is the floor.  The flat profile's one unit solve runs at
+    tol is the PSOR stop tolerance.  gcurve and verify solve at tol
+    throughout.  steady solves Brent's points and every g_at_root at
+    tol, and its bracket points first at a looser tolerance, then at tol
+    only where g's sign is not yet certain (steady._signed_g).  A
+    simulate run solves its start and its start probe at tol, and each
+    Dormand-Prince step's stages at that step's share of its error
+    budget (integrate_trajectory), never tighter than tol: there tol is
+    the floor.  The flat profile's one unit solve runs at
     min(tol, 1e-10).
     """
 
@@ -698,9 +701,9 @@ def integrate_trajectory(
     the true error (2.4-15 times), which the worst-sign sum above leaves
     room for; rejected steps do not rise, where a fixed solve tol of 1e-7
     triples them on a long run.  The start and the starting-step probe
-    solve at solver.tol; RODAS3 steps run on the flat profile, whose
-    loads skip PSOR.  On the
-    three 32^2 line-contact runs to t = 50 at solver.tol 1e-9 and
+    solve at solver.tol.  A flat-profile run, the only one that reaches
+    RODAS3, skips the rule on both steppers: its loads never reach PSOR.
+    On the three 32^2 line-contact runs to t = 50 at solver.tol 1e-9 and
     omega = suggested_omega this takes 83,009 sweeps and 121 rejected
     steps where solves at 1e-9 took 119,864 and 123; the final eta moves
     by under 3e-10.
@@ -791,10 +794,10 @@ def integrate_trajectory(
         return traj
 
     ev_eval = ev.eval
-    step_tol = _step_solve_tol(problem, abs_tol, rel_tol)
     # the tolerance of f's solves: solver.tol (None) for the start and its
-    # probe, then the current Dormand-Prince step's; RODAS3 steps run on
-    # the flat profile only, whose loads never reach PSOR
+    # probe, then the current Dormand-Prince step's.  The flat profile's
+    # loads never reach PSOR, on either stepper, so its run skips the rule
+    step_tol = None if can_switch else _step_solve_tol(problem, abs_tol, rel_tol)
     solve_tol = None
 
     def f(eta, v):
@@ -823,7 +826,8 @@ def integrate_trajectory(
             return finish(TerminationKind.STEP_FAILURE, t, f"step size underflow (dt={dt:.3e})")
         try:
             if jac is None:
-                solve_tol = step_tol(v, dt)
+                if step_tol is not None:
+                    solve_tol = step_tol(v, dt)
                 y_new, v_new, err_y, err_v, f_new, stiff = _dp_step(f, y, v, g, dt)
             else:
                 y_new, v_new, err_y, err_v = _rodas3_step(f, y, v, g, *jac, dt)

@@ -18,6 +18,13 @@ h = log(L / F) = log1p(g / F), which has the same root and sign as g
 and is nearly linear in u.  Bisection halves the bracket in u.  Signs,
 the stop rule and the iteration cap are decided on g and beta alone.
 
+find_bracket uses only the sign of g, so it solves each point only
+until that sign is certain (_signed_g): first at the loose PSOR
+tolerance max(solver.tol, 1e-4), and once more at solver.tol when |g|
+is within 20 times the largest load error the stop test allows.  Brent's
+method and g_curve solve at solver.tol, and so does every g that
+find_steady reports as g_at_root.
+
 Every entry point takes the GEvaluator that makes the solves, so a
 bracket search, the root search after it and a curve can share one
 warm chain; the problem is ev.problem.
@@ -41,13 +48,21 @@ __all__ = ["Bracket", "SteadyResult", "GCurve", "find_bracket", "find_steady", "
 class Bracket:
     """A sign bracket g(beta_lo) > 0 > g(beta_hi) with g at both ends and
     the applied load F = L - g, so that find_steady need not solve the
-    ends again."""
+    ends again.
+
+    tol_lo and tol_hi are the PSOR tolerances of the solves that g_lo
+    and g_hi come from, None for solver.tol.  An end solved only to its
+    sign is solved again at solver.tol before find_steady returns it as
+    the root.
+    """
 
     beta_lo: float
     beta_hi: float
     g_lo: float
     g_hi: float
     F: float
+    tol_lo: float | None = None
+    tol_hi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -108,37 +123,68 @@ def _require_admissible(problem: Problem) -> None:
     )
 
 
+# find_bracket solves a point at _SIGN_TOL (never below solver.tol) and
+# keeps that sign when |g| exceeds _SIGN_MARGIN times the largest load
+# error the PSOR stop test allows, area(Omega) tol max(1, ||p||_inf); the
+# margin absorbs the stop test's understatement of the true error (up to
+# 15 times).  Otherwise the point is solved again at solver.tol.
+_SIGN_TOL, _SIGN_MARGIN = 1e-4, 20.0
+
+
+def _signed_g(ev: GEvaluator, beta: float) -> tuple[float, float, float | None]:
+    """(g, film load, tol) at (beta, 0) from solves that make g's sign certain.
+
+    One ev.field solve at max(solver.tol, _SIGN_TOL), warm started by the
+    chain; when |g| is within _SIGN_MARGIN area(Omega) tol max(1,
+    ||p||_inf) of zero, one more at solver.tol, from the first.  tol is
+    the tolerance of the solve that g comes from, None for solver.tol.
+    """
+    problem = ev.problem
+    floor = problem.solver.tol
+    tol = max(floor, _SIGN_TOL)
+    field = ev.field(beta, 0.0, tol)
+    load = load_integral(field, problem.grid)
+    margin = _SIGN_MARGIN * problem.grid.domain.area * tol * max(1.0, float(field.values.max()))
+    if tol > floor and abs(load - problem.F) <= margin:
+        tol = floor
+        load = load_integral(ev.field(beta, 0.0, tol), problem.grid)
+    return load - problem.F, load, None if tol == floor else tol
+
+
 def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 60) -> Bracket:
     """Expand geometrically from beta_init until g changes sign.
 
     ev makes the solves, for the problem ev.problem.  Returns the Bracket
-    with g(beta_lo) > 0 > g(beta_hi), both values and the applied load F.
-    Doubling keeps the last beta with g >= 0 as the lower end, and
-    halving keeps the last beta with g < 0 as the upper end.  Fails with
-    BracketFailure when max_expansions doublings (then halvings) find no
-    sign change, as when no positive g is found before the wedge drops
-    under the grid resolution (the load saturates there).
+    with g(beta_lo) > 0 > g(beta_hi), both values, the tolerances they
+    were solved at and the applied load F.  Doubling keeps the last beta
+    with g >= 0 as the lower end, and halving keeps the last beta with
+    g < 0 as the upper end.  Only g's sign is used here, so each point is
+    solved until that sign is certain (_signed_g): one loose solve, and
+    one at solver.tol where |g| is within the loose solve's error margin.
+    Fails with BracketFailure when max_expansions doublings (then
+    halvings) find no sign change, as when no positive g is found before
+    the wedge drops under the grid resolution (the load saturates there).
     """
     _require_admissible(ev.problem)
     if beta_init <= 0.0:
         raise ValueError("beta_init must be positive")
 
     beta_hi = beta_init
-    g_hi, load, _ = ev.eval(beta_hi, 0.0)
+    g_hi, load, tol_hi = _signed_g(ev, beta_hi)
     F = load - g_hi
     g_lo = None
     n = 0
     while g_hi >= 0.0:
         if n >= max_expansions:
             raise BracketFailure(f"no negative g up to beta = {beta_hi}")
-        beta_lo, g_lo = beta_hi, g_hi
+        beta_lo, g_lo, tol_lo = beta_hi, g_hi, tol_hi
         beta_hi *= 2.0
-        g_hi, _, _ = ev.eval(beta_hi, 0.0)
+        g_hi, _, tol_hi = _signed_g(ev, beta_hi)
         n += 1
 
     if g_lo is None:
         beta_lo = 0.5 * beta_init
-        g_lo, _, _ = ev.eval(beta_lo, 0.0)
+        g_lo, _, tol_lo = _signed_g(ev, beta_lo)
     n = 0
     while g_lo <= 0.0:
         if n >= max_expansions:
@@ -147,11 +193,11 @@ def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 6
                 f"the grid is too coarse to resolve the wedge near contact"
             )
         if g_lo < 0.0:
-            beta_hi, g_hi = beta_lo, g_lo
+            beta_hi, g_hi, tol_hi = beta_lo, g_lo, tol_lo
         beta_lo *= 0.5
-        g_lo, _, _ = ev.eval(beta_lo, 0.0)
+        g_lo, _, tol_lo = _signed_g(ev, beta_lo)
         n += 1
-    return Bracket(beta_lo, beta_hi, g_lo, g_hi, F)
+    return Bracket(beta_lo, beta_hi, g_lo, g_hi, F, tol_lo, tol_hi)
 
 
 def find_steady(
@@ -163,7 +209,10 @@ def find_steady(
     """Narrow the bracket by Brent's method to a root of g.
 
     ev makes the solves; the bracket, as find_bracket returns it, brings
-    g at both ends and F, so no end is solved again.  The steps
+    g at both ends and F, so no end is solved again, except an end whose
+    |g| is within tol_residual but was solved only to its sign: it is
+    solved at solver.tol before it is returned (or not) as the root, so
+    g_at_root always comes from a solve at solver.tol.  The steps
     interpolate log(L / F) over log beta (module docstring); a point
     whose load is not positive makes the step bisect in log beta.  Every
     step keeps g(beta_lo) > 0 > g(beta_hi).  The search stops at the
@@ -180,8 +229,14 @@ def find_steady(
         raise ValueError(f"invalid bracket {bracket}")
     g_lo, g_hi, F = bracket.g_lo, bracket.g_hi, bracket.F
     evals = 0
+    if abs(g_lo) <= tol_residual and bracket.tol_lo is not None:
+        g_lo, _, _ = ev.eval(beta_lo, 0.0)
+        evals += 1
     if abs(g_lo) <= tol_residual:
         return SteadyResult(beta_lo, g_lo, (beta_lo, beta_hi), evals)
+    if abs(g_hi) <= tol_residual and bracket.tol_hi is not None:
+        g_hi, _, _ = ev.eval(beta_hi, 0.0)
+        evals += 1
     if abs(g_hi) <= tol_residual:
         return SteadyResult(beta_hi, g_hi, (beta_lo, beta_hi), evals)
     if not (g_lo > 0.0 > g_hi):

@@ -623,6 +623,32 @@ class TestStepSolveTolerance:
         for tol in (1e-12, 1e-6, 1e-3):
             assert GEvaluator(prob).eval(0.5, -1.0, tol) == ref
 
+    def test_flat_run_skips_the_rule_and_keeps_its_artifacts(self, tmp_path, monkeypatch):
+        # a flat run's loads never reach PSOR, so it never builds the rule;
+        # its artifacts are those written while it still computed the rule
+        # on every Dormand-Prince attempt (sha256, x86-64, numpy 2.4)
+        import hashlib
+        from pathlib import Path
+
+        import sliderfilm.dynamics as dynamics
+        from sliderfilm.cli import EXIT_OK, dispatch
+        from sliderfilm.config import parse_config
+
+        def no_rule(*args):
+            raise AssertionError("a flat run built the step solve tolerance")
+
+        monkeypatch.setattr(dynamics, "_step_solve_tol", no_rule)
+        config = Path(__file__).resolve().parents[1] / "configs" / "flat_decay.json"
+        assert dispatch(parse_config(config.read_text()), "simulate", tmp_path) == EXIT_OK
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("summary.json", "trajectory.csv")
+        }
+        assert digests == {
+            "summary.json": "62eb30b52f5ae8dda44955a588eeb6836ff71e83340790e9645254aaa4f92d31",
+            "trajectory.csv": "5837a9ee060703aea8ad3e15bd8f73028f90fd3b5a116a6d6d0c1ca1519f52d8",
+        }
+
     def test_transient_within_rel_tol_of_a_tight_reference(self, domain_sym, monkeypatch):
         # the CI transient against a run at solve tol 1e-13, rel_tol 1e-11
         import sliderfilm.dynamics as dynamics

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from sliderfilm.dynamics import GEvaluator, Problem, SolverParams, bounds_report
 from sliderfilm.errors import BracketFailure, InadmissibleShape
 from sliderfilm.geometry import SliderShape, build_grid
 from sliderfilm.steady import (
+    _SIGN_TOL,
     Bracket,
     _require_admissible,
+    _signed_g,
     find_bracket,
     find_steady,
     g_curve,
 )
-from sliderfilm.vi_solver import suggested_omega
+from sliderfilm.vi_solver import PressureField, suggested_omega
 
 
 def make_problem(shape, domain, n=32, F=1.0):
@@ -108,9 +111,10 @@ class TestBracketAndRoot:
 
     def test_search_work_over_starting_points(self, domain_sym):
         # 14 searches (line and point contact, 32^2, beta_init at 7 points in
-        # [0.25, 1]) take 8,701 sweeps in 140 solves; on (beta, g), with
-        # find_bracket keeping beta_init as the upper end, they took 13,103
-        # sweeps in 190 solves
+        # [0.25, 1]) take 5,262 sweeps in 142 solves; with every bracket
+        # point solved at solver.tol they took 8,701 sweeps in 140 solves,
+        # and on (beta, g), with find_bracket keeping beta_init as the
+        # upper end, 13,103 sweeps in 190 solves
         sweeps = solves = 0
         for make in (SliderShape.line_contact, SliderShape.point_contact):
             prob = make_problem(make(2.0), domain_sym)
@@ -120,8 +124,44 @@ class TestBracketAndRoot:
                 assert abs(res.g_at_root) <= 1e-6
                 sweeps += ev.n_sweeps
                 solves += ev.n_solves
-        assert sweeps <= 9_600
+        assert sweeps <= 5_800
         assert solves <= 150
+
+    @pytest.mark.parametrize("make", [SliderShape.line_contact, SliderShape.point_contact])
+    def test_bracket_signs_hold_at_a_tight_cold_solve(self, domain_sym, make):
+        # every end find_bracket returns, most of them from a loose solve,
+        # has the sign of a cold solve at tol 1e-12
+        prob = make_problem(make(2.0), domain_sym)
+        tight = replace(prob, solver=replace(prob.solver, tol=1e-12))
+        loose_ends = 0
+        for beta_init in np.linspace(0.25, 1.0, 7):
+            br = find_bracket(GEvaluator(prob), beta_init)
+            for beta, g, tol in ((br.beta_lo, br.g_lo, br.tol_lo), (br.beta_hi, br.g_hi, br.tol_hi)):
+                g_tight, _, _ = GEvaluator(tight).eval(beta, 0.0)
+                assert g != 0.0 and g_tight != 0.0
+                assert (g > 0.0) == (g_tight > 0.0)
+                loose_ends += tol == _SIGN_TOL
+        assert loose_ends >= 10
+
+    def test_g_at_root_from_an_end_comes_from_a_full_solve(self, domain_sym):
+        # with tol_residual 0.5, g_hi ~ -0.28 of the loosely solved upper
+        # end is a root: find_steady solves it again at solver.tol first
+        class TolRecorder(GEvaluator):
+            def field(self, beta, gamma, tol=None):
+                self.tols.append((beta, tol))
+                return super().field(beta, gamma, tol)
+
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym)
+        ev = TolRecorder(prob)
+        ev.tols = []
+        br = find_bracket(ev, 0.5)
+        assert br.tol_hi == _SIGN_TOL and 0.0 > br.g_hi >= -0.5
+        res = find_steady(ev, br, tol_residual=0.5)
+        assert res.beta_star == br.beta_hi and res.evaluations == 1
+        assert ev.tols[-1] == (br.beta_hi, None)
+        g_cold, _, _ = GEvaluator(prob).eval(br.beta_hi, 0.0)
+        assert res.g_at_root == pytest.approx(g_cold, abs=1e-8)
+        assert abs(res.g_at_root - g_cold) < abs(br.g_hi - g_cold)
 
     def test_root_independent_of_warm_start(self, domain_sym):
         class ColdEvaluator(GEvaluator):
@@ -157,18 +197,28 @@ class TestBracketAndRoot:
 
 class StubEvaluator:
     """Stands in for GEvaluator: g from a plain function, no film solve.
-    The load is g + 1, so F = 1."""
+    The load is g + 1, so F = 1.  field, which find_bracket calls, puts
+    the whole load on one node; on a grid whose cell area is a power of
+    two, load_integral gives back g + 1 exactly.  calls lists the betas
+    of eval and field in order, tols the tolerance of each."""
 
     def __init__(self, g, problem=None):
         self.g = g
         self.problem = problem
         self.calls = []
+        self.tols = []
 
-    def eval(self, beta, gamma):
+    def eval(self, beta, gamma, tol=None):
         assert gamma == 0.0
         self.calls.append(beta)
+        self.tols.append(tol)
         g = self.g(beta)
         return g, g + 1.0, 0
+
+    def field(self, beta, gamma, tol=None):
+        g, load, _ = self.eval(beta, gamma, tol)
+        values = np.array([[load / self.problem.grid.cell_area]])
+        return PressureField(values=values, residual_comp=0.0, residual_lin=0.0, iterations=0)
 
 
 def stub_bracket(g, ends):
@@ -255,25 +305,81 @@ class TestBrent:
         assert lo not in ev.calls and hi not in ev.calls
         assert res.evaluations == len(ev.calls)
 
+    @pytest.mark.parametrize("tol_end", [None, _SIGN_TOL])
+    @pytest.mark.parametrize("end, ends", [("lo", (1.2, 3.0)), ("hi", (0.5, 3.0))])
+    def test_end_within_tol_residual_is_the_root(self, end, ends, tol_end):
+        # the bracket's g at the end, 0.9 g, stands for a loose solve's value:
+        # an end solved only to its sign (tol_end set) is solved again at
+        # solver.tol (tol None) and that g is reported, while an end solved
+        # at solver.tol is returned as it is
+        g, _ = TWO_POWERS
+        beta = ends[end == "hi"]
+        br = replace(stub_bracket(g, ends), **{f"g_{end}": 0.9 * g(beta), f"tol_{end}": tol_end})
+        ev = StubEvaluator(g)
+        res = find_steady(ev, br, tol_residual=0.7)
+        assert res.beta_star == beta
+        if tol_end is None:
+            assert (ev.calls, res.g_at_root, res.evaluations) == ([], 0.9 * g(beta), 0)
+        else:
+            assert (ev.calls, ev.tols, res.g_at_root, res.evaluations) == ([beta], [None], g(beta), 1)
+
 
 class TestBracketSearch:
+    # on [-1, 1]^2 with 7 nodes a side the cell area is 1/16, a power of two
+    # (see StubEvaluator); area(Omega) is 4 and solver.tol 1e-9
+
     @pytest.mark.parametrize(
         "beta_init, calls, bracket",
         [
-            (4.0, [4.0, 2.0, 1.0, 0.5], (0.5, 2.0)),  # halvings only; 2 is the last g < 0
+            # g(1) == 0 in the first and last cases: a sign that is not
+            # certain, so 1 is solved again at solver.tol
+            (4.0, [4.0, 2.0, 1.0, 1.0, 0.5], (0.5, 2.0)),  # halvings only; 2 is the last g < 0
             (0.3, [0.3, 0.6, 1.2], (0.6, 1.2)),  # the last doubling's lower end is reused
-            (0.25, [0.25, 0.5, 1.0, 2.0, 0.5], (0.5, 2.0)),  # g(1) == 0 there: still halves
+            (0.25, [0.25, 0.5, 1.0, 1.0, 2.0, 0.5], (0.5, 2.0)),  # g(1) == 0: still halves
         ],
     )
     def test_solves_each_point_once(self, domain_sym, beta_init, calls, bracket):
-        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8)
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=7)
         g = LOAD_LIKE[0]
         ev = StubEvaluator(g, prob)
         br = find_bracket(ev, beta_init)
         assert ev.calls == calls
+        # a point whose sign is clear is solved once, at the loose tolerance
+        assert ev.tols == [1e-9 if b == prev else _SIGN_TOL for b, prev in zip(calls, [None] + calls)]
         assert (br.beta_lo, br.beta_hi) == bracket
         assert (br.g_lo, br.g_hi) == (g(bracket[0]), g(bracket[1]))
+        assert (br.tol_lo, br.tol_hi) == (_SIGN_TOL, _SIGN_TOL)
         assert br.F == pytest.approx(1.0)
+
+    def test_point_inside_the_margin_is_solved_once_more(self, domain_sym):
+        # g(1.2) = -1e-3 is inside the loose solve's margin, 20 * 4 * 1e-4 * 16 L
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=7)
+        ev = StubEvaluator(lambda x: 1.0 / x**3 - 1.0 / 1.2**3 - 1e-3, prob)
+        br = find_bracket(ev, 0.3)
+        assert ev.calls == [0.3, 0.6, 1.2, 1.2]
+        assert ev.tols == [_SIGN_TOL, _SIGN_TOL, _SIGN_TOL, 1e-9]
+        assert (br.beta_lo, br.beta_hi, br.tol_lo, br.tol_hi) == (0.6, 1.2, _SIGN_TOL, None)
+        assert br.g_hi == pytest.approx(-1e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("k, tols", [(0.99, [_SIGN_TOL, 1e-9]), (1.01, [_SIGN_TOL])])
+    def test_margin_is_20_times_the_stop_tests_load_error(self, domain_sym, k, tols):
+        # the stub's field is one node of value 16 L, so the margin is
+        # 20 * 4 * 1e-4 * 16 L = 0.128 L; |g| = 1 - L = 0.128 k L
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=7)
+        load = 1.0 / (1.0 + 0.128 * k)
+        ev = StubEvaluator(lambda x: load - 1.0, prob)
+        g, _, tol = _signed_g(ev, 1.0)
+        assert ev.tols == tols
+        assert tol == (None if k < 1.0 else _SIGN_TOL)
+        assert g == pytest.approx(load - 1.0, rel=1e-12)
+
+    def test_no_loose_solve_at_a_loose_solver_tol(self, domain_sym):
+        # solver.tol at or above the loose tolerance: one solve at solver.tol
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=7)
+        prob = replace(prob, solver=replace(prob.solver, tol=1e-3))
+        ev = StubEvaluator(lambda x: 1e-9, prob)
+        assert _signed_g(ev, 1.0)[2] is None
+        assert ev.tols == [1e-3]
 
 
 class TestGCurve:
