@@ -94,8 +94,9 @@ class SolverParams:
 
     tol is the PSOR stop tolerance.  gcurve and verify solve at tol
     throughout.  steady solves Brent's points and every g_at_root at
-    tol, and its bracket points first at a looser tolerance, then at tol
-    only where g's sign is not yet certain (steady._signed_g).  A
+    tol, and stops once |g| is within that solve's load error
+    (steady._solve_g); its bracket points first at a looser tolerance,
+    then at tol only where g's sign is not yet certain.  A
     simulate run solves its start and its start probe at tol, and each
     Dormand-Prince step's stages at that step's share of its error
     budget (integrate_trajectory), never tighter than tol: there tol is

@@ -18,12 +18,15 @@ h = log(L / F) = log1p(g / F), which has the same root and sign as g
 and is nearly linear in u.  Bisection halves the bracket in u.  Signs,
 the stop rule and the iteration cap are decided on g and beta alone.
 
+Every g comes with e = area(Omega) tol max(1, ||p||_inf), the largest
+load error the PSOR stop test allows for its solve (_solve_g).
 find_bracket uses only the sign of g, so it solves each point only
 until that sign is certain (_signed_g): first at the loose PSOR
 tolerance max(solver.tol, 1e-4), and once more at solver.tol when |g|
-is within 20 times the largest load error the stop test allows.  Brent's
-method and g_curve solve at solver.tol, and so does every g that
-find_steady reports as g_at_root.
+is within 20 e.  Brent's method and g_curve solve at solver.tol, and
+so does every g that find_steady reports as g_at_root.  Brent's method
+stops at the first point with |g| <= min(tol_residual, e): past it g
+is solve noise.
 
 Every entry point takes the GEvaluator that makes the solves, so a
 bracket search, the root search after it and a curve can share one
@@ -47,13 +50,13 @@ __all__ = ["Bracket", "SteadyResult", "GCurve", "find_bracket", "find_steady", "
 @dataclass(frozen=True)
 class Bracket:
     """A sign bracket g(beta_lo) > 0 > g(beta_hi) with g at both ends and
-    the applied load F = L - g, so that find_steady need not solve the
-    ends again.
+    the applied load F, so that find_steady need not solve the ends again.
 
     tol_lo and tol_hi are the PSOR tolerances of the solves that g_lo
-    and g_hi come from, None for solver.tol.  An end solved only to its
-    sign is solved again at solver.tol before find_steady returns it as
-    the root.
+    and g_hi come from, None for solver.tol, and e_lo and e_hi their
+    load errors (_solve_g), None where unknown.  An end solved only to
+    its sign is solved again at solver.tol before find_steady returns it
+    as the root.
     """
 
     beta_lo: float
@@ -63,12 +66,18 @@ class Bracket:
     F: float
     tol_lo: float | None = None
     tol_hi: float | None = None
+    e_lo: float | None = None
+    e_hi: float | None = None
 
 
 @dataclass(frozen=True)
 class SteadyResult:
+    """g_error is the load error (_solve_g) of the solve that g_at_root
+    comes from, None for a bracket end that carries none."""
+
     beta_star: float
     g_at_root: float
+    g_error: float | None
     bracket: tuple[float, float]
     evaluations: int
 
@@ -76,6 +85,7 @@ class SteadyResult:
         return {
             "beta_star": self.beta_star,
             "g_at_root": self.g_at_root,
+            "g_error": self.g_error,
             "bracket": list(self.bracket),
             "evaluations": self.evaluations,
         }
@@ -124,31 +134,37 @@ def _require_admissible(problem: Problem) -> None:
 
 
 # find_bracket solves a point at _SIGN_TOL (never below solver.tol) and
-# keeps that sign when |g| exceeds _SIGN_MARGIN times the largest load
-# error the PSOR stop test allows, area(Omega) tol max(1, ||p||_inf); the
+# keeps that sign when |g| exceeds _SIGN_MARGIN times its load error; the
 # margin absorbs the stop test's understatement of the true error (up to
 # 15 times).  Otherwise the point is solved again at solver.tol.
 _SIGN_TOL, _SIGN_MARGIN = 1e-4, 20.0
 
 
-def _signed_g(ev: GEvaluator, beta: float) -> tuple[float, float, float | None]:
-    """(g, film load, tol) at (beta, 0) from solves that make g's sign certain.
-
-    One ev.field solve at max(solver.tol, _SIGN_TOL), warm started by the
-    chain; when |g| is within _SIGN_MARGIN area(Omega) tol max(1,
-    ||p||_inf) of zero, one more at solver.tol, from the first.  tol is
-    the tolerance of the solve that g comes from, None for solver.tol.
-    """
+def _solve_g(ev: GEvaluator, beta: float, tol: float | None = None) -> tuple[float, float]:
+    """(g, e) at (beta, 0) from one ev.field solve at tol (None means
+    solver.tol), warm started by the chain.  e = area(Omega) tol max(1,
+    ||p||_inf) is the largest load error the PSOR stop test allows."""
     problem = ev.problem
-    floor = problem.solver.tol
-    tol = max(floor, _SIGN_TOL)
     field = ev.field(beta, 0.0, tol)
-    load = load_integral(field, problem.grid)
-    margin = _SIGN_MARGIN * problem.grid.domain.area * tol * max(1.0, float(field.values.max()))
-    if tol > floor and abs(load - problem.F) <= margin:
+    tol = problem.solver.tol if tol is None else tol
+    e = problem.grid.domain.area * tol * max(1.0, float(field.values.max()))
+    return load_integral(field, problem.grid) - problem.F, e
+
+
+def _signed_g(ev: GEvaluator, beta: float) -> tuple[float, float, float | None]:
+    """(g, e, tol) at (beta, 0) from solves that make g's sign certain.
+
+    One solve at max(solver.tol, _SIGN_TOL); when |g| <= _SIGN_MARGIN e,
+    one more at solver.tol, from the first.  e is the load error and tol
+    the tolerance of the solve that g comes from, tol None for solver.tol.
+    """
+    floor = ev.problem.solver.tol
+    tol = max(floor, _SIGN_TOL)
+    g, e = _solve_g(ev, beta, tol)
+    if tol > floor and abs(g) <= _SIGN_MARGIN * e:
         tol = floor
-        load = load_integral(ev.field(beta, 0.0, tol), problem.grid)
-    return load - problem.F, load, None if tol == floor else tol
+        g, e = _solve_g(ev, beta, tol)
+    return g, e, None if tol == floor else tol
 
 
 def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 60) -> Bracket:
@@ -156,9 +172,9 @@ def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 6
 
     ev makes the solves, for the problem ev.problem.  Returns the Bracket
     with g(beta_lo) > 0 > g(beta_hi), both values, the tolerances they
-    were solved at and the applied load F.  Doubling keeps the last beta
-    with g >= 0 as the lower end, and halving keeps the last beta with
-    g < 0 as the upper end.  Only g's sign is used here, so each point is
+    were solved at, their load errors and the applied load F.  Doubling
+    keeps the last beta with g >= 0 as the lower end, and halving keeps
+    the last beta with g < 0 as the upper end.  Only g's sign is used here, so each point is
     solved until that sign is certain (_signed_g): one loose solve, and
     one at solver.tol where |g| is within the loose solve's error margin.
     Fails with BracketFailure when max_expansions doublings (then
@@ -170,21 +186,20 @@ def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 6
         raise ValueError("beta_init must be positive")
 
     beta_hi = beta_init
-    g_hi, load, tol_hi = _signed_g(ev, beta_hi)
-    F = load - g_hi
+    g_hi, e_hi, tol_hi = _signed_g(ev, beta_hi)
     g_lo = None
     n = 0
     while g_hi >= 0.0:
         if n >= max_expansions:
             raise BracketFailure(f"no negative g up to beta = {beta_hi}")
-        beta_lo, g_lo, tol_lo = beta_hi, g_hi, tol_hi
+        beta_lo, g_lo, e_lo, tol_lo = beta_hi, g_hi, e_hi, tol_hi
         beta_hi *= 2.0
-        g_hi, _, tol_hi = _signed_g(ev, beta_hi)
+        g_hi, e_hi, tol_hi = _signed_g(ev, beta_hi)
         n += 1
 
     if g_lo is None:
         beta_lo = 0.5 * beta_init
-        g_lo, _, tol_lo = _signed_g(ev, beta_lo)
+        g_lo, e_lo, tol_lo = _signed_g(ev, beta_lo)
     n = 0
     while g_lo <= 0.0:
         if n >= max_expansions:
@@ -193,11 +208,11 @@ def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 6
                 f"the grid is too coarse to resolve the wedge near contact"
             )
         if g_lo < 0.0:
-            beta_hi, g_hi, tol_hi = beta_lo, g_lo, tol_lo
+            beta_hi, g_hi, e_hi, tol_hi = beta_lo, g_lo, e_lo, tol_lo
         beta_lo *= 0.5
-        g_lo, _, tol_lo = _signed_g(ev, beta_lo)
+        g_lo, e_lo, tol_lo = _signed_g(ev, beta_lo)
         n += 1
-    return Bracket(beta_lo, beta_hi, g_lo, g_hi, F, tol_lo, tol_hi)
+    return Bracket(beta_lo, beta_hi, g_lo, g_hi, ev.problem.F, tol_lo, tol_hi, e_lo, e_hi)
 
 
 def find_steady(
@@ -216,29 +231,33 @@ def find_steady(
     interpolate log(L / F) over log beta (module docstring); a point
     whose load is not positive makes the step bisect in log beta.  Every
     step keeps g(beta_lo) > 0 > g(beta_hi).  The search stops at the
-    first bracket end with |g| <= tol_residual whose bracket is at most
-    1e-9 * beta wide, or at an exact zero of g.  evaluations counts the
-    film evaluations made here.  Deterministic; after max_bisections
-    steps the better end of the bracket is returned if its |g| is within
-    tol_residual, and BracketFailure is raised otherwise.  The film
-    solution is unique at every clearance, so warm starting cannot
-    change the result.
+    first point x with |g(x)| <= min(tol_residual, e(x)), e its load
+    error (_solve_g), and returns x with the last sign bracket, x and
+    the end of the other sign.  Where g carries no solve error (e = 0),
+    or the bracket closes first, it stops at the first bracket end with
+    |g| <= tol_residual whose bracket is at most 1e-9 * beta wide, or at
+    an exact zero of g.  evaluations counts the film evaluations made
+    here.  Deterministic; after max_bisections steps the better end of
+    the bracket is returned if its |g| is within tol_residual, and
+    BracketFailure is raised otherwise.  The film solution is unique at
+    every clearance, so warm starting cannot change the result.
     """
     beta_lo, beta_hi = bracket.beta_lo, bracket.beta_hi
     if not (0.0 < beta_lo < beta_hi):
         raise ValueError(f"invalid bracket {bracket}")
     g_lo, g_hi, F = bracket.g_lo, bracket.g_hi, bracket.F
+    e_lo, e_hi = bracket.e_lo, bracket.e_hi
     evals = 0
     if abs(g_lo) <= tol_residual and bracket.tol_lo is not None:
-        g_lo, _, _ = ev.eval(beta_lo, 0.0)
+        g_lo, e_lo = _solve_g(ev, beta_lo)
         evals += 1
     if abs(g_lo) <= tol_residual:
-        return SteadyResult(beta_lo, g_lo, (beta_lo, beta_hi), evals)
+        return SteadyResult(beta_lo, g_lo, e_lo, (beta_lo, beta_hi), evals)
     if abs(g_hi) <= tol_residual and bracket.tol_hi is not None:
-        g_hi, _, _ = ev.eval(beta_hi, 0.0)
+        g_hi, e_hi = _solve_g(ev, beta_hi)
         evals += 1
     if abs(g_hi) <= tol_residual:
-        return SteadyResult(beta_hi, g_hi, (beta_lo, beta_hi), evals)
+        return SteadyResult(beta_hi, g_hi, e_hi, (beta_lo, beta_hi), evals)
     if not (g_lo > 0.0 > g_hi):
         raise ValueError(
             f"bracket does not straddle a sign change: g({beta_lo}) = {g_lo}, "
@@ -252,7 +271,8 @@ def find_steady(
     # it, and tol1 is half the width rule, all in u.  An interpolation
     # step is taken only if every h is finite and the step stays within
     # three quarters of the way from b to c and is shorter than half of
-    # e; otherwise the step bisects in u.
+    # e; otherwise the step bisects in u.  err maps each point evaluated
+    # here to its load error.
     def h(g):
         return math.log1p(g / F) if g > -F else math.nan
 
@@ -261,6 +281,7 @@ def find_steady(
         b, gb, c, gc = c, gc, b, gb
     a, ga = c, gc
     d = e = math.log(b / c)
+    err = {}
     for _ in range(max_bisections):
         ub = math.log(b)
         m = 0.5 * (math.log(c) - ub)
@@ -293,14 +314,16 @@ def find_steady(
         # a step is at least tol1 long, so once b is near the root the next
         # point lands just past it and the bracket closes to tol1
         x = math.exp(ub + (d if abs(d) > tol1 or abs(m) <= tol1 else math.copysign(tol1, m)))
-        gx, _, _ = ev.eval(x, 0.0)
+        gx, err[x] = _solve_g(ev, x)
         evals += 1
         if gx == 0.0:
-            return SteadyResult(x, gx, (min(b, c), max(b, c)), evals)
+            return SteadyResult(x, gx, err[x], (min(b, c), max(b, c)), evals)
         b, gb = x, gx
         if (gb > 0.0) == (gc > 0.0):  # the sign change is now between a and b
             c, gc = a, ga
             d = e = math.log(b / a)
+        if abs(gb) <= min(tol_residual, err[b]):
+            return SteadyResult(b, gb, err[b], (min(b, c), max(b, c)), evals)
         if abs(gc) < abs(gb):
             a, ga, b, gb, c, gc = b, gb, c, gc, b, gb
         if abs(gb) <= tol_residual and abs(c - b) <= 1e-9 * b:
@@ -310,7 +333,8 @@ def find_steady(
             f"Brent's method stalled: best |g| = {abs(gb):.3e} > {tol_residual} "
             f"after {evals} evaluations"
         )
-    return SteadyResult(b, gb, (min(b, c), max(b, c)), evals)
+    # b is a point of this loop: both bracket ends have |g| > tol_residual
+    return SteadyResult(b, gb, err[b], (min(b, c), max(b, c)), evals)
 
 
 def g_curve(ev: GEvaluator, beta_values) -> GCurve:

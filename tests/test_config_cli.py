@@ -18,7 +18,7 @@ from sliderfilm.cli import (
 from sliderfilm.config import RunConfig, default_gcurve_betas, parse_config
 from sliderfilm.dynamics import GEvaluator, SolverParams
 from sliderfilm.errors import ParseError, ValidationError
-from sliderfilm.vi_solver import young_omega
+from sliderfilm.vi_solver import load_integral, young_omega
 
 MINIMAL_FLAT = """
 {
@@ -321,6 +321,27 @@ class TestDispatch:
         assert doc["solves"] > doc["evaluations"] > 0
         assert doc["sweeps"] >= doc["solves"]
         assert doc["omega_estimates"] == 0  # omega is pinned
+
+    def test_steady_reports_the_load_error_of_g_at_root(self, tmp_path, monkeypatch):
+        # g_error is area(Omega) tol max(1, ||p||_inf) of the solve that
+        # g_at_root comes from, the last solve at beta_star
+        solved = {}
+        field = GEvaluator.field
+
+        def recording_field(self, beta, gamma, tol=None):
+            solved[beta] = (tol, field(self, beta, gamma, tol))
+            return solved[beta][1]
+
+        monkeypatch.setattr(GEvaluator, "field", recording_field)
+        cfg = parse_config(SMALL_LINE)
+        assert dispatch(cfg, "steady", tmp_path) == EXIT_OK
+        doc = json.loads((tmp_path / "steady.json").read_text())
+        tol, fld = solved[doc["beta_star"]]
+        assert tol is None
+        grid = build_problem(cfg).grid
+        assert doc["g_error"] == grid.domain.area * cfg.solver.tol * max(1.0, float(fld.values.max()))
+        assert doc["g_at_root"] == load_integral(fld, grid) - cfg.physics.F
+        assert abs(doc["g_at_root"]) <= min(cfg.steady.tol_residual, doc["g_error"])
 
     def test_steady_estimates_an_unset_omega_less_often_than_it_solves(self, tmp_path):
         cfg = parse_config(SMALL_LINE.replace('"omega": 1.6, ', ""))

@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sliderfilm.dynamics import GEvaluator, Problem, SolverParams, bounds_report
 from sliderfilm.errors import BracketFailure, InadmissibleShape
-from sliderfilm.geometry import SliderShape, build_grid
+from sliderfilm.geometry import DomainRect, SliderShape, build_grid
 from sliderfilm.steady import (
     _SIGN_TOL,
     Bracket,
@@ -97,24 +98,27 @@ class TestBracketAndRoot:
 
     @pytest.mark.parametrize("make", [SliderShape.line_contact, SliderShape.point_contact])
     def test_search_evaluations_with_bracket_values(self, domain_sym, make):
-        # Brent on (log beta, log L/F) takes 6 (line) and 7 (point) evaluations here
+        # Brent on (log beta, log L/F) takes 4 (line) and 3 (point) evaluations
+        # here; it stops once |g| is within its solve's load error, or else
+        # by the width rule
         prob = make_problem(make(2.0), domain_sym)
         ev = GEvaluator(prob)
         br = find_bracket(ev, 0.5)
         assert br.F == pytest.approx(prob.F)
         solves = ev.n_solves
         res = find_steady(ev, br, tol_residual=1e-6)
-        assert ev.n_solves - solves == res.evaluations <= 10
+        assert ev.n_solves - solves == res.evaluations <= 4
         assert abs(res.g_at_root) <= 1e-6
         lo, hi = res.bracket
-        assert hi - lo <= 1e-9 * res.beta_star
+        assert abs(res.g_at_root) <= min(1e-6, res.g_error) or hi - lo <= 1e-9 * res.beta_star
 
     def test_search_work_over_starting_points(self, domain_sym):
         # 14 searches (line and point contact, 32^2, beta_init at 7 points in
-        # [0.25, 1]) take 5,262 sweeps in 142 solves; with every bracket
-        # point solved at solver.tol they took 8,701 sweeps in 140 solves,
-        # and on (beta, g), with find_bracket keeping beta_init as the
-        # upper end, 13,103 sweeps in 190 solves
+        # [0.25, 1]) take 5,039 sweeps in 105 solves; with Brent's method
+        # narrowing the bracket to 1e-9 beta they took 5,262 sweeps in 142
+        # solves, with every bracket point solved at solver.tol as well
+        # 8,701 sweeps in 140 solves, and on (beta, g), with find_bracket
+        # keeping beta_init as the upper end, 13,103 sweeps in 190 solves
         sweeps = solves = 0
         for make in (SliderShape.line_contact, SliderShape.point_contact):
             prob = make_problem(make(2.0), domain_sym)
@@ -124,8 +128,21 @@ class TestBracketAndRoot:
                 assert abs(res.g_at_root) <= 1e-6
                 sweeps += ev.n_sweeps
                 solves += ev.n_solves
-        assert sweeps <= 5_800
-        assert solves <= 150
+        assert sweeps <= 5_500
+        assert solves <= 115
+
+    def test_root_agrees_with_a_tight_search(self, domain_sym):
+        # 14 searches as above against searches at solver.tol 1e-12 and
+        # tol_residual 1e-10: the worst relative error in beta* is 2.0e-8
+        # (point contact, beta_init 0.25, 0.5 and 1)
+        for make in (SliderShape.line_contact, SliderShape.point_contact):
+            prob = make_problem(make(2.0), domain_sym)
+            tight = replace(prob, solver=replace(prob.solver, tol=1e-12))
+            for beta_init in np.linspace(0.25, 1.0, 7):
+                ev, ev_tight = GEvaluator(prob), GEvaluator(tight)
+                res = find_steady(ev, find_bracket(ev, beta_init))
+                ref = find_steady(ev_tight, find_bracket(ev_tight, beta_init), tol_residual=1e-10)
+                assert res.beta_star == pytest.approx(ref.beta_star, rel=5e-8)
 
     @pytest.mark.parametrize("make", [SliderShape.line_contact, SliderShape.point_contact])
     def test_bracket_signs_hold_at_a_tight_cold_solve(self, domain_sym, make):
@@ -195,28 +212,35 @@ class TestBracketAndRoot:
         assert roots[0] > roots[1] > roots[2]
 
 
+def stub_problem(tol=0.0):
+    """What the search reads of a Problem, for StubEvaluator: F = 0, so
+    the stub's load is g itself, and a 7x7 grid of [-1, 1]^2, cell area
+    1/16 and area(Omega) 4.  At solver.tol 0 g carries no load error;
+    otherwise, while |g| <= 1/16, its load error is 4 tol."""
+    return SimpleNamespace(
+        grid=build_grid(DomainRect(-1.0, 1.0, -1.0, 1.0), 7, 7), F=0.0, solver=SolverParams(tol=tol)
+    )
+
+
 class StubEvaluator:
     """Stands in for GEvaluator: g from a plain function, no film solve.
-    The load is g + 1, so F = 1.  field, which find_bracket calls, puts
-    the whole load on one node; on a grid whose cell area is a power of
-    two, load_integral gives back g + 1 exactly.  calls lists the betas
-    of eval and field in order, tols the tolerance of each."""
+    field puts the whole load g + F on one node; on a grid whose cell
+    area is a power of two, load_integral gives it back exactly, so the
+    search reads g + F - F (g itself when F = 0, the default problem
+    stub_problem()).  calls lists the betas of field in order, tols the
+    tolerance of each."""
 
     def __init__(self, g, problem=None):
         self.g = g
-        self.problem = problem
+        self.problem = stub_problem() if problem is None else problem
         self.calls = []
         self.tols = []
 
-    def eval(self, beta, gamma, tol=None):
+    def field(self, beta, gamma, tol=None):
         assert gamma == 0.0
         self.calls.append(beta)
         self.tols.append(tol)
-        g = self.g(beta)
-        return g, g + 1.0, 0
-
-    def field(self, beta, gamma, tol=None):
-        g, load, _ = self.eval(beta, gamma, tol)
+        load = self.g(beta) + self.problem.F
         values = np.array([[load / self.problem.grid.cell_area]])
         return PressureField(values=values, residual_comp=0.0, residual_lin=0.0, iterations=0)
 
@@ -257,6 +281,37 @@ class TestBrent:
         assert abs(res.g_at_root) <= 1e-6
         assert hi - lo <= 1e-9 * res.beta_star
         assert res.evaluations == len(ev.calls)
+
+    @pytest.mark.parametrize("case", [THREE_ROOTS, FLAT_AT_ROOT, TWO_POWERS])
+    @pytest.mark.parametrize("tol", [0.0, 1e-30])
+    def test_g_within_its_error_only_at_the_root_stops_by_the_width(self, case, tol):
+        # at solver.tol 0 (the stubs' g is exact) or 1e-30 no point but an
+        # exact root has |g| within its load error: the width rule stops
+        g, bracket = case
+        ev = StubEvaluator(g, stub_problem(tol))
+        res = find_steady(ev, stub_bracket(g, bracket), tol_residual=1e-6)
+        assert_sign_bracket(g, res)
+        assert abs(res.g_at_root) <= 1e-6
+        assert res.bracket[1] - res.bracket[0] <= 1e-9 * res.beta_star
+        assert res.g_error == 4.0 * tol * max(1.0, 16.0 * res.g_at_root)
+
+    @pytest.mark.parametrize("case", [THREE_ROOTS, FLAT_AT_ROOT, TWO_POWERS])
+    @pytest.mark.parametrize("tol", [2.5e-9, 1e-3])
+    def test_stops_at_the_first_point_within_its_load_error(self, case, tol):
+        # the stub's load error is 4 tol max(1, 16 g): 1e-8 near the root at
+        # tol 2.5e-9, where it decides, and 4e-3 at tol 1e-3, where
+        # tol_residual does
+        g, bracket = case
+        ev = StubEvaluator(g, stub_problem(tol))
+        res = find_steady(ev, stub_bracket(g, bracket), tol_residual=1e-6)
+        error = [4.0 * tol * max(1.0, 16.0 * g(x)) for x in ev.calls]
+        inside = [abs(g(x)) <= min(1e-6, e) for x, e in zip(ev.calls, error)]
+        assert inside == [False] * (len(inside) - 1) + [True]
+        assert (res.beta_star, res.g_at_root, res.g_error) == (ev.calls[-1], g(ev.calls[-1]), error[-1])
+        assert res.beta_star in res.bracket
+        assert_sign_bracket(g, res)
+        exact = find_steady(StubEvaluator(g), stub_bracket(g, bracket), tol_residual=1e-6)
+        assert res.evaluations < exact.evaluations
 
     def test_converges_to_one_of_three_roots(self):
         g, bracket = THREE_ROOTS
