@@ -55,7 +55,7 @@ from .dynamics import (
     monitor_energies,
     spring_damper_decomposition,
 )
-from .steady import Bracket, GCurve, SteadyResult, find_bracket, find_steady, g_curve
+from .steady import Bracket, GCurve, GPoint, SteadyResult, find_bracket, find_steady, g_curve
 from .config import RunConfig, parse_config
 
 __version__ = "0.1.0"

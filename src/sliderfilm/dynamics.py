@@ -702,8 +702,9 @@ def integrate_trajectory(
     the true error (2.4-15 times), which the worst-sign sum above leaves
     room for; rejected steps do not rise, where a fixed solve tol of 1e-7
     triples them on a long run.  The start and the starting-step probe
-    solve at solver.tol.  A flat-profile run, the only one that reaches
-    RODAS3, skips the rule on both steppers: its loads never reach PSOR.
+    solve at solver.tol.  RODAS3 steps keep the last Dormand-Prince
+    step's tolerance; only the flat profile takes them, and its loads
+    never reach PSOR.
     On the three 32^2 line-contact runs to t = 50 at solver.tol 1e-9 and
     omega = suggested_omega this takes 83,009 sweeps and 121 rejected
     steps where solves at 1e-9 took 119,864 and 123; the final eta moves
@@ -796,9 +797,8 @@ def integrate_trajectory(
 
     ev_eval = ev.eval
     # the tolerance of f's solves: solver.tol (None) for the start and its
-    # probe, then the current Dormand-Prince step's.  The flat profile's
-    # loads never reach PSOR, on either stepper, so its run skips the rule
-    step_tol = None if can_switch else _step_solve_tol(problem, abs_tol, rel_tol)
+    # probe, then the current Dormand-Prince step's
+    step_tol = _step_solve_tol(problem, abs_tol, rel_tol)
     solve_tol = None
 
     def f(eta, v):
@@ -827,8 +827,7 @@ def integrate_trajectory(
             return finish(TerminationKind.STEP_FAILURE, t, f"step size underflow (dt={dt:.3e})")
         try:
             if jac is None:
-                if step_tol is not None:
-                    solve_tol = step_tol(v, dt)
+                solve_tol = step_tol(v, dt)
                 y_new, v_new, err_y, err_v, f_new, stiff = _dp_step(f, y, v, g, dt)
             else:
                 y_new, v_new, err_y, err_v = _rodas3_step(f, y, v, g, *jac, dt)

@@ -11,6 +11,7 @@ from sliderfilm.geometry import DomainRect, SliderShape, build_grid
 from sliderfilm.steady import (
     _SIGN_TOL,
     Bracket,
+    GPoint,
     _require_admissible,
     _signed_g,
     find_bracket,
@@ -70,10 +71,10 @@ class TestBracketAndRoot:
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym)
         ev = GEvaluator(prob)
         br = find_bracket(ev, 0.5)
-        assert 0.0 < br.beta_lo < br.beta_hi
+        assert 0.0 < br.lo.beta < br.hi.beta
         res = find_steady(ev, br, tol_residual=1e-6)
         assert abs(res.g_at_root) <= 1e-6
-        assert br.beta_lo <= res.beta_star <= br.beta_hi
+        assert br.lo.beta <= res.beta_star <= br.hi.beta
 
     def test_sign_structure_on_log_sweep(self, domain_sym):
         # exactly one sign-change region at this resolution
@@ -91,7 +92,7 @@ class TestBracketAndRoot:
         res = find_steady(ev, br, tol_residual=1e-6)
         # re-run with the root as an endpoint: returned immediately
         fresh = GEvaluator(prob)
-        at_root = Bracket(res.beta_star, br.beta_hi, res.g_at_root, br.g_hi, br.F)
+        at_root = Bracket(GPoint(res.beta_star, res.g_at_root), br.hi)
         res2 = find_steady(fresh, at_root, tol_residual=1e-6)
         assert res2.beta_star == res.beta_star
         assert res2.evaluations == fresh.n_solves == 0
@@ -104,7 +105,6 @@ class TestBracketAndRoot:
         prob = make_problem(make(2.0), domain_sym)
         ev = GEvaluator(prob)
         br = find_bracket(ev, 0.5)
-        assert br.F == pytest.approx(prob.F)
         solves = ev.n_solves
         res = find_steady(ev, br, tol_residual=1e-6)
         assert ev.n_solves - solves == res.evaluations <= 4
@@ -153,15 +153,15 @@ class TestBracketAndRoot:
         loose_ends = 0
         for beta_init in np.linspace(0.25, 1.0, 7):
             br = find_bracket(GEvaluator(prob), beta_init)
-            for beta, g, tol in ((br.beta_lo, br.g_lo, br.tol_lo), (br.beta_hi, br.g_hi, br.tol_hi)):
-                g_tight, _, _ = GEvaluator(tight).eval(beta, 0.0)
-                assert g != 0.0 and g_tight != 0.0
-                assert (g > 0.0) == (g_tight > 0.0)
-                loose_ends += tol == _SIGN_TOL
+            for end in (br.lo, br.hi):
+                g_tight, _, _ = GEvaluator(tight).eval(end.beta, 0.0)
+                assert end.g != 0.0 and g_tight != 0.0
+                assert (end.g > 0.0) == (g_tight > 0.0)
+                loose_ends += end.tol == _SIGN_TOL
         assert loose_ends >= 10
 
     def test_g_at_root_from_an_end_comes_from_a_full_solve(self, domain_sym):
-        # with tol_residual 0.5, g_hi ~ -0.28 of the loosely solved upper
+        # with tol_residual 0.5, g ~ -0.28 of the loosely solved upper
         # end is a root: find_steady solves it again at solver.tol first
         class TolRecorder(GEvaluator):
             def field(self, beta, gamma, tol=None):
@@ -172,13 +172,13 @@ class TestBracketAndRoot:
         ev = TolRecorder(prob)
         ev.tols = []
         br = find_bracket(ev, 0.5)
-        assert br.tol_hi == _SIGN_TOL and 0.0 > br.g_hi >= -0.5
+        assert br.hi.tol == _SIGN_TOL and 0.0 > br.hi.g >= -0.5
         res = find_steady(ev, br, tol_residual=0.5)
-        assert res.beta_star == br.beta_hi and res.evaluations == 1
-        assert ev.tols[-1] == (br.beta_hi, None)
-        g_cold, _, _ = GEvaluator(prob).eval(br.beta_hi, 0.0)
+        assert res.beta_star == br.hi.beta and res.evaluations == 1
+        assert ev.tols[-1] == (br.hi.beta, None)
+        g_cold, _, _ = GEvaluator(prob).eval(br.hi.beta, 0.0)
         assert res.g_at_root == pytest.approx(g_cold, abs=1e-8)
-        assert abs(res.g_at_root - g_cold) < abs(br.g_hi - g_cold)
+        assert abs(res.g_at_root - g_cold) < abs(br.hi.g - g_cold)
 
     def test_root_independent_of_warm_start(self, domain_sym):
         class ColdEvaluator(GEvaluator):
@@ -213,21 +213,32 @@ class TestBracketAndRoot:
 
 
 def stub_problem(tol=0.0):
-    """What the search reads of a Problem, for StubEvaluator: F = 0, so
-    the stub's load is g itself, and a 7x7 grid of [-1, 1]^2, cell area
-    1/16 and area(Omega) 4.  At solver.tol 0 g carries no load error;
-    otherwise, while |g| <= 1/16, its load error is 4 tol."""
+    """What the search reads of a Problem, for StubEvaluator: F = 1 and a
+    7x7 grid of [-1, 1]^2, cell area 1/16 and area(Omega) 4.  At
+    solver.tol 0 g carries no load error; otherwise the load error of a
+    solve at tol is 4 tol max(1, 16 L), L = g + 1 (stub_error)."""
     return SimpleNamespace(
-        grid=build_grid(DomainRect(-1.0, 1.0, -1.0, 1.0), 7, 7), F=0.0, solver=SolverParams(tol=tol)
+        grid=build_grid(DomainRect(-1.0, 1.0, -1.0, 1.0), 7, 7), F=1.0, solver=SolverParams(tol=tol)
     )
+
+
+def read(g, x):
+    """g(x) as the search reads it from StubEvaluator: L - F, L = g + 1."""
+    return g(x) + 1.0 - 1.0
+
+
+def stub_error(g, x, tol):
+    """The load error of StubEvaluator's solve at x and tol: its field is
+    one node of value 16 L, on area(Omega) 4."""
+    return 4.0 * tol * max(1.0, 16.0 * (g(x) + 1.0))
 
 
 class StubEvaluator:
     """Stands in for GEvaluator: g from a plain function, no film solve.
     field puts the whole load g + F on one node; on a grid whose cell
     area is a power of two, load_integral gives it back exactly, so the
-    search reads g + F - F (g itself when F = 0, the default problem
-    stub_problem()).  calls lists the betas of field in order, tols the
+    search reads g + F - F: read(g, x) on the default problem,
+    stub_problem().  calls lists the betas of field in order, tols the
     tolerance of each."""
 
     def __init__(self, g, problem=None):
@@ -247,7 +258,7 @@ class StubEvaluator:
 
 def stub_bracket(g, ends):
     lo, hi = ends
-    return Bracket(lo, hi, g(lo), g(hi), 1.0)
+    return Bracket(GPoint(lo, g(lo)), GPoint(hi, g(hi)))
 
 
 def assert_sign_bracket(g, res):
@@ -293,21 +304,22 @@ class TestBrent:
         assert_sign_bracket(g, res)
         assert abs(res.g_at_root) <= 1e-6
         assert res.bracket[1] - res.bracket[0] <= 1e-9 * res.beta_star
-        assert res.g_error == 4.0 * tol * max(1.0, 16.0 * res.g_at_root)
+        assert res.g_error == stub_error(g, res.beta_star, tol)
 
     @pytest.mark.parametrize("case", [THREE_ROOTS, FLAT_AT_ROOT, TWO_POWERS])
     @pytest.mark.parametrize("tol", [2.5e-9, 1e-3])
     def test_stops_at_the_first_point_within_its_load_error(self, case, tol):
-        # the stub's load error is 4 tol max(1, 16 g): 1e-8 near the root at
-        # tol 2.5e-9, where it decides, and 4e-3 at tol 1e-3, where
+        # the stub's load error is 4 tol max(1, 16 L): 1.6e-7 near the root
+        # at tol 2.5e-9, where it decides, and 0.064 at tol 1e-3, where
         # tol_residual does
         g, bracket = case
         ev = StubEvaluator(g, stub_problem(tol))
         res = find_steady(ev, stub_bracket(g, bracket), tol_residual=1e-6)
-        error = [4.0 * tol * max(1.0, 16.0 * g(x)) for x in ev.calls]
-        inside = [abs(g(x)) <= min(1e-6, e) for x, e in zip(ev.calls, error)]
+        error = [stub_error(g, x, tol) for x in ev.calls]
+        inside = [abs(read(g, x)) <= min(1e-6, e) for x, e in zip(ev.calls, error)]
         assert inside == [False] * (len(inside) - 1) + [True]
-        assert (res.beta_star, res.g_at_root, res.g_error) == (ev.calls[-1], g(ev.calls[-1]), error[-1])
+        x = ev.calls[-1]
+        assert (res.beta_star, res.g_at_root, res.g_error) == (x, read(g, x), error[-1])
         assert res.beta_star in res.bracket
         assert_sign_bracket(g, res)
         exact = find_steady(StubEvaluator(g), stub_bracket(g, bracket), tol_residual=1e-6)
@@ -369,14 +381,15 @@ class TestBrent:
         # at solver.tol is returned as it is
         g, _ = TWO_POWERS
         beta = ends[end == "hi"]
-        br = replace(stub_bracket(g, ends), **{f"g_{end}": 0.9 * g(beta), f"tol_{end}": tol_end})
+        br = stub_bracket(g, ends)
+        br = replace(br, **{end: GPoint(beta, 0.9 * g(beta), tol=tol_end)})
         ev = StubEvaluator(g)
         res = find_steady(ev, br, tol_residual=0.7)
         assert res.beta_star == beta
         if tol_end is None:
             assert (ev.calls, res.g_at_root, res.evaluations) == ([], 0.9 * g(beta), 0)
         else:
-            assert (ev.calls, ev.tols, res.g_at_root, res.evaluations) == ([beta], [None], g(beta), 1)
+            assert (ev.calls, ev.tols, res.g_at_root, res.evaluations) == ([beta], [None], read(g, beta), 1)
 
 
 class TestBracketSearch:
@@ -400,41 +413,69 @@ class TestBracketSearch:
         br = find_bracket(ev, beta_init)
         assert ev.calls == calls
         # a point whose sign is clear is solved once, at the loose tolerance
-        assert ev.tols == [1e-9 if b == prev else _SIGN_TOL for b, prev in zip(calls, [None] + calls)]
-        assert (br.beta_lo, br.beta_hi) == bracket
-        assert (br.g_lo, br.g_hi) == (g(bracket[0]), g(bracket[1]))
-        assert (br.tol_lo, br.tol_hi) == (_SIGN_TOL, _SIGN_TOL)
-        assert br.F == pytest.approx(1.0)
+        assert ev.tols == [None if b == prev else _SIGN_TOL for b, prev in zip(calls, [None] + calls)]
+        assert (br.lo.beta, br.hi.beta) == bracket
+        assert (br.lo.g, br.hi.g) == (g(bracket[0]), g(bracket[1]))
+        assert (br.lo.tol, br.hi.tol) == (_SIGN_TOL, _SIGN_TOL)
 
     def test_point_inside_the_margin_is_solved_once_more(self, domain_sym):
         # g(1.2) = -1e-3 is inside the loose solve's margin, 20 * 4 * 1e-4 * 16 L
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=7)
-        ev = StubEvaluator(lambda x: 1.0 / x**3 - 1.0 / 1.2**3 - 1e-3, prob)
+
+        def g(x):
+            return 1.0 / x**3 - 1.0 / 1.2**3 - 1e-3
+
+        ev = StubEvaluator(g, prob)
         br = find_bracket(ev, 0.3)
         assert ev.calls == [0.3, 0.6, 1.2, 1.2]
-        assert ev.tols == [_SIGN_TOL, _SIGN_TOL, _SIGN_TOL, 1e-9]
-        assert (br.beta_lo, br.beta_hi, br.tol_lo, br.tol_hi) == (0.6, 1.2, _SIGN_TOL, None)
-        assert br.g_hi == pytest.approx(-1e-3, rel=1e-12)
+        assert ev.tols == [_SIGN_TOL, _SIGN_TOL, _SIGN_TOL, None]
+        assert (br.lo.beta, br.hi.beta, br.lo.tol, br.hi.tol) == (0.6, 1.2, _SIGN_TOL, None)
+        assert br.hi.g == pytest.approx(-1e-3, rel=1e-12)
+        # each end carries the load error of the solve its g comes from: the
+        # loose one at the lower end, the one at solver.tol at the upper
+        assert br.lo.e == stub_error(g, 0.6, _SIGN_TOL)
+        assert br.hi.e == stub_error(g, 1.2, 1e-9)
 
-    @pytest.mark.parametrize("k, tols", [(0.99, [_SIGN_TOL, 1e-9]), (1.01, [_SIGN_TOL])])
+    @pytest.mark.parametrize("k, tols", [(0.99, [_SIGN_TOL, None]), (1.01, [_SIGN_TOL])])
     def test_margin_is_20_times_the_stop_tests_load_error(self, domain_sym, k, tols):
         # the stub's field is one node of value 16 L, so the margin is
         # 20 * 4 * 1e-4 * 16 L = 0.128 L; |g| = 1 - L = 0.128 k L
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=7)
         load = 1.0 / (1.0 + 0.128 * k)
         ev = StubEvaluator(lambda x: load - 1.0, prob)
-        g, _, tol = _signed_g(ev, 1.0)
+        point = _signed_g(ev, 1.0)
         assert ev.tols == tols
-        assert tol == (None if k < 1.0 else _SIGN_TOL)
-        assert g == pytest.approx(load - 1.0, rel=1e-12)
+        assert point.tol == (None if k < 1.0 else _SIGN_TOL)
+        assert point.g == pytest.approx(load - 1.0, rel=1e-12)
 
     def test_no_loose_solve_at_a_loose_solver_tol(self, domain_sym):
         # solver.tol at or above the loose tolerance: one solve at solver.tol
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=7)
         prob = replace(prob, solver=replace(prob.solver, tol=1e-3))
         ev = StubEvaluator(lambda x: 1e-9, prob)
-        assert _signed_g(ev, 1.0)[2] is None
-        assert ev.tols == [1e-3]
+        assert _signed_g(ev, 1.0).tol is None
+        assert ev.tols == [None]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ev: find_steady(ev, stub_bracket(*FLAT_AT_ROOT), tol_residual=math.nan, max_bisections=5),
+        lambda ev: find_steady(ev, stub_bracket(*FLAT_AT_ROOT), tol_residual=-1.0),
+        lambda ev: find_steady(ev, stub_bracket(*FLAT_AT_ROOT), tol_residual=math.inf),
+        lambda ev: find_steady(ev, stub_bracket(*FLAT_AT_ROOT), max_bisections=-3),
+        lambda ev: find_bracket(ev, math.nan),
+        lambda ev: find_bracket(ev, math.inf),
+        lambda ev: find_bracket(ev, 0.5, max_expansions=-1),
+        lambda ev: g_curve(ev, [0.5, math.nan]),
+        lambda ev: g_curve(ev, [math.inf]),
+    ],
+)
+def test_bad_arguments_raise_before_any_solve(domain_sym, call):
+    ev = StubEvaluator(FLAT_AT_ROOT[0], make_problem(SliderShape.line_contact(2.0), domain_sym, n=7))
+    with pytest.raises(ValueError):
+        call(ev)
+    assert ev.calls == []
 
 
 class TestGCurve:
