@@ -3,7 +3,10 @@
 
 Integrates the coupled run on the grid, the reference ODE from the
 series constant, and the closed-form lower envelope, then reports the
-worst deviations and writes a combined CSV.
+worst deviations (oracle.flat_reference_gap, as in `verify` and
+acceptance criterion 7) and writes a combined CSV.  Exits 1 when they
+exceed the check's bounds: 1e-2 relative to the reference, 2e-2 below
+the envelope.
 
     python scripts/flat_decay_study.py --t-end 200 --eta1 -0.5
 """
@@ -12,14 +15,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sliderfilm.csvio import write_csv
 from sliderfilm.dynamics import Problem, SolverParams, StepControl, integrate_trajectory
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid
-from sliderfilm.oracle import flat_envelope, flat_model, flat_reference_trajectory
+from sliderfilm.oracle import flat_envelope, flat_model, flat_reference_gap
 
 
 def main():
@@ -44,21 +45,21 @@ def main():
           f"termination {traj.termination.kind.value}")
 
     model = flat_model(domain, 1.0, args.eta0, args.eta1)
-    pick = np.unique(np.linspace(0, len(traj) - 1, 500).astype(int))
-    ref = flat_reference_trajectory(model, args.t_end, fine_tol=1e-8, t_eval=traj.t[pick])
-    env = flat_envelope(model, traj.t[pick])
-
-    rel = np.abs(traj.eta[pick] - ref.eta) / ref.eta
+    gap = flat_reference_gap(traj, model, args.t_end, 500)
     print(f"series constant C = {model.C_omega:.6f}, decay floor a/sqrt(t+b) with "
           f"a = {model.a:.4f}, b = {model.b:.4f}, t0 = {model.t0:.4f}")
-    print(f"max |simulated - reference| / reference = {rel.max():.3e}")
-    print(f"min simulated/envelope = {np.min(traj.eta[pick] / env):.6f}")
+    print(f"max |simulated - reference| / reference = {gap.max_rel_diff:.3e}")
+    print(f"max (envelope - simulated) / envelope = {gap.max_envelope_violation:.3e} "
+          f"over all {len(traj)} samples")
     print(f"eta({args.t_end}) = {traj.eta[-1]:.5f} (started at {args.eta0})")
 
-    write_csv(out / "decay.csv", {"t": traj.t[pick], "eta_sim": traj.eta[pick],
-                                  "eta_ref": ref.eta, "eta_envelope": env})
+    t = traj.t[gap.pick]
+    write_csv(out / "decay.csv", {"t": t, "eta_sim": traj.eta[gap.pick], "eta_ref": gap.ref.eta,
+                                  "eta_envelope": flat_envelope(model, t)})
     print(f"wrote {out / 'decay.csv'}")
+    print("PASS" if gap.passed else "FAIL", "flat reference check")
+    return 0 if gap.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

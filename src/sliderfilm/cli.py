@@ -14,12 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle as oracle_mod
+from . import oracle
 from .config import RunConfig, parse_config
 from .dynamics import (
     GEvaluator,
     Problem,
-    SolverParams,
     TerminationKind,
     bounds_report,
     integrate_trajectory,
@@ -33,16 +32,8 @@ from .errors import (
     SliderFilmError,
     ValidationError,
 )
-from .geometry import (
-    DomainRect,
-    ShapeKind,
-    SliderShape,
-    build_grid,
-    compute_V1,
-    load_tabulated_csv,
-)
+from .geometry import ShapeKind, SliderShape, build_grid, load_tabulated_csv
 from .steady import find_bracket, find_steady, g_curve
-from .vi_solver import assemble_system, load_integral, solve_linear, solve_vi_psor
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -140,130 +131,21 @@ def run_bounds(config: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _verify_checks(config: RunConfig) -> list[dict]:
-    """The oracle cross-checks behind the `verify` subcommand."""
+def run_verify(config: RunConfig, out_dir: Path) -> int:
+    """The five oracle checks in order; checks 3 and 4 draw from one seeded rng."""
     problem = build_problem(config)  # a bad configuration fails before any solve
     rng = np.random.default_rng(config.seed)
-    domain = config.domain
-    checks = []
-
-    # 1. series constant vs fine-grid solve of the unit-load problem
-    series = oracle_mod.flat_C_omega(domain, config.oracle.fourier_cutoff)
-    n_fine = config.oracle.fine_grid
-    grid_f = build_grid(domain, n_fine, n_fine)
-    sys_f = assemble_system(grid_f, SliderShape.flat(), 1.0, -1.0)
-    w = solve_linear(sys_f, tol=1e-10)
-    c_grid = load_integral(w, grid_f)
-    rel = abs(series.value - c_grid) / series.value
-    checks.append(
-        {
-            "name": "fourier_vs_grid",
-            "passed": bool(rel <= 5e-3),
-            "series": series.value,
-            "series_tail_bound": series.tail_bound,
-            "grid_value": c_grid,
-            "rel_diff": rel,
-        }
-    )
-
-    # 2. exact pressure cutoff at gamma above the largest descending slope
-    worst_load = 0.0
-    for shape in (SliderShape.line_contact(2.0), SliderShape.point_contact(2.0), SliderShape.flat()):
-        v1 = compute_V1(shape, problem.grid)
-        for beta in (0.1, 1.0):
-            # the solver's own cutoff, not GEvaluator's gamma >= V1 shortcut
-            sol = solve_vi_psor(replace(problem, shape=shape).assemble(beta, v1 + 0.1))
-            worst_load = max(worst_load, abs(load_integral(sol, problem.grid)))
-    checks.append(
-        {"name": "cutoff_exactness", "passed": bool(worst_load <= 1e-10), "worst_load": worst_load}
-    )
-
-    # 3. sweep solver vs active-set enumeration on tiny random problems
-    worst_diff = 0.0
-    for _ in range(config.oracle.lcp_cases):
-        nx = int(rng.integers(3, 5))
-        ny = int(rng.integers(3, 5))
-        grid_s = build_grid(domain, nx, ny)
-        pick = rng.integers(0, 3)
-        if pick == 0:
-            shape = SliderShape.line_contact(float(rng.uniform(1.0, 3.0)))
-        elif pick == 1:
-            shape = SliderShape.point_contact(float(rng.uniform(1.0, 3.0)))
-        else:
-            shape = SliderShape.flat()
-        beta = float(rng.uniform(0.05, 2.0))
-        v1 = compute_V1(shape, grid_s)
-        gamma = float(rng.uniform(-2.0, v1 + 1.0))
-        system = assemble_system(grid_s, shape, beta, gamma)
+    settings = config.oracle
+    shapes = (SliderShape.line_contact(2.0), SliderShape.point_contact(2.0), SliderShape.flat())
+    checks = [
+        oracle.fourier_vs_grid(config.domain, settings.fourier_cutoff, settings.fine_grid, 1e-10),
+        oracle.cutoff_exactness([replace(problem, shape=shape) for shape in shapes]),
         # the stop test is relative to max(1, ||p||_inf): at p ~ 3e3 (flat
         # profile, beta ~ 0.05) tol 1e-12 can stop ~3e-9 from the solution
-        psor = solve_vi_psor(system, tol=1e-13, max_iter=100_000)
-        enum = oracle_mod.lcp_enumerate(system)
-        worst_diff = max(worst_diff, float(np.max(np.abs(psor.values - enum.values))))
-    checks.append(
-        {
-            "name": "lcp_enumeration_equivalence",
-            "passed": bool(worst_diff <= 1e-9),
-            "cases": config.oracle.lcp_cases,
-            "worst_abs_diff": worst_diff,
-        }
-    )
-
-    # 4. constrained solution dominates sub-region solves
-    worst_margin = np.inf
-    for _ in range(config.oracle.comparison_cases):
-        beta = float(rng.uniform(0.05, 1.0))
-        gamma = float(rng.uniform(-1.0, 0.0))
-        rect = _random_subrect(rng, domain)
-        verdict = oracle_mod.comparison_check(problem, beta, gamma, rect)
-        worst_margin = min(worst_margin, verdict.worst_margin)
-    checks.append(
-        {
-            "name": "comparison_principle",
-            "passed": bool(worst_margin >= -10.0 * problem.solver.tol),
-            "cases": config.oracle.comparison_cases,
-            "worst_margin": float(worst_margin),
-        }
-    )
-
-    # 5. short flat descent against the scalar reference model
-    grid_flat = build_grid(domain, 32, 32)
-    prob_flat = Problem(
-        shape=SliderShape.flat(),
-        grid=grid_flat,
-        F=1.0,
-        eta0=1.0,
-        eta1=-0.5,
-        solver=SolverParams(tol=1e-9),
-    )
-    traj = integrate_trajectory(prob_flat, 10.0)
-    model = oracle_mod.flat_model(domain, 1.0, 1.0, -0.5, cutoff=config.oracle.fourier_cutoff)
-    pick = np.unique(np.linspace(0, len(traj) - 1, 200).astype(int))
-    ref = oracle_mod.flat_reference_trajectory(model, 10.0, fine_tol=1e-8, t_eval=traj.t[pick])
-    rel_traj = float(np.max(np.abs(ref.eta - traj.eta[pick]) / ref.eta))
-    env = oracle_mod.flat_envelope(model, traj.t)
-    env_violation = float(np.max((env - traj.eta) / env))
-    checks.append(
-        {
-            "name": "flat_reference_match",
-            "passed": bool(rel_traj <= 1e-2 and env_violation <= 2e-2),
-            "max_rel_diff": rel_traj,
-            "max_envelope_violation": env_violation,
-        }
-    )
-    return checks
-
-
-def _random_subrect(rng, domain: DomainRect):
-    while True:
-        xa, xb = np.sort(rng.uniform(domain.x1_min, domain.x1_max, size=2))
-        ya, yb = np.sort(rng.uniform(domain.x2_min, domain.x2_max, size=2))
-        if xb - xa > 0.1 * domain.length1 and yb - ya > 0.1 * domain.length2:
-            return float(xa), float(xb), float(ya), float(yb)
-
-
-def run_verify(config: RunConfig, out_dir: Path) -> int:
-    checks = _verify_checks(config)
+        oracle.lcp_enumeration_equivalence(rng, config.domain, settings.lcp_cases, tol=1e-13),
+        oracle.comparison_principle(rng, problem, settings.comparison_cases),
+        oracle.flat_reference_match(config.domain, settings.fourier_cutoff),
+    ]
     ok = all(c["passed"] for c in checks)
     _write_json(out_dir / "verify.json", {"passed": ok, "checks": checks})
     return EXIT_OK if ok else EXIT_DOMAIN
@@ -280,6 +162,10 @@ _COMMANDS = {
 
 def dispatch(config: RunConfig, command: str, out_dir) -> int:
     """Run one subcommand; returns the process exit code."""
+    run = _COMMANDS.get(command)
+    if run is None:
+        print(f"error: unknown command {command!r}", file=sys.stderr)
+        return EXIT_USAGE
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -287,7 +173,7 @@ def dispatch(config: RunConfig, command: str, out_dir) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[command](config, out)
+        return run(config, out)
     except NoConvergence as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NOCONV

@@ -1,4 +1,4 @@
-"""Reference computations used by tests and `verify`.
+"""Reference computations and the `verify` checks built on them.
 
 The references are independent of the production paths: the flat-case
 constant comes from a Fourier series, the reference descent integrates
@@ -8,7 +8,8 @@ complementarity problems are solved by enumerating active sets against
 dense linear algebra.  The
 comparison-principle check differs by design: it checks the production
 film solve (a fresh GEvaluator's field) against an unconstrained
-sub-region solve.
+sub-region solve.  The five `verify` checks close the module, each
+returning its `verify.json` record; the tests and scripts share them.
 """
 
 import itertools
@@ -17,10 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GEvaluator
+from .dynamics import GEvaluator, Problem, SolverParams, integrate_trajectory
 from .errors import NoSolution, TooLarge
-from .geometry import DomainRect, region_node_mask
-from .vi_solver import DiscreteSystem, PressureField, lcp_residuals, solve_linear
+from .geometry import DomainRect, SliderShape, build_grid, compute_V1, region_node_mask
+from .vi_solver import (
+    DiscreteSystem,
+    PressureField,
+    assemble_system,
+    lcp_residuals,
+    load_integral,
+    solve_linear,
+    solve_vi_psor,
+)
 
 __all__ = [
     "FourierConstant",
@@ -30,9 +39,16 @@ __all__ = [
     "flat_model",
     "flat_envelope",
     "flat_reference_trajectory",
+    "FlatReferenceGap",
+    "flat_reference_gap",
     "lcp_enumerate",
     "comparison_check",
     "ComparisonVerdict",
+    "fourier_vs_grid",
+    "cutoff_exactness",
+    "lcp_enumeration_equivalence",
+    "comparison_principle",
+    "flat_reference_match",
 ]
 
 
@@ -256,6 +272,31 @@ def flat_reference_trajectory(
     return RefTrajectory(np.array(ts), np.array(etas), np.array(vs), n_steps=n_steps)
 
 
+@dataclass(frozen=True, eq=False)
+class FlatReferenceGap:
+    """A flat-profile run against the scalar reference (flat_reference_gap)."""
+
+    pick: np.ndarray
+    ref: RefTrajectory
+    max_rel_diff: float
+    max_envelope_violation: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_diff <= 1e-2 and self.max_envelope_violation <= 2e-2
+
+
+def flat_reference_gap(traj, model: FlatModel, t_end: float, samples: int) -> FlatReferenceGap:
+    """Largest |eta_ref - eta| / eta_ref at `samples` evenly spaced samples of a flat
+    run (the reference integrated to t_end at fine_tol 1e-8), and largest shortfall
+    (env - eta) / env below flat_envelope over all of its samples."""
+    pick = np.unique(np.linspace(0, len(traj) - 1, samples).astype(int))
+    ref = flat_reference_trajectory(model, t_end, fine_tol=1e-8, t_eval=traj.t[pick])
+    rel = float(np.max(np.abs(ref.eta - traj.eta[pick]) / ref.eta))
+    env = flat_envelope(model, traj.t)
+    return FlatReferenceGap(pick, ref, rel, float(np.max((env - traj.eta) / env)))
+
+
 _ENUM_CHUNK = 4096
 
 
@@ -331,3 +372,95 @@ def comparison_check(problem, beta: float, gamma: float, region) -> ComparisonVe
     r = solve_linear(problem.assemble(beta, gamma), tol=1e-11, mask=mask)
     margin = float(np.min(q.values[mask] - r.values[mask]))
     return ComparisonVerdict(margin, margin >= -10.0 * problem.solver.tol, n_nodes)
+
+
+# -- the `verify` checks ---------------------------------------------------
+
+
+def _record(name: str, passed, **values) -> dict:
+    return {"name": name, "passed": bool(passed), **values}
+
+
+def fourier_vs_grid(domain: DomainRect, cutoff: int, n_fine: int, tol: float) -> dict:
+    """Check 1: the series constant against a unit-load solve (CG at tol) on an n_fine grid."""
+    series = flat_C_omega(domain, cutoff)
+    grid = build_grid(domain, n_fine, n_fine)
+    w = solve_linear(assemble_system(grid, SliderShape.flat(), 1.0, -1.0), tol=tol)
+    c_grid = load_integral(w, grid)
+    rel = abs(series.value - c_grid) / series.value
+    return _record("fourier_vs_grid", rel <= 5e-3, series=series.value,
+                   series_tail_bound=series.tail_bound, grid_value=c_grid, rel_diff=rel)
+
+
+def cutoff_exactness(problems) -> dict:
+    """Check 2: the largest |load| of solve_vi_psor at beta 0.1 and 1, gamma = V1 + 0.1.
+
+    The solver's own cutoff answers, not GEvaluator's gamma >= V1 shortcut.
+    """
+    worst_load = 0.0
+    for problem in problems:
+        v1 = compute_V1(problem.shape, problem.grid)
+        for beta in (0.1, 1.0):
+            sol = solve_vi_psor(problem.assemble(beta, v1 + 0.1))
+            worst_load = max(worst_load, abs(load_integral(sol, problem.grid)))
+    return _record("cutoff_exactness", worst_load <= 1e-10, worst_load=worst_load)
+
+
+def lcp_enumeration_equivalence(rng, domain: DomainRect, cases: int, tol: float) -> dict:
+    """Check 3: the sweep solver at tol against lcp_enumerate on `cases` tiny random problems."""
+    worst_diff = 0.0
+    for _ in range(cases):
+        nx = int(rng.integers(3, 5))
+        ny = int(rng.integers(3, 5))
+        grid = build_grid(domain, nx, ny)
+        pick = rng.integers(0, 3)
+        if pick == 0:
+            shape = SliderShape.line_contact(float(rng.uniform(1.0, 3.0)))
+        elif pick == 1:
+            shape = SliderShape.point_contact(float(rng.uniform(1.0, 3.0)))
+        else:
+            shape = SliderShape.flat()
+        beta = float(rng.uniform(0.05, 2.0))
+        v1 = compute_V1(shape, grid)
+        gamma = float(rng.uniform(-2.0, v1 + 1.0))
+        system = assemble_system(grid, shape, beta, gamma)
+        psor = solve_vi_psor(system, tol=tol, max_iter=100_000)
+        enum = lcp_enumerate(system)
+        worst_diff = max(worst_diff, float(np.max(np.abs(psor.values - enum.values))))
+    return _record("lcp_enumeration_equivalence", worst_diff <= 1e-9, cases=cases,
+                   worst_abs_diff=worst_diff)
+
+
+def comparison_principle(rng, problem, cases: int) -> dict:
+    """Check 4: comparison_check at `cases` random beta, gamma and sub-rectangles."""
+    verdicts = []
+    for _ in range(cases):
+        beta = float(rng.uniform(0.05, 1.0))
+        gamma = float(rng.uniform(-1.0, 0.0))
+        rect = _random_subrect(rng, problem.grid.domain)
+        verdicts.append(comparison_check(problem, beta, gamma, rect))
+    worst = min((v.worst_margin for v in verdicts), default=np.inf)
+    return _record("comparison_principle", all(v.passed for v in verdicts), cases=cases,
+                   worst_margin=float(worst))
+
+
+def _random_subrect(rng, domain: DomainRect):
+    while True:
+        xa, xb = np.sort(rng.uniform(domain.x1_min, domain.x1_max, size=2))
+        ya, yb = np.sort(rng.uniform(domain.x2_min, domain.x2_max, size=2))
+        if xb - xa > 0.1 * domain.length1 and yb - ya > 0.1 * domain.length2:
+            return float(xa), float(xb), float(ya), float(yb)
+
+
+def flat_reference_match(domain: DomainRect, cutoff: int) -> dict:
+    """Check 5: flat_reference_gap at 200 samples of a flat descent to t = 10.
+
+    The descent (32x32 grid, F 1, eta0 1, eta1 -0.5, solver tol 1e-9)
+    switches to the stiff stepper (at t ~ 7.4 on [-1, 1]^2), so both steppers are checked.
+    """
+    problem = Problem(shape=SliderShape.flat(), grid=build_grid(domain, 32, 32), F=1.0,
+                      eta0=1.0, eta1=-0.5, solver=SolverParams(tol=1e-9))
+    traj = integrate_trajectory(problem, 10.0)
+    gap = flat_reference_gap(traj, flat_model(domain, 1.0, 1.0, -0.5, cutoff=cutoff), 10.0, 200)
+    return _record("flat_reference_match", gap.passed, max_rel_diff=gap.max_rel_diff,
+                   max_envelope_violation=gap.max_envelope_violation)

@@ -23,25 +23,19 @@ from sliderfilm.dynamics import (
     spring_damper_decomposition,
 )
 from sliderfilm.errors import InadmissibleShape
-from sliderfilm.geometry import (
-    DomainRect,
-    SliderShape,
-    build_grid,
-    compute_V1,
-    contact_box,
-)
+from sliderfilm.geometry import DomainRect, SliderShape, build_grid, contact_box
 from sliderfilm.oracle import (
     comparison_check,
+    cutoff_exactness,
     flat_C_omega,
-    flat_envelope,
     flat_model,
-    flat_reference_trajectory,
-    lcp_enumerate,
+    flat_reference_gap,
+    lcp_enumeration_equivalence,
 )
 from sliderfilm.steady import find_bracket, find_steady
-from sliderfilm.vi_solver import assemble_system, load_integral, solve_vi_psor, suggested_omega
+from sliderfilm.vi_solver import load_integral, suggested_omega
 
-from .conftest import solve_at_settings, tabulated_from
+from .conftest import tabulated_from
 
 UNIT = DomainRect(-0.5, 0.5, -0.5, 0.5)
 SYM = DomainRect(-1.0, 1.0, -1.0, 1.0)
@@ -97,39 +91,15 @@ def test_criterion_2_exact_cutoff():
             (SliderShape.flat(), 32),
             (tabulated_from(SliderShape.line_contact(2.0), grid_tab), 11),
         ]
-        for shape, n in cases:
-            prob = problem_on(shape, SYM, n)
-            v1 = compute_V1(shape, prob.grid)
-            for beta in (0.1, 1.0):
-                # the solver's own cutoff, not GEvaluator's V1 shortcut
-                load = load_integral(solve_at_settings(prob, beta, v1 + 0.1), prob.grid)
-                assert load - prob.F == -prob.F
-                assert abs(load) <= 1e-10
+        check = cutoff_exactness([problem_on(shape, SYM, n) for shape, n in cases])
+        assert check["worst_load"] == 0.0
 
 
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "sweep solver equals active-set enumeration (100 cases)", 10.0):
         rng = np.random.default_rng(12345)
-        worst = 0.0
-        for _ in range(100):
-            nx = int(rng.integers(3, 5))
-            ny = int(rng.integers(3, 5))
-            grid = build_grid(SYM, nx, ny)
-            pick = rng.integers(0, 3)
-            if pick == 0:
-                shape = SliderShape.line_contact(float(rng.uniform(1.0, 3.0)))
-            elif pick == 1:
-                shape = SliderShape.point_contact(float(rng.uniform(1.0, 3.0)))
-            else:
-                shape = SliderShape.flat()
-            beta = float(rng.uniform(0.05, 2.0))
-            v1 = compute_V1(shape, grid)
-            gamma = float(rng.uniform(-2.0, v1 + 1.0))
-            system = assemble_system(grid, shape, beta, gamma)
-            psor = solve_vi_psor(system, tol=1e-12, max_iter=100_000)
-            enum = lcp_enumerate(system)
-            worst = max(worst, float(np.max(np.abs(psor.values - enum.values))))
-        assert worst <= 1e-9
+        check = lcp_enumeration_equivalence(rng, SYM, 100, tol=1e-12)
+        assert check["worst_abs_diff"] <= 1e-9
 
 
 def test_criterion_4_comparison_principle():
@@ -153,8 +123,7 @@ def test_criterion_4_comparison_principle():
                     continue
                 beta = float(rng.uniform(0.05, 1.0))
                 gamma = float(rng.uniform(-1.0, 0.0))
-                verdict = comparison_check(prob, beta, gamma, (xa, xb, ya, yb))
-                assert verdict.worst_margin >= -10.0 * tol
+                assert comparison_check(prob, beta, gamma, (xa, xb, ya, yb)).passed
                 done += 1
 
 
@@ -201,15 +170,10 @@ def test_criterion_7_flat_decay():
             traj = integrate_trajectory(prob, 200.0, StepControl(rel_tol=1e-6, abs_tol=1e-9))
             assert traj.termination.kind is TerminationKind.REACHED_HORIZON
 
-            model = flat_model(SYM, 1.0, 1.0, eta1, cutoff=99)
-            pick = np.unique(np.linspace(0, len(traj) - 1, 400).astype(int))
-            ref = flat_reference_trajectory(model, 200.0, fine_tol=1e-8, t_eval=traj.t[pick])
-            assert ref.t.size == pick.size
-            rel = np.abs(traj.eta[pick] - ref.eta) / ref.eta
-            assert np.max(rel) <= 1e-2
-
-            env = flat_envelope(model, traj.t)
-            assert np.min(traj.eta / env) >= 1.0 - 2e-2
+            gap = flat_reference_gap(traj, flat_model(SYM, 1.0, 1.0, eta1, cutoff=99), 200.0, 400)
+            assert gap.ref.t.size == gap.pick.size
+            assert gap.max_rel_diff <= 1e-2
+            assert gap.max_envelope_violation <= 2e-2
 
             past_peak = np.flatnonzero(traj.eta_dot <= -1e-3)
             assert past_peak.size > 0

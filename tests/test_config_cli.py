@@ -401,15 +401,15 @@ class TestDispatch:
     def test_verify_flat_reference_covers_the_stiff_phase(self, tmp_path, monkeypatch):
         # check 5's descent to t = 10 switches to RODAS3 at t ~ 7.4, so the
         # scalar reference also checks samples of the stiff stepper
-        import sliderfilm.cli as cli
+        import sliderfilm.oracle as oracle
 
-        real, runs = cli.integrate_trajectory, []
+        real, runs = oracle.integrate_trajectory, []
 
         def integrate(*args, **kwargs):
             runs.append(real(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(cli, "integrate_trajectory", integrate)
+        monkeypatch.setattr(oracle, "integrate_trajectory", integrate)
         assert dispatch(parse_config(SMALL_LINE), "verify", tmp_path) == EXIT_OK
         (traj,) = runs
         assert traj.t[-1] == 10.0
@@ -431,13 +431,32 @@ class TestDispatch:
         assert lcp["cases"] == 10
         assert lcp["passed"] is True
 
+    def test_failed_check_fails_verify(self, tmp_path, monkeypatch):
+        import sliderfilm.oracle as oracle
+
+        failed = {"name": "cutoff_exactness", "passed": False}
+        monkeypatch.setattr(oracle, "cutoff_exactness", lambda problems: failed)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(SMALL_LINE)
+        assert dispatch(parse_config(SMALL_LINE), "verify", tmp_path / "a") == EXIT_DOMAIN
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_DOMAIN
+        for out in ("a", "b"):
+            doc = json.loads((tmp_path / out / "verify.json").read_text())
+            assert doc["passed"] is False and doc["checks"][1] == failed
+
+    def test_unknown_command_is_usage_error_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert dispatch(parse_config(SMALL_LINE), "bogus", out) == EXIT_USAGE
+        assert "unknown command 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(SMALL_LINE)
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert dispatch(cfg, "simulate", out) == EXIT_OK
-            assert dispatch(cfg, "steady", out) == EXIT_OK
-        for name in ("trajectory.csv", "summary.json", "steady.json"):
+            for command in ("simulate", "steady", "verify"):
+                assert dispatch(cfg, command, out) == EXIT_OK
+        for name in ("trajectory.csv", "summary.json", "steady.json", "verify.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_build_problem_tabulated(self, tmp_path, domain_sym):
@@ -573,15 +592,15 @@ class TestMain:
     def test_bad_table_is_usage_error_before_any_solve(
         self, tmp_path, capsys, monkeypatch, domain_sym, case, command
     ):
-        import sliderfilm.cli as cli
         import sliderfilm.dynamics as dynamics
+        import sliderfilm.oracle as oracle
         from sliderfilm.geometry import build_grid
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran before the table was checked")
 
-        for mod, name in ((dynamics, "solve_vi_psor"), (cli, "solve_vi_psor"),
-                          (cli, "solve_linear")):
+        for mod, name in ((dynamics, "solve_vi_psor"), (oracle, "solve_vi_psor"),
+                          (oracle, "solve_linear")):
             monkeypatch.setattr(mod, name, no_solve)
         rows = self._table_rows(build_grid(domain_sym, 5, 5))
         if case == "non_numeric":

@@ -14,9 +14,10 @@ from sliderfilm.oracle import (
     flat_envelope,
     flat_model,
     flat_reference_trajectory,
+    fourier_vs_grid,
     lcp_enumerate,
 )
-from sliderfilm.vi_solver import assemble_system, load_integral, solve_linear
+from sliderfilm.vi_solver import assemble_system
 
 
 class TestFourierConstant:
@@ -38,11 +39,7 @@ class TestFourierConstant:
 
     def test_cross_validated_against_grid_solve(self, unit_domain):
         # mandatory before this value backs any other check
-        grid = build_grid(unit_domain, 128, 128)
-        system = assemble_system(grid, SliderShape.flat(), 1.0, -1.0)
-        w = solve_linear(system, tol=1e-11)
-        series = flat_C_omega(unit_domain, 99).value
-        assert abs(load_integral(w, grid) - series) / series <= 5e-3
+        assert fourier_vs_grid(unit_domain, 99, 128, tol=1e-11)["rel_diff"] <= 5e-3
 
 
 class TestFlatModel:

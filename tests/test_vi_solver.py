@@ -14,7 +14,7 @@ from sliderfilm.geometry import (
     build_grid,
     compute_V1,
 )
-from sliderfilm.oracle import flat_C_omega, lcp_enumerate
+from sliderfilm.oracle import flat_C_omega, fourier_vs_grid, lcp_enumerate
 from sliderfilm.vi_solver import (
     _red_black_lattices,
     assemble_system,
@@ -499,11 +499,7 @@ def _scalar_sweep(system, pad, omega, nodes):
 
 class TestLinearSolve:
     def test_unit_load_integral_matches_series(self, unit_domain):
-        grid = build_grid(unit_domain, 64, 64)
-        system = assemble_system(grid, SliderShape.flat(), 1.0, -1.0)
-        w = solve_linear(system, tol=1e-11)
-        series = flat_C_omega(unit_domain, 99).value
-        assert load_integral(w, grid) == pytest.approx(series, rel=2e-3)
+        assert fourier_vs_grid(unit_domain, 99, 64, tol=1e-11)["rel_diff"] <= 2e-3
 
     def test_odd_load_integrates_to_zero(self, domain_sym):
         # even coefficient, odd load: the solution is odd, so its integral vanishes
