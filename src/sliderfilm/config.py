@@ -243,8 +243,10 @@ def _check_gcurve(g, raw, path):
 def _check_oracle(o, raw, path):
     if o.fourier_cutoff < 1:
         raise ValidationError(f"{path}.fourier_cutoff", "must be >= 1")
-    if o.fine_grid < 16:
-        raise ValidationError(f"{path}.fine_grid", "must be >= 16")
+    if o.fine_grid < 32:
+        raise ValidationError(
+            f"{path}.fine_grid", "must be >= 32: coarser grids miss fourier_vs_grid's 5e-3 bound"
+        )
     if o.lcp_cases < 1:
         raise ValidationError(f"{path}.lcp_cases", "must be >= 1")
     if o.comparison_cases < 1:

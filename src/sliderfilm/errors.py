@@ -46,12 +46,8 @@ class NoConvergence(SliderFilmError):
         self.iterations = iterations
 
 
-class TooLarge(SliderFilmError):
-    """Enumeration oracle refused: more than 16 unknowns."""
-
-
 class NoSolution(SliderFilmError):
-    """Enumeration oracle found no feasible active set (assembly bug)."""
+    """The pivoting oracle found no solution within 2**n pivots (assembly bug)."""
 
 
 class BracketFailure(SliderFilmError):

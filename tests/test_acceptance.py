@@ -96,7 +96,7 @@ def test_criterion_2_exact_cutoff():
 
 
 def test_criterion_3_oracle_equivalence():
-    with criterion(3, "sweep solver equals active-set enumeration (100 cases)", 10.0):
+    with criterion(3, "sweep solver equals the pivoting oracle (100 cases)", 10.0):
         rng = np.random.default_rng(12345)
         check = lcp_enumeration_equivalence(rng, SYM, 100, tol=1e-12)
         assert check["worst_abs_diff"] <= 1e-9

@@ -112,6 +112,13 @@ class TestParse:
             parse_config('{"oracle": {"lcp_cases": 0}}')
         assert exc.value.path == "oracle.lcp_cases"
 
+    def test_fine_grid_below_check_1_reach_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config('{"oracle": {"fine_grid": 31}}')
+        assert exc.value.path == "oracle.fine_grid"
+        assert "fourier_vs_grid" in exc.value.constraint
+        assert parse_config('{"oracle": {"fine_grid": 32}}').oracle.fine_grid == 32
+
     def test_unset_omega_resolves_to_young_omega(self):
         cfg = parse_config('{"grid": {"nx": 12, "ny": 20}}')
         prob = build_problem(cfg)
@@ -420,12 +427,12 @@ class TestDispatch:
     def test_verify_enumeration_check_at_stop_test_edge(self, tmp_path):
         # config seed 3844556615 draws, as its tenth case, a flat case at
         # beta ~ 0.05 with p ~ 3e3, where a relative stop test at tol 1e-12
-        # ends more than 1e-9 from the enumerated solution
+        # ends more than 1e-9 from the exact solution
         doc = json.loads(SMALL_LINE)
-        doc["oracle"] = {"fine_grid": 16, "lcp_cases": 10, "comparison_cases": 1}
+        doc["oracle"] = {"fine_grid": 32, "lcp_cases": 10, "comparison_cases": 1}
         doc["seed"] = 3844556615
         cfg = parse_config(json.dumps(doc))
-        dispatch(cfg, "verify", tmp_path)
+        assert dispatch(cfg, "verify", tmp_path) == EXIT_OK  # every check passes at fine_grid 32
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         lcp = next(c for c in checks if c["name"] == "lcp_enumeration_equivalence")
         assert lcp["cases"] == 10

@@ -1,8 +1,11 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from sliderfilm.dynamics import Problem, SolverParams
-from sliderfilm.errors import TooLarge
+from sliderfilm.errors import NoSolution
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid, compute_V1, contact_box
 from sliderfilm.oracle import (
     _CK_A,
@@ -15,9 +18,9 @@ from sliderfilm.oracle import (
     flat_model,
     flat_reference_trajectory,
     fourier_vs_grid,
-    lcp_enumerate,
+    lcp_pivot,
 )
-from sliderfilm.vi_solver import assemble_system
+from sliderfilm.vi_solver import assemble_system, solve_vi_psor
 
 
 class TestFourierConstant:
@@ -40,6 +43,10 @@ class TestFourierConstant:
     def test_cross_validated_against_grid_solve(self, unit_domain):
         # mandatory before this value backs any other check
         assert fourier_vs_grid(unit_domain, 99, 128, tol=1e-11)["rel_diff"] <= 5e-3
+
+    def test_check_1_passes_at_the_smallest_accepted_fine_grid(self, domain_sym):
+        # oracle.fine_grid's minimum: at 16 the relative grid error reads 1.1e-2
+        assert fourier_vs_grid(domain_sym, 99, 32, tol=1e-10)["passed"] is True
 
 
 class TestFlatModel:
@@ -192,7 +199,44 @@ class TestUnrolledReference:
             assert np.array_equal(getattr(ref, name), getattr(gen, name)), name
 
 
+def enumerate_active_sets(system):
+    """The first active set, by free-set size then index order, that passes
+    lcp_pivot's certificate; a plain loop, for systems of up to 12 nodes."""
+    A, b = system.dense()
+    for k in range(system.n + 1):
+        for free in itertools.combinations(range(system.n), k):
+            F = list(free)
+            p = np.zeros(system.n)
+            p[F] = np.linalg.solve(A[np.ix_(F, F)], b[F])
+            slack = A @ p - b
+            if np.all(p >= -1e-10 * (1.0 + np.max(np.abs(p)))) and np.all(
+                slack >= -1e-10 * (1.0 + np.max(np.abs(slack)))
+            ):
+                return np.maximum(p, 0.0).reshape(system.b.shape)
+    raise AssertionError("no active set passes")
+
+
+def check3_sized_draws(domain, seed, cases):
+    """Systems drawn as in verify's check 3, on grids of at most 12 nodes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        nx, ny = [(3, 3), (3, 4), (4, 3)][int(rng.integers(0, 3))]
+        grid = build_grid(domain, nx, ny)
+        pick = rng.integers(0, 3)
+        if pick == 0:
+            shape = SliderShape.line_contact(float(rng.uniform(1.0, 3.0)))
+        elif pick == 1:
+            shape = SliderShape.point_contact(float(rng.uniform(1.0, 3.0)))
+        else:
+            shape = SliderShape.flat()
+        beta = float(rng.uniform(0.05, 2.0))
+        gamma = float(rng.uniform(-2.0, compute_V1(shape, grid) + 1.0))
+        yield assemble_system(grid, shape, beta, gamma)
+
+
 class TestEnumeration:
+    """lcp_pivot, the exact oracle, and its own check: enumeration of active sets."""
+
     def _system(self, gamma, domain):
         grid = build_grid(domain, 3, 3)
         return assemble_system(grid, SliderShape.line_contact(2.0), 0.3, gamma)
@@ -201,27 +245,55 @@ class TestEnumeration:
         shape = SliderShape.line_contact(2.0)
         grid = build_grid(domain_sym, 3, 3)
         v1 = compute_V1(shape, grid)
-        sol = lcp_enumerate(assemble_system(grid, shape, 0.3, v1 + 1.0))
+        sol = lcp_pivot(assemble_system(grid, shape, 0.3, v1 + 1.0))
         assert np.all(sol.values == 0.0)
 
     def test_all_free_for_nonnegative_rhs(self, domain_sym):
         grid = build_grid(domain_sym, 3, 3)
         system = assemble_system(grid, SliderShape.flat(), 1.0, -1.0)
-        sol = lcp_enumerate(system)
+        sol = lcp_pivot(system)
         A, b = system.dense()
         assert np.allclose(sol.values.ravel(), np.linalg.solve(A, b), atol=1e-12)
         assert np.all(sol.values > 0.0)
 
-    def test_too_large(self, domain_sym):
-        grid = build_grid(domain_sym, 5, 4)
-        system = assemble_system(grid, SliderShape.flat(), 1.0, -1.0)
-        with pytest.raises(TooLarge):
-            lcp_enumerate(system)
-
     def test_residuals_tiny(self, domain_sym):
-        sol = lcp_enumerate(self._system(0.5, domain_sym))
+        sol = lcp_pivot(self._system(0.5, domain_sym))
         assert sol.residual_comp <= 1e-12
         assert sol.residual_lin <= 1e-12
+
+    def test_pivoting_equals_enumeration(self, domain_sym):
+        mixed = 0
+        for system in check3_sized_draws(domain_sym, 1, 6):
+            p = lcp_pivot(system).values
+            assert np.array_equal(p, enumerate_active_sets(system))
+            mixed += 0 < np.count_nonzero(p == 0.0) < system.n
+        assert mixed >= 3  # both free and active nodes, not only the two trivial sets
+
+    def test_pivoting_equals_enumeration_on_a_p_matrix(self, domain_sym):
+        # From p = 0 on an M-matrix the free set only grows.  Positive couplings
+        # keep A symmetric positive definite, a P-matrix but not an M-matrix, and
+        # on this draw pivoting must flip a free node back to active.
+        (system,) = check3_sized_draws(domain_sym, 0, 1)
+        flipped = dataclasses.replace(
+            system, cw=-system.cw, ce=-system.ce, cs=-system.cs, cn=-system.cn
+        )
+        assert np.array_equal(lcp_pivot(flipped).values, enumerate_active_sets(flipped))
+
+    def test_matches_psor_beyond_enumeration(self, domain_sym):
+        # 64 nodes, 2**64 active sets: out of enumeration's reach
+        grid = build_grid(domain_sym, 8, 8)
+        system = assemble_system(grid, SliderShape.line_contact(2.0), 0.3, 0.0)
+        p = lcp_pivot(system).values
+        assert 0 < np.count_nonzero(p == 0.0) < system.n
+        psor = solve_vi_psor(system, tol=1e-13, max_iter=100_000)
+        assert np.max(np.abs(p - psor.values)) <= 1e-11
+
+    def test_no_solution_without_a_p_matrix(self, domain_sym):
+        # a negative diagonal makes every row of A nonpositive, so Ap - b >= 0
+        # with p >= 0 has no solution once b has a positive entry
+        system = self._system(-1.0, domain_sym)
+        with pytest.raises(NoSolution):
+            lcp_pivot(dataclasses.replace(system, diag=-system.diag))
 
 
 class TestComparison:

@@ -14,7 +14,7 @@ from sliderfilm.geometry import (
     build_grid,
     compute_V1,
 )
-from sliderfilm.oracle import flat_C_omega, fourier_vs_grid, lcp_enumerate
+from sliderfilm.oracle import flat_C_omega, fourier_vs_grid, lcp_pivot
 from sliderfilm.vi_solver import (
     _red_black_lattices,
     assemble_system,
@@ -129,7 +129,7 @@ class TestPSOR:
         grid = build_grid(domain_sym, 3, 3)
         system = assemble_system(grid, SliderShape.line_contact(2.0), 0.3, 0.5)
         p = solve_vi_psor(system, tol=1e-12)
-        e = lcp_enumerate(system)
+        e = lcp_pivot(system)
         assert np.max(np.abs(p.values - e.values)) <= 1e-10
         assert lcp_residuals(system, p.values)[0] <= 1e-9
         assert 0 < np.count_nonzero(p.values == 0.0) < system.n  # genuinely mixed case
