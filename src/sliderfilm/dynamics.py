@@ -4,8 +4,9 @@ The slider height obeys eta'' = G(eta, eta') with
 G(beta, gamma) = integral of the film pressure at clearance beta and
 squeeze velocity gamma, minus the applied load F.  Two exact shortcuts
 are used: gamma >= V1 forces zero pressure (G = -F), and for the flat
-profile the film load scales exactly like (-gamma)/beta^3 times a single
-cached unit load.
+profile the film load scales exactly like (-gamma)/beta^3 times one unit
+load, which vi_solver.flat_unit_load sums in closed form, so a flat run
+makes no film solve.
 
 Every other film force is one projected-SOR solve, warm started by a
 secant predictor of the last two solves.  A trajectory's first step
@@ -19,7 +20,7 @@ decaying height makes the problem stiff.  A flat-profile run that the
 DOPRI5 stiffness test flags, at h rho > 2.5 instead of DOPRI5's 3.25 and
 counted as Hairer's DOPRI5 code counts it, continues with RODAS3, an
 L-stable Rosenbrock pair that takes the analytic Jacobian of G from the
-cached unit load (GEvaluator.jacobian); other shapes stay on
+same unit load (GEvaluator.jacobian); other shapes stay on
 Dormand-Prince.  The same loop clamps, guards, accepts and rejects the
 steps of both.
 """
@@ -49,6 +50,7 @@ from .vi_solver import (
     PressureField,
     assemble_system,
     film_geometry,
+    flat_unit_load,
     load_integral,
     relaxation,
     solve_linear,
@@ -100,8 +102,8 @@ class SolverParams:
     simulate run solves its start and its start probe at tol, and each
     Dormand-Prince step's stages at that step's share of its error
     budget (integrate_trajectory), never tighter than tol: there tol is
-    the floor.  The flat profile's one unit solve runs at
-    min(tol, 1e-10).
+    the floor.  The flat profile's force below the cutoff solves
+    nothing, so tol does not reach it (GEvaluator.eval).
     """
 
     omega: float | None = None
@@ -353,9 +355,11 @@ class GEvaluator:
     Every film force and every film solve of a run comes from here.
     gamma >= V1 gives the zero field outright.  For the flat profile the
     operator is beta^3 times a fixed stencil and the load vector is
-    (-gamma) times a fixed one, so eval scales one cached unit load
-    (beta 1, gamma -1) by (-gamma)/beta^3, the exact discrete load at
-    every (beta, gamma).  Any other field is one solve_vi_psor at the
+    (-gamma) times a fixed one, so eval scales the unit load (beta 1,
+    gamma -1) by (-gamma)/beta^3, the exact discrete load at every
+    (beta, gamma); the evaluator takes that load once, from the
+    closed-form sum vi_solver.flat_unit_load.  field still solves for
+    every shape.  Any other field is one solve_vi_psor at the
     problem's solver settings, or at the tolerance the call asks for,
     warm started from the secant predictor of the last two solves (see
     field).  With solver.omega unset, the chain keeps the (free set,
@@ -363,7 +367,7 @@ class GEvaluator:
     start, so it estimates again only when a start's free set (p > 0)
     drifts from the kept one.  A fresh evaluator's
     first field below V1 equals a lone cold solve_vi_psor of the
-    problem's system at its settings, bit for bit.  Cached and cutoff
+    problem's system at its settings, bit for bit.  Flat and cutoff
     evaluations report 0 sweeps.  n_solves, n_sweeps and
     n_omega_estimates count the solves made, their sweeps and the
     estimates.
@@ -378,7 +382,8 @@ class GEvaluator:
         self._warm: np.ndarray | None = None
         self._warm_at = (math.nan, math.nan)
         self._prior: tuple[float, float, np.ndarray] | None = None
-        self._flat_load_unit: float | None = None
+        # the flat profile's load at beta 1, gamma -1, exact to rounding
+        self._unit_load = flat_unit_load(problem.grid) if self._flat else math.nan
         # (free set, omega) of the last relaxation estimate
         self._relax: tuple[np.ndarray, float] | None = None
         self.n_solves = 0
@@ -392,21 +397,15 @@ class GEvaluator:
 
         G is load_integral of field(beta, gamma, tol) minus F, except for
         the flat profile below the cutoff: there the load is a scalar on
-        the cached unit load, which keeps the evaluations of a decay run
-        cheap; the unit solve runs at tol min(solver.tol, 1e-10) whatever
-        tol is asked.  tol None means solver.tol.  A non-finite state, or
-        a beta above the geometry's beta_max, skips the shortcut and is
-        rejected by field before any solve, the latter with
-        NonPositiveClearance from the assembly.
+        the unit load, with no solve, 0 sweeps and tol unused, which
+        keeps the evaluations of a decay run cheap.  tol None means
+        solver.tol.  A non-finite state, or a beta above the geometry's
+        beta_max, skips the shortcut and is rejected by field before any
+        solve, the latter with NonPositiveClearance from the assembly.
         """
         if self._flat and 0.0 < beta <= self._beta_max and -math.inf < gamma < self.V1:
-            iters = 0
-            if self._flat_load_unit is None:
-                unit = self._solve(1.0, -1.0, None, min(self.problem.solver.tol, 1e-10))
-                self._flat_load_unit = load_integral(unit, self.problem.grid)
-                iters = unit.iterations
-            load = (-gamma) * self._flat_load_unit / beta**3
-            return load - self.problem.F, load, iters
+            load = (-gamma) * self._unit_load / beta**3
+            return load - self.problem.F, load, 0
         fld = self.field(beta, gamma, tol)
         load = load_integral(fld, self.problem.grid)
         return load - self.problem.F, load, fld.iterations
@@ -477,8 +476,8 @@ class GEvaluator:
         """(dG/dbeta, dG/dgamma) of the flat profile at (beta, gamma), the
         second row of the Jacobian of (eta, eta') -> (eta', G).
 
-        Zero at gamma >= V1, where G = -F.  Below it, from the cached unit
-        load L (the load eval reports at beta 1, gamma -1):
+        Zero at gamma >= V1, where G = -F.  Below it, from the unit load L
+        (the load eval reports at beta 1, gamma -1):
         dG/dgamma = -L/beta^3 and dG/dbeta = -3 gamma/beta dG/dgamma.
         Other shapes have no film Jacobian here.  A non-finite state is
         rejected as in field, and a beta above the geometry's beta_max
@@ -493,7 +492,7 @@ class GEvaluator:
             raise NonPositiveClearance(
                 f"film Jacobian requires beta <= {self._beta_max:.6g}, got {beta}"
             )
-        dg_dgamma = -self.eval(1.0, -1.0)[1] / beta**3
+        dg_dgamma = -self._unit_load / beta**3
         return -3.0 * gamma / beta * dg_dgamma, dg_dgamma
 
 
@@ -683,10 +682,13 @@ def integrate_trajectory(
     -----
     Every derivative evaluation is one film solve, warm started by
     GEvaluator's secant predictor along the step chain; the exact
-    shortcuts of GEvaluator apply.  The first step size comes from the
-    starting-step rule of Hairer, Norsett and Wanner (_initial_step): it
-    costs one more force evaluation, an explicit Euler probe, and depends
-    on t_end only through the cap dt <= t_end.
+    shortcuts of GEvaluator apply.  A flat-profile run solves nothing:
+    its loads scale the closed-form unit load, so it reports 0 solves,
+    sweeps and omega estimates, and its psor_iters are all 0.  The
+    first step size comes from the starting-step rule of Hairer, Norsett
+    and Wanner (_initial_step): it costs one more force evaluation, an
+    explicit Euler probe, and depends on t_end only through the cap
+    dt <= t_end.
 
     A Dormand-Prince step's film solves are only as accurate as the step
     needs, as Hairer and Wanner stop the Newton iterations of implicit

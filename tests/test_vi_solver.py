@@ -19,6 +19,7 @@ from sliderfilm.vi_solver import (
     _red_black_lattices,
     assemble_system,
     film_geometry,
+    flat_unit_load,
     free_set,
     PressureField,
     lcp_residuals,
@@ -630,6 +631,40 @@ class TestYoungOmega:
         fixed = solve_vi_psor(system, omega=suggested_omega(grid))
         assert rule.iterations < fixed.iterations
         assert np.max(np.abs(rule.values - fixed.values)) <= 1e-6
+
+
+class TestFlatUnitLoad:
+    """The closed-form unit load against the solvers and the series constant."""
+
+    GRIDS = [
+        (DomainRect(-1.0, 1.0, -1.0, 1.0), 32, 32),
+        (DomainRect(-3.0, 2.0, -0.5, 1.0), 17, 40),  # dx != dy, nx odd, ny even
+    ]
+
+    @staticmethod
+    def _unit_system(domain, nx, ny):
+        grid = build_grid(domain, nx, ny)
+        return grid, assemble_system(grid, SliderShape.flat(), 1.0, -1.0)
+
+    @pytest.mark.parametrize("domain, nx, ny", GRIDS)
+    def test_matches_conjugate_gradients(self, domain, nx, ny):
+        # measured 4.4e-16 and 7.5e-15
+        grid, system = self._unit_system(domain, nx, ny)
+        cg = load_integral(solve_linear(system, tol=1e-13), grid)
+        assert abs(flat_unit_load(grid) / cg - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("domain, nx, ny", GRIDS)
+    def test_matches_psor(self, domain, nx, ny):
+        # b > 0 everywhere, so the complementarity solution is the linear one
+        grid, system = self._unit_system(domain, nx, ny)
+        psor = load_integral(solve_vi_psor(system, tol=1e-13), grid)
+        assert abs(flat_unit_load(grid) / psor - 1.0) <= 1e-11
+
+    def test_second_order_against_the_series(self, domain_sym):
+        # measured 2.98e-3 at 32^2 and 7.68e-4 at 64^2: a ratio of 3.87
+        series = flat_C_omega(domain_sym, 199).value
+        errs = [abs(flat_unit_load(build_grid(domain_sym, n, n)) / series - 1.0) for n in (32, 64)]
+        assert errs[0] >= 3.5 * errs[1]
 
 
 class TestFlatGridConvergence:
