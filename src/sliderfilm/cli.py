@@ -138,13 +138,13 @@ def run_verify(config: RunConfig, out_dir: Path) -> int:
     settings = config.oracle
     shapes = (SliderShape.line_contact(2.0), SliderShape.point_contact(2.0), SliderShape.flat())
     checks = [
-        oracle.fourier_vs_grid(config.domain, settings.fourier_cutoff, settings.fine_grid, 1e-10),
+        oracle.fourier_vs_grid(config.domain, settings.fine_grid, 1e-10),
         oracle.cutoff_exactness([replace(problem, shape=shape) for shape in shapes]),
         # the stop test is relative to max(1, ||p||_inf): at p ~ 3e3 (flat
         # profile, beta ~ 0.05) tol 1e-12 can stop ~3e-9 from the solution
         oracle.lcp_enumeration_equivalence(rng, config.domain, settings.lcp_cases, tol=1e-13),
         oracle.comparison_principle(rng, problem, settings.comparison_cases),
-        oracle.flat_reference_match(config.domain, settings.fourier_cutoff),
+        oracle.flat_reference_match(config.domain),
     ]
     ok = all(c["passed"] for c in checks)
     _write_json(out_dir / "verify.json", {"passed": ok, "checks": checks})

@@ -79,7 +79,6 @@ class GCurveConfig:
 
 @dataclass
 class OracleConfig:
-    fourier_cutoff: int = 99
     fine_grid: int = 192
     lcp_cases: int = 100
     comparison_cases: int = 20
@@ -241,8 +240,6 @@ def _check_gcurve(g, raw, path):
 
 
 def _check_oracle(o, raw, path):
-    if o.fourier_cutoff < 1:
-        raise ValidationError(f"{path}.fourier_cutoff", "must be >= 1")
     if o.fine_grid < 32:
         raise ValidationError(
             f"{path}.fine_grid", "must be >= 32: coarser grids miss fourier_vs_grid's 5e-3 bound"

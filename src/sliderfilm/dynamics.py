@@ -16,13 +16,10 @@ depend on the horizon.
 A trajectory is one adaptive step loop with two steppers.  It starts
 with the explicit Dormand-Prince 5(4) pair.  The film acts like a spring
 plus a damper whose coefficient -dG/dgamma grows like 1/beta^3, so a
-decaying height makes the problem stiff.  A flat-profile run that the
-DOPRI5 stiffness test flags, at h rho > 2.5 instead of DOPRI5's 3.25 and
-counted as Hairer's DOPRI5 code counts it, continues with RODAS3, an
-L-stable Rosenbrock pair that takes the analytic Jacobian of G from the
-same unit load (GEvaluator.jacobian); other shapes stay on
-Dormand-Prince.  The same loop clamps, guards, accepts and rejects the
-steps of both.
+decaying height makes the problem stiff.  A flat-profile run, whose
+Jacobian J is exact (GEvaluator.jacobian), continues with RODAS3, an
+L-stable Rosenbrock pair, once a step h has h rho(J) > 2.5; other
+shapes stay on Dormand-Prince.  One loop steps, guards and controls both.
 """
 
 import math
@@ -147,13 +144,9 @@ class Problem:
 
 # a step under 1e-12 * t_end fails
 _DT_MIN_FRACTION = 1e-12
-# the run switches to RODAS3 once h |k7 - k6| > 2.5 |y7 - y6| has held on
-# 15 accepted Dormand-Prince steps, counted as Hairer's DOPRI5 code counts
-# them: a stiff step adds one, and only 6 non-stiff steps in a row reset
-# the count.  DOPRI5 tests at 3.25, on DP's real stability boundary (~3.3),
-# which the controller only creeps towards; 2.5, about three quarters of
-# the interval, fires once the step is stability-bound
-_STIFF_RHO, _STIFF_STEPS, _STIFF_RESET = 2.5, 15, 6
+# h rho(J) past which a flat run switches to RODAS3: about three quarters
+# of DP's real stability interval (~3.3), which the controller creeps towards
+_STIFF_RHO = 2.5
 
 
 @dataclass
@@ -543,10 +536,8 @@ def _dp_step(f, y, v, g, h):
     """One Dormand-Prince 5(4) step of (eta, eta')' = (eta', G) from (y, v).
 
     g = G(y, v) is the first stage; f(eta, eta') returns G first and is
-    called six times.  Returns (y_new, v_new, err_y, err_v, f7, stiff):
-    f7, f's result at stage 7, is taken at the new state exactly (FSAL),
-    and stiff is DOPRI5's test h |k7 - k6| > _STIFF_RHO |y7 - y6|, at
-    2.5 instead of DOPRI5's 3.25 (see integrate_trajectory).
+    called six times.  Returns (y_new, v_new, err_y, err_v, f7): f7, f's
+    result at stage 7, is taken at the new state exactly (FSAL).
 
     The tableau is unrolled, each combination as sum()'s left fold over
     its terms: from 0.0 (so a -0.0 term gives +0.0), zero coefficients
@@ -568,18 +559,14 @@ def _dp_step(f, y, v, g, h):
     k5y = v + h * (0.0 + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
     k5v = f(y + h * (0.0 + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y), k5y)[0]
     k6y = v + h * (0.0 + a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-    y6 = y + h * (0.0 + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
-    k6v = f(y6, k6y)[0]
+    k6v = f(y + h * (0.0 + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y), k6y)[0]
     k7y = v + h * (0.0 + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
     y7 = y + h * (0.0 + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
     f7 = f(y7, k7y)
     k7v = f7[0]
     err_y = h * (0.0 + e1 * k1y + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
     err_v = h * (0.0 + e1 * k1v + e2 * k2v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
-    # the two states differ by (y7 - y6, k7y - k6y): a state's velocity is its first slope
-    dky, dkv, dy = k7y - k6y, k7v - k6v, y7 - y6
-    stiff = h * h * (dky * dky + dkv * dkv) > _STIFF_RHO**2 * (dy * dy + dky * dky)
-    return y7, k7y, err_y, err_v, f7, stiff
+    return y7, k7y, err_y, err_v, f7
 
 
 # RODAS3 (Sandu et al., Atmos. Environ. 31, 1997), autonomous form: a
@@ -704,16 +691,16 @@ def integrate_trajectory(
     the true error (2.4-15 times), which the worst-sign sum above leaves
     room for; rejected steps do not rise, where a fixed solve tol of 1e-7
     triples them on a long run.  The start and the starting-step probe
-    solve at solver.tol.  RODAS3 steps keep the last Dormand-Prince
-    step's tolerance; only the flat profile takes them, and its loads
-    never reach PSOR.
+    solve at solver.tol.  RODAS3 steps, flat only, make no solve.
     On the three 32^2 line-contact runs to t = 50 at solver.tol 1e-9 and
     omega = suggested_omega this takes 83,009 sweeps and 121 rejected
     steps where solves at 1e-9 took 119,864 and 123; the final eta moves
     by under 3e-10.
 
-    One step loop serves both steppers and owns the controller: the cap
-    dt <= t_end - t, the weighted RMS error with scale
+    One step loop serves both steppers and owns the controller: the caps
+    dt <= t_end - t and dt <= (eta1 - V1) / F - t (while a run from
+    eta1 > V1 coasts at G = -F, unless that is under 1e-12 t_end: a step
+    lands on G's kink in eta'), the weighted RMS error with scale
     abs_tol + rel_tol max(|y|, |y_new|), acceptance at error <= 1, the
     step factor 0.9 err^(-1/(q+1)) clamped to [0.2, 5] for an error
     estimate of order q (5 at zero error), a retry at 0.2 h when the
@@ -724,26 +711,14 @@ def integrate_trajectory(
     The run starts with the embedded Dormand-Prince 5(4) pair (_dp_step,
     exponent -1/5): its seventh stage is the accepted state, so that
     force value is the sample and the next step's first stage (FSAL).
-    Each step also applies the stiffness test of Hairer's DOPRI5 code at
-    a lower threshold, h |k7 - k6| > 2.5 |y7 - y6| (_STIFF_RHO; Euclidean
-    norms, y6 the argument of stage 6, y7 the new state): |k7 - k6| /
-    |y7 - y6| estimates the spectral radius rho of the Jacobian.  DOPRI5
-    uses 3.25, where h rho leaves DP's real stability interval (~3.3);
-    the controller only creeps towards that bound, so on a flat decay
-    h rho stays below 3.25 for hundreds of shrinking steps.  2.5, about
-    three quarters of the interval, is met once the step is
-    stability-bound; sample counts level off there.  The count follows
-    DOPRI5: each accepted stiff step adds one, and 6 accepted non-stiff
-    steps in a row (_STIFF_RESET) set it back to 0.  When it reaches 15
-    (_STIFF_STEPS), the rest of the run takes RODAS3 steps (_rodas3_step,
-    exponent -1/3): the L-stable Rosenbrock pair needs no step
-    restriction from the damping dG/deta' ~ -1/eta^3.  Each RODAS3 step
-    makes two force evaluations, plus one at the accepted state that is
-    its sample; the Jacobian (GEvaluator.jacobian) is taken once per
-    accepted state and reused when a step is retried.  The switch is
-    one-way, and only the flat profile makes it: its Jacobian is
-    analytic.  Other shapes have no film Jacobian and stay on
-    Dormand-Prince throughout.
+    A flat-profile run takes the exact Jacobian J = [[0, 1], [jb, jg]]
+    (GEvaluator.jacobian) at every accepted sample.  After the first
+    accepted Dormand-Prince step h with h rho(J) > 2.5 at its end
+    (_STIFF_RHO; rho the spectral radius), the run takes RODAS3 steps
+    (_rodas3_step, exponent -1/3) that reuse the sample's J: the L-stable
+    pair needs no step restriction from the damping dG/deta' ~ -1/eta^3.
+    A RODAS3 step makes two force evaluations, plus one at its sample.
+    The switch is one-way; other shapes have no film Jacobian.
 
     The run ends with CONTACT_GUARD when the height falls to the guard
     and with STEP_FAILURE when the controller underflows 1e-12 * t_end or
@@ -760,9 +735,9 @@ def integrate_trajectory(
     dt_min = _DT_MIN_FRACTION * t_end
     abs_tol, rel_tol, max_samples = sc.abs_tol, sc.rel_tol, sc.max_samples
     ev = GEvaluator(problem)
-    can_switch = problem.shape.kind is ShapeKind.FLAT
     c1 = c1_constant(problem.shape, problem.grid.domain)
     F = problem.F
+    t_coast = (problem.eta1 - ev.V1) / F  # G = -F until then (Notes)
 
     ts, etas, vels, gs, loads = (array("d") for _ in range(5))
     sweeps = array("q")
@@ -813,7 +788,6 @@ def integrate_trajectory(
     y = problem.eta0
     v = problem.eta1
     n_rejected = 0
-    stiff_run = calm_run = 0
     stiff_from = jac = None  # jac: the Jacobian (dG/deta, dG/deta') once on RODAS3
     expo = -0.2  # the controller exponent, -1/(1 + the error estimate's order)
     if y <= eps_contact:
@@ -825,12 +799,14 @@ def integrate_trajectory(
 
     while t < t_end * (1.0 - 1e-15):
         dt = min(dt, t_end - t)
+        if dt_min <= t_coast - t < dt:  # a shorter rest of the coast is stepped across
+            dt = t_coast - t
         if dt < dt_min:
             return finish(TerminationKind.STEP_FAILURE, t, f"step size underflow (dt={dt:.3e})")
         try:
             if jac is None:
                 solve_tol = step_tol(v, dt)
-                y_new, v_new, err_y, err_v, f_new, stiff = _dp_step(f, y, v, g, dt)
+                y_new, v_new, err_y, err_v, f_new = _dp_step(f, y, v, g, dt)
             else:
                 y_new, v_new, err_y, err_v = _rodas3_step(f, y, v, g, *jac, dt)
                 if y_new <= eps_contact:  # f is evaluated there once accepted
@@ -860,26 +836,23 @@ def integrate_trajectory(
             continue
         if len(ts) >= max_samples:
             return finish(TerminationKind.STEP_FAILURE, t, "max_samples exceeded")
-        t, y, v = t + dt, y_new, v_new
+        t, y, v, h = t + dt, y_new, v_new, dt
         dt *= min(5.0, max(0.2, 0.9 * err**expo)) if err > 0.0 else 5.0
         if jac is None:
             # FSAL: stage 7 was evaluated at (y, v); it is this sample and
             # the next step's first stage
             g, load, iters = f_new
-            if can_switch:
-                if stiff:
-                    stiff_run, calm_run = stiff_run + 1, 0
-                else:
-                    calm_run += 1
-                    if calm_run == _STIFF_RESET:
-                        stiff_run = 0
-                if stiff_run == _STIFF_STEPS:
-                    stiff_from, expo = t, -1.0 / 3.0
         else:
             g, load, iters = f(y, v)
         record(t, y, v, g, load, iters)
-        if stiff_from is not None:
-            jac = ev.jacobian(y, v)
+        if problem.shape.kind is ShapeKind.FLAT:
+            jb, jg = ev.jacobian(y, v)
+            disc = jg * jg + 4.0 * jb  # rho(J) from J's characteristic polynomial
+            rho = 0.5 * (abs(jg) + math.sqrt(disc)) if disc >= 0.0 else math.sqrt(-jb)
+            if jac is None and h * rho > _STIFF_RHO:
+                stiff_from, expo = t, -1.0 / 3.0
+            if stiff_from is not None:
+                jac = jb, jg
     return finish(TerminationKind.REACHED_HORIZON, t)
 
 

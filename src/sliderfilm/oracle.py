@@ -361,15 +361,15 @@ def _record(name: str, passed, **values) -> dict:
     return {"name": name, "passed": bool(passed), **values}
 
 
-def fourier_vs_grid(domain: DomainRect, cutoff: int, n_fine: int, tol: float) -> dict:
-    """Check 1: the series constant against a unit-load solve (CG at tol) on a fine grid.
+def fourier_vs_grid(domain: DomainRect, n_fine: int, tol: float) -> dict:
+    """Check 1: the 99-term series constant against a unit-load solve (CG at tol) on a fine grid.
 
     The grid's spacing, not its node count, sets its error, so the
     shorter side takes n_fine nodes and the longer one round(n_fine r),
     r the aspect ratio: n_fine x n_fine on a square, 320 x 32 on a 10:1
     domain at n_fine 32 (rel_diff 1.0e-3, where 32 x 32 read 8.4e-3).
     """
-    series = flat_C_omega(domain, cutoff)
+    series = flat_C_omega(domain)
     L1, L2 = domain.length1, domain.length2
     n_long = round(n_fine * max(L1, L2) / min(L1, L2))
     grid = build_grid(domain, *((n_long, n_fine) if L1 >= L2 else (n_fine, n_long)))
@@ -444,15 +444,15 @@ def _random_subrect(rng, domain: DomainRect):
             return float(xa), float(xb), float(ya), float(yb)
 
 
-def flat_reference_match(domain: DomainRect, cutoff: int) -> dict:
+def flat_reference_match(domain: DomainRect) -> dict:
     """Check 5: flat_reference_gap at 200 samples of a flat descent to t = 10.
 
     The descent (32x32 grid, F 1, eta0 1, eta1 -0.5, solver tol 1e-9)
-    switches to the stiff stepper (at t ~ 7.4 on [-1, 1]^2), so both steppers are checked.
+    switches to the stiff stepper (at t ~ 7.0 on [-1, 1]^2), so both steppers are checked.
     """
     problem = Problem(shape=SliderShape.flat(), grid=build_grid(domain, 32, 32), F=1.0,
                       eta0=1.0, eta1=-0.5, solver=SolverParams(tol=1e-9))
     traj = integrate_trajectory(problem, 10.0)
-    gap = flat_reference_gap(traj, flat_model(domain, 1.0, 1.0, -0.5, cutoff=cutoff), 10.0, 200)
+    gap = flat_reference_gap(traj, flat_model(domain, 1.0, 1.0, -0.5), 10.0, 200)
     return _record("flat_reference_match", gap.passed, max_rel_diff=gap.max_rel_diff,
                    max_envelope_violation=gap.max_envelope_violation)

@@ -210,7 +210,7 @@ class TestSchema:
             "integrator": ["abs_tol", "eps_contact", "max_samples", "rel_tol", "t_end"],
             "steady": ["beta_init", "max_bisections", "max_expansions", "tol_residual"],
             "gcurve": ["betas"],
-            "oracle": ["comparison_cases", "fine_grid", "fourier_cutoff", "lcp_cases"],
+            "oracle": ["comparison_cases", "fine_grid", "lcp_cases"],
         }
 
     @pytest.mark.parametrize(
@@ -251,6 +251,16 @@ class TestSchema:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(text)
         assert main(["steady", "--config", str(cfgfile), "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_fourier_cutoff_is_unknown(self, tmp_path):
+        # verify's series constant always takes 99 terms, so no key sets it
+        text = '{"oracle": {"fourier_cutoff": 99}}'
+        with pytest.raises(ParseError) as exc:
+            parse_config(text)
+        assert exc.value.path == "oracle.fourier_cutoff"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert main(["verify", "--config", str(cfgfile), "--out", str(tmp_path)]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
         "section, path",
@@ -409,7 +419,7 @@ class TestDispatch:
         }
 
     def test_verify_flat_reference_covers_the_stiff_phase(self, tmp_path, monkeypatch):
-        # check 5's descent to t = 10 switches to RODAS3 at t ~ 7.4, so the
+        # check 5's descent to t = 10 switches to RODAS3 at t ~ 7.0, so the
         # scalar reference also checks samples of the stiff stepper
         import sliderfilm.oracle as oracle
 

@@ -49,16 +49,16 @@ class TestFourierConstant:
 
     def test_cross_validated_against_grid_solve(self, unit_domain):
         # mandatory before this value backs any other check
-        assert fourier_vs_grid(unit_domain, 99, 128, tol=1e-11)["rel_diff"] <= 5e-3
+        assert fourier_vs_grid(unit_domain, 128, tol=1e-11)["rel_diff"] <= 5e-3
 
     def test_check_1_passes_at_the_smallest_accepted_fine_grid(self, domain_sym):
         # oracle.fine_grid's minimum: at 16 the relative grid error reads 1.1e-2
-        assert fourier_vs_grid(domain_sym, 99, 32, tol=1e-10)["passed"] is True
+        assert fourier_vs_grid(domain_sym, 32, tol=1e-10)["passed"] is True
 
     def test_check_1_passes_on_a_10_to_1_domain(self):
         # the longer side takes 10 x 32 nodes: 1.0e-3, where 32 x 32 read 8.4e-3
-        wide = fourier_vs_grid(DomainRect(-5.0, 5.0, -0.5, 0.5), 99, 32, tol=1e-10)
-        tall = fourier_vs_grid(DomainRect(-0.5, 0.5, -5.0, 5.0), 99, 32, tol=1e-10)
+        wide = fourier_vs_grid(DomainRect(-5.0, 5.0, -0.5, 0.5), 32, tol=1e-10)
+        tall = fourier_vs_grid(DomainRect(-0.5, 0.5, -5.0, 5.0), 32, tol=1e-10)
         assert wide["passed"] is tall["passed"] is True
         assert wide["rel_diff"] <= 2e-3
         assert tall["rel_diff"] == pytest.approx(wide["rel_diff"], rel=1e-9)
@@ -66,7 +66,7 @@ class TestFourierConstant:
     def test_check_1_keeps_the_square_grid_on_a_square(self, domain_sym):
         grid = build_grid(domain_sym, 32, 32)
         unit = solve_linear(assemble_system(grid, SliderShape.flat(), 1.0, -1.0), tol=1e-10)
-        record = fourier_vs_grid(domain_sym, 99, 32, tol=1e-10)
+        record = fourier_vs_grid(domain_sym, 32, tol=1e-10)
         assert record["grid_value"] == load_integral(unit, grid)
 
 
@@ -146,9 +146,7 @@ class TestIntegratorReference:
         [
             (-0.5, 10.0, 1e-5),  # measured 4.2e-8
             (-0.5, 200.0, 1e-5),  # measured 5.1e-7
-            # the coast's turning point, where (eta')^- has a kink, costs
-            # about 50 rel_tol: measured 4.9e-5
-            (0.5, 10.0, 2e-4),
+            (0.5, 10.0, 1e-5),  # measured 2.0e-7
         ],
     )
     def test_run_matches_the_reference_on_the_discrete_load(self, domain_sym, eta1, t_end, bound):
