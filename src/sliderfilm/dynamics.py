@@ -8,10 +8,11 @@ profile the film load scales exactly like (-gamma)/beta^3 times one unit
 load, which vi_solver.flat_unit_load sums in closed form, so a flat run
 makes no film solve.
 
-Every other film force is one projected-SOR solve, warm started by a
-secant predictor of the last two solves.  A trajectory's first step
-follows the Hairer-Norsett-Wanner starting-step rule, so it does not
-depend on the horizon.
+Every other film force is one projected-SOR solve, warm started from
+the plane in (beta, gamma) through the last solve and two well-separated
+recent ones, or from their secant.  A trajectory's first step follows
+the Hairer-Norsett-Wanner starting-step rule, so it does not depend on
+the horizon.
 
 A trajectory is one adaptive step loop with two steppers.  It starts
 with the explicit Dormand-Prince 5(4) pair.  The film acts like a spring
@@ -96,10 +97,11 @@ class SolverParams:
     tol, and stops once |g| is within that solve's load error
     (steady._solve_g); its bracket points first at a looser tolerance,
     then at tol only where g's sign is not yet certain.  A
-    simulate run solves its start and its start probe at tol, and each
-    Dormand-Prince step's stages at that step's share of its error
-    budget (integrate_trajectory), never tighter than tol: there tol is
-    the floor.  The flat profile's force below the cutoff solves
+    simulate run solves its start at tol, its start probe at the
+    loosest stage tolerance max(tol, 1e-6), and each Dormand-Prince
+    step's stages at that step's share of its error budget
+    (integrate_trajectory), never tighter than tol: there tol is the
+    floor.  The flat profile's force below the cutoff solves
     nothing, so tol does not reach it (GEvaluator.eval).
     """
 
@@ -342,6 +344,60 @@ def _check_state(beta: float, gamma: float) -> None:
         raise ValueError(f"film force undefined at gamma = {gamma}")
 
 
+# the warm start's solves kept, base-point reach and collinearity cutoff (_warm_start)
+_HISTORY, _BASE_REACH, _PLANE_DET = 7, 0.1, 1e-3
+
+
+def _warm_start(history, beta, gamma):
+    """The start of a solve at x = (beta, gamma) from earlier solves.
+
+    history holds (beta_i, gamma_i, p_i) of the earlier solves, oldest
+    first; with none the start is None (a cold solve).  The newest, p1
+    at x1, anchors the start.  Base points are the earlier solves, newest
+    first, that lie at least a tenth of |x - x1| from x1 in (beta,
+    gamma): a Dormand-Prince pair's stages 6 and 7 both sit at t + h and
+    differ only by the step's error estimate, and a predictor anchored on
+    two such points extrapolates that difference.  When the first two base points
+    p0 at x0 and p2 at x2 are not collinear with x1 (|det| > 1e-3
+    |x0 - x1| |x2 - x1|), the start is the plane through the three,
+    p1 + w0 (p0 - p1) + w2 (p2 - p1) with w0 (x0 - x1) + w2 (x2 - x1) =
+    x - x1: on a fixed free set p is affine in gamma, and smooth in beta.
+    Otherwise it is the secant through the first base point, or through
+    the immediate prior when no solve qualifies: p1 + s (p1 - p0), with s
+    the projection of x - x1 onto x1 - x0.  A point behind x1 (s < 0)
+    starts from p1: interpolating hands the solve the errors of both
+    fields, and a solve that stops after a sweep or two keeps them.  With
+    a single solve the start is p1.  The solver projects the start onto
+    p >= 0.
+    """
+    if not history:
+        return None
+    beta1, gamma1, p1 = history[-1]
+    if len(history) == 1:
+        return p1
+    reach = _BASE_REACH * math.hypot(beta - beta1, gamma - gamma1)
+    base = [
+        point
+        for point in reversed(history[:-1])
+        if math.hypot(point[0] - beta1, point[1] - gamma1) >= reach
+    ]
+    if len(base) >= 2:
+        (beta0, gamma0, p0), (beta2, gamma2, p2) = base[:2]
+        a, b, c, d = beta0 - beta1, beta2 - beta1, gamma0 - gamma1, gamma2 - gamma1
+        det = a * d - b * c
+        if abs(det) > _PLANE_DET * math.hypot(a, c) * math.hypot(b, d):
+            x, y = beta - beta1, gamma - gamma1
+            w0, w2 = (d * x - b * y) / det, (a * y - c * x) / det
+            return p1 + w0 * (p0 - p1) + w2 * (p2 - p1)
+    beta0, gamma0, p0 = base[0] if base else history[-2]
+    db, dg = beta1 - beta0, gamma1 - gamma0
+    dd = db * db + dg * dg
+    if dd > 0.0:
+        s = max(0.0, ((beta - beta1) * db + (gamma - gamma1) * dg) / dd)
+        return p1 + s * (p1 - p0)
+    return p1
+
+
 class GEvaluator:
     """Film force along a run: the exact shortcuts and the warm chain.
 
@@ -354,11 +410,12 @@ class GEvaluator:
     closed-form sum vi_solver.flat_unit_load.  field still solves for
     every shape.  Any other field is one solve_vi_psor at the
     problem's solver settings, or at the tolerance the call asks for,
-    warm started from the secant predictor of the last two solves (see
-    field).  With solver.omega unset, the chain keeps the (free set,
-    omega) pair of vi_solver.relaxation and hands it back with each
-    start, so it estimates again only when a start's free set (p > 0)
-    drifts from the kept one.  A fresh evaluator's
+    warm started from the evaluator's last seven solves: the plane in
+    (beta, gamma) through the newest and two well-separated earlier ones,
+    else their secant (_warm_start).  With solver.omega unset, the chain
+    keeps the (free set, omega) pair of vi_solver.relaxation and hands it
+    back with each start, so it estimates again only when a start's free
+    set (p > 0) drifts from the kept one.  A fresh evaluator's
     first field below V1 equals a lone cold solve_vi_psor of the
     problem's system at its settings, bit for bit.  Flat and cutoff
     evaluations report 0 sweeps.  n_solves, n_sweeps and
@@ -371,10 +428,8 @@ class GEvaluator:
         self.V1 = compute_V1(problem.shape, problem.grid)
         self._flat = problem.shape.kind is ShapeKind.FLAT
         self._beta_max = problem._geometry.beta_max
-        # the last solve's values, where it was made, and (beta, gamma, p) of the one before
-        self._warm: np.ndarray | None = None
-        self._warm_at = (math.nan, math.nan)
-        self._prior: tuple[float, float, np.ndarray] | None = None
+        # (beta, gamma, p) of the last _HISTORY solves, oldest first
+        self._history: list[tuple[float, float, np.ndarray]] = []
         # the flat profile's load at beta 1, gamma -1, exact to rounding
         self._unit_load = flat_unit_load(problem.grid) if self._flat else math.nan
         # (free set, omega) of the last relaxation estimate
@@ -406,16 +461,10 @@ class GEvaluator:
     def field(self, beta: float, gamma: float, tol: float | None = None) -> PressureField:
         """Materialize the pressure field at (beta, gamma): the zero field
         at gamma >= V1, else one solve at tol (None means solver.tol),
-        warm started by the secant predictor of the last two solves.
-
-        With p0 at (beta0, gamma0) and p1 at (beta1, gamma1), the start is
-        p1 + s (p1 - p0), where s projects (beta - beta1, gamma - gamma1)
-        onto (beta1 - beta0, gamma1 - gamma0); the solver projects it onto
-        p >= 0.  A point behind p1 (s < 0) starts from p1: interpolating
-        hands the solve the errors of both fields, and a solve that stops
-        after a sweep or two keeps them.  After a single solve the start
-        is p1, and with no earlier solve (_warm None) the solve is cold.  A
-        non-finite state is rejected before any solve.
+        warm started from the evaluator's last seven solves (_warm_start):
+        the plane through the newest and two well-separated earlier ones,
+        else their secant.  With no earlier solve (_history empty) the
+        solve is cold.  A non-finite state is rejected before any solve.
         """
         _check_state(beta, gamma)
         if gamma >= self.V1:
@@ -423,20 +472,11 @@ class GEvaluator:
             return PressureField(
                 values=np.zeros((ny, nx)), residual_comp=0.0, residual_lin=0.0, iterations=0
             )
-        start = self._warm
-        if start is not None and self._prior is not None:
-            beta0, gamma0, p0 = self._prior
-            beta1, gamma1 = self._warm_at
-            db, dg = beta1 - beta0, gamma1 - gamma0
-            dd = db * db + dg * dg
-            if dd > 0.0:
-                s = max(0.0, ((beta - beta1) * db + (gamma - gamma1) * dg) / dd)
-                start = start + s * (start - p0)
         if tol is None:
             tol = self.problem.solver.tol
-        sol = self._solve(beta, gamma, start, tol)
-        self._prior = None if self._warm is None else (*self._warm_at, self._warm)
-        self._warm, self._warm_at = sol.values, (beta, gamma)
+        sol = self._solve(beta, gamma, _warm_start(self._history, beta, gamma), tol)
+        self._history.append((beta, gamma, sol.values))
+        del self._history[:-_HISTORY]
         return sol
 
     def _solve(
@@ -668,14 +708,16 @@ def integrate_trajectory(
     Notes
     -----
     Every derivative evaluation is one film solve, warm started by
-    GEvaluator's secant predictor along the step chain; the exact
-    shortcuts of GEvaluator apply.  A flat-profile run solves nothing:
-    its loads scale the closed-form unit load, so it reports 0 solves,
-    sweeps and omega estimates, and its psor_iters are all 0.  The
-    first step size comes from the starting-step rule of Hairer, Norsett
-    and Wanner (_initial_step): it costs one more force evaluation, an
-    explicit Euler probe, and depends on t_end only through the cap
-    dt <= t_end.
+    GEvaluator's predictor along the step chain (_warm_start): the plane
+    through the last solve and two earlier ones that are not too close
+    to it, which skips the near-coincident stage 6 of each FSAL step;
+    the exact shortcuts of GEvaluator apply.  A flat-profile run solves
+    nothing: its loads scale the closed-form unit load, so it reports 0
+    solves, sweeps and omega estimates, and its psor_iters are all 0.
+    The first step size comes from the starting-step rule of Hairer,
+    Norsett and Wanner (_initial_step): it costs one more force
+    evaluation, an explicit Euler probe, and depends on t_end only
+    through the cap dt <= t_end.
 
     A Dormand-Prince step's film solves are only as accurate as the step
     needs, as Hairer and Wanner stop the Newton iterations of implicit
@@ -690,12 +732,14 @@ def integrate_trajectory(
     solve-error bound: it absorbs the PSOR stop test's understatement of
     the true error (2.4-15 times), which the worst-sign sum above leaves
     room for; rejected steps do not rise, where a fixed solve tol of 1e-7
-    triples them on a long run.  The start and the starting-step probe
-    solve at solver.tol.  RODAS3 steps, flat only, make no solve.
-    On the three 32^2 line-contact runs to t = 50 at solver.tol 1e-9 and
-    omega = suggested_omega this takes 83,009 sweeps and 121 rejected
-    steps where solves at 1e-9 took 119,864 and 123; the final eta moves
-    by under 3e-10.
+    triples them on a long run.  The start solves at solver.tol.  The
+    starting-step probe only sizes h0, so it solves at the loosest stage
+    tolerance, max(solver.tol, 1e-6).  RODAS3 steps, flat only, make no
+    solve.  On the three 32^2 line-contact runs to t = 50 at solver.tol
+    1e-9 and omega = suggested_omega this takes 47,821 sweeps and 97
+    rejected steps, where the secant start with the probe at solver.tol
+    took 83,009 and 121 and solves at 1e-9 throughout 119,864 and 123;
+    the final eta moves by under 3e-10.
 
     One step loop serves both steppers and owns the controller: the caps
     dt <= t_end - t and dt <= (eta1 - V1) / F - t (while a run from
@@ -773,8 +817,9 @@ def integrate_trajectory(
         return traj
 
     ev_eval = ev.eval
-    # the tolerance of f's solves: solver.tol (None) for the start and its
-    # probe, then the current Dormand-Prince step's
+    # the tolerance of f's solves: solver.tol (None) for the start, the
+    # loosest stage tolerance for its probe, then the current
+    # Dormand-Prince step's
     step_tol = _step_solve_tol(problem, abs_tol, rel_tol)
     solve_tol = None
 
@@ -795,6 +840,7 @@ def integrate_trajectory(
 
     g, load, iters = f(y, v)
     record(t, y, v, g, load, iters)
+    solve_tol = max(problem.solver.tol, _SOLVE_TOL_MAX)
     dt = _initial_step(f, y, v, v, g, abs_tol, rel_tol, t_end)
 
     while t < t_end * (1.0 - 1e-15):

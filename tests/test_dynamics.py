@@ -10,11 +10,13 @@ from sliderfilm.dynamics import (
     _DP_B5,
     _DP_E,
     _DT_MIN_FRACTION,
+    _SOLVE_TOL_MAX,
     _StageContact,
     _dp_step,
     _initial_step,
     _rodas3_step,
     _step_solve_tol,
+    _warm_start,
     GEvaluator,
     MonitorReport,
     MonitorSegment,
@@ -236,9 +238,77 @@ class TestSecantWarmStart:
         ev = GEvaluator(prob)
         ev.field(0.3, 0.0)
         ev.field(0.4, 0.0)
-        ev._warm = None
+        ev._history.clear()
         fld = ev.field(0.5, 0.0)
         ref = solve_at_settings(prob, 0.5, 0.0)
+        assert fld.iterations == ref.iterations
+        assert np.array_equal(fld.values, ref.values)
+
+
+def _affine_field(beta, gamma):
+    """A synthetic 'solve' affine in (beta, gamma) on a 4x5 grid."""
+    base = np.arange(20.0).reshape(4, 5)
+    return 0.5 + 0.25 * base + beta * (1.0 - 0.1 * base) + gamma * np.cos(base)
+
+
+def _secant(history, beta, gamma):
+    """The start from the last two solves only, p1 + max(0, s) (p1 - p0)."""
+    (beta0, gamma0, p0), (beta1, gamma1, p1) = history[-2:]
+    db, dg = beta1 - beta0, gamma1 - gamma0
+    s = max(0.0, ((beta - beta1) * db + (gamma - gamma1) * dg) / (db * db + dg * dg))
+    return p1 + s * (p1 - p0)
+
+
+THREE_SOLVES = ((0.3, -0.2), (0.32, -0.1), (0.31, 0.05))
+
+
+class TestPlaneWarmStart:
+    def test_affine_field_from_three_non_collinear_solves(self):
+        history = [(b, g, _affine_field(b, g)) for b, g in THREE_SOLVES]
+        for beta, gamma in ((0.33, 0.1), (0.29, -0.3), (0.31, 0.05)):
+            start = _warm_start(history, beta, gamma)
+            assert np.allclose(start, _affine_field(beta, gamma), rtol=0.0, atol=1e-13)
+
+    def test_near_coincident_prior_is_skipped(self):
+        # stages 6 and 7 of a Dormand-Prince step: 1e-9 apart, and the
+        # earlier one off by a solve error that extrapolating it would magnify
+        stage6 = (0.31 + 1e-9, 0.05, _affine_field(0.31, 0.05) + 1e-6)
+        history = [(b, g, _affine_field(b, g)) for b, g in THREE_SOLVES]
+        with_stage6 = history[:2] + [stage6] + history[2:]
+        start = _warm_start(with_stage6, 0.33, 0.1)
+        assert np.array_equal(start, _warm_start(history, 0.33, 0.1))
+        assert np.allclose(start, _affine_field(0.33, 0.1), rtol=0.0, atol=1e-13)
+        # on a line the secant passes through the first point that qualifies
+        line = [(b, 0.0, _affine_field(b, 0.0)) for b in (0.2, 0.31 + 1e-9, 0.31)]
+        line[1] = (*line[1][:2], line[1][2] + 1e-6)
+        start = _warm_start(line, 0.4, 0.0)
+        assert np.array_equal(start, _secant(line[::2], 0.4, 0.0))
+        assert np.allclose(start, _affine_field(0.4, 0.0), rtol=0.0, atol=1e-13)
+
+    def test_points_at_one_gamma_give_the_secant_bitwise(self):
+        history = [(b, 0.0, _affine_field(b, 0.0) ** 2) for b in (0.2, 0.4, 0.3, 0.35)]
+        for beta in (0.5, 0.36, 0.3, 0.35):  # ahead, nearby, behind, on the last solve
+            assert np.array_equal(_warm_start(history, beta, 0.0), _secant(history, beta, 0.0))
+
+    def test_no_prior_or_a_single_prior_as_before(self):
+        p = _affine_field(0.3, -0.2)
+        assert _warm_start([], 0.3, -0.2) is None
+        assert _warm_start([(0.3, -0.2, p)], 0.5, 0.1) is p
+        # two solves: the secant, also through a prior too close to qualify
+        for prior in ((0.2, -0.1), (0.3 + 1e-9, -0.2)):
+            history = [(*prior, _affine_field(*prior) + 1e-3), (0.3, -0.2, p)]
+            assert np.array_equal(_warm_start(history, 0.5, -0.4), _secant(history, 0.5, -0.4))
+
+    def test_evaluator_keeps_the_last_seven_solves(self, domain_sym):
+        prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8)
+        ev = GEvaluator(prob)
+        points = [(0.3 + 0.01 * k, -0.1 * (k % 3)) for k in range(9)]
+        for beta, gamma in points[:-1]:
+            ev.field(beta, gamma)
+        assert [(b, g) for b, g, _ in ev._history] == points[1:-1]
+        start = _warm_start(ev._history, *points[-1])
+        ref = solve_at_settings(prob, *points[-1], warm_start=start)
+        fld = ev.field(*points[-1])
         assert fld.iterations == ref.iterations
         assert np.array_equal(fld.values, ref.values)
 
@@ -610,9 +680,10 @@ class TestStepSolveTolerance:
         monkeypatch.setattr(dynamics, "solve_vi_psor", recorder)
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8, eta1=-0.5)
         traj = integrate_trajectory(prob, 1.0, StepControl())
-        # the start solve and the start probe, then six stages per attempted step
+        # the start solve at the solver tol and the start probe at the
+        # loosest stage tol, then six stages per attempted step
         assert len(tols) == traj.n_solves == 2 + 6 * (len(traj) - 1 + traj.n_rejected)
-        assert tols[:2] == [1e-9, 1e-9]
+        assert tols[:2] == [1e-9, 1e-6]
         steps = [tols[k:k + 6] for k in range(2, len(tols), 6)]
         assert all(len(set(step)) == 1 and 1e-9 <= step[0] <= 1e-6 for step in steps)
         assert any(step[0] > 1e-9 for step in steps)
@@ -852,8 +923,8 @@ class TestIntegration:
 def generic_dp_columns(problem, t_end, sc):
     """The Dormand-Prince loop applied through the generic tableau sums.
 
-    Same controller, guard, FSAL bookkeeping and per-step solve tolerance
-    as integrate_trajectory, with every stage combination written as
+    Same controller, guard, FSAL bookkeeping, start-probe and per-step
+    solve tolerances as integrate_trajectory, with every stage combination written as
     sum(a[r] * k[r] ...) over the coefficient tables and the energies
     computed per sample in Python.
     """
@@ -875,10 +946,10 @@ def generic_dp_columns(problem, t_end, sc):
     def done(kind):
         return {k: np.array(v) for k, v in cols.items()}, kind, n_rejected
 
-    def guarded(eta, v):
+    def guarded(eta, v):  # the start probe
         if eta <= eps_contact:
             raise _StageContact
-        return ev.eval(eta, v)
+        return ev.eval(eta, v, max(problem.solver.tol, _SOLVE_TOL_MAX))
 
     t, y, v, n_rejected = 0.0, problem.eta0, problem.eta1, 0
     k1v, load1, it1 = ev.eval(y, v)

@@ -185,7 +185,7 @@ class TestBracketAndRoot:
             """Drops the warm start before every solve."""
 
             def field(self, beta, gamma, tol=None):
-                self._warm = None
+                self._history.clear()
                 return super().field(beta, gamma, tol)
 
         grid = build_grid(domain_sym, 32, 32)
