@@ -138,7 +138,7 @@ def run_verify(config: RunConfig, out_dir: Path) -> int:
     settings = config.oracle
     shapes = (SliderShape.line_contact(2.0), SliderShape.point_contact(2.0), SliderShape.flat())
     checks = [
-        oracle.fourier_vs_grid(config.domain, settings.fine_grid, 1e-10),
+        oracle.fourier_vs_grid(config.domain, settings.fine_grid),
         oracle.cutoff_exactness([replace(problem, shape=shape) for shape in shapes]),
         # the stop test is relative to max(1, ||p||_inf): at p ~ 3e3 (flat
         # profile, beta ~ 0.05) tol 1e-12 can stop ~3e-9 from the solution

@@ -18,8 +18,8 @@ A trajectory is one adaptive step loop with two steppers.  It starts
 with the explicit Dormand-Prince 5(4) pair.  The film acts like a spring
 plus a damper whose coefficient -dG/dgamma grows like 1/beta^3, so a
 decaying height makes the problem stiff.  A flat-profile run, whose
-Jacobian J is exact (GEvaluator.jacobian), continues with RODAS3, an
-L-stable Rosenbrock pair, once a step h has h rho(J) > 2.5; other
+Jacobian J is exact (GEvaluator.jacobian), continues with RODAS 4(3),
+an L-stable Rosenbrock pair, once a step h has h rho(J) > 2.5; other
 shapes stay on Dormand-Prince.  One loop steps, guards and controls both.
 """
 
@@ -146,7 +146,7 @@ class Problem:
 
 # a step under 1e-12 * t_end fails
 _DT_MIN_FRACTION = 1e-12
-# h rho(J) past which a flat run switches to RODAS3: about three quarters
+# h rho(J) past which a flat run switches to RODAS 4(3): about three quarters
 # of DP's real stability interval (~3.3), which the controller creeps towards
 _STIFF_RHO = 2.5
 
@@ -217,7 +217,7 @@ class Trajectory:
     termination: Termination
     n_rejected: int
     monitor: MonitorReport | None = None
-    stiff_from: float | None = None  # time of the switch to RODAS3, None if none
+    stiff_from: float | None = None  # time of the switch to RODAS 4(3), None if none
     # every film solve of the run and its sweeps: the start probe and the
     # stages of rejected steps included
     n_solves: int = 0
@@ -609,41 +609,74 @@ def _dp_step(f, y, v, g, h):
     return y7, k7y, err_y, err_v, f7
 
 
-# RODAS3 (Sandu et al., Atmos. Environ. 31, 1997), autonomous form: a
-# 4-stage, stiffly accurate, L-stable Rosenbrock 3(2) pair with gamma 1/2.
-# Stage i solves (I/(h gamma) - J) K_i = f(y + sum a_ij K_j) + sum c_ij K_j / h;
-# a21 = a32 = a42 = 0, so stage 2 reuses f(y) and stage 4 is evaluated at
-# y + 2 K1 + K3.  y_new = y + 2 K1 + K3 + K4 (m = (2, 0, 1, 1)), error K4.
-_R3_GAMMA = 0.5
-_R3_A31, _R3_A43 = 2.0, 1.0  # a41 = a31
-_R3_C21, _R3_C31, _R3_C32, _R3_C41, _R3_C42, _R3_C43 = 4.0, 1.0, -1.0, 1.0, -1.0, -8.0 / 3.0
+# RODAS 4(3) (Hairer & Wanner, Solving ODEs II, sec. VI.4; rodas.f, METH=1),
+# autonomous form: a 6-stage, stiffly accurate, L-stable Rosenbrock pair
+# with gamma 1/4.  Stage i solves
+# (I/(h gamma) - J) K_i = f(y + sum a_ij K_j) + sum c_ij K_j / h.  Stage 6 is
+# evaluated at stage 5's argument plus K5, the order-3 solution, and y_new
+# is stage 6's argument plus K6, so the error estimate is K6.
+_R4_GAMMA = 0.25
+_R4_A = (
+    (1.544,),
+    (0.9466785280815826, 0.2557011698983284),
+    (3.314825187068521, 2.896124015972201, 0.9986419139977817),
+    (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950),
+)
+_R4_C = (
+    (-5.6688,),
+    (-2.430093356833875, -0.2063599157091915),
+    (-0.1073529058151375, -9.594562251023355, -20.47028614809616),
+    (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160),
+    (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
+     -6.058818238834054),
+)
 
 
-def _rodas3_step(f, y, v, g, jb, jg, h):
-    """One RODAS3 step of (eta, eta')' = (eta', G) from (y, v).
+def _rodas4_step(f, y, v, g, jb, jg, h):
+    """One RODAS 4(3) step of (eta, eta')' = (eta', G) from (y, v).
 
     g = G(y, v) and J = [[0, 1], [jb, jg]] at (y, v); f(eta, eta') returns
-    G first and is called twice.  Each stage's 2x2 system is solved by
-    Cramer's rule.  Returns (y_new, v_new, err_y, err_v).
+    G first and is called five times, once per stage after the first.
+    Each stage's 2x2 system is solved by Cramer's rule.  Returns
+    (y_new, v_new, err_y, err_v).
     """
-    a = 1.0 / (h * _R3_GAMMA)
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _R4_A
+    (c21,), (c31, c32), (c41, c42, c43) = _R4_C[:3]
+    (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = _R4_C[3:]
+    a = 1.0 / (h * _R4_GAMMA)
     d = a - jg
     det = a * d - jb
     hi = 1.0 / h
+
+    def stage(ys, vs, cy, cv):
+        """K of the stage at (ys, vs) whose sums c_ij K_j are (cy, cv)."""
+        r1, r2 = vs + hi * cy, f(ys, vs)[0] + hi * cv
+        return (d * r1 + r2) / det, (a * r2 + jb * r1) / det
+
     k1y, k1v = (d * v + g) / det, (a * g + jb * v) / det
-    r1, r2 = v + _R3_C21 * hi * k1y, g + _R3_C21 * hi * k1v
-    k2y, k2v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
-    y3, v3 = y + _R3_A31 * k1y, v + _R3_A31 * k1v
-    g3 = f(y3, v3)[0]
-    r1 = v3 + hi * (_R3_C31 * k1y + _R3_C32 * k2y)
-    r2 = g3 + hi * (_R3_C31 * k1v + _R3_C32 * k2v)
-    k3y, k3v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
-    y4, v4 = y3 + _R3_A43 * k3y, v3 + _R3_A43 * k3v
-    g4 = f(y4, v4)[0]
-    r1 = v4 + hi * (_R3_C41 * k1y + _R3_C42 * k2y + _R3_C43 * k3y)
-    r2 = g4 + hi * (_R3_C41 * k1v + _R3_C42 * k2v + _R3_C43 * k3v)
-    k4y, k4v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
-    return y4 + k4y, v4 + k4v, k4y, k4v
+    k2y, k2v = stage(y + a21 * k1y, v + a21 * k1v, c21 * k1y, c21 * k1v)
+    k3y, k3v = stage(
+        y + a31 * k1y + a32 * k2y, v + a31 * k1v + a32 * k2v,
+        c31 * k1y + c32 * k2y, c31 * k1v + c32 * k2v,
+    )
+    k4y, k4v = stage(
+        y + a41 * k1y + a42 * k2y + a43 * k3y, v + a41 * k1v + a42 * k2v + a43 * k3v,
+        c41 * k1y + c42 * k2y + c43 * k3y, c41 * k1v + c42 * k2v + c43 * k3v,
+    )
+    y5 = y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y
+    v5 = v + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v
+    k5y, k5v = stage(
+        y5, v5,
+        c51 * k1y + c52 * k2y + c53 * k3y + c54 * k4y,
+        c51 * k1v + c52 * k2v + c53 * k3v + c54 * k4v,
+    )
+    y6, v6 = y5 + k5y, v5 + k5v
+    k6y, k6v = stage(
+        y6, v6,
+        c61 * k1y + c62 * k2y + c63 * k3y + c64 * k4y + c65 * k5y,
+        c61 * k1v + c62 * k2v + c63 * k3v + c64 * k4v + c65 * k5v,
+    )
+    return y6 + k6y, v6 + k6v, k6y, k6v
 
 
 class _StageContact(Exception):
@@ -683,7 +716,7 @@ def _initial_step(f, y, v, ky, kv, abs_tol, rel_tol, t_end):
 def integrate_trajectory(
     problem: Problem, t_end: float, step_control: StepControl | None = None
 ) -> Trajectory:
-    """Integrate the height equation: Dormand-Prince, switching to RODAS3 when stiff.
+    """Integrate the height equation: Dormand-Prince, switching to RODAS 4(3) when stiff.
 
     Parameters
     ----------
@@ -702,7 +735,7 @@ def integrate_trajectory(
     Trajectory
         Accepted samples (t, eta, eta', G, load, E1, E2, sweeps), the
         termination record, the energy-monitor report, the time of the
-        switch to RODAS3 (stiff_from, None when the run never switched),
+        switch to RODAS 4(3) (stiff_from, None when the run never switched),
         and the run's film solves and sweeps (n_solves, n_sweeps).
 
     Notes
@@ -734,8 +767,8 @@ def integrate_trajectory(
     room for; rejected steps do not rise, where a fixed solve tol of 1e-7
     triples them on a long run.  The start solves at solver.tol.  The
     starting-step probe only sizes h0, so it solves at the loosest stage
-    tolerance, max(solver.tol, 1e-6).  RODAS3 steps, flat only, make no
-    solve.  On the three 32^2 line-contact runs to t = 50 at solver.tol
+    tolerance, max(solver.tol, 1e-6).  RODAS 4(3) steps, flat only, make
+    no solve.  On the three 32^2 line-contact runs to t = 50 at solver.tol
     1e-9 and omega = suggested_omega this takes 47,821 sweeps and 97
     rejected steps, where the secant start with the probe at solver.tol
     took 83,009 and 121 and solves at 1e-9 throughout 119,864 and 123;
@@ -758,11 +791,13 @@ def integrate_trajectory(
     A flat-profile run takes the exact Jacobian J = [[0, 1], [jb, jg]]
     (GEvaluator.jacobian) at every accepted sample.  After the first
     accepted Dormand-Prince step h with h rho(J) > 2.5 at its end
-    (_STIFF_RHO; rho the spectral radius), the run takes RODAS3 steps
-    (_rodas3_step, exponent -1/3) that reuse the sample's J: the L-stable
+    (_STIFF_RHO; rho the spectral radius), the run takes RODAS 4(3) steps
+    (_rodas4_step, exponent -1/4) that reuse the sample's J: the L-stable
     pair needs no step restriction from the damping dG/deta' ~ -1/eta^3.
-    A RODAS3 step makes two force evaluations, plus one at its sample.
-    The switch is one-way; other shapes have no film Jacobian.
+    A RODAS 4(3) step makes five force evaluations, its first stage being
+    the sample's, plus one at its new sample; configs/flat_decay.json
+    switches at t ~ 7.0 and ends with 284 samples.  The switch is one-way;
+    other shapes have no film Jacobian.
 
     The run ends with CONTACT_GUARD when the height falls to the guard
     and with STEP_FAILURE when the controller underflows 1e-12 * t_end or
@@ -833,7 +868,7 @@ def integrate_trajectory(
     y = problem.eta0
     v = problem.eta1
     n_rejected = 0
-    stiff_from = jac = None  # jac: the Jacobian (dG/deta, dG/deta') once on RODAS3
+    stiff_from = jac = None  # jac: the Jacobian (dG/deta, dG/deta') once on RODAS 4(3)
     expo = -0.2  # the controller exponent, -1/(1 + the error estimate's order)
     if y <= eps_contact:
         raise ValueError("eta0 is already at the contact guard")
@@ -854,7 +889,7 @@ def integrate_trajectory(
                 solve_tol = step_tol(v, dt)
                 y_new, v_new, err_y, err_v, f_new = _dp_step(f, y, v, g, dt)
             else:
-                y_new, v_new, err_y, err_v = _rodas3_step(f, y, v, g, *jac, dt)
+                y_new, v_new, err_y, err_v = _rodas4_step(f, y, v, g, *jac, dt)
                 if y_new <= eps_contact:  # f is evaluated there once accepted
                     raise _StageContact
         except _StageContact:
@@ -896,7 +931,7 @@ def integrate_trajectory(
             disc = jg * jg + 4.0 * jb  # rho(J) from J's characteristic polynomial
             rho = 0.5 * (abs(jg) + math.sqrt(disc)) if disc >= 0.0 else math.sqrt(-jb)
             if jac is None and h * rho > _STIFF_RHO:
-                stiff_from, expo = t, -1.0 / 3.0
+                stiff_from, expo = t, -0.25
             if stiff_from is not None:
                 jac = jb, jg
     return finish(TerminationKind.REACHED_HORIZON, t)

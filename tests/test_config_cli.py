@@ -419,8 +419,8 @@ class TestDispatch:
         }
 
     def test_verify_flat_reference_covers_the_stiff_phase(self, tmp_path, monkeypatch):
-        # check 5's descent to t = 10 switches to RODAS3 at t ~ 7.0, so the
-        # scalar reference also checks samples of the stiff stepper
+        # check 5's descent to t = 10 switches to RODAS 4(3) at t ~ 7.0, so
+        # the scalar reference also checks samples of the stiff stepper
         import sliderfilm.oracle as oracle
 
         real, runs = oracle.integrate_trajectory, []

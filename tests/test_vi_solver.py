@@ -500,7 +500,7 @@ def _scalar_sweep(system, pad, omega, nodes):
 
 class TestLinearSolve:
     def test_unit_load_integral_matches_series(self, unit_domain):
-        assert fourier_vs_grid(unit_domain, 64, tol=1e-11)["rel_diff"] <= 2e-3
+        assert fourier_vs_grid(unit_domain, 64)["rel_diff"] <= 2e-3
 
     def test_odd_load_integrates_to_zero(self, domain_sym):
         # even coefficient, odd load: the solution is odd, so its integral vanishes
