@@ -2,12 +2,14 @@
 
 The references are independent of the production paths: the flat-case
 constant comes from a Fourier series, the reference descent integrates
-a scalar ODE with a Cash-Karp 4(5) pair (the production integrator uses
-Dormand-Prince, switching to RODAS 4(3) when stiff), and complementarity
-problems are solved exactly by least-index principal pivoting on dense
-linear algebra.  The comparison-principle check differs by design: it
-checks the production film solve (a fresh GEvaluator's field) against an
-unconstrained sub-region solve.  The five `verify` checks close the module, each
+the flat model's first integral, a first-order scalar ODE, by 3-stage
+Radau IIA collocation (the production integrator steps the second-order
+system by Dormand-Prince, switching to RODAS 4(3) when stiff; the two
+share no tables), and complementarity problems are solved exactly by
+least-index principal pivoting on dense linear algebra.  The
+comparison-principle check differs by design: it checks the production
+film solve (a fresh GEvaluator's field) against an unconstrained
+sub-region solve.  The five `verify` checks close the module, each
 returning its `verify.json` record; the tests and scripts share them.
 """
 
@@ -88,7 +90,10 @@ class FlatModel:
 
     The height obeys eta'' = C (eta')^- / eta^3 - F.  After the initial
     coast (empty when eta1 <= 0) the height decays while staying above
-    a / sqrt(t + b) for t >= t0.
+    a / sqrt(t + b) for t >= t0.  From t0 on eta' <= 0 for good, since
+    eta'' = -F < 0 wherever eta' = 0, so eta'' = -C eta' / eta^3 - F
+    and the first integral I = eta' - C / (2 eta^2) + F t stays at its
+    value at t0: the model is the scalar ODE eta' = C / (2 eta^2) + I - F t.
     """
 
     C_omega: float
@@ -99,10 +104,6 @@ class FlatModel:
     eta0_hat: float
     a: float
     b: float
-
-    def acceleration(self, eta: float, eta_dot: float) -> float:
-        neg_part = -eta_dot if eta_dot < 0.0 else 0.0
-        return self.C_omega * neg_part / eta**3 - self.F
 
 
 def flat_model(
@@ -150,124 +151,133 @@ class RefTrajectory:
     n_steps: int
 
 
-# Cash-Karp embedded 4(5) coefficients
-_CK_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
-    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
-    (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0, 44275.0 / 110592.0, 253.0 / 4096.0),
+# Radau IIA, 3 stages, order 5 (Hairer & Wanner, Solving ODEs II, IV.8):
+# nodes, coefficients, the weights e of the embedded error estimate and
+# u, the real eigenvalue of A^-1.  A has trace 3/5, second invariant 3/20
+# and determinant 1/60, so by Cayley-Hamilton
+#   (I - mu A)^-1 = (mu^2 A^2 + mu (1 - 3 mu/5) A + (1 - 3 mu/5 + 3 mu^2/20) I) / q(mu),
+#   q(mu) = 1 - 3 mu/5 + 3 mu^2/20 - mu^3/60,
+# which is positive for every mu <= 0.
+_S6 = math.sqrt(6.0)
+_RADAU_C = ((4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0)
+_RADAU_A = (
+    ((88.0 - 7.0 * _S6) / 360.0, (296.0 - 169.0 * _S6) / 1800.0, (-2.0 + 3.0 * _S6) / 225.0),
+    ((296.0 + 169.0 * _S6) / 1800.0, (88.0 + 7.0 * _S6) / 360.0, (-2.0 - 3.0 * _S6) / 225.0),
+    ((16.0 - _S6) / 36.0, (16.0 + _S6) / 36.0, 1.0 / 9.0),
 )
-_CK_C = (0.0, 0.2, 0.3, 0.6, 1.0, 7.0 / 8.0)
-_CK_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
-_CK_B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0, 277.0 / 14336.0, 0.25)
+_RADAU_A2 = tuple(
+    tuple(sum(_RADAU_A[i][k] * _RADAU_A[k][j] for k in range(3)) for j in range(3))
+    for i in range(3)
+)
+_RADAU_E = (-(13.0 + 7.0 * _S6) / 3.0, (-13.0 + 7.0 * _S6) / 3.0, -1.0 / 3.0)
+_RADAU_U = 30.0 / (6.0 + 81.0 ** (1.0 / 3.0) - 9.0 ** (1.0 / 3.0))
+
+
+def _radau_stages(phi, t, eta, h, mu, z, tol):
+    """The Radau IIA stage increments Z = h A phi(t + c h, eta + Z), or None.
+
+    Simplified Newton from Z = z on the step's scalar Jacobian, mu = h J:
+    each correction is (I - mu A)^-1 (h A phi - Z), until the largest is
+    at most tol.  None after 10 corrections, or when a stage height
+    eta + Z_i is not positive.
+    """
+    (c1, c2, _), (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = _RADAU_C, *_RADAU_A
+    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = _RADAU_A2
+    q = 1.0 + mu * (-0.6 + mu * (0.15 - mu / 60.0))
+    k2, k1, k0 = mu * mu / q, mu * (1.0 - 0.6 * mu) / q, (1.0 - 0.6 * mu + 0.15 * mu * mu) / q
+    m11, m12, m13 = k2 * b11 + k1 * a11 + k0, k2 * b12 + k1 * a12, k2 * b13 + k1 * a13
+    m21, m22, m23 = k2 * b21 + k1 * a21, k2 * b22 + k1 * a22 + k0, k2 * b23 + k1 * a23
+    m31, m32, m33 = k2 * b31 + k1 * a31, k2 * b32 + k1 * a32, k2 * b33 + k1 * a33 + k0
+    z1, z2, z3 = z
+    for _ in range(10):
+        if not eta + min(z1, z2, z3) > 0.0:
+            return None
+        f1, f2, f3 = phi(t + c1 * h, eta + z1), phi(t + c2 * h, eta + z2), phi(t + h, eta + z3)
+        r1 = h * (a11 * f1 + a12 * f2 + a13 * f3) - z1
+        r2 = h * (a21 * f1 + a22 * f2 + a23 * f3) - z2
+        r3 = h * (a31 * f1 + a32 * f2 + a33 * f3) - z3
+        d1 = m11 * r1 + m12 * r2 + m13 * r3
+        d2 = m21 * r1 + m22 * r2 + m23 * r3
+        d3 = m31 * r1 + m32 * r2 + m33 * r3
+        z1, z2, z3 = z1 + d1, z2 + d2, z3 + d3
+        if max(abs(d1), abs(d2), abs(d3)) <= tol:
+            return (z1, z2, z3) if eta + min(z1, z2, z3) > 0.0 else None
+    return None
+
+
+def _radau_start(z, h_old, h):
+    """Newton's start for a step of size h after an accepted step (h_old, z).
+
+    The accepted step's collocation polynomial through (0, 0) and
+    (c_i, z_i), in Newton's divided differences on the nodes 1, c2, c1, 0,
+    continued to the new nodes and taken relative to its end value z3, as
+    in Hairer & Wanner's RADAU5.
+    """
+    (c1, c2, _), (z1, z2, z3) = _RADAU_C, z
+    d1, d12 = (z2 - z3) / (c2 - 1.0), (z1 - z2) / (c1 - c2)
+    d2 = (d12 - d1) / (c1 - 1.0)
+    d3 = d2 - (d12 - z1 / c1) / c2
+    s1, s2, s3 = c1 * h / h_old, c2 * h / h_old, h / h_old
+    return (
+        s1 * (d1 + (s1 + 1.0 - c2) * (d2 + (s1 + 1.0 - c1) * d3)),
+        s2 * (d1 + (s2 + 1.0 - c2) * (d2 + (s2 + 1.0 - c1) * d3)),
+        s3 * (d1 + (s3 + 1.0 - c2) * (d2 + (s3 + 1.0 - c1) * d3)),
+    )
 
 
 def flat_reference_trajectory(
-    model: FlatModel,
-    t_end: float,
-    fine_tol: float = 1e-8,
-    t_eval: np.ndarray | None = None,
+    model: FlatModel, t_end: float, fine_tol: float = 1e-8, *, t_eval: np.ndarray
 ) -> RefTrajectory:
-    """Integrate the scalar descent ODE; no film solves involved.
+    """The flat model at the times of t_eval up to t_end; no film solves involved.
 
-    The coast phase for eta1 > 0 is emitted analytically (exact
-    parabola); the remainder is integrated adaptively with the Cash-Karp
-    pair at relative tolerance fine_tol.  If t_eval is given, steps land
-    exactly on those times and only they are recorded.
+    Through the coast (eta1 > 0, until t0) the height is the exact
+    parabola.  After it the first integral I (FlatModel) reduces the model
+    to eta' = C / (2 eta^2) + I - F t, which 3-stage Radau IIA integrates
+    at relative tolerance fine_tol: per step a simplified Newton iteration
+    on J = -C / eta^3 to 1e-3 of the tolerance, the embedded error
+    estimate (Hairer & Wanner, Solving ODEs II, IV.8) and the step
+    exponent -1/4.  Steps land on every time of t_eval, and eta' is
+    reported from the first integral.
     """
-    F = model.F
-    targets = None if t_eval is None else np.asarray(t_eval, dtype=float)
+    F, half_C = model.F, 0.5 * model.C_omega
+    targets = np.asarray(t_eval, dtype=float)
+    t0 = min(model.t0, t_end)
+    coast = targets[targets <= t0 + 1e-14]
+    ts = coast.tolist()
+    etas = (-0.5 * F * coast * coast + model.eta1 * coast + model.eta0).tolist()
+    vs = (model.eta1 - F * coast).tolist()
 
-    ts, etas, vs = [], [], []
+    eta, t = model.eta0_hat, t0
+    integral = min(model.eta1, 0.0) - half_C / (eta * eta) + F * t0
 
-    def record(t, eta, v):
+    def phi(t, eta):
+        return half_C / (eta * eta) + integral - F * t
+
+    (e1, e2, e3), atol = _RADAU_E, 1e-3 * fine_tol
+    h, n_steps, accepted = 1e-3, 0, None
+    for target in targets[(targets > t0 + 1e-14) & (targets <= t_end + 1e-12)].tolist():
+        while t < target:
+            last = t + h >= target
+            if last:
+                h = target - t
+            sc = atol + fine_tol * eta
+            mu = -2.0 * half_C * h / (eta * eta * eta)  # h J
+            start = (0.0, 0.0, 0.0) if accepted is None else _radau_start(*accepted, h)
+            z = _radau_stages(phi, t, eta, h, mu, start, 1e-3 * sc)
+            if z is None:  # Newton failed
+                h *= 0.5
+            else:
+                z1, z2, z3 = z
+                err = abs(h * phi(t, eta) + e1 * z1 + e2 * z2 + e3 * z3) / (_RADAU_U - mu) / sc
+                if err <= 1.0:
+                    t, eta, accepted = (target if last else t + h), eta + z3, (z, h)
+                    n_steps += 1
+                h *= min(5.0, max(0.2, 0.9 * err**-0.25)) if err > 0.0 else 5.0
+            if h < 1e-14 * max(1.0, t_end):
+                raise RuntimeError("reference integrator step underflow")
         ts.append(t)
         etas.append(eta)
-        vs.append(v)
-
-    # analytic coast while the velocity is still upward
-    t_start, y, v = 0.0, model.eta0, model.eta1
-    if model.eta1 > 0.0:
-        t0 = min(model.t0, t_end)
-        if targets is None:
-            for t in np.linspace(0.0, t0, 65):
-                record(t, -0.5 * F * t * t + model.eta1 * t + model.eta0, model.eta1 - F * t)
-        else:
-            for t in targets[targets <= t0 + 1e-14]:
-                record(t, -0.5 * F * t * t + model.eta1 * t + model.eta0, model.eta1 - F * t)
-        if t0 >= t_end:
-            return RefTrajectory(np.array(ts), np.array(etas), np.array(vs), n_steps=0)
-        t_start, y, v = t0, model.eta0_hat, 0.0
-        pending = None if targets is None else targets[targets > t0 + 1e-14]
-    else:
-        pending = targets
-        if targets is None or (targets.size and abs(targets[0]) < 1e-14):
-            record(0.0, model.eta0, model.eta1)
-            if pending is not None:
-                pending = pending[1:]
-
-    atol = fine_tol * 1e-3
-    t, dt = t_start, min(1e-3, t_end - t_start)
-    n_steps = 0
-    next_idx = 0
-    # Python floats step faster than numpy scalars, with the same values
-    pending = None if pending is None else pending.tolist()
-    acceleration = model.acceleration
-
-    def accel(eta, eta_dot):
-        # eta <= 0 forces rejection via error blow-up
-        return acceleration(eta if eta > 0.0 else 1e-300, eta_dot)
-
-    # The stages on (eta, eta') unrolled, with b the 5th-order and d the
-    # 4th-order weights.  Each combination is sum()'s left fold: it starts
-    # from 0.0 and keeps the zero-coefficient terms, so every value is
-    # bit-equal to the loop over the coefficient tables.
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _CK_A[1:5]
-    a61, a62, a63, a64, a65 = _CK_A[5]
-    b1, b2, b3, b4, b5, b6 = _CK_B5
-    d1, d2, d3, d4, d5, d6 = _CK_B4
-    while t < t_end - 1e-14:
-        target = None
-        if pending is not None and next_idx < len(pending):
-            target = pending[next_idx]
-            dt = min(dt, target - t)
-        dt = min(dt, t_end - t)
-        k1y = v + dt * 0.0
-        k1v = accel(y + dt * 0.0, k1y)
-        k2y = v + dt * (0.0 + a21 * k1v)
-        k2v = accel(y + dt * (0.0 + a21 * k1y), k2y)
-        k3y = v + dt * (0.0 + a31 * k1v + a32 * k2v)
-        k3v = accel(y + dt * (0.0 + a31 * k1y + a32 * k2y), k3y)
-        k4y = v + dt * (0.0 + a41 * k1v + a42 * k2v + a43 * k3v)
-        k4v = accel(y + dt * (0.0 + a41 * k1y + a42 * k2y + a43 * k3y), k4y)
-        k5y = v + dt * (0.0 + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
-        k5v = accel(y + dt * (0.0 + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y), k5y)
-        k6y = v + dt * (0.0 + a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-        k6v = accel(
-            y + dt * (0.0 + a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y), k6y
-        )
-        y5 = y + dt * (0.0 + b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
-        v5 = v + dt * (0.0 + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-        y4 = y + dt * (0.0 + d1 * k1y + d2 * k2y + d3 * k3y + d4 * k4y + d5 * k5y + d6 * k6y)
-        v4 = v + dt * (0.0 + d1 * k1v + d2 * k2v + d3 * k3v + d4 * k4v + d5 * k5v + d6 * k6v)
-        sy = atol + fine_tol * max(abs(y), abs(y5))
-        sv = atol + fine_tol * max(abs(v), abs(v5))
-        err = math.sqrt(0.5 * (((y5 - y4) / sy) ** 2 + ((v5 - v4) / sv) ** 2))
-        if err <= 1.0 and y5 > 0.0:
-            t += dt
-            y, v = y5, v5
-            n_steps += 1
-            if pending is None:
-                record(t, y, v)
-            elif target is not None and t >= target - 1e-12:
-                record(t, y, v)
-                next_idx += 1
-        fac = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
-        dt *= min(5.0, max(0.2, fac))
-        if dt < 1e-14 * max(1.0, t_end):
-            raise RuntimeError("reference integrator step underflow")
+        vs.append(phi(t, eta))
     return RefTrajectory(np.array(ts), np.array(etas), np.array(vs), n_steps=n_steps)
 
 
@@ -452,12 +462,13 @@ def flat_reference_match(domain: DomainRect) -> dict:
 
     The descent (32x32 grid, F 1, eta0 1, eta1 -0.5, solver tol 1e-9)
     switches to RODAS 4(3) (at t ~ 7.0 on [-1, 1]^2), so both steppers
-    are checked.  The verdict is on the reference with the series
-    constant C, whose gap the grid's sqrt(C/L) - 1 dominates (1.45e-3 at
-    32^2).  The record also reports the gap to the reference on the
-    run's own discrete unit load L (max_rel_diff_discrete, 4.2e-8 on
-    [-1, 1]^2): the integrator's error alone, which the verdict does not
-    use.
+    are checked against the Radau IIA reference on the first integral
+    (about 280 steps per reference).  The verdict is on the
+    reference with the series constant C, whose gap the grid's
+    sqrt(C/L) - 1 dominates (1.45e-3 at 32^2).  The record also reports
+    the gap to the reference on the run's own discrete unit load L
+    (max_rel_diff_discrete, 4.4e-8 on [-1, 1]^2): the integrator's error
+    alone, which the verdict does not use.
     """
     grid = build_grid(domain, 32, 32)
     problem = Problem(shape=SliderShape.flat(), grid=grid, F=1.0, eta0=1.0, eta1=-0.5,

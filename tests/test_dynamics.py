@@ -44,8 +44,8 @@ from sliderfilm.geometry import (
     contact_box,
     region_node_mask,
 )
-from sliderfilm.oracle import comparison_check, flat_C_omega
-from sliderfilm.vi_solver import load_integral, suggested_omega
+from sliderfilm.oracle import comparison_check, flat_C_omega, flat_model
+from sliderfilm.vi_solver import flat_unit_load, load_integral, suggested_omega
 
 from .conftest import all_variant_shapes, solve_at_settings
 
@@ -894,7 +894,6 @@ class TestIntegration:
         assert np.all(traj.eta_dot > -br.V3)
         assert traj.eta.min() > 0.0
 
-    @pytest.mark.slow
     def test_two_tolerance_agreement_long_horizon(self, domain_sym):
         # independent confirmation: min/max stable to 3 significant digits
         # across a 100x change in step tolerance
@@ -1138,6 +1137,21 @@ class TestStiffSwitch:
         assert traj.stiff_from in traj.t
         assert len(traj) < 320
         assert traj.monitor.passed
+
+    @pytest.mark.parametrize("eta1", [-0.5, 0.5])
+    def test_first_integral_holds_after_the_coast(self, eta1):
+        # After the coast eta' <= 0, so I = eta' - L / (2 eta^2) + F t keeps its
+        # value at the coast end t0 (oracle.FlatModel), L the run's unit load.
+        # Drift measured 2.7e-7 (eta1 -0.5) and 5.3e-7 (+0.5), about rel_tol.
+        prob = self._decay(32, eta1)
+        traj = integrate_trajectory(prob, 200.0, StepControl(rel_tol=1e-6, abs_tol=1e-9))
+        L = flat_unit_load(prob.grid)
+        m = flat_model(DomainRect(-1.0, 1.0, -1.0, 1.0), 1.0, 1.0, eta1)
+        I0 = min(eta1, 0.0) - L / (2.0 * m.eta0_hat**2) + m.F * m.t0
+        after = traj.t >= m.t0
+        load = L / (2.0 * traj.eta[after] ** 2)
+        drift = np.abs(traj.eta_dot[after] - load + m.F * traj.t[after] - I0)
+        assert np.all(drift <= 5e-6 * np.maximum(1.0, load)), np.max(drift / np.maximum(1.0, load))
 
     @pytest.mark.parametrize("variant, eta0, eta1, t_end, eps_contact", UNROLLED_CASES)
     def test_unrolled_stage_cases_stay_explicit(

@@ -8,10 +8,7 @@ from sliderfilm.dynamics import Problem, SolverParams, integrate_trajectory
 from sliderfilm.errors import NoSolution
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid, compute_V1, contact_box
 from sliderfilm.oracle import (
-    _CK_A,
-    _CK_B4,
-    _CK_B5,
-    RefTrajectory,
+    _radau_stages,
     comparison_check,
     flat_C_omega,
     flat_envelope,
@@ -92,7 +89,7 @@ class TestFlatModel:
 class TestReferenceTrajectory:
     def test_initial_acceleration_is_minus_F(self, domain_sym):
         m = flat_model(domain_sym, F=1.0, eta0=1.0, eta1=0.0)
-        ref = flat_reference_trajectory(m, 0.1, fine_tol=1e-10)
+        ref = flat_reference_trajectory(m, 0.1, fine_tol=1e-10, t_eval=np.linspace(0.0, 0.1, 65))
         # eta''(0+) = -F: the descent starts immediately, velocity ~ -F t
         k = 1 + np.argmax(ref.t[1:] > 0.0)
         assert ref.eta_dot[k] < 0.0
@@ -100,13 +97,14 @@ class TestReferenceTrajectory:
 
     def test_coast_phase_is_exact_parabola(self, domain_sym):
         m = flat_model(domain_sym, F=1.0, eta0=1.0, eta1=0.5)
-        ref = flat_reference_trajectory(m, 0.4, fine_tol=1e-10)
+        ref = flat_reference_trajectory(m, 0.4, fine_tol=1e-10, t_eval=np.linspace(0.0, 0.4, 65))
         exact = -0.5 * ref.t**2 + 0.5 * ref.t + 1.0
         assert np.max(np.abs(ref.eta - exact)) <= 1e-14
 
     def test_envelope_and_decay_hold_long_horizon(self, domain_sym):
         m = flat_model(domain_sym, F=1.0, eta0=1.0, eta1=-0.5)
-        ref = flat_reference_trajectory(m, 100.0, fine_tol=1e-9)
+        ref = flat_reference_trajectory(m, 100.0, fine_tol=1e-9,
+                                        t_eval=np.linspace(0.0, 100.0, 401))
         env = flat_envelope(m, ref.t)
         assert np.all(ref.eta >= env * (1.0 - 1e-6))
         after = ref.t >= m.t0
@@ -114,7 +112,8 @@ class TestReferenceTrajectory:
 
     def test_descent_energy_monotone(self, domain_sym):
         m = flat_model(domain_sym, F=1.0, eta0=1.0, eta1=-0.1)
-        ref = flat_reference_trajectory(m, 20.0, fine_tol=1e-10)
+        ref = flat_reference_trajectory(m, 20.0, fine_tol=1e-10,
+                                        t_eval=np.linspace(0.0, 20.0, 401))
         e1 = 0.5 * ref.eta_dot**2 + m.F * ref.eta
         assert np.all(np.diff(e1) <= 1e-10)
 
@@ -123,6 +122,41 @@ class TestReferenceTrajectory:
         t_eval = np.array([0.0, 0.5, 1.7, 3.0])
         ref = flat_reference_trajectory(m, 3.0, fine_tol=1e-8, t_eval=t_eval)
         assert np.allclose(ref.t, t_eval, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "eta1, eta_10, eta_200",
+        [
+            # the retired explicit reference at fine_tol 1e-11; at 1e-12 it and
+            # this one give the same 12 digits
+            (-0.5, 0.161543906721, 0.037420588757),
+            (0.0, 0.165432711385, 0.037467269767),
+            (0.5, 0.170132338949, 0.037519667255),
+        ],
+    )
+    def test_pinned_heights_in_few_steps(self, domain_sym, eta1, eta_10, eta_200):
+        m = flat_model(domain_sym, F=1.0, eta0=1.0, eta1=eta1)
+        t_eval = np.linspace(0.0, 200.0, 401)
+        ref = flat_reference_trajectory(m, 200.0, fine_tol=1e-8, t_eval=t_eval)
+        assert np.array_equal(ref.t, t_eval)
+        assert ref.eta[20] == pytest.approx(eta_10, rel=1e-8)  # t = 10
+        assert ref.eta[-1] == pytest.approx(eta_200, rel=1e-8)
+        assert ref.n_steps <= 2_000  # measured 548-565
+
+
+class TestRadauStep:
+    @pytest.mark.parametrize("z", [-0.5, -50.0, -5000.0])
+    def test_one_step_is_the_stability_function(self, z):
+        # on eta' = lam (eta - 10) from 11, with J = lam exact, the first
+        # Newton correction gives the exact stages, and the step is Radau
+        # IIA's R(z) = P(z) / Q(z), which goes to 0 as z -> -inf (L-stable);
+        # this checks the tables and the resolvent (the offset keeps the
+        # stage heights, which swing below the line at large |z|, positive)
+        h, lam = 0.1, z / 0.1
+        stages = _radau_stages(lambda t, eta: lam * (eta - 10.0), 0.0, 11.0, h, z,
+                               (0.0, 0.0, 0.0), 1e-13)
+        R = (1.0 + 2.0 * z / 5.0 + z * z / 20.0) / (1.0 - 3.0 * z / 5.0 + 3.0 * z * z / 20.0
+                                                   - z**3 / 60.0)
+        assert 1.0 + stages[2] == pytest.approx(R, rel=1e-10, abs=1e-13)
 
 
 class TestIntegratorReference:
@@ -136,9 +170,9 @@ class TestIntegratorReference:
     @pytest.mark.parametrize(
         "eta1, t_end, bound",
         [
-            (-0.5, 10.0, 1e-5),  # measured 4.2e-8
+            (-0.5, 10.0, 1e-5),  # measured 4.4e-8
             (-0.5, 200.0, 1e-5),  # measured 1.3e-7
-            (0.5, 10.0, 1e-5),  # measured 2.0e-7
+            (0.5, 10.0, 1e-5),  # measured 1.9e-7
         ],
     )
     def test_run_matches_the_reference_on_the_discrete_load(self, domain_sym, eta1, t_end, bound):
@@ -151,93 +185,6 @@ class TestIntegratorReference:
                                    t_end, 200)
         assert exact.ref.t.size == exact.pick.size
         assert exact.max_rel_diff <= bound
-
-
-def generic_reference_trajectory(model, t_end, fine_tol=1e-8, t_eval=None):
-    """flat_reference_trajectory with its Cash-Karp stages as the loop
-    over the coefficient tables, each combination a sum() over them."""
-    F = model.F
-    targets = None if t_eval is None else np.asarray(t_eval, dtype=float)
-    ts, etas, vs = [], [], []
-
-    def record(t, eta, v):
-        ts.append(t)
-        etas.append(eta)
-        vs.append(v)
-
-    t_start, y, v = 0.0, model.eta0, model.eta1
-    if model.eta1 > 0.0:
-        t0 = min(model.t0, t_end)
-        if targets is None:
-            for t in np.linspace(0.0, t0, 65):
-                record(t, -0.5 * F * t * t + model.eta1 * t + model.eta0, model.eta1 - F * t)
-        else:
-            for t in targets[targets <= t0 + 1e-14]:
-                record(t, -0.5 * F * t * t + model.eta1 * t + model.eta0, model.eta1 - F * t)
-        if t0 >= t_end:
-            return RefTrajectory(np.array(ts), np.array(etas), np.array(vs), n_steps=0)
-        t_start, y, v = t0, model.eta0_hat, 0.0
-        pending = None if targets is None else targets[targets > t0 + 1e-14]
-    else:
-        pending = targets
-        if targets is None or (targets.size and abs(targets[0]) < 1e-14):
-            record(0.0, model.eta0, model.eta1)
-            if pending is not None:
-                pending = pending[1:]
-
-    atol = fine_tol * 1e-3
-    t, dt = t_start, min(1e-3, t_end - t_start)
-    n_steps = 0
-    next_idx = 0
-    while t < t_end - 1e-14:
-        target = None
-        if pending is not None and next_idx < pending.size:
-            target = pending[next_idx]
-            dt = min(dt, target - t)
-        dt = min(dt, t_end - t)
-        ky = [0.0] * 6
-        kv = [0.0] * 6
-        for s in range(6):
-            ys = y + dt * sum(_CK_A[s][r] * ky[r] for r in range(s))
-            vs_ = v + dt * sum(_CK_A[s][r] * kv[r] for r in range(s))
-            if ys <= 0.0:
-                ys = 1e-300
-            ky[s] = vs_
-            kv[s] = model.acceleration(ys, vs_)
-        y5 = y + dt * sum(_CK_B5[s] * ky[s] for s in range(6))
-        v5 = v + dt * sum(_CK_B5[s] * kv[s] for s in range(6))
-        y4 = y + dt * sum(_CK_B4[s] * ky[s] for s in range(6))
-        v4 = v + dt * sum(_CK_B4[s] * kv[s] for s in range(6))
-        sy = atol + fine_tol * max(abs(y), abs(y5))
-        sv = atol + fine_tol * max(abs(v), abs(v5))
-        err = np.sqrt(0.5 * (((y5 - y4) / sy) ** 2 + ((v5 - v4) / sv) ** 2))
-        if err <= 1.0 and y5 > 0.0:
-            t += dt
-            y, v = y5, v5
-            n_steps += 1
-            if pending is None:
-                record(t, y, v)
-            elif target is not None and t >= target - 1e-12:
-                record(t, y, v)
-                next_idx += 1
-        fac = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
-        dt *= min(5.0, max(0.2, fac))
-        if dt < 1e-14 * max(1.0, t_end):
-            raise RuntimeError("reference integrator step underflow")
-    return RefTrajectory(np.array(ts), np.array(etas), np.array(vs), n_steps=n_steps)
-
-
-class TestUnrolledReference:
-    @pytest.mark.parametrize("eta1", [-0.5, 0.0, 0.5])  # descent from t = 0, or after a coast
-    @pytest.mark.parametrize("with_t_eval", [False, True])
-    def test_equals_generic_tableau_loop(self, domain_sym, eta1, with_t_eval):
-        m = flat_model(domain_sym, F=1.0, eta0=1.0, eta1=eta1)
-        t_eval = np.linspace(0.0, 20.0, 57) if with_t_eval else None
-        ref = flat_reference_trajectory(m, 20.0, fine_tol=1e-8, t_eval=t_eval)
-        gen = generic_reference_trajectory(m, 20.0, fine_tol=1e-8, t_eval=t_eval)
-        assert ref.n_steps == gen.n_steps > 100
-        for name in ("t", "eta", "eta_dot"):
-            assert np.array_equal(getattr(ref, name), getattr(gen, name)), name
 
 
 def enumerate_active_sets(system):
