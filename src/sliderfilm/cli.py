@@ -102,8 +102,8 @@ def run_steady(config: RunConfig, out_dir: Path) -> int:
     ev = GEvaluator(build_problem(config))
     st = config.steady
     try:
-        bracket = find_bracket(ev, st.beta_init, st.max_expansions)
-        result = find_steady(ev, bracket, st.tol_residual, st.max_bisections)
+        bracket = find_bracket(ev, st.beta_init)
+        result = find_steady(ev, bracket, st.tol_residual)
     except (InadmissibleShape, BracketFailure) as exc:
         _write_json(out_dir / "steady.json", {"error": type(exc).__name__, "reason": str(exc)})
         return EXIT_DOMAIN
@@ -135,15 +135,14 @@ def run_verify(config: RunConfig, out_dir: Path) -> int:
     """The five oracle checks in order; checks 3 and 4 draw from one seeded rng."""
     problem = build_problem(config)  # a bad configuration fails before any solve
     rng = np.random.default_rng(config.seed)
-    settings = config.oracle
     shapes = (SliderShape.line_contact(2.0), SliderShape.point_contact(2.0), SliderShape.flat())
     checks = [
-        oracle.fourier_vs_grid(config.domain, settings.fine_grid),
+        oracle.fourier_vs_grid(config.domain, n_fine=192),
         oracle.cutoff_exactness([replace(problem, shape=shape) for shape in shapes]),
         # the stop test is relative to max(1, ||p||_inf): at p ~ 3e3 (flat
         # profile, beta ~ 0.05) tol 1e-12 can stop ~3e-9 from the solution
-        oracle.lcp_enumeration_equivalence(rng, config.domain, settings.lcp_cases, tol=1e-13),
-        oracle.comparison_principle(rng, problem, settings.comparison_cases),
+        oracle.lcp_enumeration_equivalence(rng, config.domain, cases=100, tol=1e-13),
+        oracle.comparison_principle(rng, problem, cases=20),
         oracle.flat_reference_match(config.domain),
     ]
     ok = all(c["passed"] for c in checks)

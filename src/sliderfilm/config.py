@@ -68,20 +68,11 @@ class IntegratorConfig(StepControl, _Horizon):
 class SteadyConfig:
     beta_init: float = 0.5
     tol_residual: float = 1e-6
-    max_expansions: int = 60  # iteration cap of each find_bracket expansion loop
-    max_bisections: int = 200  # iteration cap of find_steady's Brent loop
 
 
 @dataclass
 class GCurveConfig:
     betas: list[float] = field(default_factory=default_gcurve_betas)
-
-
-@dataclass
-class OracleConfig:
-    fine_grid: int = 192
-    lcp_cases: int = 100
-    comparison_cases: int = 20
 
 
 @dataclass
@@ -94,7 +85,6 @@ class RunConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     steady: SteadyConfig = field(default_factory=SteadyConfig)
     gcurve: GCurveConfig = field(default_factory=GCurveConfig)
-    oracle: OracleConfig = field(default_factory=OracleConfig)
     seed: int = 0
 
     def to_dict(self) -> dict:
@@ -206,8 +196,6 @@ def _check_solver(s, raw, path):
         raise ValidationError(f"{path}.omega", "must lie in (0, 2)")
     if s.tol <= 0.0:
         raise ValidationError(f"{path}.tol", "must be > 0")
-    if s.max_iter is not None and s.max_iter < 1:
-        raise ValidationError(f"{path}.max_iter", "must be >= 1")
 
 
 def _check_integrator(i, raw, path):
@@ -219,8 +207,6 @@ def _check_integrator(i, raw, path):
         raise ValidationError(f"{path}.abs_tol", "must be > 0")
     if i.eps_contact is not None and i.eps_contact <= 0.0:
         raise ValidationError(f"{path}.eps_contact", "must be > 0 when given")
-    if i.max_samples < 2:
-        raise ValidationError(f"{path}.max_samples", "must be >= 2")
 
 
 def _check_steady(s, raw, path):
@@ -228,26 +214,11 @@ def _check_steady(s, raw, path):
         raise ValidationError(f"{path}.beta_init", "must be > 0")
     if s.tol_residual <= 0.0:
         raise ValidationError(f"{path}.tol_residual", "must be > 0")
-    if s.max_expansions < 0:
-        raise ValidationError(f"{path}.max_expansions", "must be >= 0")
-    if s.max_bisections < 0:
-        raise ValidationError(f"{path}.max_bisections", "must be >= 0")
 
 
 def _check_gcurve(g, raw, path):
     if any(b <= 0.0 for b in g.betas):
         raise ValidationError(f"{path}.betas", "all entries must be > 0")
-
-
-def _check_oracle(o, raw, path):
-    if o.fine_grid < 32:
-        raise ValidationError(
-            f"{path}.fine_grid", "must be >= 32: coarser grids miss fourier_vs_grid's 5e-3 bound"
-        )
-    if o.lcp_cases < 1:
-        raise ValidationError(f"{path}.lcp_cases", "must be >= 1")
-    if o.comparison_cases < 1:
-        raise ValidationError(f"{path}.comparison_cases", "must be >= 1")
 
 
 # the range checks of each section, in document order
@@ -260,7 +231,6 @@ _CHECKS = {
     "integrator": _check_integrator,
     "steady": _check_steady,
     "gcurve": _check_gcurve,
-    "oracle": _check_oracle,
 }
 
 

@@ -81,16 +81,14 @@ class SolverParams:
 
     omega None means Young's factor of the operator being solved
     (vi_solver.relaxation): 2 / (1 + sqrt(1 - mu^2)) with mu the Jacobi
-    spectral radius of A on the free set of the solve's start, p > 0 of
-    the warm start or b > 0 when cold, from a Lanczos run that stops
-    once its top Ritz value settles.  A GEvaluator chain estimates it
-    once and keeps it until the start's free set differs from the
-    estimate's in more than 10% of its nodes.  A cutoff solve (b <= 0
-    everywhere) estimates nothing.  On the steady workload's 40
-    searches at 64^2, every point solved at tol, this took 23,775 sweeps
-    where omega 1.9 took 38,152, with 85 estimates for 494 solves.  An
-    explicit omega in (0, 2) is used as given.  Frozen: a Problem keeps
-    the caller's object as given.
+    spectral radius of A on the free set of the newest solution, p > 0
+    of the evaluator's last solve or b > 0 when there is none, from a
+    Lanczos run that stops once its top Ritz value settles.  A
+    GEvaluator chain estimates it once and keeps it until the newest
+    solution's free set differs from the estimate's in more than 10% of
+    its nodes.  A cutoff solve (b <= 0 everywhere) estimates nothing.
+    An explicit omega in (0, 2) is used as given.  Frozen: a Problem
+    keeps the caller's object as given.
 
     tol is the PSOR stop tolerance.  gcurve and verify solve at tol
     throughout.  steady solves Brent's points and every g_at_root at
@@ -107,7 +105,6 @@ class SolverParams:
 
     omega: float | None = None
     tol: float = 1e-8
-    max_iter: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +141,9 @@ class Problem:
         return assemble_system(self.grid, self.shape, beta, gamma, geometry=self._geometry)
 
 
-# a step under 1e-12 * t_end fails
+# a step under 1e-12 * t_end fails, as does a run past _MAX_SAMPLES samples
 _DT_MIN_FRACTION = 1e-12
+_MAX_SAMPLES = 2_000_000
 # h rho(J) past which a flat run switches to RODAS 4(3): about three quarters
 # of DP's real stability interval (~3.3), which the controller creeps towards
 _STIFF_RHO = 2.5
@@ -159,7 +157,6 @@ class StepControl:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
     eps_contact: float | None = None  # defaults to 1e-4 * eta0
-    max_samples: int = 2_000_000
 
 
 class TerminationKind(Enum):
@@ -414,10 +411,10 @@ class GEvaluator:
     (beta, gamma) through the newest and two well-separated earlier ones,
     else their secant (_warm_start).  With solver.omega unset, the chain
     keeps the (free set, omega) pair of vi_solver.relaxation and hands it
-    back with each start, so it estimates again only when a start's free
-    set (p > 0) drifts from the kept one.  A fresh evaluator's
-    first field below V1 equals a lone cold solve_vi_psor of the
-    problem's system at its settings, bit for bit.  Flat and cutoff
+    back with the newest solution, so it estimates again only when the
+    free set (p > 0) of the newest solution drifts from the kept one.  A
+    fresh evaluator's first field below V1 equals a lone cold
+    solve_vi_psor of the problem's system at its settings, bit for bit.  Flat and cutoff
     evaluations report 0 sweeps.  n_solves, n_sweeps and
     n_omega_estimates count the solves made, their sweeps and the
     estimates.
@@ -486,21 +483,23 @@ class GEvaluator:
         the problem's other solver settings.
 
         With solver.omega unset, the relaxation is vi_solver.relaxation of
-        the start and the kept pair: the kept omega while the start's free
-        set stays near the kept one, else a new estimate, kept.  A solve
-        that the solver cuts off (b <= 0 everywhere) estimates nothing and
-        keeps what was kept.
+        the newest solution and the kept pair: the kept omega while the
+        free set of the newest solution stays near the kept one, else a new
+        estimate, kept.  The first solve estimates on b > 0.  The start is
+        not read: an extrapolated start can hold free nodes that no
+        solution has.  A solve that the solver cuts off (b <= 0
+        everywhere) estimates nothing and keeps what was kept.
         """
-        s = self.problem.solver
         system = self.problem.assemble(beta, gamma)
-        omega = s.omega
+        omega = self.problem.solver.omega
         if omega is None and (system.b > 0.0).any():
-            relax = relaxation(system, start, self._relax)
+            newest = self._history[-1][2] if self._history else None
+            relax = relaxation(system, newest, self._relax)
             if relax is not self._relax:
                 self._relax = relax
                 self.n_omega_estimates += 1
             omega = relax[1]
-        sol = solve_vi_psor(system, omega=omega, tol=tol, max_iter=s.max_iter, warm_start=start)
+        sol = solve_vi_psor(system, omega=omega, tol=tol, warm_start=start)
         self.n_solves += 1
         self.n_sweeps += sol.iterations
         return sol
@@ -768,11 +767,7 @@ def integrate_trajectory(
     triples them on a long run.  The start solves at solver.tol.  The
     starting-step probe only sizes h0, so it solves at the loosest stage
     tolerance, max(solver.tol, 1e-6).  RODAS 4(3) steps, flat only, make
-    no solve.  On the three 32^2 line-contact runs to t = 50 at solver.tol
-    1e-9 and omega = suggested_omega this takes 47,821 sweeps and 97
-    rejected steps, where the secant start with the probe at solver.tol
-    took 83,009 and 121 and solves at 1e-9 throughout 119,864 and 123;
-    the final eta moves by under 3e-10.
+    no solve.
 
     One step loop serves both steppers and owns the controller: the caps
     dt <= t_end - t and dt <= (eta1 - V1) / F - t (while a run from
@@ -801,18 +796,16 @@ def integrate_trajectory(
 
     The run ends with CONTACT_GUARD when the height falls to the guard
     and with STEP_FAILURE when the controller underflows 1e-12 * t_end or
-    an accepted step would add a sample beyond max_samples.  That step
-    is dropped: the trajectory holds at most max_samples samples and the
-    termination time is that of its last sample.
+    an accepted step would add a sample beyond _MAX_SAMPLES (2,000,000).
+    That step is dropped: the trajectory holds at most _MAX_SAMPLES
+    samples and the termination time is that of its last sample.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     sc = step_control or StepControl()
-    if sc.max_samples < 2:
-        raise ValueError("max_samples must be at least 2")
     eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
     dt_min = _DT_MIN_FRACTION * t_end
-    abs_tol, rel_tol, max_samples = sc.abs_tol, sc.rel_tol, sc.max_samples
+    abs_tol, rel_tol = sc.abs_tol, sc.rel_tol
     ev = GEvaluator(problem)
     c1 = c1_constant(problem.shape, problem.grid.domain)
     F = problem.F
@@ -915,8 +908,8 @@ def integrate_trajectory(
             n_rejected += 1
             dt *= max(0.2, 0.9 * err**expo)
             continue
-        if len(ts) >= max_samples:
-            return finish(TerminationKind.STEP_FAILURE, t, "max_samples exceeded")
+        if len(ts) >= _MAX_SAMPLES:
+            return finish(TerminationKind.STEP_FAILURE, t, f"sample cap {_MAX_SAMPLES} reached")
         t, y, v, h = t + dt, y_new, v_new, dt
         dt *= min(5.0, max(0.2, 0.9 * err**expo)) if err > 0.0 else 5.0
         if jac is None:

@@ -138,6 +138,9 @@ def _require_admissible(problem: Problem) -> None:
 # margin absorbs the stop test's understatement of the true error (up to
 # 15 times).  Otherwise the point is solved again at solver.tol.
 _SIGN_TOL, _SIGN_MARGIN = 1e-4, 20.0
+# iteration caps of each find_bracket expansion loop and of find_steady's
+# Brent loop; searches take a few evaluations
+_MAX_EXPANSIONS, _MAX_BISECTIONS = 60, 200
 
 
 def _solve_g(ev: GEvaluator, beta: float, tol: float | None = None) -> GPoint:
@@ -166,29 +169,27 @@ def _signed_g(ev: GEvaluator, beta: float) -> GPoint:
     return point
 
 
-def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 60) -> Bracket:
+def find_bracket(ev: GEvaluator, beta_init: float = 0.5) -> Bracket:
     """Expand geometrically from beta_init until g changes sign.
 
     ev makes the solves, for the problem ev.problem.  Doubling keeps
     the last point with g >= 0 as the lower end, and halving the last
     with g < 0 as the upper end.  Each point is solved until g's sign is
-    certain (_signed_g).  Fails with BracketFailure when max_expansions
-    doublings (then halvings) find no sign change, as when no positive g
-    is found before the wedge drops under the grid resolution (the load
-    saturates there), and with ValueError, before any solve, for a
-    beta_init not finite and positive or max_expansions < 0.
+    certain (_signed_g).  Fails with BracketFailure when _MAX_EXPANSIONS
+    (60) doublings (then halvings) find no sign change, as when no
+    positive g is found before the wedge drops under the grid resolution
+    (the load saturates there), and with ValueError, before any solve,
+    for a beta_init not finite and positive.
     """
     _require_admissible(ev.problem)
     if not (0.0 < beta_init < math.inf):
         raise ValueError("beta_init must be finite and positive")
-    if max_expansions < 0:
-        raise ValueError("max_expansions must be >= 0")
 
     hi = _signed_g(ev, beta_init)
     lo = None
     n = 0
     while hi.g >= 0.0:
-        if n >= max_expansions:
+        if n >= _MAX_EXPANSIONS:
             raise BracketFailure(f"no negative g up to beta = {hi.beta}")
         lo, hi = hi, _signed_g(ev, hi.beta * 2.0)
         n += 1
@@ -197,7 +198,7 @@ def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 6
         lo = _signed_g(ev, 0.5 * beta_init)
     n = 0
     while lo.g <= 0.0:
-        if n >= max_expansions:
+        if n >= _MAX_EXPANSIONS:
             raise BracketFailure(
                 f"no positive g down to beta = {lo.beta}; "
                 f"the grid is too coarse to resolve the wedge near contact"
@@ -209,12 +210,7 @@ def find_bracket(ev: GEvaluator, beta_init: float = 0.5, max_expansions: int = 6
     return Bracket(lo, hi)
 
 
-def find_steady(
-    ev: GEvaluator,
-    bracket: Bracket,
-    tol_residual: float = 1e-6,
-    max_bisections: int = 200,
-) -> SteadyResult:
+def find_steady(ev: GEvaluator, bracket: Bracket, tol_residual: float = 1e-6) -> SteadyResult:
     """Narrow the bracket by Brent's method to a root of g.
 
     ev makes the solves, and F is ev.problem.F.  No end of the bracket
@@ -230,16 +226,14 @@ def find_steady(
     first, it stops at the first end with |g| <= tol_residual whose
     bracket is at most 1e-9 * beta wide, or at an exact zero of g.
     evaluations counts the film evaluations made here.  After
-    max_bisections steps the better end is returned if its |g| is within
-    tol_residual, and BracketFailure is raised otherwise.  The film
-    solution is unique at every clearance, so warm starting cannot
+    _MAX_BISECTIONS (200) steps the better end is returned if its |g| is
+    within tol_residual, and BracketFailure is raised otherwise.  The
+    film solution is unique at every clearance, so warm starting cannot
     change the result.  ValueError, before any solve: tol_residual not
-    finite and positive, or max_bisections < 0.
+    finite and positive.
     """
     if not (0.0 < tol_residual < math.inf):
         raise ValueError("tol_residual must be finite and positive")
-    if max_bisections < 0:
-        raise ValueError("max_bisections must be >= 0")
     if not (0.0 < bracket.lo.beta < bracket.hi.beta):
         raise ValueError(f"invalid bracket {bracket}")
     evals = 0
@@ -281,7 +275,7 @@ def find_steady(
         b, c = c, b
     a = c
     d = e = math.log(b.beta / c.beta)
-    for _ in range(max_bisections):
+    for _ in range(_MAX_BISECTIONS):
         ub = math.log(b.beta)
         m = 0.5 * (math.log(c.beta) - ub)
         tol1 = 0.5e-9

@@ -527,8 +527,8 @@ def suggested_omega(grid: Grid) -> float:
 # its distance to 1
 _LANCZOS_CHECK = 8
 _LANCZOS_SETTLE = 0.01
-# relaxation estimates again once a start's free set differs from the
-# kept one in more than this share of the kept one's nodes
+# relaxation estimates again once the free set it is given differs from
+# the kept one in more than this share of the kept one's nodes
 _FREE_SET_DRIFT = 0.1
 
 
@@ -548,14 +548,17 @@ def relaxation(
     start: np.ndarray | None,
     kept: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """(free set, omega) to relax a solve of system from start.
+    """(free set, omega) to relax a solve of system near the field start.
 
-    kept is the pair of an earlier estimate of nearby solves.  It is
-    returned as is while start's free set (p > 0) differs from kept's in
-    at most _FREE_SET_DRIFT of kept's nodes; otherwise, and always for a
-    cold start, the pair is free_set(system, start) and young_omega on
-    it, a new estimate.  The free set must hold a node, so a cutoff
-    system (b <= 0 everywhere) needs a start with a positive entry.
+    start is the field whose free set (p > 0) stands for the solve's:
+    solve_vi_psor passes its warm start, and a GEvaluator chain the
+    newest solution, None for the first solve.  kept is the pair of an
+    earlier estimate of nearby solves.  It is returned as is while
+    start's free set differs from kept's in at most _FREE_SET_DRIFT of
+    kept's nodes; otherwise, and always for a start of None, the pair is
+    free_set(system, start) and young_omega on it, a new estimate.  The
+    free set must hold a node, so a cutoff system (b <= 0 everywhere)
+    needs a start with a positive entry.
     """
     if start is not None and kept is not None and (
         np.count_nonzero((start > 0.0) != kept[0]) <= _FREE_SET_DRIFT * np.count_nonzero(kept[0])

@@ -47,11 +47,7 @@ def solve_at_settings(problem, beta, gamma, warm_start=None):
     problem's solver settings: no V1 shortcut, no kept relaxation."""
     s = problem.solver
     return solve_vi_psor(
-        problem.assemble(beta, gamma),
-        omega=s.omega,
-        tol=s.tol,
-        max_iter=s.max_iter,
-        warm_start=warm_start,
+        problem.assemble(beta, gamma), omega=s.omega, tol=s.tol, warm_start=warm_start
     )
 
 

@@ -338,9 +338,10 @@ class TestInitialStep:
         h = _initial_step(lambda y, v: (0.0, 0.0, 0), 1.0, 0.0, 0.0, 0.0, 1e-9, 1e-6, 10.0)
         assert h == 1e-6
 
-    def test_first_step_independent_of_the_horizon(self, domain_sym):
+    def test_first_step_independent_of_the_horizon(self, domain_sym, monkeypatch):
+        monkeypatch.setattr("sliderfilm.dynamics._MAX_SAMPLES", 2)
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=32, eta1=-0.5)
-        control = StepControl(rel_tol=1e-6, abs_tol=1e-9, max_samples=2)
+        control = StepControl(rel_tol=1e-6, abs_tol=1e-9)
         short = integrate_trajectory(prob, 0.25, control)
         long = integrate_trajectory(prob, 50.0, control)
         assert len(short) == len(long) == 2
@@ -448,7 +449,7 @@ class TestSingleFilmSolvePath:
     @staticmethod
     def _problem(shape, domain):
         grid = build_grid(domain, 10, 10)
-        solver = SolverParams(omega=1.7, tol=1e-9, max_iter=4000)
+        solver = SolverParams(omega=1.7, tol=1e-9)
         return Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0, solver=solver)
 
     def test_every_route_reaches_the_problem_settings(self, psor_calls, monkeypatch, domain_sym):
@@ -485,15 +486,17 @@ class TestSingleFilmSolvePath:
             n, tol = expected[name]
             assert len(psor_calls) == n, name
             for kw in psor_calls:
-                assert (kw["omega"], kw["tol"], kw["max_iter"]) == (1.7, tol, 4000), name
+                # no sweep cap is passed: solve_vi_psor applies its own
+                assert (kw["omega"], kw["tol"], "max_iter" in kw) == (1.7, tol, False), name
             if n == 2:
                 assert psor_calls[0]["warm_start"] is None, name
                 assert psor_calls[1]["warm_start"] is not None, name
 
     def test_unset_omega_is_estimated_once_per_warm_chain(self, psor_calls, monkeypatch,
                                                           domain_sym):
-        # a solve reuses the chain's last estimate while its start's free set
-        # differs from that estimate's in at most 10% of its nodes
+        # a solve reuses the chain's last estimate while the free set of the
+        # newest solution differs from that estimate's in at most 10% of its
+        # nodes; the first solve estimates on b > 0
         import sliderfilm.vi_solver as vi_solver
 
         estimates = []
@@ -509,21 +512,23 @@ class TestSingleFilmSolvePath:
                        F=1.0, eta0=0.5, eta1=0.0, solver=SolverParams(tol=1e-9))
         ev = GEvaluator(prob)
         states = [(0.3, -0.3), (0.3, -0.29), (0.3, -0.28), (0.3, -0.27), (0.05, 0.5), (0.05, 0.49)]
-        for beta, gamma in states:
-            ev.eval(beta, gamma)
+        solutions = [ev.field(beta, gamma).values for beta, gamma in states]
         assert ev.n_solves == len(psor_calls) == len(states)
         assert ev.n_omega_estimates == len(estimates)
         fresh = {at: (free, omega) for at, free, omega in estimates}
         kept = None
         for k, call in enumerate(psor_calls):
-            start = call["warm_start"]
-            if k in fresh:  # estimated just before this solve, from its start
-                if kept is not None:
-                    assert np.count_nonzero((start > 0.0) != kept[0]) > 0.1 * kept[0].sum()
-                    assert np.array_equal(fresh[k][0], start > 0.0)
+            if k == 0:  # cold: the estimate is on b > 0
+                assert np.array_equal(fresh[0][0], prob.assemble(*states[0]).b > 0.0)
+                kept = fresh[0]
+            elif k in fresh:  # estimated just before this solve, from the newest solution
+                free = solutions[k - 1] > 0.0
+                assert np.count_nonzero(free != kept[0]) > 0.1 * kept[0].sum()
+                assert np.array_equal(fresh[k][0], free)
                 kept = fresh[k]
             else:
-                assert np.count_nonzero((start > 0.0) != kept[0]) <= 0.1 * kept[0].sum()
+                free = solutions[k - 1] > 0.0
+                assert np.count_nonzero(free != kept[0]) <= 0.1 * kept[0].sum()
             assert call["omega"] == kept[1]
         assert 1 < len(estimates) < len(states) - 1  # both branches taken
 
@@ -562,7 +567,7 @@ class TestSingleFilmSolvePath:
         # equals solve_vi_psor of the problem's system bit for bit
         for shape in all_variant_shapes(build_grid(domain_sym, 11, 11)):
             prob = Problem(shape=shape, grid=build_grid(domain_sym, 11, 11), F=1.0, eta0=0.5,
-                           eta1=0.0, solver=SolverParams(omega=omega, tol=1e-9, max_iter=4000))
+                           eta1=0.0, solver=SolverParams(omega=omega, tol=1e-9))
             fld = GEvaluator(prob).field(0.3, -0.3)
             ref = solve_at_settings(prob, 0.3, -0.3)
             assert fld.iterations == ref.iterations > 0
@@ -869,16 +874,14 @@ class TestIntegration:
         assert np.all(traj.eta > 0.5)
         assert traj.termination.time <= 5.0
 
-    def test_max_samples_step_failure(self, unit_domain):
+    def test_max_samples_step_failure(self, unit_domain, monkeypatch):
+        monkeypatch.setattr("sliderfilm.dynamics._MAX_SAMPLES", 5)
         prob = make_problem(SliderShape.flat(), unit_domain, n=16, eta0=1.0, eta1=-0.5)
-        traj = integrate_trajectory(prob, 5.0, StepControl(max_samples=5))
+        traj = integrate_trajectory(prob, 5.0, StepControl())
         assert traj.termination.kind is TerminationKind.STEP_FAILURE
-        assert "max_samples" in traj.termination.detail
+        assert traj.termination.detail == "sample cap 5 reached"
         assert len(traj) == 5
         assert traj.termination.time == traj.t[-1]
-        for cap in (0, 1):  # a cap of 1 could never accept a step
-            with pytest.raises(ValueError, match="max_samples"):
-                integrate_trajectory(prob, 5.0, StepControl(max_samples=cap))
 
     def test_sample_times_strictly_increasing(self, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
@@ -1196,12 +1199,13 @@ class TestStiffSwitch:
             assert np.array_equal(getattr(traj, name), getattr(full, name)[:n]), name
         return full
 
-    def test_max_samples_on_the_stiff_path(self):
+    def test_max_samples_on_the_stiff_path(self, monkeypatch):
         full = integrate_trajectory(self._decay(), 200.0, StepControl())
         cap = int(np.flatnonzero(full.t == full.stiff_from)[0]) + 6
-        traj = integrate_trajectory(self._decay(), 200.0, StepControl(max_samples=cap))
+        monkeypatch.setattr("sliderfilm.dynamics._MAX_SAMPLES", cap)
+        traj = integrate_trajectory(self._decay(), 200.0, StepControl())
         assert traj.termination.kind is TerminationKind.STEP_FAILURE
-        assert "max_samples" in traj.termination.detail
+        assert "sample cap" in traj.termination.detail
         assert len(traj) == cap
         self._assert_prefix_of_full_run(traj)
 
@@ -1260,7 +1264,8 @@ class TestStiffSwitch:
         # switches earlier than at DOPRI5's 3.25 and saves steps
         import sliderfilm.dynamics as dynamics
 
-        control = StepControl(rel_tol=1e-3, max_samples=5000)
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 5000)
+        control = StepControl(rel_tol=1e-3)
         traj = integrate_trajectory(self._decay(), 200.0, control)
         assert traj.termination.kind is TerminationKind.REACHED_HORIZON
         assert traj.stiff_from is not None

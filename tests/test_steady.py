@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sliderfilm import steady
+from sliderfilm.config import default_gcurve_betas
 from sliderfilm.dynamics import GEvaluator, Problem, SolverParams, bounds_report
 from sliderfilm.errors import BracketFailure, InadmissibleShape
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid
@@ -18,7 +20,7 @@ from sliderfilm.steady import (
     find_steady,
     g_curve,
 )
-from sliderfilm.vi_solver import PressureField, suggested_omega
+from sliderfilm.vi_solver import PressureField, solve_vi_psor, suggested_omega
 
 
 def make_problem(shape, domain, n=32, F=1.0):
@@ -331,16 +333,17 @@ class TestBrent:
         assert min(abs(res.beta_star - r) for r in (0.2, 0.5, 0.9)) <= 1e-9
 
     @pytest.mark.parametrize("cap", [0, 1, 3])
-    def test_iteration_cap(self, cap):
+    def test_iteration_cap(self, cap, monkeypatch):
         # tol_residual 0.01 is first met on the third step, long before the
         # width rule: the cap alone decides the outcome
+        monkeypatch.setattr(steady, "_MAX_BISECTIONS", cap)
         g, bracket = TWO_POWERS
         ev = StubEvaluator(g)
         if cap < 3:
             with pytest.raises(BracketFailure, match="Brent's method stalled"):
-                find_steady(ev, stub_bracket(g, bracket), tol_residual=0.01, max_bisections=cap)
+                find_steady(ev, stub_bracket(g, bracket), tol_residual=0.01)
         else:
-            res = find_steady(ev, stub_bracket(g, bracket), tol_residual=0.01, max_bisections=cap)
+            res = find_steady(ev, stub_bracket(g, bracket), tol_residual=0.01)
             assert_sign_bracket(g, res)
             assert abs(res.g_at_root) <= 0.01
             assert res.bracket[1] - res.bracket[0] > 1e-9 * res.beta_star
@@ -418,6 +421,27 @@ class TestBracketSearch:
         assert (br.lo.g, br.hi.g) == (g(bracket[0]), g(bracket[1]))
         assert (br.lo.tol, br.hi.tol) == (_SIGN_TOL, _SIGN_TOL)
 
+    @pytest.mark.parametrize(
+        "g, calls, reason",
+        [
+            (lambda x: 1.0, [1.0, 2.0, 4.0, 8.0], "no negative g up to beta = 8.0"),
+            (
+                lambda x: -0.5,
+                [1.0, 0.5, 0.25, 0.125, 0.0625],
+                "no positive g down to beta = 0.0625",
+            ),
+        ],
+        ids=["doubling", "halving"],
+    )
+    def test_expansion_cap(self, domain_sym, monkeypatch, g, calls, reason):
+        # three doublings, or three halvings past 0.5 beta_init, without a
+        # sign change fail the search
+        monkeypatch.setattr(steady, "_MAX_EXPANSIONS", 3)
+        ev = StubEvaluator(g, make_problem(SliderShape.line_contact(2.0), domain_sym, n=7))
+        with pytest.raises(BracketFailure, match=reason):
+            find_bracket(ev, 1.0)
+        assert ev.calls == calls
+
     def test_point_inside_the_margin_is_solved_once_more(self, domain_sym):
         # g(1.2) = -1e-3 is inside the loose solve's margin, 20 * 4 * 1e-4 * 16 L
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=7)
@@ -460,13 +484,13 @@ class TestBracketSearch:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda ev: find_steady(ev, stub_bracket(*FLAT_AT_ROOT), tol_residual=math.nan, max_bisections=5),
+        lambda ev: find_steady(ev, stub_bracket(*FLAT_AT_ROOT), tol_residual=math.nan),
         lambda ev: find_steady(ev, stub_bracket(*FLAT_AT_ROOT), tol_residual=-1.0),
         lambda ev: find_steady(ev, stub_bracket(*FLAT_AT_ROOT), tol_residual=math.inf),
-        lambda ev: find_steady(ev, stub_bracket(*FLAT_AT_ROOT), max_bisections=-3),
+        lambda ev: find_steady(ev, stub_bracket(FLAT_AT_ROOT[0], (2.0, 0.05))),
         lambda ev: find_bracket(ev, math.nan),
         lambda ev: find_bracket(ev, math.inf),
-        lambda ev: find_bracket(ev, 0.5, max_expansions=-1),
+        lambda ev: find_bracket(ev, 0.0),
         lambda ev: g_curve(ev, [0.5, math.nan]),
         lambda ev: g_curve(ev, [math.inf]),
     ],
@@ -507,6 +531,22 @@ class TestGCurve:
         curve = g_curve(GEvaluator(prob), [1e-4, 1.0])
         assert not curve.resolved[0]
         assert curve.resolved[1]
+
+    @pytest.mark.parametrize(
+        "shape", [SliderShape.line_contact(2.0), SliderShape.point_contact(2.0)], ids=["line", "point"]
+    )
+    def test_warm_chain_costs_no_more_than_cold_solves(self, domain_sym, shape):
+        # omega unset: the chain estimates on the newest solution's free set;
+        # on the extrapolated start's it took 2,017 sweeps against 916 (line)
+        # and 1,573 against 826 (point)
+        grid = build_grid(domain_sym, 16, 16)
+        prob = Problem(
+            shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0, solver=SolverParams(tol=1e-8)
+        )
+        betas = default_gcurve_betas()
+        warm = int(g_curve(GEvaluator(prob), betas).psor_iters.sum())
+        cold = sum(solve_vi_psor(prob.assemble(b, 0.0), tol=1e-8).iterations for b in betas)
+        assert warm <= 1.1 * cold
 
     def test_csv_format(self, tmp_path, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8)
