@@ -19,8 +19,9 @@ with the explicit Dormand-Prince 5(4) pair.  The film acts like a spring
 plus a damper whose coefficient -dG/dgamma grows like 1/beta^3, so a
 decaying height makes the problem stiff.  A flat-profile run, whose
 Jacobian J is exact (GEvaluator.jacobian), continues with RODAS 4(3),
-an L-stable Rosenbrock pair, once a step h has h rho(J) > 2.5; other
-shapes stay on Dormand-Prince.  One loop steps, guards and controls both.
+an L-stable Rosenbrock pair, once an accepted step h spans about the
+film's fastest time constant, h rho(J) > 1.25; other shapes stay on
+Dormand-Prince.  One loop steps, guards and controls both.
 """
 
 import math
@@ -144,9 +145,11 @@ class Problem:
 # a step under 1e-12 * t_end fails, as does a run past _MAX_SAMPLES samples
 _DT_MIN_FRACTION = 1e-12
 _MAX_SAMPLES = 2_000_000
-# h rho(J) past which a flat run switches to RODAS 4(3): about three quarters
-# of DP's real stability interval (~3.3), which the controller creeps towards
-_STIFF_RHO = 2.5
+# h rho(J) past which a flat run switches to RODAS 4(3): once an accepted
+# Dormand-Prince step spans about the film's fastest time constant 1/rho, the
+# L-stable order-4 pair steps further than DP at the same tolerance.  Set by
+# sample count: half of it takes about as many samples, twice it ~20% more
+_STIFF_RHO = 1.25
 
 
 @dataclass
@@ -631,50 +634,49 @@ _R4_C = (
 )
 
 
+# unpacked once: _rodas4_step reads the coefficients as module globals
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54) = _R4_A
+(_C21,), (_C31, _C32), (_C41, _C42, _C43) = _R4_C[:3]
+(_C51, _C52, _C53, _C54), (_C61, _C62, _C63, _C64, _C65) = _R4_C[3:]
+
+
 def _rodas4_step(f, y, v, g, jb, jg, h):
     """One RODAS 4(3) step of (eta, eta')' = (eta', G) from (y, v).
 
     g = G(y, v) and J = [[0, 1], [jb, jg]] at (y, v); f(eta, eta') returns
     G first and is called five times, once per stage after the first.
-    Each stage's 2x2 system is solved by Cramer's rule.  Returns
-    (y_new, v_new, err_y, err_v).
+    Each stage's 2x2 system (I/(h gamma) - J) K = r is solved by Cramer's
+    rule, r = (r1, r2) being the stage's eta' and G plus its sums
+    c_ij K_j / h.  Returns (y_new, v_new, err_y, err_v).
     """
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _R4_A
-    (c21,), (c31, c32), (c41, c42, c43) = _R4_C[:3]
-    (c51, c52, c53, c54), (c61, c62, c63, c64, c65) = _R4_C[3:]
     a = 1.0 / (h * _R4_GAMMA)
     d = a - jg
     det = a * d - jb
     hi = 1.0 / h
-
-    def stage(ys, vs, cy, cv):
-        """K of the stage at (ys, vs) whose sums c_ij K_j are (cy, cv)."""
-        r1, r2 = vs + hi * cy, f(ys, vs)[0] + hi * cv
-        return (d * r1 + r2) / det, (a * r2 + jb * r1) / det
-
     k1y, k1v = (d * v + g) / det, (a * g + jb * v) / det
-    k2y, k2v = stage(y + a21 * k1y, v + a21 * k1v, c21 * k1y, c21 * k1v)
-    k3y, k3v = stage(
-        y + a31 * k1y + a32 * k2y, v + a31 * k1v + a32 * k2v,
-        c31 * k1y + c32 * k2y, c31 * k1v + c32 * k2v,
+    v2 = v + _A21 * k1v
+    r1 = v2 + hi * (_C21 * k1y)
+    r2 = f(y + _A21 * k1y, v2)[0] + hi * (_C21 * k1v)
+    k2y, k2v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
+    v3 = v + _A31 * k1v + _A32 * k2v
+    r1 = v3 + hi * (_C31 * k1y + _C32 * k2y)
+    r2 = f(y + _A31 * k1y + _A32 * k2y, v3)[0] + hi * (_C31 * k1v + _C32 * k2v)
+    k3y, k3v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
+    v4 = v + _A41 * k1v + _A42 * k2v + _A43 * k3v
+    r1 = v4 + hi * (_C41 * k1y + _C42 * k2y + _C43 * k3y)
+    r2 = f(y + _A41 * k1y + _A42 * k2y + _A43 * k3y, v4)[0] + hi * (
+        _C41 * k1v + _C42 * k2v + _C43 * k3v
     )
-    k4y, k4v = stage(
-        y + a41 * k1y + a42 * k2y + a43 * k3y, v + a41 * k1v + a42 * k2v + a43 * k3v,
-        c41 * k1y + c42 * k2y + c43 * k3y, c41 * k1v + c42 * k2v + c43 * k3v,
-    )
-    y5 = y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y
-    v5 = v + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v
-    k5y, k5v = stage(
-        y5, v5,
-        c51 * k1y + c52 * k2y + c53 * k3y + c54 * k4y,
-        c51 * k1v + c52 * k2v + c53 * k3v + c54 * k4v,
-    )
+    k4y, k4v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
+    y5 = y + _A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y
+    v5 = v + _A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v
+    r1 = v5 + hi * (_C51 * k1y + _C52 * k2y + _C53 * k3y + _C54 * k4y)
+    r2 = f(y5, v5)[0] + hi * (_C51 * k1v + _C52 * k2v + _C53 * k3v + _C54 * k4v)
+    k5y, k5v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
     y6, v6 = y5 + k5y, v5 + k5v
-    k6y, k6v = stage(
-        y6, v6,
-        c61 * k1y + c62 * k2y + c63 * k3y + c64 * k4y + c65 * k5y,
-        c61 * k1v + c62 * k2v + c63 * k3v + c64 * k4v + c65 * k5v,
-    )
+    r1 = v6 + hi * (_C61 * k1y + _C62 * k2y + _C63 * k3y + _C64 * k4y + _C65 * k5y)
+    r2 = f(y6, v6)[0] + hi * (_C61 * k1v + _C62 * k2v + _C63 * k3v + _C64 * k4v + _C65 * k5v)
+    k6y, k6v = (d * r1 + r2) / det, (a * r2 + jb * r1) / det
     return y6 + k6y, v6 + k6v, k6y, k6v
 
 
@@ -785,14 +787,15 @@ def integrate_trajectory(
     force value is the sample and the next step's first stage (FSAL).
     A flat-profile run takes the exact Jacobian J = [[0, 1], [jb, jg]]
     (GEvaluator.jacobian) at every accepted sample.  After the first
-    accepted Dormand-Prince step h with h rho(J) > 2.5 at its end
-    (_STIFF_RHO; rho the spectral radius), the run takes RODAS 4(3) steps
-    (_rodas4_step, exponent -1/4) that reuse the sample's J: the L-stable
-    pair needs no step restriction from the damping dG/deta' ~ -1/eta^3.
-    A RODAS 4(3) step makes five force evaluations, its first stage being
-    the sample's, plus one at its new sample; configs/flat_decay.json
-    switches at t ~ 7.0 and ends with 284 samples.  The switch is one-way;
-    other shapes have no film Jacobian.
+    accepted Dormand-Prince step h with h rho(J) > 1.25 at its end
+    (_STIFF_RHO; rho the spectral radius, computed only until then), the
+    run takes RODAS 4(3) steps (_rodas4_step, exponent -1/4) that reuse
+    the sample's J: the L-stable pair needs no step restriction from the
+    damping dG/deta' ~ -1/eta^3.  A RODAS 4(3) step makes five force
+    evaluations, its first stage being the sample's, plus one at its new
+    sample; configs/flat_decay.json switches at t ~ 2.85 and ends with
+    235 samples.  The switch is one-way; other shapes have no film
+    Jacobian.
 
     The run ends with CONTACT_GUARD when the height falls to the guard
     and with STEP_FAILURE when the controller underflows 1e-12 * t_end or
@@ -862,6 +865,7 @@ def integrate_trajectory(
     v = problem.eta1
     n_rejected = 0
     stiff_from = jac = None  # jac: the Jacobian (dG/deta, dG/deta') once on RODAS 4(3)
+    flat = problem.shape.kind is ShapeKind.FLAT
     expo = -0.2  # the controller exponent, -1/(1 + the error estimate's order)
     if y <= eps_contact:
         raise ValueError("eta0 is already at the contact guard")
@@ -919,14 +923,14 @@ def integrate_trajectory(
         else:
             g, load, iters = f(y, v)
         record(t, y, v, g, load, iters)
-        if problem.shape.kind is ShapeKind.FLAT:
+        if jac is not None:
+            jac = ev.jacobian(y, v)
+        elif flat:
             jb, jg = ev.jacobian(y, v)
             disc = jg * jg + 4.0 * jb  # rho(J) from J's characteristic polynomial
             rho = 0.5 * (abs(jg) + math.sqrt(disc)) if disc >= 0.0 else math.sqrt(-jb)
-            if jac is None and h * rho > _STIFF_RHO:
-                stiff_from, expo = t, -0.25
-            if stiff_from is not None:
-                jac = jb, jg
+            if h * rho > _STIFF_RHO:
+                stiff_from, expo, jac = t, -0.25, (jb, jg)
     return finish(TerminationKind.REACHED_HORIZON, t)
 
 

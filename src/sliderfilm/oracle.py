@@ -461,7 +461,7 @@ def flat_reference_match(domain: DomainRect) -> dict:
     """Check 5: flat_reference_gap at 200 samples of a flat descent to t = 10.
 
     The descent (32x32 grid, F 1, eta0 1, eta1 -0.5, solver tol 1e-9)
-    switches to RODAS 4(3) (at t ~ 7.0 on [-1, 1]^2), so both steppers
+    switches to RODAS 4(3) (at t ~ 2.85 on [-1, 1]^2), so both steppers
     are checked against the Radau IIA reference on the first integral
     (about 280 steps per reference).  The verdict is on the
     reference with the series constant C, whose gap the grid's

@@ -735,8 +735,8 @@ class TestStepSolveTolerance:
             for name in ("summary.json", "trajectory.csv")
         }
         assert digests == {
-            "summary.json": "8a426de72c58f5cb23d495292b0a68613db71d6697a4f57a9a121746456e1d5d",
-            "trajectory.csv": "f85d23a4b58706cc7d757078f1f9b6c808436c1919348b5f6a6534ee4b57449a",
+            "summary.json": "c7ca51d835c3b7cc017c43b8d39c102fb69bd15747edb8fb36f8e0a4e0943858",
+            "trajectory.csv": "387110000c3c169a49bd69e97fa2b003b8f5d5b1210a793fe648fea04258456e",
         }
 
     def test_transient_within_rel_tol_of_a_tight_reference(self, domain_sym, monkeypatch):
@@ -1007,8 +1007,8 @@ def generic_dp_columns(problem, t_end, sc):
 
 # (variant, eta0, eta1, t_end, eps_contact): each stays on Dormand-Prince throughout
 UNROLLED_CASES = [
-    ("flat", 1.0, -0.5, 4.0, None),  # the stiff switch comes at t ~ 6.99
-    ("flat", 1.0, -1.0, 5.0, 0.25),  # stage probes below the guard
+    ("flat", 1.0, -0.5, 2.5, None),  # the stiff switch would come at t ~ 2.85
+    ("flat", 1.0, -1.0, 5.0, 0.3),  # stage probes below the guard at t ~ 1.86 < 2.37, the switch
     ("line", 0.5, -0.5, 1.0, None),  # error-controlled rejections
 ]
 
@@ -1136,9 +1136,9 @@ class TestStiffSwitch:
         traj = integrate_trajectory(self._decay(32, eta1), 200.0,
                                     StepControl(rel_tol=1e-6, abs_tol=1e-9))
         assert traj.termination.kind is TerminationKind.REACHED_HORIZON
-        assert 0.0 < traj.stiff_from < 10.0
+        assert 0.0 < traj.stiff_from < 5.0
         assert traj.stiff_from in traj.t
-        assert len(traj) < 320
+        assert len(traj) < 265  # about 10% above the measured 235 and 239
         assert traj.monitor.passed
 
     @pytest.mark.parametrize("eta1", [-0.5, 0.5])
@@ -1260,7 +1260,7 @@ class TestStiffSwitch:
         assert retry[0] == pytest.approx(h * max(0.2, 0.9 * err ** -0.25), rel=1e-12)
 
     def test_loose_tolerance_switches(self, monkeypatch):
-        # a loose tolerance takes large steps early; the test at 2.5
+        # a loose tolerance takes large steps early; the test at _STIFF_RHO
         # switches earlier than at DOPRI5's 3.25 and saves steps
         import sliderfilm.dynamics as dynamics
 
@@ -1276,10 +1276,28 @@ class TestStiffSwitch:
         assert traj.stiff_from < dopri5.stiff_from
         assert len(traj) < len(dopri5)
 
+    @pytest.mark.parametrize("eta1", [-0.5, 0.5])
+    def test_threshold_takes_no_more_samples_than_half_or_twice_it(self, monkeypatch, eta1):
+        # _STIFF_RHO is set for RODAS 4(3) by sample count: at 0.625, 1.25
+        # and 2.5 this decay takes 237, 235 and 284 samples from eta1 -0.5
+        # and 241, 239 and 288 from +0.5
+        import sliderfilm.dynamics as dynamics
+
+        control, shipped, samples = StepControl(rel_tol=1e-6, abs_tol=1e-9), dynamics._STIFF_RHO, {}
+        for rho in (0.5 * shipped, shipped, 2.0 * shipped):
+            monkeypatch.setattr(dynamics, "_STIFF_RHO", rho)
+            traj = integrate_trajectory(self._decay(16, eta1), 200.0, control)
+            assert traj.termination.kind is TerminationKind.REACHED_HORIZON
+            samples[rho] = len(traj)
+        assert samples[shipped] <= min(samples.values()), samples
+
     @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
     def test_switch_at_the_first_step_past_the_stability_bound(self, rel_tol):
-        # stiff_from is the first sample k with (t_k - t_(k-1)) rho(J_k) > 2.5,
-        # rho the spectral radius of [[0, 1], [dG/deta, dG/deta']] at sample k
+        # stiff_from is the first sample k with (t_k - t_(k-1)) rho(J_k) above
+        # _STIFF_RHO, rho the spectral radius of [[0, 1], [dG/deta, dG/deta']]
+        # at sample k
+        import sliderfilm.dynamics as dynamics
+
         prob = self._decay()
         traj = integrate_trajectory(prob, 200.0, StepControl(rel_tol=rel_tol))
         ev = GEvaluator(prob)
@@ -1288,7 +1306,7 @@ class TestStiffSwitch:
             jac = np.array([[0.0, 1.0], ev.jacobian(traj.eta[k], traj.eta_dot[k])])
             return (traj.t[k] - traj.t[k - 1]) * np.abs(np.linalg.eigvals(jac)).max()
 
-        k = next(k for k in range(1, len(traj)) if h_rho(k) > 2.5)
+        k = next(k for k in range(1, len(traj)) if h_rho(k) > dynamics._STIFF_RHO)
         assert traj.stiff_from == traj.t[k]
 
     def test_step_underflow_on_the_stiff_path(self, monkeypatch):
