@@ -2,26 +2,12 @@
 
 The slider height obeys eta'' = G(eta, eta') with
 G(beta, gamma) = integral of the film pressure at clearance beta and
-squeeze velocity gamma, minus the applied load F.  Two exact shortcuts
-are used: gamma >= V1 forces zero pressure (G = -F), and for the flat
-profile the film load scales exactly like (-gamma)/beta^3 times one unit
-load, which vi_solver.flat_unit_load sums in closed form, so a flat run
-makes no film solve.
-
-Every other film force is one projected-SOR solve, warm started from
-the plane in (beta, gamma) through the last solve and two well-separated
-recent ones, or from their secant.  A trajectory's first step follows
-the Hairer-Norsett-Wanner starting-step rule, so it does not depend on
-the horizon.
-
-A trajectory is one adaptive step loop with two steppers.  It starts
-with the explicit Dormand-Prince 5(4) pair.  The film acts like a spring
-plus a damper whose coefficient -dG/dgamma grows like 1/beta^3, so a
-decaying height makes the problem stiff.  A flat-profile run, whose
-Jacobian J is exact (GEvaluator.jacobian), continues with RODAS 4(3),
-an L-stable Rosenbrock pair, once an accepted step h spans about the
-film's fastest time constant, h rho(J) > 1.25; other shapes stay on
-Dormand-Prince.  One loop steps, guards and controls both.
+squeeze velocity gamma, minus the applied load F.  GEvaluator computes
+G: its exact shortcuts, its warm-started projected-SOR solves
+(_warm_start) and their relaxation.  integrate_trajectory steps the
+height by Dormand-Prince 5(4) and, once a flat-profile run turns stiff,
+by RODAS 4(3) (its Notes).  The rest of the module reports a priori
+bounds, the energy monitor and the spring-damper bound.
 """
 
 import math
@@ -78,30 +64,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Pressure-solver knobs of every film solve of a run (GEvaluator).
+    """Pressure-solver settings of every film solve of a run (GEvaluator).
 
-    omega None means Young's factor of the operator being solved
-    (vi_solver.relaxation): 2 / (1 + sqrt(1 - mu^2)) with mu the Jacobi
-    spectral radius of A on the free set of the newest solution, p > 0
-    of the evaluator's last solve or b > 0 when there is none, from a
-    Lanczos run that stops once its top Ritz value settles.  A
-    GEvaluator chain estimates it once and keeps it until the newest
-    solution's free set differs from the estimate's in more than 10% of
-    its nodes.  A cutoff solve (b <= 0 everywhere) estimates nothing.
-    An explicit omega in (0, 2) is used as given.  Frozen: a Problem
-    keeps the caller's object as given.
-
-    tol is the PSOR stop tolerance.  gcurve and verify solve at tol
-    throughout.  steady solves Brent's points and every g_at_root at
-    tol, and stops once |g| is within that solve's load error
-    (steady._solve_g); its bracket points first at a looser tolerance,
-    then at tol only where g's sign is not yet certain.  A
-    simulate run solves its start at tol, its start probe at the
-    loosest stage tolerance max(tol, 1e-6), and each Dormand-Prince
-    step's stages at that step's share of its error budget
-    (integrate_trajectory), never tighter than tol: there tol is the
-    floor.  The flat profile's force below the cutoff solves
-    nothing, so tol does not reach it (GEvaluator.eval).
+    omega is the PSOR relaxation factor, in (0, 2) and used as given;
+    None chooses it by vi_solver.relaxation.  tol is the PSOR stop
+    tolerance (vi_solver.solve_vi_psor).  A run solves at tol except
+    where its command loosens it: a trajectory's step solves
+    (_step_solve_tol) and a steady search's bracket points (module
+    steady).  Frozen: a Problem keeps the caller's object as given.
     """
 
     omega: float | None = None
@@ -145,10 +115,11 @@ class Problem:
 # a step under 1e-12 * t_end fails, as does a run past _MAX_SAMPLES samples
 _DT_MIN_FRACTION = 1e-12
 _MAX_SAMPLES = 2_000_000
-# h rho(J) past which a flat run switches to RODAS 4(3): once an accepted
-# Dormand-Prince step spans about the film's fastest time constant 1/rho, the
-# L-stable order-4 pair steps further than DP at the same tolerance.  Set by
-# sample count: half of it takes about as many samples, twice it ~20% more
+# h rho(J) past which a flat run switches to RODAS 4(3) (integrate_trajectory,
+# Notes): once an accepted Dormand-Prince step spans about the film's fastest
+# time constant 1/rho, the L-stable order-4 pair steps further than DP at the
+# same tolerance.  Chosen by sample count: TestStiffSwitch checks that neither
+# half nor twice the value takes fewer samples
 _STIFF_RHO = 1.25
 
 
@@ -344,31 +315,35 @@ def _check_state(beta: float, gamma: float) -> None:
         raise ValueError(f"film force undefined at gamma = {gamma}")
 
 
-# the warm start's solves kept, base-point reach and collinearity cutoff (_warm_start)
+# the warm start's solves kept, base-point reach and collinearity cutoff
+# (_warm_start)
 _HISTORY, _BASE_REACH, _PLANE_DET = 7, 0.1, 1e-3
 
 
 def _warm_start(history, beta, gamma):
-    """The start of a solve at x = (beta, gamma) from earlier solves.
+    """The start of a solve at x = (beta, gamma) from earlier solves:
+    the warm-start rule of every GEvaluator chain.
 
-    history holds (beta_i, gamma_i, p_i) of the earlier solves, oldest
-    first; with none the start is None (a cold solve).  The newest, p1
-    at x1, anchors the start.  Base points are the earlier solves, newest
-    first, that lie at least a tenth of |x - x1| from x1 in (beta,
-    gamma): a Dormand-Prince pair's stages 6 and 7 both sit at t + h and
-    differ only by the step's error estimate, and a predictor anchored on
-    two such points extrapolates that difference.  When the first two base points
-    p0 at x0 and p2 at x2 are not collinear with x1 (|det| > 1e-3
-    |x0 - x1| |x2 - x1|), the start is the plane through the three,
-    p1 + w0 (p0 - p1) + w2 (p2 - p1) with w0 (x0 - x1) + w2 (x2 - x1) =
-    x - x1: on a fixed free set p is affine in gamma, and smooth in beta.
-    Otherwise it is the secant through the first base point, or through
-    the immediate prior when no solve qualifies: p1 + s (p1 - p0), with s
-    the projection of x - x1 onto x1 - x0.  A point behind x1 (s < 0)
-    starts from p1: interpolating hands the solve the errors of both
-    fields, and a solve that stops after a sweep or two keeps them.  With
-    a single solve the start is p1.  The solver projects the start onto
-    p >= 0.
+    history holds (beta_i, gamma_i, p_i) of the last _HISTORY solves,
+    oldest first; with none the start is None (a cold solve), and with
+    one it is that solve's p.  The newest, p1 at x1, anchors the start.
+    Base points are the earlier solves, newest first, that lie at least
+    _BASE_REACH |x - x1| from x1 in (beta, gamma): a Dormand-Prince
+    pair's stages 6 and 7 both sit at t + h and differ only by the
+    step's error estimate, and a predictor anchored on two such points
+    extrapolates that difference.  When the first two base points, p0
+    at x0 and p2 at x2, are not collinear with x1
+    (|det| > _PLANE_DET |x0 - x1| |x2 - x1|), the start is the plane
+    through the three, p1 + w0 (p0 - p1) + w2 (p2 - p1) with
+    w0 (x0 - x1) + w2 (x2 - x1) = x - x1: on a fixed free set p is affine
+    in gamma, and smooth in beta.  Otherwise it is the secant through
+    the first base point, or through the immediate prior when no solve
+    qualifies: p1 + s (p1 - p0), with s the projection of x - x1 onto
+    x1 - x0, clamped at 0.  So a point behind x1 starts from p1:
+    interpolating hands the solve the errors of both fields, and a solve
+    that stops after a sweep or two keeps them.  The points
+    of steady and gcurve all lie at gamma = 0, so they take the secant.
+    The solver projects the start onto p >= 0.
     """
     if not history:
         return None
@@ -408,19 +383,14 @@ class GEvaluator:
     gamma -1) by (-gamma)/beta^3, the exact discrete load at every
     (beta, gamma); the evaluator takes that load once, from the
     closed-form sum vi_solver.flat_unit_load.  field still solves for
-    every shape.  Any other field is one solve_vi_psor at the
-    problem's solver settings, or at the tolerance the call asks for,
-    warm started from the evaluator's last seven solves: the plane in
-    (beta, gamma) through the newest and two well-separated earlier ones,
-    else their secant (_warm_start).  With solver.omega unset, the chain
-    keeps the (free set, omega) pair of vi_solver.relaxation and hands it
-    back with the newest solution, so it estimates again only when the
-    free set (p > 0) of the newest solution drifts from the kept one.  A
-    fresh evaluator's first field below V1 equals a lone cold
-    solve_vi_psor of the problem's system at its settings, bit for bit.  Flat and cutoff
+    every shape.  Any other field is one solve (_solve) at the problem's
+    solver settings, or at the tolerance the call asks for, warm started
+    from the evaluator's recent solves (_warm_start).  A fresh
+    evaluator's first field below V1 equals a lone cold solve_vi_psor of
+    the problem's system at its settings, bit for bit.  Flat and cutoff
     evaluations report 0 sweeps.  n_solves, n_sweeps and
     n_omega_estimates count the solves made, their sweeps and the
-    estimates.
+    relaxation estimates.
     """
 
     def __init__(self, problem: Problem):
@@ -460,11 +430,9 @@ class GEvaluator:
 
     def field(self, beta: float, gamma: float, tol: float | None = None) -> PressureField:
         """Materialize the pressure field at (beta, gamma): the zero field
-        at gamma >= V1, else one solve at tol (None means solver.tol),
-        warm started from the evaluator's last seven solves (_warm_start):
-        the plane through the newest and two well-separated earlier ones,
-        else their secant.  With no earlier solve (_history empty) the
-        solve is cold.  A non-finite state is rejected before any solve.
+        at gamma >= V1, else one solve (_solve) at tol (None means
+        solver.tol) from _warm_start's start, cold for the evaluator's
+        first solve.  A non-finite state is rejected before any solve.
         """
         _check_state(beta, gamma)
         if gamma >= self.V1:
@@ -485,13 +453,10 @@ class GEvaluator:
         """One counted solve_vi_psor at (beta, gamma) from start, at tol and
         the problem's other solver settings.
 
-        With solver.omega unset, the relaxation is vi_solver.relaxation of
-        the newest solution and the kept pair: the kept omega while the
-        free set of the newest solution stays near the kept one, else a new
-        estimate, kept.  The first solve estimates on b > 0.  The start is
-        not read: an extrapolated start can hold free nodes that no
-        solution has.  A solve that the solver cuts off (b <= 0
-        everywhere) estimates nothing and keeps what was kept.
+        With solver.omega unset, the factor is vi_solver.relaxation of
+        the newest solution and the kept pair; a new pair is kept and
+        counted.  A solve that the solver cuts off (b <= 0 everywhere)
+        estimates nothing and keeps what was kept.
         """
         system = self.problem.assemble(beta, gamma)
         omega = self.problem.solver.omega
@@ -553,17 +518,34 @@ _DP_E = (
     11.0 / 84.0 - 187.0 / 2100.0,
     -1.0 / 40.0,
 )
-# a Dormand-Prince step's film solves stop at _SOLVE_KAPPA of its error
-# budget, and never looser than _SOLVE_TOL_MAX (see _step_solve_tol)
+# the share of a step's error budget left to its film solves, and their
+# loosest tolerance (_step_solve_tol)
 _SOLVE_KAPPA, _SOLVE_TOL_MAX = 0.3, 1e-6
 _DP_E_SUM = sum(abs(e) for e in _DP_E)  # ~0.160
 
 
 def _step_solve_tol(problem, abs_tol, rel_tol):
-    """The film-solve tolerance of a run's Dormand-Prince steps, as a
-    function of the velocity v at a step's start and its size h:
-    _SOLVE_KAPPA (abs_tol + rel_tol |v|) / (area(Omega) sum|e_i| h),
-    clamped to [solver.tol, _SOLVE_TOL_MAX] (integrate_trajectory, Notes).
+    """The film-solve tolerance tol(v, h) of a run's Dormand-Prince steps,
+    v the velocity at a step's start and h its size.
+
+    A step's film solves are only as accurate as the step needs, as
+    Hairer and Wanner stop the Newton iterations of implicit Runge-Kutta
+    methods at kappa Tol (Solving ODEs II, sec. IV.8).  A load error of
+    area(Omega) tol in every stage moves the step's error estimate by at
+    most h sum|e_i| area(Omega) tol, sum|e_i| over DP's error weights, so
+    every attempt, retries included, solves its six stages at
+
+        max(solver.tol, min(_SOLVE_TOL_MAX,
+            _SOLVE_KAPPA (abs_tol + rel_tol |v|) / (area(Omega) sum|e_i| h))),
+
+    which leaves the solves the share _SOLVE_KAPPA of the budget.
+    _SOLVE_KAPPA is a fixed safety factor in place of a certified
+    solve-error bound: it also absorbs the PSOR stop test's
+    understatement of the true error.  solver.tol is the floor.
+    integrate_trajectory solves the start at solver.tol and its
+    starting-step probe, which only sizes the first step, at the loosest
+    stage tolerance max(solver.tol, _SOLVE_TOL_MAX).  Flat-profile loads
+    and RODAS 4(3) steps make no solve.
     """
     floor = problem.solver.tol
     scale = _SOLVE_KAPPA / (problem.grid.domain.area * _DP_E_SUM)
@@ -726,10 +708,10 @@ def integrate_trajectory(
         problem.solver for every film solve, solver.tol as the floor of
         the step tolerance (Notes).
     t_end : float
-        Integration horizon (> 0).
+        Integration horizon, finite and positive.
     step_control : StepControl, optional
-        Error tolerances, contact guard and sample cap; the guard
-        defaults to 1e-4 * eta0.
+        Error tolerances and contact guard; the guard defaults to
+        1e-4 * eta0.
 
     Returns
     -------
@@ -741,35 +723,11 @@ def integrate_trajectory(
 
     Notes
     -----
-    Every derivative evaluation is one film solve, warm started by
-    GEvaluator's predictor along the step chain (_warm_start): the plane
-    through the last solve and two earlier ones that are not too close
-    to it, which skips the near-coincident stage 6 of each FSAL step;
-    the exact shortcuts of GEvaluator apply.  A flat-profile run solves
-    nothing: its loads scale the closed-form unit load, so it reports 0
-    solves, sweeps and omega estimates, and its psor_iters are all 0.
-    The first step size comes from the starting-step rule of Hairer,
-    Norsett and Wanner (_initial_step): it costs one more force
-    evaluation, an explicit Euler probe, and depends on t_end only
-    through the cap dt <= t_end.
-
-    A Dormand-Prince step's film solves are only as accurate as the step
-    needs, as Hairer and Wanner stop the Newton iterations of implicit
-    Runge-Kutta methods at kappa Tol (Solving ODEs II, sec. IV.8).  Each
-    attempt, retries included, solves its six stages at
-    max(solver.tol, min(1e-6, 0.3 (abs_tol + rel_tol |eta'|) /
-    (area(Omega) sum|e_i| h))) (_step_solve_tol), with eta' at the step's
-    start and sum|e_i| ~ 0.160 over DP's error weights: a load error
-    area(Omega) tol in every stage moves the error estimate by at most
-    h sum|e_i| area(Omega) tol, so kappa = 0.3 leaves the solves 30% of
-    the budget.  kappa is a fixed safety factor in place of a certified
-    solve-error bound: it absorbs the PSOR stop test's understatement of
-    the true error (2.4-15 times), which the worst-sign sum above leaves
-    room for; rejected steps do not rise, where a fixed solve tol of 1e-7
-    triples them on a long run.  The start solves at solver.tol.  The
-    starting-step probe only sizes h0, so it solves at the loosest stage
-    tolerance, max(solver.tol, 1e-6).  RODAS 4(3) steps, flat only, make
-    no solve.
+    Every derivative evaluation is one GEvaluator.eval: an exact
+    shortcut, or one film solve warm started along the step chain.  A
+    flat-profile run therefore solves nothing, and its psor_iters are
+    all 0.  The first step size is _initial_step's, and the film-solve
+    tolerances are _step_solve_tol's.
 
     One step loop serves both steppers and owns the controller: the caps
     dt <= t_end - t and dt <= (eta1 - V1) / F - t (while a run from
@@ -782,33 +740,41 @@ def integrate_trajectory(
     point falls to the contact guard.  A stepper contributes its
     step, its exponent and what follows an accepted step.
 
-    The run starts with the embedded Dormand-Prince 5(4) pair (_dp_step,
-    exponent -1/5): its seventh stage is the accepted state, so that
-    force value is the sample and the next step's first stage (FSAL).
-    A flat-profile run takes the exact Jacobian J = [[0, 1], [jb, jg]]
-    (GEvaluator.jacobian) at every accepted sample.  After the first
-    accepted Dormand-Prince step h with h rho(J) > 1.25 at its end
-    (_STIFF_RHO; rho the spectral radius, computed only until then), the
-    run takes RODAS 4(3) steps (_rodas4_step, exponent -1/4) that reuse
-    the sample's J: the L-stable pair needs no step restriction from the
-    damping dG/deta' ~ -1/eta^3.  A RODAS 4(3) step makes five force
-    evaluations, its first stage being the sample's, plus one at its new
-    sample; configs/flat_decay.json switches at t ~ 2.85 and ends with
-    235 samples.  The switch is one-way; other shapes have no film
-    Jacobian.
+    The stiff switch.  The run starts with the embedded Dormand-Prince
+    5(4) pair (_dp_step, exponent -1/5): its seventh stage is the
+    accepted state, so that force value is the sample and the next
+    step's first stage (FSAL).  A flat-profile run takes the exact
+    Jacobian J = [[0, 1], [jb, jg]] (GEvaluator.jacobian) at every
+    accepted sample.  After the first accepted Dormand-Prince step h with
+    h rho(J) > _STIFF_RHO at its end (rho the spectral radius, computed
+    only until then), the run takes RODAS 4(3) steps (_rodas4_step,
+    exponent -1/4) that reuse the sample's J: the L-stable pair needs no
+    step restriction from the damping dG/deta' ~ -1/eta^3.  A RODAS 4(3)
+    step makes five force evaluations, its first stage being the
+    sample's, plus one at its new sample.  The switch is one-way, and
+    stiff_from records its time.  Other shapes have no film Jacobian and
+    stay on Dormand-Prince.
 
     The run ends with CONTACT_GUARD when the height falls to the guard
     and with STEP_FAILURE when the controller underflows 1e-12 * t_end or
-    an accepted step would add a sample beyond _MAX_SAMPLES (2,000,000).
-    That step is dropped: the trajectory holds at most _MAX_SAMPLES
-    samples and the termination time is that of its last sample.
+    an accepted step would add a sample beyond _MAX_SAMPLES.  That step
+    is dropped: the trajectory holds at most _MAX_SAMPLES samples and the
+    termination time is that of its last sample.  ValueError, before any
+    film solve: t_end, rel_tol or abs_tol not finite and positive, or an
+    eps_contact that is given and not positive or not below eta0.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
     sc = step_control or StepControl()
+    abs_tol, rel_tol = sc.abs_tol, sc.rel_tol
+    if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
+        raise ValueError(
+            f"rel_tol and abs_tol must be finite and positive, got {rel_tol} and {abs_tol}"
+        )
+    if sc.eps_contact is not None and not sc.eps_contact > 0.0:
+        raise ValueError(f"eps_contact must be positive when given, got {sc.eps_contact}")
     eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
     dt_min = _DT_MIN_FRACTION * t_end
-    abs_tol, rel_tol = sc.abs_tol, sc.rel_tol
     ev = GEvaluator(problem)
     c1 = c1_constant(problem.shape, problem.grid.domain)
     F = problem.F

@@ -1,8 +1,6 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: domain errors (contact, bracketing,
-inadmissible shape) -> 1, configuration errors -> 2, solver
-non-convergence -> 3.
+The command line maps them to exit codes (module cli).
 """
 
 

@@ -376,11 +376,11 @@ def fourier_vs_grid(domain: DomainRect, n_fine: int) -> dict:
     """Check 1: the 99-term series constant against the unit load on a fine grid.
 
     The grid value is vi_solver.flat_unit_load, the discrete unit load in
-    closed form (under 1 ms at 192^2), which the tests check against CG.
-    The grid's spacing, not its node count, sets its error, so the
-    shorter side takes n_fine nodes and the longer one round(n_fine r),
-    r the aspect ratio: n_fine x n_fine on a square, 320 x 32 on a 10:1
-    domain at n_fine 32 (rel_diff 1.0e-3, where 32 x 32 read 8.4e-3).
+    closed form, which the tests check against CG.  The grid's spacing,
+    not its node count, sets its error, so the shorter side takes n_fine
+    nodes and the longer one round(n_fine r), r the aspect ratio: a
+    square keeps n_fine x n_fine, and an elongated domain passes where a
+    square grid would not (test_check_1_passes_on_a_10_to_1_domain).
     """
     series = flat_C_omega(domain)
     L1, L2 = domain.length1, domain.length2
@@ -461,14 +461,13 @@ def flat_reference_match(domain: DomainRect) -> dict:
     """Check 5: flat_reference_gap at 200 samples of a flat descent to t = 10.
 
     The descent (32x32 grid, F 1, eta0 1, eta1 -0.5, solver tol 1e-9)
-    switches to RODAS 4(3) (at t ~ 2.85 on [-1, 1]^2), so both steppers
-    are checked against the Radau IIA reference on the first integral
-    (about 280 steps per reference).  The verdict is on the
-    reference with the series constant C, whose gap the grid's
-    sqrt(C/L) - 1 dominates (1.45e-3 at 32^2).  The record also reports
-    the gap to the reference on the run's own discrete unit load L
-    (max_rel_diff_discrete, 4.4e-8 on [-1, 1]^2): the integrator's error
-    alone, which the verdict does not use.
+    switches to RODAS 4(3) on the way, so both steppers are checked
+    against the Radau IIA reference on the first integral.  The verdict
+    is on the reference with the series constant C, whose gap the grid's
+    sqrt(C/L) - 1 dominates.  The record also reports the gap to the
+    reference on the run's own discrete unit load L
+    (max_rel_diff_discrete): the integrator's error alone, which the
+    verdict does not use and TestIntegratorReference bounds.
     """
     grid = build_grid(domain, 32, 32)
     problem = Problem(shape=SliderShape.flat(), grid=grid, F=1.0, eta0=1.0, eta1=-0.5,

@@ -10,24 +10,24 @@ Minimization without Derivatives, 1973, ch. 4) tries inverse quadratic
 or secant steps inside the bracket and falls back to bisection, which
 needs nothing beyond continuity.
 
-The film load L = g + F is close to a power of beta (at 64^2 its local
-slope d log L / d log beta runs from about -1.1 to -2.2 over two
-decades, for line and point contact alike), so Brent's method
+The film load L = g + F is close to a power of beta, so Brent's method
 interpolates in log-log coordinates: u = log beta against
 h = log(L / F) = log1p(g / F), which has the same root and sign as g
 and is nearly linear in u.  Bisection halves the bracket in u.  Signs,
 the stop rule and the iteration cap are decided on g and beta alone.
 
-Each solve of the search makes one GPoint (_solve_g): beta, g, the
-solve's tolerance and e = area(Omega) tol max(1, ||p||_inf), the
-largest load error the PSOR stop test allows.  find_bracket uses only
-the sign of g, so it solves each point only until that sign is certain
-(_signed_g): first at the loose PSOR tolerance max(solver.tol, 1e-4),
-and once more at solver.tol when |g| is within 20 e.  It returns a
-Bracket of two points.  Brent's method and g_curve solve at solver.tol,
-and so does every g that find_steady reports as g_at_root.  Brent's
-method stops at the first point with |g| <= min(tol_residual, e): past
-it g is solve noise.
+Solve tolerances.  Each solve of the search makes one GPoint
+(_solve_g): beta, g, the solve's tolerance tol and its load error
+e = area(Omega) tol max(1, ||p||_inf), the largest error in the load
+that the PSOR stop test (vi_solver.solve_vi_psor) allows.
+find_bracket uses only the sign of g, so it solves each point only
+until that sign is certain (_signed_g): first at the loose tolerance
+max(solver.tol, _SIGN_TOL), and once more at solver.tol when
+|g| <= _SIGN_MARGIN e; the margin absorbs the stop test's
+understatement of the true error.  Brent's method and g_curve solve at
+solver.tol, and so does every g that find_steady reports as g_at_root.
+Brent's method stops once |g| is within its solve's e (find_steady):
+past that point g is solve noise.
 
 Every entry point takes the GEvaluator that makes the solves, so a
 bracket search, the root search after it and a curve can share one
@@ -35,7 +35,7 @@ warm chain; the problem, F included, is ev.problem.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,8 +51,8 @@ __all__ = ["GPoint", "Bracket", "SteadyResult", "GCurve", "find_bracket", "find_
 @dataclass(frozen=True)
 class GPoint:
     """g at (beta, 0) from one film solve (_solve_g).  e is its load
-    error, None for a hand-made point, and tol the PSOR tolerance of the
-    solve, None for solver.tol."""
+    error (module docstring), None for a hand-made point, and tol the
+    PSOR tolerance of the solve, None for solver.tol."""
 
     beta: float
     g: float
@@ -82,13 +82,7 @@ class SteadyResult:
     evaluations: int
 
     def to_dict(self) -> dict:
-        return {
-            "beta_star": self.beta_star,
-            "g_at_root": self.g_at_root,
-            "g_error": self.g_error,
-            "bracket": list(self.bracket),
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -133,10 +127,7 @@ def _require_admissible(problem: Problem) -> None:
     )
 
 
-# find_bracket solves a point at _SIGN_TOL (never below solver.tol) and
-# keeps that sign when |g| exceeds _SIGN_MARGIN times its load error; the
-# margin absorbs the stop test's understatement of the true error (up to
-# 15 times).  Otherwise the point is solved again at solver.tol.
+# the loose tolerance and the sign margin of _signed_g (module docstring)
 _SIGN_TOL, _SIGN_MARGIN = 1e-4, 20.0
 # iteration caps of each find_bracket expansion loop and of find_steady's
 # Brent loop; searches take a few evaluations
@@ -145,9 +136,8 @@ _MAX_EXPANSIONS, _MAX_BISECTIONS = 60, 200
 
 def _solve_g(ev: GEvaluator, beta: float, tol: float | None = None) -> GPoint:
     """The point at beta from one ev.field solve at (beta, 0) and tol
-    (None means solver.tol), warm started by the chain.  Its load error
-    e = area(Omega) tol max(1, ||p||_inf) is the largest the PSOR stop
-    test allows."""
+    (None means solver.tol), warm started by the chain, with its load
+    error e (module docstring)."""
     problem = ev.problem
     field = ev.field(beta, 0.0, tol)
     p_max = max(1.0, float(field.values.max()))
@@ -156,12 +146,9 @@ def _solve_g(ev: GEvaluator, beta: float, tol: float | None = None) -> GPoint:
 
 
 def _signed_g(ev: GEvaluator, beta: float) -> GPoint:
-    """The point at beta from solves that make g's sign certain.
-
-    One solve at _SIGN_TOL where solver.tol is tighter, else at
-    solver.tol; after a loose solve with |g| <= _SIGN_MARGIN e, one more
-    at solver.tol, from the first.
-    """
+    """The point at beta from solves that make g's sign certain: a loose
+    solve, and a second at solver.tol where the first's sign is within
+    its margin (module docstring)."""
     loose = ev.problem.solver.tol < _SIGN_TOL
     point = _solve_g(ev, beta, _SIGN_TOL if loose else None)
     if loose and abs(point.g) <= _SIGN_MARGIN * point.e:
@@ -176,10 +163,10 @@ def find_bracket(ev: GEvaluator, beta_init: float = 0.5) -> Bracket:
     the last point with g >= 0 as the lower end, and halving the last
     with g < 0 as the upper end.  Each point is solved until g's sign is
     certain (_signed_g).  Fails with BracketFailure when _MAX_EXPANSIONS
-    (60) doublings (then halvings) find no sign change, as when no
-    positive g is found before the wedge drops under the grid resolution
-    (the load saturates there), and with ValueError, before any solve,
-    for a beta_init not finite and positive.
+    doublings (then halvings) find no sign change, as when no positive g
+    is found before the wedge drops under the grid resolution (the load
+    saturates there), and with ValueError, before any solve, for a
+    beta_init not finite and positive.
     """
     _require_admissible(ev.problem)
     if not (0.0 < beta_init < math.inf):
@@ -216,17 +203,16 @@ def find_steady(ev: GEvaluator, bracket: Bracket, tol_residual: float = 1e-6) ->
     ev makes the solves, and F is ev.problem.F.  No end of the bracket
     is solved again, except an end solved only to its sign whose |g| is
     within tol_residual: it is solved at solver.tol before it is
-    returned (or not) as the root, so g_at_root always comes from a
-    solve at solver.tol.  The steps interpolate log(L / F) over log beta
-    (module docstring); a point whose load is not positive makes the
-    step bisect in log beta.  Every step keeps a sign bracket.  The
-    search stops at the first point x with |g| <= min(tol_residual, x.e)
-    and returns x with the last sign bracket, x and the end of the other
-    sign.  Where g carries no solve error (e = 0), or the bracket closes
-    first, it stops at the first end with |g| <= tol_residual whose
-    bracket is at most 1e-9 * beta wide, or at an exact zero of g.
+    returned (or not) as the root.  The steps interpolate log(L / F)
+    over log beta (module docstring); a point whose load is not positive
+    makes the step bisect in log beta.  Every step keeps a sign bracket.
+    The search stops at the first point x with |g| <= min(tol_residual,
+    x.e) and returns x with the last sign bracket, x and the end of the
+    other sign.  Where g carries no solve error (e = 0), or the bracket
+    closes first, it stops at the first end with |g| <= tol_residual
+    whose bracket is at most 1e-9 * beta wide, or at an exact zero of g.
     evaluations counts the film evaluations made here.  After
-    _MAX_BISECTIONS (200) steps the better end is returned if its |g| is
+    _MAX_BISECTIONS steps the better end is returned if its |g| is
     within tol_residual, and BracketFailure is raised otherwise.  The
     film solution is unique at every clearance, so warm starting cannot
     change the result.  ValueError, before any solve: tol_residual not

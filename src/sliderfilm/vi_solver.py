@@ -10,35 +10,11 @@ with edge-midpoint coefficients and b_i = -(dh0/dx1(x_i) + gamma) dx dy,
 both with zero Dirichlet boundary.  A is a symmetric M-matrix, so the
 problem has a unique solution and projected SOR converges.
 
-The production solver sweeps nodes in red-black (checkerboard) order:
-first every node with i + j even, then every node with i + j odd.  For
-the five-point stencil all neighbours of a node have the other colour,
-so the order within a colour does not matter and each colour is updated
-at once.  The padded iterate is stored as its even-index entries followed
-by its odd-index ones, which makes each colour one contiguous range and
-its four neighbours one strided view of the other half.  The
-five-point operator is consistently ordered, so this ordering has the
-same asymptotic SOR rate at the same omega as the lexicographic one
-(Young, Iterative Solution of Large Linear Systems, 1971).  Both orders
-converge to the same solution, so their results differ by the solve
-error, not bit for bit.  An unset omega is Young's optimal factor for
-the operator on the free set of the start iterate, not the whole
-grid's; relaxation is the one place that rule lives.
-
-The relaxation is folded into the coefficients once per solve: with
-s = omega / diag, c' = c * s for each coupling and b' = b * s, so a node
-update is
-
-    new = max(0, c'_w p_w + b' + c'_e p_e + c'_s p_s + c'_n p_n + (1 - omega) p),
-
-summed left to right in that order.  It equals the textbook
-p + omega ((b + sum c p_nb) / diag - p) up to rounding.  A colour takes
-8 numpy calls: one product of the neighbour view with the four couplings,
-five adds, the (1 - omega) p product and the projection, written straight
-into the iterate.  With one copy, difference, abs and max of the whole
-iterate for the largest update, a sweep takes 20.  ||p||_inf is read
-(one more call) only on sweeps that a running upper bound on it cannot
-already reject.
+solve_vi_psor is the production solver, projected SOR in red-black
+order; its Notes hold the sweep and the stop test.  An unset relaxation
+factor is chosen by relaxation.  solve_linear (conjugate gradients) and
+flat_unit_load (the flat profile's load in closed form) serve the
+oracles and the flat-profile shortcut.
 """
 
 import functools
@@ -306,15 +282,11 @@ def solve_vi_psor(
         Assembled operator and load vector.
     omega : float, optional
         Relaxation factor in (0, 2), used as given.  None, the default,
-        means relaxation(system, warm_start): Young's factor for the
-        operator on the start's free set, estimated in this solve after
-        the argument checks (a cutoff solve estimates nothing).  A caller
-        that makes many nearby solves, as GEvaluator does, keeps the
-        pair relaxation returns and passes its factor on.
+        means relaxation(system, warm_start)[1], estimated in this solve
+        after the argument checks.  A caller that makes many nearby
+        solves, as GEvaluator does, passes its own factor.
     tol : float
-        Convergence threshold, finite and positive: the largest nodal update of a sweep must
-        fall below tol * max(1, ||p||_inf) and the complementarity
-        residual below 10 * tol.
+        Stop tolerance, finite and positive (Notes).
     max_iter : int, optional
         Sweep cap; defaults to 50 * nx * ny.
     warm_start : ndarray, optional
@@ -327,23 +299,45 @@ def solve_vi_psor(
     PressureField
         Nonnegative nodal pressure with residuals and the sweep count.
 
+    Raises
+    ------
+    NoConvergence
+        After max_iter sweeps, carrying the last iterate.
+
     Notes
     -----
-    Sweep order is red-black: nodes with i + j even, then nodes with
-    i + j odd (see module docstring); results are deterministic for
-    fixed inputs.  s = omega / diag is folded into the coefficients
-    once per solve, c' = c * s for each coupling and b' = b * s, so a
-    node update is
+    A load vector with no positive entry returns the exact zero
+    solution at once (slack -b >= 0), with no sweep and no estimate.
+
+    Sweep order is red-black: every node with i + j even, then every
+    node with i + j odd.  All neighbours of a node have the other colour,
+    so each colour is updated at once.  The five-point operator is
+    consistently ordered, so this order has the SOR rate of the
+    lexicographic one at the same omega (Young, Iterative Solution of
+    Large Linear Systems, 1971); the two converge to the same solution
+    and differ by the solve error, not bit for bit.  Results are
+    deterministic for fixed inputs.  s = omega / diag is folded into
+    the coefficients once per solve, c' = c * s for each coupling and
+    b' = b * s, so a node update is
 
         new = max(0, c'_w p_w + b' + c'_e p_e + c'_s p_s + c'_n p_n + (1 - omega) p),
 
-    summed left to right.  The iterate is stored split by colour (see
-    _colour_maps), so a colour is 8 numpy calls and a sweep 20.  The stop
-    test needs ||p||_inf; it is read only when an upper bound, the last
-    exact value plus the largest updates since, inflated by a relative
-    1e-12 per sweep, cannot already reject the sweep, and the exact
-    value decides every stop.  A nonpositive load vector returns the
-    exact zero solution immediately.
+    summed left to right, which equals the textbook
+    p + omega ((b + sum c p_nb) / diag - p) up to rounding.  The iterate
+    is stored split by colour (_colour_maps), so a colour is 8 numpy
+    calls: one product of the neighbour view with the four couplings,
+    five adds, the (1 - omega) p product and the projection.  With one
+    copy, difference, abs and max of the whole iterate for the largest
+    update, a sweep takes 20.
+
+    The stop test: a solve stops after the first sweep whose largest
+    nodal update is at most tol * max(1, ||p||_inf) and whose
+    complementarity residual max |min(p, Ap - b)| is at most 10 * tol.
+    ||p||_inf costs one more call, made only when an upper bound on it,
+    the last exact value plus the largest updates since, inflated by a
+    relative 1e-12 per sweep, cannot already reject the sweep; the exact
+    value decides every stop.  The test bounds the last update, not the
+    distance to the solution, which can be larger.
     """
     if omega is not None and not (0.0 < omega < 2.0):
         raise ValueError(f"relaxation omega must lie in (0, 2), got {omega}")
@@ -505,7 +499,7 @@ def flat_unit_load(grid: Grid) -> float:
             cot^2 theta_j cot^2 phi_k / (4 sin^2 theta_j dy/dx + 4 sin^2 phi_k dx/dy),
 
     the exact discrete load: every term is positive, so it holds to
-    rounding (4e-16 relative of a CG solve at tol 1e-13 on 32^2).
+    rounding.  TestFlatUnitLoad checks it against CG and PSOR solves.
     """
     nx, ny = grid.nx, grid.ny
     theta = np.arange(1, nx + 1, 2) * (math.pi / (2 * (nx + 1)))
@@ -522,13 +516,11 @@ def suggested_omega(grid: Grid) -> float:
     return 2.0 / (1.0 + np.sin(np.pi / (n + 1)))
 
 
-# young_omega's Lanczos run checks its top Ritz value every _LANCZOS_CHECK
-# steps and stops once a check has raised it by at most _LANCZOS_SETTLE of
-# its distance to 1
+# the check interval and settle fraction of young_omega's Lanczos run
 _LANCZOS_CHECK = 8
 _LANCZOS_SETTLE = 0.01
-# relaxation estimates again once the free set it is given differs from
-# the kept one in more than this share of the kept one's nodes
+# the share of a kept free set's nodes that may change before relaxation
+# estimates again
 _FREE_SET_DRIFT = 0.1
 
 
@@ -548,17 +540,21 @@ def relaxation(
     start: np.ndarray | None,
     kept: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """(free set, omega) to relax a solve of system near the field start.
+    """(free set, omega) to relax a solve of system near the field start:
+    the rule behind every unset omega.
 
-    start is the field whose free set (p > 0) stands for the solve's:
-    solve_vi_psor passes its warm start, and a GEvaluator chain the
-    newest solution, None for the first solve.  kept is the pair of an
-    earlier estimate of nearby solves.  It is returned as is while
-    start's free set differs from kept's in at most _FREE_SET_DRIFT of
-    kept's nodes; otherwise, and always for a start of None, the pair is
-    free_set(system, start) and young_omega on it, a new estimate.  The
-    free set must hold a node, so a cutoff system (b <= 0 everywhere)
-    needs a start with a positive entry.
+    The factor is young_omega on free_set(system, start).  start is the
+    field whose free set stands for the solve's.  A GEvaluator chain
+    passes its newest solution, None before its first solve, and never
+    its extrapolated warm start, which can hold free nodes that no
+    solution has; a plain solve_vi_psor call passes its warm start.
+    kept is the pair of an earlier estimate for nearby solves.  It is
+    returned as is while start's free set (p > 0) differs from kept's in
+    at most _FREE_SET_DRIFT of kept's nodes, so a chain estimates again
+    only when its free set drifts; otherwise, and always for a start of
+    None, the pair is a new estimate.  The free set must hold a node, so
+    a cutoff system (b <= 0 everywhere) needs a start with a positive
+    entry; both callers skip the estimate there.
     """
     if start is not None and kept is not None and (
         np.count_nonzero((start > 0.0) != kept[0]) <= _FREE_SET_DRIFT * np.count_nonzero(kept[0])
@@ -579,25 +575,15 @@ def young_omega(system: DiscreteSystem, free: np.ndarray) -> float:
     that value has risen since the last check by at most _LANCZOS_SETTLE
     of its distance to 1 (or at an invariant subspace, or after |F|
     steps).  1 - mu shrinks as the free set grows, and Lanczos needs
-    more steps for it, so the rule sizes the run to the free set: a
-    fixed 24 steps left mu 2.4e-4 low on a fully free 128 x 128 square,
-    where the solve then took 629 sweeps against suggested_omega's 353.
-    A_FF is the operator PSOR iterates on once the active set has
-    settled; it is consistently ordered, so Young's rule gives its
-    optimal SOR factor (Young, Iterative Solution of Large Linear
-    Systems, 1971).  A Ritz value never exceeds mu, so the estimate errs
-    low, where SOR is the more sensitive to omega.
-
-    Measured (tol 1e-8) on 32/64/128 grids of [-1, 1]^2: on a fully free
-    square (flat profile) the run takes 32/48/88 steps, mu is within
-    5e-7 of cos(pi/(n+1)), the exact radius, and the solve takes
-    99/186/353 sweeps, as at suggested_omega.  On the line contact
-    (alpha 2, beta 0.3, gamma -0.3, scripts/solve_cost.py) cold solves
-    take 88/171/333 sweeps at suggested_omega and 75/139/268 at this
-    factor on F = b > 0, and solves warm started from beta 0.303 take
-    71/129/249 and 48/90/172 on F = p > 0 of the start.  An estimate
-    on the cold free set costs about 0.7/1.8/7 ms, the time of some 30
-    to 45 sweeps.
+    more steps for it, so the rule sizes the run to the free set, where
+    a fixed step count leaves mu low on large free sets.  A_FF is the
+    operator PSOR iterates on once the active set has settled; it is
+    consistently ordered, so Young's rule gives its optimal SOR factor
+    (Young, Iterative Solution of Large Linear Systems, 1971).  A Ritz
+    value never exceeds mu, so the estimate errs low, where SOR is the
+    more sensitive to omega.  TestYoungOmega checks the factor against
+    the dense Jacobi radius of a cavitated free set and, on fully free
+    squares, against suggested_omega.
     """
     n_free = int(np.count_nonzero(free))
     if n_free == 0:

@@ -1,7 +1,9 @@
 import json
+import re
 import time
 from dataclasses import fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sliderfilm.cli import (
     EXIT_NOCONV,
     EXIT_OK,
     EXIT_USAGE,
+    _COMMANDS,
     _write_json,
     build_problem,
     dispatch,
@@ -157,6 +160,23 @@ NULLABLE = {
 }
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_table(heading):
+    """(header, body rows) of the first table under README's `## heading`,
+    each row a list of its cells with backslash-escaped pipes unescaped."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("|"))
+    end = next((k for k in range(start, len(lines)) if not lines[k].startswith("|")), len(lines))
+    rows = [
+        [cell.strip().replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        for line in lines[start:end]
+    ]
+    return rows[0], rows[2:]
+
+
 @pytest.mark.parametrize("section, name", SCHEMA, ids=[f"{s}.{n}" for s, n in SCHEMA])
 class TestSchemaField:
     def test_absent_takes_run_config_default(self, section, name):
@@ -196,6 +216,33 @@ class TestSchema:
             "gcurve": ["betas"],
         }
         assert sum(map(len, keys.values())) + 1 == 22  # and the seed
+
+    def test_readme_schema_table_matches_run_config(self):
+        header, rows = readme_table("Configuration")
+        assert header == ["key", "type", "default", "constraint", "`null` means"]
+        documented = {}
+        for key, _, default, _, _ in rows:
+            default = default.strip("`")
+            documented[key.strip("`")] = (
+                default_gcurve_betas() if default == "default_gcurve_betas()" else json.loads(default)
+            )
+        expected = {
+            f"{name}.{key}": value
+            for name, section in RunConfig().to_dict().items()
+            if name != "seed"
+            for key, value in section.items()
+        }
+        expected["seed"] = RunConfig().seed
+        assert list(documented) == list(expected)
+        assert documented == expected
+        assert len(rows) == 22
+        # a null value is documented with a meaning exactly where the parser takes one
+        assert {key.strip("`") for key, *_, null in rows if null != "—"} == NULLABLE
+
+    def test_readme_command_table_matches_the_cli(self):
+        header, rows = readme_table("Command line")
+        assert header == ["command", "artifacts", "purpose"]
+        assert [row[0].strip("`") for row in rows] == list(_COMMANDS)
 
     @pytest.mark.parametrize(
         "shape, path",

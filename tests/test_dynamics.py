@@ -809,6 +809,57 @@ class TestBoundsReport:
         assert c1 == pytest.approx(4.0 / np.sqrt(np.pi**2 / 2.0))
 
 
+class TestInputChecks:
+    """integrate_trajectory rejects a horizon, tolerance or contact guard
+    with no meaning before it makes any film solve."""
+
+    @staticmethod
+    def _run(monkeypatch, t_end, control):
+        import sliderfilm.dynamics as dynamics
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a film solve was reached")
+
+        monkeypatch.setattr(dynamics, "solve_vi_psor", unreachable)
+        prob = make_problem(SliderShape.line_contact(2.0), DomainRect(-1.0, 1.0, -1.0, 1.0), n=8)
+        return integrate_trajectory(prob, t_end, control)
+
+    @pytest.mark.parametrize(
+        "t_end, control",
+        [
+            (1.0, StepControl(rel_tol=0.0, abs_tol=0.0)),
+            (1.0, StepControl(rel_tol=-1e-6, abs_tol=-1e-9)),
+            (1.0, StepControl(rel_tol=0.0)),
+            (1.0, StepControl(abs_tol=-1e-9)),
+            (1.0, StepControl(rel_tol=math.nan)),
+            (1.0, StepControl(abs_tol=math.nan)),
+            (1.0, StepControl(rel_tol=math.inf)),
+            (1.0, StepControl(abs_tol=math.inf)),
+            (1.0, StepControl(eps_contact=0.0)),
+            (1.0, StepControl(eps_contact=-1.0)),
+            (1.0, StepControl(eps_contact=math.nan)),
+            (1.0, StepControl(eps_contact=math.inf)),
+            (0.0, None),
+            (-1.0, None),
+            (math.nan, None),
+            (math.inf, None),
+        ],
+        ids=[
+            "tols_zero", "tols_negative", "rel_tol_zero", "abs_tol_negative",
+            "rel_tol_nan", "abs_tol_nan", "rel_tol_inf", "abs_tol_inf",
+            "eps_contact_zero", "eps_contact_negative", "eps_contact_nan", "eps_contact_inf",
+            "t_end_zero", "t_end_negative", "t_end_nan", "t_end_inf",
+        ],
+    )
+    def test_raises_before_any_solve(self, monkeypatch, t_end, control):
+        with pytest.raises(ValueError):
+            self._run(monkeypatch, t_end, control)
+
+    def test_valid_input_reaches_the_solve(self, monkeypatch):
+        with pytest.raises(AssertionError, match="film solve was reached"):
+            self._run(monkeypatch, 1.0, StepControl(eps_contact=1e-3))
+
+
 class TestIntegration:
     def test_flat_coast_is_exact_parabola(self, unit_domain):
         prob = make_problem(SliderShape.flat(), unit_domain, n=16, eta0=1.0, eta1=0.5)
