@@ -207,14 +207,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         config = parse_config(text)
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        if args.seed < 0:
-            print("error: --seed must be nonnegative", file=sys.stderr)
-            return EXIT_USAGE
-        config.seed = args.seed
     return dispatch(config, args.command, args.out)
 
 

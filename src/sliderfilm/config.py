@@ -6,20 +6,22 @@ and `_read_section` reads every section by their annotations.  Absent
 fields take `RunConfig()`'s values; `null` is accepted for the `X | None`
 fields, for `gcurve.betas` (the default list) and for a whole section.
 Unknown keys anywhere in the document are hard errors (a typo in a
-physical parameter must never be silently ignored), as is a shape field
-the variant does not use; every positivity constraint of the underlying
-modules is re-checked at parse time so failures carry the field path.
+physical parameter must never be silently ignored).  A section is valid
+exactly when its type can be built: each type checks its own fields and
+raises ValidationError naming the field, which `_read_section` reports
+under the section's path.  `parse_config` adds the one rule that spans
+sections, `integrator.eps_contact < physics.eta0`.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from types import SimpleNamespace, UnionType
+from dataclasses import asdict, dataclass, field, fields, replace
+from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
 from .dynamics import SolverParams, StepControl
-from .errors import ParseError, ValidationError
-from .geometry import DomainRect
+from .errors import ParseError, ValidationError, check_positive
+from .geometry import DomainRect, ShapeKind, SliderShape, check_node_count
 
 __all__ = ["RunConfig", "parse_config", "default_gcurve_betas"]
 
@@ -35,14 +37,31 @@ def default_gcurve_betas() -> list[float]:
 @dataclass
 class ShapeConfig:
     variant: Literal["line_contact", "point_contact", "flat", "tabulated"] = "line_contact"
-    alpha: float | None = 2.0  # contact variants only
+    alpha: float | None = 2.0  # contact variants only; None for the others
     table_path: str | None = None  # tabulated only
+
+    def __post_init__(self):
+        contact = self.variant in _CONTACT_VARIANTS
+        if contact:  # SliderShape holds alpha's range
+            SliderShape(ShapeKind(self.variant), alpha=self.alpha)
+        if self.variant == "tabulated" and not self.table_path:
+            raise ValidationError("table_path", "required for tabulated shapes")
+        if not contact and self.alpha is not None:
+            raise ValidationError("alpha", "applies only to contact shapes; omit it or use null")
+        if self.variant != "tabulated" and self.table_path is not None:
+            raise ValidationError(
+                "table_path", "applies only to tabulated shapes; omit it or use null"
+            )
 
 
 @dataclass
 class GridConfig:
     nx: int = 64
     ny: int = 64
+
+    def __post_init__(self):
+        check_node_count("nx", self.nx)
+        check_node_count("ny", self.ny)
 
 
 @dataclass
@@ -51,17 +70,22 @@ class PhysicsConfig:
     eta0: float = 1.0
     eta1: float = 0.0
 
+    def __post_init__(self):
+        check_positive(self, "F", "eta0")
 
-@dataclass
+
+@dataclass(frozen=True)
 class _Horizon:
     t_end: float = 10.0
 
 
 # StepControl plus t_end; fields are collected from the last base first,
 # so t_end leads the section when it is read, checked and serialized
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig(StepControl, _Horizon):
-    pass
+    def __post_init__(self):
+        check_positive(self, "t_end")
+        super().__post_init__()
 
 
 @dataclass
@@ -69,10 +93,17 @@ class SteadyConfig:
     beta_init: float = 0.5
     tol_residual: float = 1e-6
 
+    def __post_init__(self):
+        check_positive(self, "beta_init", "tol_residual")
+
 
 @dataclass
 class GCurveConfig:
     betas: list[float] = field(default_factory=default_gcurve_betas)
+
+    def __post_init__(self):
+        if not all(b > 0.0 for b in self.betas):
+            raise ValidationError("betas", "all entries must be > 0")
 
 
 @dataclass
@@ -86,6 +117,10 @@ class RunConfig:
     steady: SteadyConfig = field(default_factory=SteadyConfig)
     gcurve: GCurveConfig = field(default_factory=GCurveConfig)
     seed: int = 0
+
+    def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValidationError("seed", "must be a nonnegative integer")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -138,11 +173,13 @@ def _read_value(hint, raw, path):
     return _READERS[hint](raw, path)
 
 
-def _read_section(default, raw, path) -> SimpleNamespace:
-    """Read the JSON object raw against the dataclass instance default.
+def _read_section(default, raw, path):
+    """Build the section that the JSON object raw describes, of default's type.
 
     Unknown keys fail; each field present is read by its annotation, in
-    declaration order; absent fields, and a null list, keep the default.
+    declaration order; absent fields, and a null list, keep the default,
+    except that an absent shape.alpha is None for a non-contact variant.
+    The type's rejection of a value is reported under path.
     """
     if not isinstance(raw, dict):
         raise ParseError(f"'{path}' must be an object", path=path)
@@ -154,84 +191,12 @@ def _read_section(default, raw, path) -> SimpleNamespace:
     for name in values:
         if name in raw and not (raw[name] is None and get_origin(hints[name]) is list):
             values[name] = _read_value(hints[name], raw[name], f"{path}.{name}")
-    return SimpleNamespace(**values)
-
-
-def _check_domain(d, raw, path):
-    if not d.x1_min < 0.0 < d.x1_max:
-        raise ValidationError(f"{path}.x1_min", "domain must contain 0 strictly: x1_min < 0 < x1_max")
-    if not d.x2_min < 0.0 < d.x2_max:
-        raise ValidationError(f"{path}.x2_min", "domain must contain 0 strictly: x2_min < 0 < x2_max")
-
-
-def _check_shape(s, raw, path):
-    if s.variant in _CONTACT_VARIANTS and (s.alpha is None or s.alpha < 1.0):
-        raise ValidationError(f"{path}.alpha", "must be >= 1 for contact shapes")
-    if s.variant == "tabulated" and not s.table_path:
-        raise ValidationError(f"{path}.table_path", "required for tabulated shapes")
-    if s.variant not in _CONTACT_VARIANTS:
-        if raw.get("alpha") is not None:
-            raise ValidationError(f"{path}.alpha", "applies only to contact shapes; omit it or use null")
-        s.alpha = None
-    if s.variant != "tabulated" and s.table_path is not None:
-        raise ValidationError(f"{path}.table_path", "applies only to tabulated shapes; omit it or use null")
-
-
-def _check_grid(g, raw, path):
-    if g.nx < 3:
-        raise ValidationError(f"{path}.nx", "must be >= 3")
-    if g.ny < 3:
-        raise ValidationError(f"{path}.ny", "must be >= 3")
-
-
-def _check_physics(p, raw, path):
-    if p.F <= 0.0:
-        raise ValidationError(f"{path}.F", "must be > 0")
-    if p.eta0 <= 0.0:
-        raise ValidationError(f"{path}.eta0", "must be > 0")
-
-
-def _check_solver(s, raw, path):
-    if s.omega is not None and not 0.0 < s.omega < 2.0:
-        raise ValidationError(f"{path}.omega", "must lie in (0, 2)")
-    if s.tol <= 0.0:
-        raise ValidationError(f"{path}.tol", "must be > 0")
-
-
-def _check_integrator(i, raw, path):
-    if i.t_end <= 0.0:
-        raise ValidationError(f"{path}.t_end", "must be > 0")
-    if i.rel_tol <= 0.0:
-        raise ValidationError(f"{path}.rel_tol", "must be > 0")
-    if i.abs_tol <= 0.0:
-        raise ValidationError(f"{path}.abs_tol", "must be > 0")
-    if i.eps_contact is not None and i.eps_contact <= 0.0:
-        raise ValidationError(f"{path}.eps_contact", "must be > 0 when given")
-
-
-def _check_steady(s, raw, path):
-    if s.beta_init <= 0.0:
-        raise ValidationError(f"{path}.beta_init", "must be > 0")
-    if s.tol_residual <= 0.0:
-        raise ValidationError(f"{path}.tol_residual", "must be > 0")
-
-
-def _check_gcurve(g, raw, path):
-    if any(b <= 0.0 for b in g.betas):
-        raise ValidationError(f"{path}.betas", "all entries must be > 0")
-
-
-# the range checks of each section, in document order
-_CHECKS = {
-    "domain": _check_domain,
-    "shape": _check_shape,
-    "grid": _check_grid,
-    "physics": _check_physics,
-    "solver": _check_solver,
-    "integrator": _check_integrator,
-    "steady": _check_steady,
-    "gcurve": _check_gcurve,
-}
+    if path == "shape" and "alpha" not in raw and values["variant"] not in _CONTACT_VARIANTS:
+        values["alpha"] = None
+    try:
+        return type(default)(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}.{exc.path}", exc.constraint) from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -248,20 +213,12 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError("configuration must be a JSON object")
 
     cfg = RunConfig()
-    for name, check in _CHECKS.items():
+    for name in (f.name for f in fields(RunConfig) if f.name != "seed"):
         raw = doc.pop(name, None)
-        if raw is None:
-            continue
-        default = getattr(cfg, name)
-        section = _read_section(default, raw, name)
-        check(section, raw, name)
-        setattr(cfg, name, type(default)(**vars(section)))
-
+        if raw is not None:
+            setattr(cfg, name, _read_section(getattr(cfg, name), raw, name))
     if "seed" in doc:
-        seed = doc.pop("seed")
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValidationError("seed", "must be a nonnegative integer")
-        cfg.seed = seed
+        cfg = replace(cfg, seed=doc.pop("seed"))
     if doc:
         extra = sorted(doc)[0]
         raise ParseError(f"unknown key '{extra}'", path=extra)

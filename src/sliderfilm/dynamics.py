@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .csvio import write_csv
-from .errors import BoxOutsideDomain, NonPositiveClearance
+from .errors import BoxOutsideDomain, NonPositiveClearance, ValidationError, check_positive
 from .geometry import (
     ContactBox,
     DomainRect,
@@ -68,14 +68,20 @@ class SolverParams:
 
     omega is the PSOR relaxation factor, in (0, 2) and used as given;
     None chooses it by vi_solver.relaxation.  tol is the PSOR stop
-    tolerance (vi_solver.solve_vi_psor).  A run solves at tol except
-    where its command loosens it: a trajectory's step solves
-    (_step_solve_tol) and a steady search's bracket points (module
-    steady).  Frozen: a Problem keeps the caller's object as given.
+    tolerance (vi_solver.solve_vi_psor), finite and > 0.  A value out of
+    range raises ValidationError.  A run solves at tol except where its
+    command loosens it: a trajectory's step solves (_step_solve_tol) and
+    a steady search's bracket points (module steady).  Frozen: a Problem
+    keeps the caller's object as given.
     """
 
     omega: float | None = None
     tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.omega is not None and not 0.0 < self.omega < 2.0:
+            raise ValidationError("omega", "must lie in (0, 2)")
+        check_positive(self, "tol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,14 +129,21 @@ _MAX_SAMPLES = 2_000_000
 _STIFF_RHO = 1.25
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepControl:
     """Embedded Runge-Kutta step-size control parameters (the config's
-    integrator section is this type plus the horizon t_end)."""
+    integrator section is this type plus the horizon t_end): rel_tol and
+    abs_tol finite and > 0, the contact guard eps_contact None (1e-4 eta0)
+    or finite and > 0.  A value out of range raises ValidationError."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
-    eps_contact: float | None = None  # defaults to 1e-4 * eta0
+    eps_contact: float | None = None
+
+    def __post_init__(self):
+        check_positive(self, "rel_tol", "abs_tol")
+        if self.eps_contact is not None:
+            check_positive(self, "eps_contact", constraint="must be > 0 when given")
 
 
 class TerminationKind(Enum):
@@ -710,8 +723,9 @@ def integrate_trajectory(
     t_end : float
         Integration horizon, finite and positive.
     step_control : StepControl, optional
-        Error tolerances and contact guard; the guard defaults to
-        1e-4 * eta0.
+        Error tolerances and contact guard, each range-checked when the
+        StepControl is built; the guard defaults to 1e-4 * eta0 and
+        must lie below eta0.
 
     Returns
     -------
@@ -760,19 +774,13 @@ def integrate_trajectory(
     an accepted step would add a sample beyond _MAX_SAMPLES.  That step
     is dropped: the trajectory holds at most _MAX_SAMPLES samples and the
     termination time is that of its last sample.  ValueError, before any
-    film solve: t_end, rel_tol or abs_tol not finite and positive, or an
-    eps_contact that is given and not positive or not below eta0.
+    film solve: t_end not finite and positive, or a contact guard not
+    below eta0 (StepControl checks the rest of its fields when built).
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
     sc = step_control or StepControl()
     abs_tol, rel_tol = sc.abs_tol, sc.rel_tol
-    if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
-        raise ValueError(
-            f"rel_tol and abs_tol must be finite and positive, got {rel_tol} and {abs_tol}"
-        )
-    if sc.eps_contact is not None and not sc.eps_contact > 0.0:
-        raise ValueError(f"eps_contact must be positive when given, got {sc.eps_contact}")
     eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
     dt_min = _DT_MIN_FRACTION * t_end
     ev = GEvaluator(problem)

@@ -1,19 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the positivity check.
 
 The command line maps them to exit codes (module cli).
 """
 
+import math
+
 
 class SliderFilmError(Exception):
     """Base class for all package errors."""
-
-
-class InvalidDomain(SliderFilmError):
-    """Domain rectangle is degenerate or does not contain the origin strictly."""
-
-
-class TooCoarse(SliderFilmError):
-    """Grid has fewer than 3 interior nodes along an axis."""
 
 
 class OutOfDomain(SliderFilmError):
@@ -65,10 +59,34 @@ class ParseError(SliderFilmError):
         self.line = line
 
 
-class ValidationError(SliderFilmError):
-    """Well-formed configuration violating a constraint; carries the field path."""
+class ValidationError(SliderFilmError, ValueError):
+    """An input value violating a constraint.  path names the field: its own
+    name when the type holding it rejects it, its dotted path when a config
+    document does (config.parse_config), None when no one field is at fault."""
 
     def __init__(self, path, constraint):
-        super().__init__(f"{path}: {constraint}")
+        super().__init__(constraint if path is None else f"{path}: {constraint}")
         self.path = path
         self.constraint = constraint
+
+
+class InvalidDomain(ValidationError):
+    """Domain rectangle, slider profile or profile table outside the model's range."""
+
+    def __init__(self, constraint, path=None):
+        super().__init__(path, constraint)
+
+
+class TooCoarse(ValidationError):
+    """Grid has fewer than 3 interior nodes along an axis."""
+
+
+def check_positive(obj, *names, constraint="must be > 0"):
+    """Raise ValidationError naming the first of obj's fields names that is
+    not a finite number > 0: "must be finite, got v", else constraint."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValidationError(name, f"must be finite, got {value!r}")
+        if value <= 0.0:
+            raise ValidationError(name, constraint)

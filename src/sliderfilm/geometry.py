@@ -7,8 +7,10 @@ identically flat) together with tabulated profiles given nodewise.
 All quantities are dimensionless.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .errors import (
     OutOfDomain,
     TooCoarse,
     UnsupportedShape,
+    ValidationError,
 )
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "ContactBox",
     "BoxKind",
     "build_grid",
+    "check_node_count",
     "eval_height",
     "eval_gradient_x1",
     "compute_V1",
@@ -53,14 +57,15 @@ class DomainRect:
     x2_max: float
 
     def __post_init__(self):
-        if not (self.x1_min < 0.0 < self.x1_max):
-            raise InvalidDomain(
-                f"origin not strictly interior along x1: [{self.x1_min}, {self.x1_max}]"
-            )
-        if not (self.x2_min < 0.0 < self.x2_max):
-            raise InvalidDomain(
-                f"origin not strictly interior along x2: [{self.x2_min}, {self.x2_max}]"
-            )
+        for name in ("x1_min", "x1_max", "x2_min", "x2_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidDomain(f"must be finite, got {value!r}", path=name)
+        contains = "domain must contain 0 strictly: {0}_min < 0 < {0}_max"
+        if not self.x1_min < 0.0 < self.x1_max:
+            raise InvalidDomain(contains.format("x1"), path="x1_min")
+        if not self.x2_min < 0.0 < self.x2_max:
+            raise InvalidDomain(contains.format("x2"), path="x2_min")
 
     @property
     def length1(self) -> float:
@@ -120,8 +125,10 @@ class SliderShape:
 
     def __post_init__(self):
         if self.kind in (ShapeKind.LINE_CONTACT, ShapeKind.POINT_CONTACT):
-            if self.alpha is None or self.alpha < 1.0:
-                raise InvalidDomain("contact exponent alpha must satisfy alpha >= 1")
+            if self.alpha is None or not self.alpha >= 1.0:
+                raise InvalidDomain("must be >= 1 for contact shapes", path="alpha")
+            if not math.isfinite(self.alpha):
+                raise InvalidDomain(f"must be finite, got {self.alpha!r}", path="alpha")
         if self.kind is ShapeKind.TABULATED and self.table is None:
             raise InvalidDomain("tabulated shape requires a data table")
 
@@ -201,10 +208,18 @@ class Grid:
         return np.meshgrid(self.xs[1:-1], self.ys[1:-1], indexing="xy")
 
 
+def check_node_count(name: str, n) -> None:
+    """Reject a grid's node count n, named name, unless it is an integer >= 3."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValidationError(name, f"must be an integer, got {n!r}")
+    if n < 3:
+        raise TooCoarse(name, "must be >= 3")
+
+
 def build_grid(domain: DomainRect, nx: int, ny: int) -> Grid:
-    """Discretize the domain with nx-by-ny interior nodes."""
-    if nx < 3 or ny < 3:
-        raise TooCoarse(f"need nx, ny >= 3, got {nx}x{ny}")
+    """Discretize the domain with nx-by-ny interior nodes (check_node_count)."""
+    check_node_count("nx", nx)
+    check_node_count("ny", ny)
     dx = domain.length1 / (nx + 1)
     dy = domain.length2 / (ny + 1)
     xs = domain.x1_min + dx * np.arange(nx + 2)

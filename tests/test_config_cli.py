@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 from dataclasses import fields, replace
@@ -177,6 +178,26 @@ def readme_table(heading):
     return rows[0], rows[2:]
 
 
+# a README constraint (its first code span) -> (values beyond its boundary,
+# a value inside); the domain rows' `x1_min < 0 < x1_max` are read apart
+README_BOUNDS = {
+    "> 0": ([0.0, -1.0], 0.5),
+    ">= 3": ([2], 3),
+    ">= 1": ([math.nextafter(1.0, 0.0)], 1.0),
+    "(0, 2)": ([0.0, 2.0], 1.0),
+    ">= 0": ([-1], 0),
+}
+# (key, type, constraint) of each README row with a range
+RANGED = [
+    (key.strip("`"), kind, span)
+    for key, kind, _, cell, _ in readme_table("Configuration")[1]
+    for span in re.findall(r"`([^`]*)`", cell)[:1]
+    if span in README_BOUNDS or re.fullmatch(r"x[12]_min < 0 < x[12]_max", span)
+]
+# the keys with no range: a choice, a path, and the free initial velocity
+UNRANGED = {"shape.variant", "shape.table_path", "physics.eta1"}
+
+
 @pytest.mark.parametrize("section, name", SCHEMA, ids=[f"{s}.{n}" for s, n in SCHEMA])
 class TestSchemaField:
     def test_absent_takes_run_config_default(self, section, name):
@@ -238,6 +259,34 @@ class TestSchema:
         assert len(rows) == 22
         # a null value is documented with a meaning exactly where the parser takes one
         assert {key.strip("`") for key, *_, null in rows if null != "—"} == NULLABLE
+
+    def test_readme_constraints_cover_every_ranged_key(self):
+        assert [key for key, *_ in RANGED] == [
+            f"{s}.{n}" for s, n in SCHEMA if f"{s}.{n}" not in UNRANGED
+        ] + ["seed"]
+
+    @pytest.mark.parametrize("key, kind, constraint", RANGED, ids=[key for key, *_ in RANGED])
+    def test_readme_constraint_matches_the_code(self, key, kind, constraint):
+        # the README row's first code span, for example `> 0`: parse_config
+        # rejects the value beyond its boundary under the row's key and
+        # accepts one inside; a domain row reports x1_min or x2_min
+        if constraint in README_BOUNDS:
+            (rejected, accepted), path = README_BOUNDS[constraint], key
+        else:
+            rejected, accepted = [0.0], (-0.5 if key.endswith("_min") else 0.5)
+            path = key[:-4] + "_min"
+        if kind == "list of float":
+            rejected, accepted = [[v] for v in rejected], [accepted]
+        section, _, name = key.rpartition(".")
+
+        def doc(value):
+            return json.dumps({section: {name: value}} if section else {name: value})
+
+        for value in rejected:
+            with pytest.raises(ValidationError) as exc:
+                parse_config(doc(value))
+            assert exc.value.path == path
+        parse_config(doc(accepted))
 
     def test_readme_command_table_matches_the_cli(self):
         header, rows = readme_table("Command line")

@@ -811,7 +811,8 @@ class TestBoundsReport:
 
 class TestInputChecks:
     """integrate_trajectory rejects a horizon, tolerance or contact guard
-    with no meaning before it makes any film solve."""
+    with no meaning before it makes any film solve; a StepControl rejects
+    its own fields when built, so each one is built inside the test."""
 
     @staticmethod
     def _run(monkeypatch, t_end, control):
@@ -822,23 +823,24 @@ class TestInputChecks:
 
         monkeypatch.setattr(dynamics, "solve_vi_psor", unreachable)
         prob = make_problem(SliderShape.line_contact(2.0), DomainRect(-1.0, 1.0, -1.0, 1.0), n=8)
+        control = None if control is None else StepControl(**control)
         return integrate_trajectory(prob, t_end, control)
 
     @pytest.mark.parametrize(
         "t_end, control",
         [
-            (1.0, StepControl(rel_tol=0.0, abs_tol=0.0)),
-            (1.0, StepControl(rel_tol=-1e-6, abs_tol=-1e-9)),
-            (1.0, StepControl(rel_tol=0.0)),
-            (1.0, StepControl(abs_tol=-1e-9)),
-            (1.0, StepControl(rel_tol=math.nan)),
-            (1.0, StepControl(abs_tol=math.nan)),
-            (1.0, StepControl(rel_tol=math.inf)),
-            (1.0, StepControl(abs_tol=math.inf)),
-            (1.0, StepControl(eps_contact=0.0)),
-            (1.0, StepControl(eps_contact=-1.0)),
-            (1.0, StepControl(eps_contact=math.nan)),
-            (1.0, StepControl(eps_contact=math.inf)),
+            (1.0, dict(rel_tol=0.0, abs_tol=0.0)),
+            (1.0, dict(rel_tol=-1e-6, abs_tol=-1e-9)),
+            (1.0, dict(rel_tol=0.0)),
+            (1.0, dict(abs_tol=-1e-9)),
+            (1.0, dict(rel_tol=math.nan)),
+            (1.0, dict(abs_tol=math.nan)),
+            (1.0, dict(rel_tol=math.inf)),
+            (1.0, dict(abs_tol=math.inf)),
+            (1.0, dict(eps_contact=0.0)),
+            (1.0, dict(eps_contact=-1.0)),
+            (1.0, dict(eps_contact=math.nan)),
+            (1.0, dict(eps_contact=math.inf)),
             (0.0, None),
             (-1.0, None),
             (math.nan, None),
@@ -857,7 +859,7 @@ class TestInputChecks:
 
     def test_valid_input_reaches_the_solve(self, monkeypatch):
         with pytest.raises(AssertionError, match="film solve was reached"):
-            self._run(monkeypatch, 1.0, StepControl(eps_contact=1e-3))
+            self._run(monkeypatch, 1.0, dict(eps_contact=1e-3))
 
 
 class TestIntegration:

@@ -220,7 +220,9 @@ def stub_problem(tol=0.0):
     solver.tol 0 g carries no load error; otherwise the load error of a
     solve at tol is 4 tol max(1, 16 L), L = g + 1 (stub_error)."""
     return SimpleNamespace(
-        grid=build_grid(DomainRect(-1.0, 1.0, -1.0, 1.0), 7, 7), F=1.0, solver=SolverParams(tol=tol)
+        grid=build_grid(DomainRect(-1.0, 1.0, -1.0, 1.0), 7, 7),
+        F=1.0,
+        solver=SimpleNamespace(tol=tol),  # a SolverParams refuses tol 0
     )
 
 
