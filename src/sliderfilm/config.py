@@ -9,8 +9,7 @@ Unknown keys anywhere in the document are hard errors (a typo in a
 physical parameter must never be silently ignored).  A section is valid
 exactly when its type can be built: each type checks its own fields and
 raises ValidationError naming the field, which `_read_section` reports
-under the section's path.  `parse_config` adds the one rule that spans
-sections, `integrator.eps_contact < physics.eta0`.
+under the section's path.  No rule spans sections.
 """
 
 import json
@@ -222,9 +221,4 @@ def parse_config(text: str) -> RunConfig:
     if doc:
         extra = sorted(doc)[0]
         raise ParseError(f"unknown key '{extra}'", path=extra)
-    eps = cfg.integrator.eps_contact
-    if eps is not None and eps >= cfg.physics.eta0:
-        raise ValidationError(
-            "integrator.eps_contact", "must be below the initial height physics.eta0"
-        )
     return cfg

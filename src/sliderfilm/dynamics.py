@@ -14,6 +14,7 @@ import math
 from array import array
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -89,10 +90,11 @@ class Problem:
     """A slider run's data: profile, grid, load, initial state, solver knobs.
 
     It assembles film systems but solves none: every film solve of a
-    run is made by its GEvaluator.  Frozen: the beta-independent
-    assembly data (film_geometry) is built once here and would go stale
-    if the profile or grid changed; dataclasses.replace builds a new
-    Problem instead.
+    run is made by its GEvaluator.  F and eta0 > 0, eta1 finite and
+    FilmGeometry.beta_max > 0, else ValidationError.  Frozen: the
+    beta-independent assembly data (film_geometry) is built once here and
+    would go stale if the profile or grid changed; dataclasses.replace
+    builds a new Problem instead.
     """
 
     shape: SliderShape
@@ -104,14 +106,13 @@ class Problem:
     _geometry: FilmGeometry = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, value in (("F", self.F), ("eta0", self.eta0), ("eta1", self.eta1)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.F <= 0.0:
-            raise ValueError(f"applied load F must be positive, got {self.F}")
-        if self.eta0 <= 0.0:
-            raise ValueError(f"initial height eta0 must be positive, got {self.eta0}")
-        object.__setattr__(self, "_geometry", film_geometry(self.grid, self.shape))
+        check_positive(self, "F", "eta0")
+        if not math.isfinite(self.eta1):
+            raise ValidationError("eta1", f"must be finite, got {self.eta1!r}")
+        geometry = film_geometry(self.grid, self.shape)
+        if not geometry.beta_max > 0.0:  # the profile's height overflows the film operator
+            raise ValidationError("domain", f"the {self.shape.describe()} film overflows on it")
+        object.__setattr__(self, "_geometry", geometry)
 
     def assemble(self, beta: float, gamma: float) -> DiscreteSystem:
         """The film system at clearance beta and squeeze velocity gamma."""
@@ -127,23 +128,21 @@ _MAX_SAMPLES = 2_000_000
 # same tolerance.  Chosen by sample count: TestStiffSwitch checks that neither
 # half nor twice the value takes fewer samples
 _STIFF_RHO = 1.25
+# a run ends at the contact guard _CONTACT_GUARD * eta0 (integrate_trajectory)
+_CONTACT_GUARD = 1e-4
 
 
 @dataclass(frozen=True)
 class StepControl:
     """Embedded Runge-Kutta step-size control parameters (the config's
     integrator section is this type plus the horizon t_end): rel_tol and
-    abs_tol finite and > 0, the contact guard eps_contact None (1e-4 eta0)
-    or finite and > 0.  A value out of range raises ValidationError."""
+    abs_tol finite and > 0.  A value out of range raises ValidationError."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
-    eps_contact: float | None = None
 
     def __post_init__(self):
         check_positive(self, "rel_tol", "abs_tol")
-        if self.eps_contact is not None:
-            check_positive(self, "eps_contact", constraint="must be > 0 when given")
 
 
 class TerminationKind(Enum):
@@ -389,13 +388,15 @@ def _warm_start(history, beta, gamma):
 class GEvaluator:
     """Film force along a run: the exact shortcuts and the warm chain.
 
-    Every film force and every film solve of a run comes from here.
-    gamma >= V1 gives the zero field outright.  For the flat profile the
-    operator is beta^3 times a fixed stencil and the load vector is
-    (-gamma) times a fixed one, so eval scales the unit load (beta 1,
-    gamma -1) by (-gamma)/beta^3, the exact discrete load at every
-    (beta, gamma); the evaluator takes that load once, from the
-    closed-form sum vi_solver.flat_unit_load.  field still solves for
+    Every film force and every film solve of a run comes from here.  V1
+    is the grid's cutoff -min(dh0/dx1), the smallest gamma at which the
+    load vector b has no positive entry (at most the continuum bound
+    compute_V1), and gamma >= V1 gives the zero field outright.  For
+    the flat profile the operator is beta^3 times a fixed stencil and
+    the load vector is (-gamma) times a fixed one, so eval scales the
+    unit load (beta 1, gamma -1) by (-gamma)/beta^3, the exact discrete
+    load at every (beta, gamma); the evaluator takes that load once, from
+    the closed-form sum vi_solver.flat_unit_load.  field still solves for
     every shape.  Any other field is one solve (_solve) at the problem's
     solver settings, or at the tolerance the call asks for, warm started
     from the evaluator's recent solves (_warm_start).  A fresh
@@ -408,7 +409,7 @@ class GEvaluator:
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self.V1 = compute_V1(problem.shape, problem.grid)
+        self.V1 = -float(problem._geometry.grad.min())
         self._flat = problem.shape.kind is ShapeKind.FLAT
         self._beta_max = problem._geometry.beta_max
         # (beta, gamma, p) of the last _HISTORY solves, oldest first
@@ -468,12 +469,12 @@ class GEvaluator:
 
         With solver.omega unset, the factor is vi_solver.relaxation of
         the newest solution and the kept pair; a new pair is kept and
-        counted.  A solve that the solver cuts off (b <= 0 everywhere)
-        estimates nothing and keeps what was kept.
+        counted.  field calls it below V1 only, where b has a positive
+        entry, so relaxation always has a free set to estimate on.
         """
         system = self.problem.assemble(beta, gamma)
         omega = self.problem.solver.omega
-        if omega is None and (system.b > 0.0).any():
+        if omega is None:
             newest = self._history[-1][2] if self._history else None
             relax = relaxation(system, newest, self._relax)
             if relax is not self._relax:
@@ -534,7 +535,8 @@ _DP_E = (
 # the share of a step's error budget left to its film solves, and their
 # loosest tolerance (_step_solve_tol)
 _SOLVE_KAPPA, _SOLVE_TOL_MAX = 0.3, 1e-6
-_DP_E_SUM = sum(abs(e) for e in _DP_E)  # ~0.160
+# ~0.160, a plain left fold from 0.0: sum() of floats is compensated from Python 3.12
+_DP_E_SUM = reduce(lambda s, e: s + abs(e), _DP_E, 0.0)
 
 
 def _step_solve_tol(problem, abs_tol, rel_tol):
@@ -576,9 +578,9 @@ def _dp_step(f, y, v, g, h):
     called six times.  Returns (y_new, v_new, err_y, err_v, f7): f7, f's
     result at stage 7, is taken at the new state exactly (FSAL).
 
-    The tableau is unrolled, each combination as sum()'s left fold over
-    its terms: from 0.0 (so a -0.0 term gives +0.0), zero coefficients
-    kept, which makes every result bit-equal to the generic tableau sums.
+    The tableau is unrolled, each combination a plain left fold over its
+    terms: from 0.0 (so a -0.0 term gives +0.0), zero coefficients kept,
+    which makes every result bit-equal to the generic tableau folds.
     The last row of A is b, and b7 = 0 adds only +-0.0 to a fold that is
     never -0.0, so the new state is stage 7's argument.
     """
@@ -723,9 +725,7 @@ def integrate_trajectory(
     t_end : float
         Integration horizon, finite and positive.
     step_control : StepControl, optional
-        Error tolerances and contact guard, each range-checked when the
-        StepControl is built; the guard defaults to 1e-4 * eta0 and
-        must lie below eta0.
+        Error tolerances, range-checked when the StepControl is built.
 
     Returns
     -------
@@ -744,14 +744,14 @@ def integrate_trajectory(
     tolerances are _step_solve_tol's.
 
     One step loop serves both steppers and owns the controller: the caps
-    dt <= t_end - t and dt <= (eta1 - V1) / F - t (while a run from
-    eta1 > V1 coasts at G = -F, unless that is under 1e-12 t_end: a step
-    lands on G's kink in eta'), the weighted RMS error with scale
-    abs_tol + rel_tol max(|y|, |y_new|), acceptance at error <= 1, the
-    step factor 0.9 err^(-1/(q+1)) clamped to [0.2, 5] for an error
-    estimate of order q (5 at zero error), a retry at 0.2 h when the
-    error is not finite, and a retry at 0.25 h when a stage or the end
-    point falls to the contact guard.  A stepper contributes its
+    dt <= t_end - t and dt <= (eta1 - V1) / F - t with GEvaluator's V1
+    (while a run from eta1 > V1 coasts at G = -F, unless that is under
+    1e-12 t_end: a step lands on G's kink in eta'), the weighted RMS error
+    with scale abs_tol + rel_tol max(|y|, |y_new|), acceptance at error
+    <= 1, the step factor 0.9 err^(-1/(q+1)) clamped to [0.2, 5] for an
+    error estimate of order q (5 at zero error), a retry at 0.2 h when
+    the error is not finite, and a retry at 0.25 h when a stage or the
+    end point falls to the contact guard.  A stepper contributes its
     step, its exponent and what follows an accepted step.
 
     The stiff switch.  The run starts with the embedded Dormand-Prince
@@ -769,19 +769,19 @@ def integrate_trajectory(
     stiff_from records its time.  Other shapes have no film Jacobian and
     stay on Dormand-Prince.
 
-    The run ends with CONTACT_GUARD when the height falls to the guard
-    and with STEP_FAILURE when the controller underflows 1e-12 * t_end or
-    an accepted step would add a sample beyond _MAX_SAMPLES.  That step
-    is dropped: the trajectory holds at most _MAX_SAMPLES samples and the
-    termination time is that of its last sample.  ValueError, before any
-    film solve: t_end not finite and positive, or a contact guard not
-    below eta0 (StepControl checks the rest of its fields when built).
+    The run ends with CONTACT_GUARD when the height falls to the contact
+    guard _CONTACT_GUARD * eta0, and with STEP_FAILURE when the controller
+    underflows 1e-12 * t_end or an accepted step would add a sample beyond
+    _MAX_SAMPLES.  That step is dropped: the trajectory holds at most
+    _MAX_SAMPLES samples and the termination time is that of its last
+    sample.  A t_end that is not finite and positive raises ValueError
+    before any film solve.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
     sc = step_control or StepControl()
     abs_tol, rel_tol = sc.abs_tol, sc.rel_tol
-    eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
+    eps_contact = _CONTACT_GUARD * problem.eta0
     dt_min = _DT_MIN_FRACTION * t_end
     ev = GEvaluator(problem)
     c1 = c1_constant(problem.shape, problem.grid.domain)
@@ -841,8 +841,6 @@ def integrate_trajectory(
     stiff_from = jac = None  # jac: the Jacobian (dG/deta, dG/deta') once on RODAS 4(3)
     flat = problem.shape.kind is ShapeKind.FLAT
     expo = -0.2  # the controller exponent, -1/(1 + the error estimate's order)
-    if y <= eps_contact:
-        raise ValueError("eta0 is already at the contact guard")
 
     g, load, iters = f(y, v)
     record(t, y, v, g, load, iters)

@@ -165,9 +165,10 @@ _RADAU_A = (
     ((296.0 + 169.0 * _S6) / 1800.0, (88.0 + 7.0 * _S6) / 360.0, (-2.0 - 3.0 * _S6) / 225.0),
     ((16.0 - _S6) / 36.0, (16.0 + _S6) / 36.0, 1.0 / 9.0),
 )
+# A^2 by plain left folds from 0.0: sum() of floats is compensated from Python 3.12
 _RADAU_A2 = tuple(
-    tuple(sum(_RADAU_A[i][k] * _RADAU_A[k][j] for k in range(3)) for j in range(3))
-    for i in range(3)
+    tuple(0.0 + a0 * c0 + a1 * c1 + a2 * c2 for c0, c1, c2 in zip(*_RADAU_A))
+    for a0, a1, a2 in _RADAU_A
 )
 _RADAU_E = (-(13.0 + 7.0 * _S6) / 3.0, (-13.0 + 7.0 * _S6) / 3.0, -1.0 / 3.0)
 _RADAU_U = 30.0 / (6.0 + 81.0 ** (1.0 / 3.0) - 9.0 ** (1.0 / 3.0))

@@ -124,6 +124,7 @@ class FilmGeometry:
     h_v and h_h are the edge-midpoint heights of edge_midpoint_heights,
     grad is dh0/dx1 at the interior nodes (shape (ny, nx)).  Up to beta_max
     the diagonal, at most 4 (h0 + beta)^3 max(dx/dy, dy/dx), stays < float max / 2.
+    A height beyond the float range makes beta_max -inf or nan (Problem).
     """
 
     h_v: np.ndarray
@@ -134,10 +135,11 @@ class FilmGeometry:
 
 def film_geometry(grid: Grid, shape: SliderShape) -> FilmGeometry:
     """The beta-independent assembly data of a profile on a grid."""
-    h_v, h_h = edge_midpoint_heights(shape, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # FilmGeometry: inf or nan
+        h_v, h_h = edge_midpoint_heights(shape, grid)
+        grad = lattice_grad_x1(shape, grid)[1:-1, 1:-1]
     span = sys.float_info.max / (8.0 * max(grid.dx / grid.dy, grid.dy / grid.dx))
     beta_max = float(span ** (1.0 / 3.0) - max(h_v.max(), h_h.max()))
-    grad = lattice_grad_x1(shape, grid)[1:-1, 1:-1]
     return FilmGeometry(h_v=h_v, h_h=h_h, grad=grad, beta_max=beta_max)
 
 
@@ -554,7 +556,7 @@ def relaxation(
     only when its free set drifts; otherwise, and always for a start of
     None, the pair is a new estimate.  The free set must hold a node, so
     a cutoff system (b <= 0 everywhere) needs a start with a positive
-    entry; both callers skip the estimate there.
+    entry; solve_vi_psor then skips the estimate, GEvaluator the solve.
     """
     if start is not None and kept is not None and (
         np.count_nonzero((start > 0.0) != kept[0]) <= _FREE_SET_DRIFT * np.count_nonzero(kept[0])

@@ -159,9 +159,8 @@ def test_criterion_6_trajectory_bounds_and_energies():
             assert rep.passed, f"eta1={eta1}: worst violation {rep.worst_violation}"
             sweeps += traj.n_sweeps
             rejected += traj.n_rejected
-        # 47,821 sweeps and 97 rejected steps; the secant start with the
-        # start probe at tol took 83,009 and 121, every solve at tol 1e-9
-        # 119,864 and 123
+        # 47,821 sweeps and 97 rejected steps; the bound fails a return to
+        # the secant start or to solving every stage at tol 1e-9
         assert sweeps <= 51_850 and rejected <= 99, (sweeps, rejected)
 
 

@@ -156,7 +156,6 @@ NULLABLE = {
     "shape.alpha",
     "shape.table_path",
     "solver.omega",
-    "integrator.eps_contact",
     "gcurve.betas",
 }
 
@@ -232,11 +231,11 @@ class TestSchema:
             "grid": ["nx", "ny"],
             "physics": ["F", "eta0", "eta1"],
             "solver": ["omega", "tol"],
-            "integrator": ["abs_tol", "eps_contact", "rel_tol", "t_end"],
+            "integrator": ["abs_tol", "rel_tol", "t_end"],
             "steady": ["beta_init", "tol_residual"],
             "gcurve": ["betas"],
         }
-        assert sum(map(len, keys.values())) + 1 == 22  # and the seed
+        assert sum(map(len, keys.values())) + 1 == 21  # and the seed
 
     def test_readme_schema_table_matches_run_config(self):
         header, rows = readme_table("Configuration")
@@ -256,7 +255,7 @@ class TestSchema:
         expected["seed"] = RunConfig().seed
         assert list(documented) == list(expected)
         assert documented == expected
-        assert len(rows) == 22
+        assert len(rows) == 21
         # a null value is documented with a meaning exactly where the parser takes one
         assert {key.strip("`") for key, *_, null in rows if null != "—"} == NULLABLE
 
@@ -347,6 +346,7 @@ class TestSchema:
         [
             ("solver.max_iter", "solver.max_iter"),
             ("integrator.max_samples", "integrator.max_samples"),
+            ("integrator.eps_contact", "integrator.eps_contact"),
             ("steady.max_expansions", "steady.max_expansions"),
             ("steady.max_bisections", "steady.max_bisections"),
             # the oracle section is gone whole, so the unknown key is the section
@@ -357,8 +357,8 @@ class TestSchema:
         ],
     )
     def test_work_budget_is_unknown(self, tmp_path, capsys, key, path):
-        # the solver, integrator, search and verify work budgets are
-        # constants, so no key sets them
+        # the solver, integrator, search and verify work budgets and the
+        # contact guard are constants, so no key sets them
         section, _, name = key.partition(".")
         doc = {section: {name: 1} if name else {}}
         with pytest.raises(ParseError) as exc:
@@ -660,6 +660,21 @@ class TestMain:
         )
         err = capsys.readouterr().err
         assert err.startswith("error: assembly requires 0 < beta") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_domain_overflowing_the_profile_is_usage_error(self, tmp_path, capsys, command):
+        # |x1|^alpha overflows on this domain: building the problem rejects it,
+        # where sup_height raised OverflowError and, under the suite's
+        # error::RuntimeWarning filter, film_geometry's array power failed
+        doc = {"domain": {"x1_min": -1, "x1_max": 1e300, "x2_min": -1, "x2_max": 1},
+               "grid": {"nx": 8, "ny": 8}}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain: ") and err.count("\n") == 1
+        assert not any(out.iterdir())
 
     def test_json_artifacts_refuse_non_finite(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 import math
+import operator
 import re
 from dataclasses import FrozenInstanceError, replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
+import sliderfilm.dynamics as dynamics
 from sliderfilm.dynamics import (
     _DP_A,
     _DP_B5,
@@ -128,7 +131,6 @@ class TestGEvaluatorFastPaths:
     def test_flat_run_makes_no_solve(self, unit_domain, monkeypatch):
         # a decay into the stiff phase, omega unset: neither PSOR nor the
         # relaxation estimate is reached, and every sample reports 0 sweeps
-        import sliderfilm.dynamics as dynamics
         import sliderfilm.vi_solver as vi_solver
 
         def unreachable(*args, **kwargs):
@@ -347,9 +349,10 @@ class TestInitialStep:
         assert len(short) == len(long) == 2
         assert short.t[1] == long.t[1]
 
-    def test_probe_below_the_guard_ends_at_the_guard(self, unit_domain):
+    def test_probe_below_the_guard_ends_at_the_guard(self, unit_domain, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CONTACT_GUARD", 0.999)
         prob = make_problem(SliderShape.flat(), unit_domain, n=8, eta0=1.0, eta1=-1.0)
-        sc = StepControl(eps_contact=0.999)
+        sc = StepControl()
         ev = GEvaluator(prob)
         probes = []
 
@@ -358,7 +361,7 @@ class TestInitialStep:
             return ev.eval(y, v)
 
         _initial_step(f, 1.0, -1.0, -1.0, ev.eval(1.0, -1.0)[0], sc.abs_tol, sc.rel_tol, 5.0)
-        assert probes[0] <= sc.eps_contact
+        assert probes[0] <= 0.999 * prob.eta0
         traj = integrate_trajectory(prob, 5.0, sc)
         assert traj.termination.kind is TerminationKind.CONTACT_GUARD
         assert len(traj) == 1 and traj.termination.time == 0.0
@@ -434,8 +437,6 @@ class TestSingleFilmSolvePath:
 
     @pytest.fixture
     def psor_calls(self, monkeypatch):
-        import sliderfilm.dynamics as dynamics
-
         calls = []
         real = dynamics.solve_vi_psor
 
@@ -575,23 +576,27 @@ class TestSingleFilmSolvePath:
             assert (fld.residual_comp, fld.residual_lin) == (ref.residual_comp, ref.residual_lin)
 
     def test_unset_omega_cutoff_solve_estimates_nothing(self, domain_sym):
-        # just below V1 the load vector of the line contact is nonpositive at
-        # every node, so the solve returns the exact zero field without a sweep
-        # or an estimate, cold or warm, and a later solve still estimates anew
+        # V1 is the grid's exact cutoff: below it the load vector has a
+        # positive entry, from it on none.  Between it and the continuum
+        # bound compute_V1 the field is the zero one with no solve and no
+        # estimate, cold or warm, and it leaves the chain as it was
         prob = Problem(shape=SliderShape.line_contact(2.0), grid=build_grid(domain_sym, 16, 16),
                        F=1.0, eta0=0.5, eta1=0.0, solver=SolverParams(tol=1e-9))
         cold = GEvaluator(prob)
-        gamma = cold.V1 - 1e-3
-        assert np.all(prob.assemble(0.3, gamma).b <= 0.0)
+        assert np.any(prob.assemble(0.3, math.nextafter(cold.V1, -math.inf)).b > 0.0)
+        assert np.all(prob.assemble(0.3, cold.V1).b <= 0.0)
+        gamma = compute_V1(prob.shape, prob.grid) - 1e-3
+        assert cold.V1 < gamma
         assert cold.eval(0.3, gamma) == (-prob.F, 0.0, 0)
-        assert (cold.n_solves, cold.n_sweeps, cold.n_omega_estimates) == (1, 0, 0)
-        warm = GEvaluator(prob)
+        assert (cold.n_solves, cold.n_sweeps, cold.n_omega_estimates) == (0, 0, 0)
+        warm, ref = GEvaluator(prob), GEvaluator(prob)
         warm.eval(0.3, -0.3)
         assert warm.n_omega_estimates == 1
         assert warm.eval(0.3, gamma) == (-prob.F, 0.0, 0)
-        assert warm.n_omega_estimates == 1
-        warm.eval(0.3, -0.3)  # from the zero field: the free set b > 0 is new
-        assert warm.n_omega_estimates == 2
+        assert (warm.n_solves, warm.n_omega_estimates) == (1, 1)
+        ref.eval(0.3, -0.3)
+        assert warm.eval(0.31, -0.3) == ref.eval(0.31, -0.3)
+        assert (warm.n_solves, warm.n_omega_estimates) == (ref.n_solves, ref.n_omega_estimates)
 
     def test_comparison_check_on_empty_region_solves_nothing(self, psor_calls, domain_sym):
         prob = self._problem(SliderShape.line_contact(2.0), domain_sym)
@@ -656,7 +661,7 @@ class TestSingleFilmSolvePath:
     def test_problem_rejects_non_finite_inputs(self, domain_sym, name, value):
         kwargs = dict(F=1.0, eta0=1.0, eta1=0.0)
         kwargs[name] = value
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name}: must be finite"):
             Problem(shape=SliderShape.flat(), grid=build_grid(domain_sym, 6, 6), **kwargs)
 
 
@@ -674,8 +679,6 @@ class TestStepSolveTolerance:
         assert step_tol(-0.5, 1e-3) == 1e-6  # the ceiling
 
     def test_start_at_the_solver_tol_stages_at_their_step_tol(self, domain_sym, monkeypatch):
-        import sliderfilm.dynamics as dynamics
-
         tols, real = [], dynamics.solve_vi_psor
 
         def recorder(system, **kwargs):
@@ -741,8 +744,6 @@ class TestStepSolveTolerance:
 
     def test_transient_within_rel_tol_of_a_tight_reference(self, domain_sym, monkeypatch):
         # the CI transient against a run at solve tol 1e-13, rel_tol 1e-11
-        import sliderfilm.dynamics as dynamics
-
         grid = build_grid(domain_sym, 32, 32)
 
         def run(tol, sc):
@@ -810,14 +811,12 @@ class TestBoundsReport:
 
 
 class TestInputChecks:
-    """integrate_trajectory rejects a horizon, tolerance or contact guard
-    with no meaning before it makes any film solve; a StepControl rejects
-    its own fields when built, so each one is built inside the test."""
+    """integrate_trajectory rejects a horizon or tolerance with no meaning
+    before it makes any film solve; a StepControl rejects its own fields
+    when built, so each one is built inside the test."""
 
     @staticmethod
     def _run(monkeypatch, t_end, control):
-        import sliderfilm.dynamics as dynamics
-
         def unreachable(*args, **kwargs):
             raise AssertionError("a film solve was reached")
 
@@ -837,10 +836,6 @@ class TestInputChecks:
             (1.0, dict(abs_tol=math.nan)),
             (1.0, dict(rel_tol=math.inf)),
             (1.0, dict(abs_tol=math.inf)),
-            (1.0, dict(eps_contact=0.0)),
-            (1.0, dict(eps_contact=-1.0)),
-            (1.0, dict(eps_contact=math.nan)),
-            (1.0, dict(eps_contact=math.inf)),
             (0.0, None),
             (-1.0, None),
             (math.nan, None),
@@ -849,7 +844,6 @@ class TestInputChecks:
         ids=[
             "tols_zero", "tols_negative", "rel_tol_zero", "abs_tol_negative",
             "rel_tol_nan", "abs_tol_nan", "rel_tol_inf", "abs_tol_inf",
-            "eps_contact_zero", "eps_contact_negative", "eps_contact_nan", "eps_contact_inf",
             "t_end_zero", "t_end_negative", "t_end_nan", "t_end_inf",
         ],
     )
@@ -858,8 +852,9 @@ class TestInputChecks:
             self._run(monkeypatch, t_end, control)
 
     def test_valid_input_reaches_the_solve(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CONTACT_GUARD", 2e-3)  # 1e-3 at eta0 0.5
         with pytest.raises(AssertionError, match="film solve was reached"):
-            self._run(monkeypatch, 1.0, dict(eps_contact=1e-3))
+            self._run(monkeypatch, 1.0, {})
 
 
 class TestIntegration:
@@ -883,18 +878,22 @@ class TestIntegration:
 
     @pytest.mark.parametrize("variant", ["flat", "line"])
     def test_a_sample_lands_on_the_end_of_the_coast(self, unit_domain, domain_sym, variant):
-        # G = -F exactly while eta' >= V1 and has a kink in eta' where that
-        # ends, at t = (eta1 - V1) / F: a step ends there, not across it
+        # G = -F exactly while eta' >= V1, the evaluator's grid cutoff, and
+        # has a kink in eta' where that ends, at t = (eta1 - V1) / F: a step
+        # ends there, not across it.  On the line contact that is past the
+        # end of a coast at the continuum bound compute_V1
         if variant == "flat":
             shape, domain, n = SliderShape.flat(), unit_domain, 16
         else:
             shape, domain, n = SliderShape.line_contact(2.0), domain_sym, 8
-        v1 = compute_V1(shape, build_grid(domain, n, n))
-        prob = make_problem(shape, domain, n=n, F=2.0, eta0=1.0, eta1=v1 + 0.5)
+        eta1 = compute_V1(shape, build_grid(domain, n, n)) + 0.5
+        prob = make_problem(shape, domain, n=n, F=2.0, eta0=1.0, eta1=eta1)
+        v1 = GEvaluator(prob).V1
+        t_kink = (eta1 - v1) / 2.0
         traj = integrate_trajectory(prob, 1.0, StepControl())
         assert traj.termination.kind is TerminationKind.REACHED_HORIZON
-        k = int(np.argmin(np.abs(traj.t - 0.25)))
-        assert abs(traj.t[k] - 0.25) <= 4.0 * math.ulp(0.25)
+        k = int(np.argmin(np.abs(traj.t - t_kink)))
+        assert abs(traj.t[k] - t_kink) <= 4.0 * math.ulp(t_kink)
         assert np.all(traj.G[: k + 1] == -2.0) and traj.G[k + 1] > -2.0
         assert traj.eta_dot[k] == pytest.approx(v1, abs=1e-12)
 
@@ -918,11 +917,10 @@ class TestIntegration:
         assert np.array_equal(traj.E1, e1)
         assert np.max(np.abs(traj.E2 - e2)) <= 1e-14
 
-    def test_contact_guard_fires(self, unit_domain):
+    def test_contact_guard_fires(self, unit_domain, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CONTACT_GUARD", 0.5)
         prob = make_problem(SliderShape.flat(), unit_domain, n=16, eta0=1.0, eta1=-1.0)
-        traj = integrate_trajectory(
-            prob, 5.0, StepControl(eps_contact=0.5)
-        )
+        traj = integrate_trajectory(prob, 5.0, StepControl())
         assert traj.termination.kind is TerminationKind.CONTACT_GUARD
         assert np.all(traj.eta > 0.5)
         assert traj.termination.time <= 5.0
@@ -975,15 +973,21 @@ class TestIntegration:
         assert np.array_equal(data[:, 1], traj.eta)
 
 
+def fold(terms):
+    """The plain left fold 0.0 + t0 + t1 + ...: sum() of floats is
+    compensated from Python 3.12."""
+    return reduce(operator.add, terms, 0.0)
+
+
 def generic_dp_columns(problem, t_end, sc):
     """The Dormand-Prince loop applied through the generic tableau sums.
 
     Same controller, guard, FSAL bookkeeping, start-probe and per-step
-    solve tolerances as integrate_trajectory, with every stage combination written as
-    sum(a[r] * k[r] ...) over the coefficient tables and the energies
-    computed per sample in Python.
+    solve tolerances as integrate_trajectory, with every stage combination
+    written as a left fold from 0.0 of a[r] * k[r] over the coefficient
+    tables and the energies computed per sample in Python.
     """
-    eps_contact = sc.eps_contact if sc.eps_contact is not None else 1e-4 * problem.eta0
+    eps_contact = dynamics._CONTACT_GUARD * problem.eta0
     dt_min = _DT_MIN_FRACTION * t_end
     ev = GEvaluator(problem)
     step_tol = _step_solve_tol(problem, sc.abs_tol, sc.rel_tol)
@@ -1021,8 +1025,8 @@ def generic_dp_columns(problem, t_end, sc):
         contact = False
         for s in range(1, 7):
             a = _DP_A[s]
-            ys = y + dt * sum(a[r] * ky[r] for r in range(s))
-            vs = v + dt * sum(a[r] * kv[r] for r in range(s))
+            ys = y + dt * fold(a[r] * ky[r] for r in range(s))
+            vs = v + dt * fold(a[r] * kv[r] for r in range(s))
             if ys <= eps_contact:
                 contact = True
                 break
@@ -1034,10 +1038,10 @@ def generic_dp_columns(problem, t_end, sc):
             dt *= 0.25
             n_rejected += 1
             continue
-        y5 = y + dt * sum(_DP_B5[s] * ky[s] for s in range(7))
-        v5 = v + dt * sum(_DP_B5[s] * kv[s] for s in range(7))
-        err_y = dt * sum(_DP_E[s] * ky[s] for s in range(7))
-        err_v = dt * sum(_DP_E[s] * kv[s] for s in range(7))
+        y5 = y + dt * fold(_DP_B5[s] * ky[s] for s in range(7))
+        v5 = v + dt * fold(_DP_B5[s] * kv[s] for s in range(7))
+        err_y = dt * fold(_DP_E[s] * ky[s] for s in range(7))
+        err_v = dt * fold(_DP_E[s] * kv[s] for s in range(7))
         sy = sc.abs_tol + sc.rel_tol * max(abs(y), abs(y5))
         sv = sc.abs_tol + sc.rel_tol * max(abs(v), abs(v5))
         err = math.sqrt(0.5 * ((err_y / sy) ** 2 + (err_v / sv) ** 2))
@@ -1058,7 +1062,8 @@ def generic_dp_columns(problem, t_end, sc):
     return done(TerminationKind.REACHED_HORIZON)
 
 
-# (variant, eta0, eta1, t_end, eps_contact): each stays on Dormand-Prince throughout
+# (variant, eta0, eta1, t_end, guard): each stays on Dormand-Prince throughout;
+# guard is dynamics._CONTACT_GUARD for the case, None keeping the default
 UNROLLED_CASES = [
     ("flat", 1.0, -0.5, 2.5, None),  # the stiff switch would come at t ~ 2.85
     ("flat", 1.0, -1.0, 5.0, 0.3),  # stage probes below the guard at t ~ 1.86 < 2.37, the switch
@@ -1067,16 +1072,18 @@ UNROLLED_CASES = [
 
 
 class TestUnrolledStages:
-    @pytest.mark.parametrize("variant, eta0, eta1, t_end, eps_contact", UNROLLED_CASES)
+    @pytest.mark.parametrize("variant, eta0, eta1, t_end, guard", UNROLLED_CASES)
     def test_columns_equal_generic_tableau_loop(
-        self, domain_sym, variant, eta0, eta1, t_end, eps_contact
+        self, domain_sym, monkeypatch, variant, eta0, eta1, t_end, guard
     ):
+        if guard is not None:
+            monkeypatch.setattr(dynamics, "_CONTACT_GUARD", guard)
         if variant == "flat":
             prob = make_problem(SliderShape.flat(), domain_sym, n=16, eta0=eta0, eta1=eta1)
         else:
             shape = SliderShape.line_contact(2.0)
             prob = make_problem(shape, domain_sym, n=8, eta0=eta0, eta1=eta1)
-        sc = StepControl(eps_contact=eps_contact)
+        sc = StepControl()
         traj = integrate_trajectory(prob, t_end, sc)
         cols, kind, n_rejected = generic_dp_columns(prob, t_end, sc)
         assert traj.n_rejected == n_rejected > 0
@@ -1191,7 +1198,7 @@ class TestStiffSwitch:
         assert traj.termination.kind is TerminationKind.REACHED_HORIZON
         assert 0.0 < traj.stiff_from < 5.0
         assert traj.stiff_from in traj.t
-        assert len(traj) < 265  # about 10% above the measured 235 and 239
+        assert len(traj) < 265  # about 10% above the measured sample counts
         assert traj.monitor.passed
 
     @pytest.mark.parametrize("eta1", [-0.5, 0.5])
@@ -1209,16 +1216,18 @@ class TestStiffSwitch:
         drift = np.abs(traj.eta_dot[after] - load + m.F * traj.t[after] - I0)
         assert np.all(drift <= 5e-6 * np.maximum(1.0, load)), np.max(drift / np.maximum(1.0, load))
 
-    @pytest.mark.parametrize("variant, eta0, eta1, t_end, eps_contact", UNROLLED_CASES)
+    @pytest.mark.parametrize("variant, eta0, eta1, t_end, guard", UNROLLED_CASES)
     def test_unrolled_stage_cases_stay_explicit(
-        self, domain_sym, variant, eta0, eta1, t_end, eps_contact
+        self, domain_sym, monkeypatch, variant, eta0, eta1, t_end, guard
     ):
+        if guard is not None:
+            monkeypatch.setattr(dynamics, "_CONTACT_GUARD", guard)
         if variant == "flat":
             prob = make_problem(SliderShape.flat(), domain_sym, n=16, eta0=eta0, eta1=eta1)
         else:
             prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=8, eta0=eta0,
                                 eta1=eta1)
-        traj = integrate_trajectory(prob, t_end, StepControl(eps_contact=eps_contact))
+        traj = integrate_trajectory(prob, t_end, StepControl())
         assert traj.stiff_from is None
 
     @pytest.mark.parametrize("eta1", [-0.5, 0.5])
@@ -1231,8 +1240,6 @@ class TestStiffSwitch:
     def test_non_flat_run_never_switches(self, domain_sym, monkeypatch):
         # a settled line contact; with every step stiff, a flat run would
         # switch at its first accepted step
-        import sliderfilm.dynamics as dynamics
-
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12, eta1=-0.5)
         control = StepControl(rel_tol=1e-6, abs_tol=1e-9)
         ref = integrate_trajectory(prob, 50.0, control)
@@ -1262,9 +1269,11 @@ class TestStiffSwitch:
         assert len(traj) == cap
         self._assert_prefix_of_full_run(traj)
 
-    def test_contact_guard_on_the_stiff_path(self):
+    def test_contact_guard_on_the_stiff_path(self, monkeypatch):
         eps = 0.05  # below the height at the switch, above the height at t = 200
-        traj = integrate_trajectory(self._decay(), 200.0, StepControl(eps_contact=eps))
+        monkeypatch.setattr(dynamics, "_CONTACT_GUARD", eps)  # eta0 is 1
+        traj = integrate_trajectory(self._decay(), 200.0, StepControl())
+        monkeypatch.undo()
         assert traj.termination.kind is TerminationKind.CONTACT_GUARD
         assert traj.stiff_from < traj.termination.time < 200.0
         assert np.all(traj.eta > eps) and traj.eta[-1] <= 2.0 * eps
@@ -1273,11 +1282,10 @@ class TestStiffSwitch:
     def test_contact_guard_on_a_stiff_end_point(self, monkeypatch):
         # a RODAS 4(3) step that ends below the guard is retried smaller, as
         # a stage below the guard is; its end point is never evaluated
-        import sliderfilm.dynamics as dynamics
-
         eps = 1e-3
+        monkeypatch.setattr(dynamics, "_CONTACT_GUARD", eps)  # eta0 is 1
         monkeypatch.setattr(dynamics, "_rodas4_step", lambda f, y, v, *_: (0.5 * eps, v, 0.0, 0.0))
-        traj = integrate_trajectory(self._decay(), 200.0, StepControl(eps_contact=eps))
+        traj = integrate_trajectory(self._decay(), 200.0, StepControl())
         monkeypatch.undo()
         assert traj.termination.kind is TerminationKind.CONTACT_GUARD
         assert traj.termination.time == traj.stiff_from
@@ -1286,8 +1294,6 @@ class TestStiffSwitch:
     def test_error_rejection_on_the_stiff_path(self, monkeypatch):
         # the first RODAS 4(3) step reports an error of about 8 tolerances;
         # its retry is shrunk by the rule of its order-3 estimate, 0.9 err^(-1/4)
-        import sliderfilm.dynamics as dynamics
-
         real_step, control, steps = dynamics._rodas4_step, StepControl(), []
 
         def step(f, y, v, g, jb, jg, h):
@@ -1315,8 +1321,6 @@ class TestStiffSwitch:
     def test_loose_tolerance_switches(self, monkeypatch):
         # a loose tolerance takes large steps early; the test at _STIFF_RHO
         # switches earlier than at DOPRI5's 3.25 and saves steps
-        import sliderfilm.dynamics as dynamics
-
         monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 5000)
         control = StepControl(rel_tol=1e-3)
         traj = integrate_trajectory(self._decay(), 200.0, control)
@@ -1331,11 +1335,8 @@ class TestStiffSwitch:
 
     @pytest.mark.parametrize("eta1", [-0.5, 0.5])
     def test_threshold_takes_no_more_samples_than_half_or_twice_it(self, monkeypatch, eta1):
-        # _STIFF_RHO is set for RODAS 4(3) by sample count: at 0.625, 1.25
-        # and 2.5 this decay takes 237, 235 and 284 samples from eta1 -0.5
-        # and 241, 239 and 288 from +0.5
-        import sliderfilm.dynamics as dynamics
-
+        # _STIFF_RHO is set for RODAS 4(3) by sample count: from either
+        # eta1, this decay takes no fewer samples at half or twice it
         control, shipped, samples = StepControl(rel_tol=1e-6, abs_tol=1e-9), dynamics._STIFF_RHO, {}
         for rho in (0.5 * shipped, shipped, 2.0 * shipped):
             monkeypatch.setattr(dynamics, "_STIFF_RHO", rho)
@@ -1349,8 +1350,6 @@ class TestStiffSwitch:
         # stiff_from is the first sample k with (t_k - t_(k-1)) rho(J_k) above
         # _STIFF_RHO, rho the spectral radius of [[0, 1], [dG/deta, dG/deta']]
         # at sample k
-        import sliderfilm.dynamics as dynamics
-
         prob = self._decay()
         traj = integrate_trajectory(prob, 200.0, StepControl(rel_tol=rel_tol))
         ev = GEvaluator(prob)

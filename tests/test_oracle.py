@@ -171,8 +171,8 @@ class TestIntegratorReference:
     @pytest.mark.parametrize(
         "eta1, t_end, bound",
         [
-            # measured 4.4e-8, 1.3e-7, 1.9e-7 and 1.9e-7; a unit load
-            # scaled by 1 + 2e-5 reads 9.7e-6 to 1.0e-5
+            # about ten times the measured gaps, and below those of a unit
+            # load scaled by 1 + 2e-5, which read 9.7e-6 to 1.0e-5
             (-0.5, 10.0, 2e-6),
             (-0.5, 200.0, 2e-6),
             (0.5, 10.0, 2e-6),

@@ -12,6 +12,10 @@ from sliderfilm.geometry import DomainRect, ShapeKind, SliderShape, build_grid
 
 NAN, INF = math.nan, math.inf
 GRID = partial(build_grid, DomainRect(-1.0, 1.0, -1.0, 1.0))
+FLAT = partial(Problem, SliderShape.flat(), GRID(nx=8, ny=8))
+# |x1|^2 overflows on this domain
+WIDE = partial(Problem, SliderShape.line_contact(2.0),
+               build_grid(DomainRect(-1.0, 1e300, -1.0, 1.0), 8, 8))
 
 # (constructor, keyword arguments, the field the error names)
 BAD = [
@@ -32,10 +36,6 @@ BAD = [
     (StepControl, dict(abs_tol=-1e-9), "abs_tol"),
     (StepControl, dict(abs_tol=NAN), "abs_tol"),
     (StepControl, dict(abs_tol=INF), "abs_tol"),
-    (StepControl, dict(eps_contact=0.0), "eps_contact"),
-    (StepControl, dict(eps_contact=-1.0), "eps_contact"),
-    (StepControl, dict(eps_contact=NAN), "eps_contact"),
-    (StepControl, dict(eps_contact=INF), "eps_contact"),
     (DomainRect, dict(x1_min=-INF, x1_max=1.0, x2_min=-1.0, x2_max=1.0), "x1_min"),
     (DomainRect, dict(x1_min=-1.0, x1_max=INF, x2_min=-1.0, x2_max=1.0), "x1_max"),
     (DomainRect, dict(x1_min=-1.0, x1_max=1.0, x2_min=NAN, x2_max=1.0), "x2_min"),
@@ -56,6 +56,10 @@ BAD = [
     (GRID, dict(nx="8", ny=8), "nx"),
     (GRID, dict(nx=2, ny=4), "nx"),
     (GRID, dict(nx=4, ny=-1), "ny"),
+    (FLAT, dict(F=0.0, eta0=1.0, eta1=0.0), "F"),
+    (FLAT, dict(F=1.0, eta0=-1.0, eta1=0.0), "eta0"),
+    (FLAT, dict(F=1.0, eta0=1.0, eta1=NAN), "eta1"),
+    (WIDE, dict(F=1.0, eta0=1.0, eta1=0.0), "domain"),
 ]
 
 

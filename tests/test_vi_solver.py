@@ -585,7 +585,7 @@ class TestYoungOmega:
     def test_fully_free_64_square_relaxes_as_the_laplacian_optimum(self, domain_sym):
         # the Lanczos run grows with the free set, so a larger fully free
         # square still reaches Young's optimum: no more sweeps than at
-        # suggested_omega (a fixed 24 steps took 231 against 186 here)
+        # suggested_omega, where a fixed 24-step run took more
         grid = build_grid(domain_sym, 64, 64)
         system = assemble_system(grid, SliderShape.flat(), 1.0, -1.0)
         rule = solve_vi_psor(system)
