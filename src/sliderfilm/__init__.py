@@ -13,7 +13,6 @@ from .errors import (
     InvalidDomain,
     NoConvergence,
     NonPositiveClearance,
-    OutOfDomain,
     ParseError,
     SliderFilmError,
     TooCoarse,
@@ -29,8 +28,6 @@ from .geometry import (
     build_grid,
     compute_V1,
     contact_box,
-    eval_gradient_x1,
-    eval_height,
 )
 from .vi_solver import (
     DiscreteSystem,

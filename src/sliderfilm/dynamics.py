@@ -788,26 +788,25 @@ def integrate_trajectory(
     F = problem.F
     t_coast = (problem.eta1 - ev.V1) / F  # G = -F until then (Notes)
 
-    ts, etas, vels, gs, loads = (array("d") for _ in range(5))
+    ts, etas, vels, loads = (array("d") for _ in range(4))
     sweeps = array("q")
 
-    def record(t, eta, v, g, load, iters):
+    def record(t, eta, v, load, iters):
         ts.append(t)
         etas.append(eta)
         vels.append(v)
-        gs.append(g)
         loads.append(load)
         sweeps.append(iters)
 
     def finish(kind, time, detail=""):
-        eta, eta_dot = np.frombuffer(etas), np.frombuffer(vels)
+        eta, eta_dot, load = np.frombuffer(etas), np.frombuffer(vels), np.frombuffer(loads)
         energy1 = 0.5 * eta_dot * eta_dot + F * eta
         traj = Trajectory(
             t=np.frombuffer(ts),
             eta=eta,
             eta_dot=eta_dot,
-            G=np.frombuffer(gs),
-            load=np.frombuffer(loads),
+            G=load - F,  # GEvaluator.eval's G, the same subtraction
+            load=load,
             E1=energy1,
             E2=energy1 + (c1 / (2.0 * eta * eta) if c1 else 0.0),
             psor_iters=np.frombuffer(sweeps, dtype=np.int64),
@@ -843,7 +842,7 @@ def integrate_trajectory(
     expo = -0.2  # the controller exponent, -1/(1 + the error estimate's order)
 
     g, load, iters = f(y, v)
-    record(t, y, v, g, load, iters)
+    record(t, y, v, load, iters)
     solve_tol = max(problem.solver.tol, _SOLVE_TOL_MAX)
     dt = _initial_step(f, y, v, v, g, abs_tol, rel_tol, t_end)
 
@@ -894,7 +893,7 @@ def integrate_trajectory(
             g, load, iters = f_new
         else:
             g, load, iters = f(y, v)
-        record(t, y, v, g, load, iters)
+        record(t, y, v, load, iters)
         if jac is not None:
             jac = ev.jacobian(y, v)
         elif flat:
@@ -999,8 +998,8 @@ def spring_damper_decomposition(
     q1 = solve_linear(system, tol=1e-11, mask=mask)  # b at gamma=0 is the wedge load
     ones = np.full_like(system.b, grid.cell_area)
     q2 = solve_linear(system, rhs_override=ones, tol=1e-11, mask=mask)
-    F_S = float(np.sum(q1.values[mask])) * grid.cell_area
-    d = float(np.sum(q2.values[mask])) * grid.cell_area
+    F_S = load_integral(q1, grid)  # solve_linear leaves 0 outside the mask
+    d = load_integral(q2, grid)
 
     checks = []
     ev = GEvaluator(problem)

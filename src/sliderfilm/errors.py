@@ -10,10 +10,6 @@ class SliderFilmError(Exception):
     """Base class for all package errors."""
 
 
-class OutOfDomain(SliderFilmError):
-    """Point query outside the closed domain (tabulated shapes)."""
-
-
 class BoxOutsideDomain(SliderFilmError):
     """Requested contact box does not fit strictly inside the domain."""
 

@@ -3,8 +3,10 @@
 The gap between the moving plane and the slider is h0(x) + eta(t), with
 h0 >= 0 vanishing where the slider comes closest to the plane.  Three
 analytic profiles are supported (vanishing on a line, at a point, or
-identically flat) together with tabulated profiles given nodewise.
-All quantities are dimensionless.
+identically flat) together with tabulated profiles given nodewise.  A
+profile is read on a grid's node lattice only: lattice_heights,
+lattice_grad_x1 and edge_midpoint_heights.  All quantities are
+dimensionless.
 """
 
 import math
@@ -18,7 +20,6 @@ from .errors import (
     BoxOutsideDomain,
     InvalidDomain,
     NonPositiveClearance,
-    OutOfDomain,
     TooCoarse,
     UnsupportedShape,
     ValidationError,
@@ -34,8 +35,6 @@ __all__ = [
     "BoxKind",
     "build_grid",
     "check_node_count",
-    "eval_height",
-    "eval_gradient_x1",
     "compute_V1",
     "contact_box",
     "sup_height",
@@ -49,7 +48,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DomainRect:
-    """Axis-aligned rectangle containing the origin strictly in its interior."""
+    """Axis-aligned rectangle containing the origin strictly in its interior,
+    whose side lengths and their squares are finite floats (so is its area,
+    which is at most the larger square)."""
 
     x1_min: float
     x1_max: float
@@ -66,6 +67,12 @@ class DomainRect:
             raise InvalidDomain(contains.format("x1"), path="x1_min")
         if not self.x2_min < 0.0 < self.x2_max:
             raise InvalidDomain(contains.format("x2"), path="x2_min")
+        for axis, length in (("x1", self.length1), ("x2", self.length2)):
+            if not math.isfinite(length * length):
+                raise InvalidDomain(
+                    f"the side {axis}_max - {axis}_min and its square must be finite floats",
+                    path=f"{axis}_min",
+                )
 
     @property
     def length1(self) -> float:
@@ -260,36 +267,6 @@ def _grad_x1_analytic(shape: SliderShape, x1, x2):
     raise UnsupportedShape("analytic evaluation undefined for tabulated shapes")
 
 
-def _tabulated_lookup(table: TabulatedData, x1: float, x2: float, arr: np.ndarray) -> float:
-    xs, ys = table.xs, table.ys
-    tol = 1e-9 * max(xs[-1] - xs[0], ys[-1] - ys[0])
-    if not (xs[0] - tol <= x1 <= xs[-1] + tol and ys[0] - tol <= x2 <= ys[-1] + tol):
-        raise OutOfDomain(f"point ({x1}, {x2}) outside the tabulated domain")
-    i = int(np.argmin(np.abs(xs - x1)))
-    j = int(np.argmin(np.abs(ys - x2)))
-    return float(arr[j, i])
-
-
-def eval_height(shape: SliderShape, x: tuple[float, float]) -> float:
-    """Gap profile h0 at a point of the closed domain."""
-    x1, x2 = x
-    if shape.kind is ShapeKind.TABULATED:
-        return _tabulated_lookup(shape.table, x1, x2, shape.table.heights)
-    return float(_height_analytic(shape, x1, x2))
-
-
-def eval_gradient_x1(shape: SliderShape, x: tuple[float, float]) -> float:
-    """Slope of h0 along the sliding direction.
-
-    For alpha == 1 the profile has a slope jump on the contact set; the
-    convention there is to return 0 (see SliderShape.gradient_kink).
-    """
-    x1, x2 = x
-    if shape.kind is ShapeKind.TABULATED:
-        return _tabulated_lookup(shape.table, x1, x2, shape.table.grad_x1)
-    return float(_grad_x1_analytic(shape, x1, x2))
-
-
 def lattice_heights(shape: SliderShape, grid: Grid) -> np.ndarray:
     """h0 on the full (ny+2, nx+2) node lattice, boundary included."""
     if shape.kind is ShapeKind.TABULATED:
@@ -388,7 +365,7 @@ class ContactBox:
 
     LINE_BOX is the open rectangle (x1_lo, x1_hi) x (x2_lo, x2_hi);
     SECTOR_BOX the annular sector rho in (rho_lo, rho_hi), theta within
-    theta_half of the negative x1 axis.
+    theta_half of the negative x1 axis.  region_node_mask gives its nodes.
     """
 
     kind: BoxKind
@@ -400,16 +377,6 @@ class ContactBox:
     rho_lo: float = 0.0
     rho_hi: float = 0.0
     theta_half: float = 0.0
-
-    def node_mask(self, grid: Grid) -> np.ndarray:
-        """Boolean (ny, nx) mask of interior nodes strictly inside the box."""
-        if self.kind is BoxKind.LINE_BOX:
-            return region_node_mask(grid, (self.x1_lo, self.x1_hi, self.x2_lo, self.x2_hi))
-        X1, X2 = grid.interior_mesh()
-        rho = np.hypot(X1, X2)
-        theta = np.arctan2(X2, X1)  # in (-pi, pi], contact direction at pi
-        dev = np.abs(np.pi - np.abs(theta))
-        return (rho > self.rho_lo) & (rho < self.rho_hi) & (dev < self.theta_half)
 
 
 def contact_box(
@@ -475,11 +442,17 @@ def contact_box(
 
 
 def region_node_mask(grid: Grid, region) -> np.ndarray:
-    """Interior-node mask of a ContactBox or (x1_lo, x1_hi, x2_lo, x2_hi) tuple."""
-    if isinstance(region, ContactBox):
-        return region.node_mask(grid)
-    x1_lo, x1_hi, x2_lo, x2_hi = region
+    """Boolean (ny, nx) mask of the interior nodes strictly inside region: a
+    ContactBox, or an (x1_lo, x1_hi, x2_lo, x2_hi) tuple for the open rectangle."""
     X1, X2 = grid.interior_mesh()
+    if isinstance(region, ContactBox):
+        if region.kind is BoxKind.SECTOR_BOX:
+            rho = np.hypot(X1, X2)
+            theta = np.arctan2(X2, X1)  # in (-pi, pi], contact direction at pi
+            dev = np.abs(np.pi - np.abs(theta))
+            return (rho > region.rho_lo) & (rho < region.rho_hi) & (dev < region.theta_half)
+        region = (region.x1_lo, region.x1_hi, region.x2_lo, region.x2_hi)
+    x1_lo, x1_hi, x2_lo, x2_hi = region
     return (X1 > x1_lo) & (X1 < x1_hi) & (X2 > x2_lo) & (X2 < x2_hi)
 
 

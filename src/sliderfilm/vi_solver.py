@@ -418,10 +418,10 @@ def solve_linear(
     system: DiscreteSystem,
     rhs_override: np.ndarray | None = None,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     mask: np.ndarray | None = None,
 ) -> PressureField:
-    """Unconstrained conjugate-gradient solve of A p = rhs.
+    """Unconstrained conjugate-gradient solve of A p = rhs, in at most
+    4 n + 200 iterations for n unknowns, else NoConvergence.
 
     With a boolean mask, solves the restriction of A to the masked nodes
     with zero values elsewhere (zero Dirichlet data on the inner
@@ -441,8 +441,7 @@ def solve_linear(
         n_unknown = int(np.count_nonzero(mask))
     else:
         n_unknown = system.n
-    if max_iter is None:
-        max_iter = 4 * n_unknown + 200
+    max_iter = 4 * n_unknown + 200
 
     bnorm = float(np.linalg.norm(rhs))
     zero = np.zeros_like(rhs)

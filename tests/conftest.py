@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from sliderfilm.geometry import DomainRect, SliderShape, TabulatedData, build_grid
+from sliderfilm.geometry import (
+    DomainRect,
+    SliderShape,
+    TabulatedData,
+    build_grid,
+    lattice_grad_x1,
+    lattice_heights,
+)
 from sliderfilm.vi_solver import solve_vi_psor
 
 
@@ -24,8 +31,6 @@ def tabulated_from(shape: SliderShape, grid):
     symmetric domains used here), otherwise the min-height invariant of
     tabulated data rejects the table.
     """
-    from sliderfilm.geometry import lattice_grad_x1, lattice_heights
-
     return SliderShape.tabulated(
         TabulatedData(
             xs=grid.xs,
@@ -34,6 +39,14 @@ def tabulated_from(shape: SliderShape, grid):
             grad_x1=lattice_grad_x1(shape, grid),
         )
     )
+
+
+def lattice_csv_rows(shape: SliderShape, grid):
+    """shape's rows x1, x2, h0, dh0_dx1 on grid's node lattice, each a list of
+    repr strings, in the column order of a tabulated-shape CSV."""
+    X1, X2 = np.meshgrid(grid.xs, grid.ys, indexing="xy")
+    columns = (X1, X2, lattice_heights(shape, grid), lattice_grad_x1(shape, grid))
+    return [[repr(float(v)) for v in row] for row in zip(*map(np.ravel, columns))]
 
 
 @pytest.fixture

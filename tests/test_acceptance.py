@@ -25,7 +25,7 @@ from sliderfilm.dynamics import (
 from sliderfilm.errors import InadmissibleShape
 from sliderfilm.geometry import DomainRect, SliderShape, build_grid, contact_box
 from sliderfilm.oracle import (
-    comparison_check,
+    comparison_principle,
     cutoff_exactness,
     flat_C_omega,
     flat_model,
@@ -105,7 +105,6 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_comparison_principle():
     with criterion(4, "constrained solution dominates sub-region solves", 60.0):
         rng = np.random.default_rng(2024)
-        tol = 1e-9
         grid_tab = build_grid(SYM, 11, 11)
         shapes = [
             (SliderShape.line_contact(2.0), 24),
@@ -114,17 +113,8 @@ def test_criterion_4_comparison_principle():
             (tabulated_from(SliderShape.line_contact(2.0), grid_tab), 11),
         ]
         for shape, n in shapes:
-            prob = problem_on(shape, SYM, n, tol=tol)
-            done = 0
-            while done < 20:
-                xa, xb = np.sort(rng.uniform(-1.0, 1.0, size=2))
-                ya, yb = np.sort(rng.uniform(-1.0, 1.0, size=2))
-                if xb - xa < 0.2 or yb - ya < 0.2:
-                    continue
-                beta = float(rng.uniform(0.05, 1.0))
-                gamma = float(rng.uniform(-1.0, 0.0))
-                assert comparison_check(prob, beta, gamma, (xa, xb, ya, yb)).passed
-                done += 1
+            check = comparison_principle(rng, problem_on(shape, SYM, n, tol=1e-9), 20)
+            assert check["passed"], (shape.describe(), check)
 
 
 def test_criterion_5_steady_state_existence():
@@ -173,8 +163,7 @@ def test_criterion_7_flat_decay():
 
             gap = flat_reference_gap(traj, flat_model(SYM, 1.0, 1.0, eta1, cutoff=99), 200.0, 400)
             assert gap.ref.t.size == gap.pick.size
-            assert gap.max_rel_diff <= 1e-2
-            assert gap.max_envelope_violation <= 2e-2
+            assert gap.passed, (gap.max_rel_diff, gap.max_envelope_violation)
 
             past_peak = np.flatnonzero(traj.eta_dot <= -1e-3)
             assert past_peak.size > 0

@@ -23,7 +23,10 @@ from sliderfilm.cli import (
 from sliderfilm.config import RunConfig, default_gcurve_betas, parse_config
 from sliderfilm.dynamics import GEvaluator, SolverParams
 from sliderfilm.errors import ParseError, ValidationError
+from sliderfilm.geometry import SliderShape, build_grid
 from sliderfilm.vi_solver import load_integral, young_omega
+
+from .conftest import lattice_csv_rows
 
 MINIMAL_FLAT = """
 {
@@ -566,17 +569,8 @@ class TestDispatch:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_build_problem_tabulated(self, tmp_path, domain_sym):
-        from sliderfilm.geometry import build_grid, eval_gradient_x1, eval_height, SliderShape
-
-        grid = build_grid(domain_sym, 5, 5)
-        shape = SliderShape.line_contact(2.0)
-        rows = ["x1,x2,h0,dh0_dx1"]
-        for y in grid.ys:
-            for x in grid.xs:
-                rows.append(
-                    f"{float(x)!r},{float(y)!r},{eval_height(shape, (x, y))!r},"
-                    f"{eval_gradient_x1(shape, (x, y))!r}"
-                )
+        rows = lattice_csv_rows(SliderShape.line_contact(2.0), build_grid(domain_sym, 5, 5))
+        rows = ["x1,x2,h0,dh0_dx1"] + [",".join(row) for row in rows]
         table = tmp_path / "shape.csv"
         table.write_text("\n".join(rows) + "\n")
         doc = {
@@ -663,10 +657,9 @@ class TestMain:
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_domain_overflowing_the_profile_is_usage_error(self, tmp_path, capsys, command):
-        # |x1|^alpha overflows on this domain: building the problem rejects it,
-        # where sup_height raised OverflowError and, under the suite's
-        # error::RuntimeWarning filter, film_geometry's array power failed
-        doc = {"domain": {"x1_min": -1, "x1_max": 1e300, "x2_min": -1, "x2_max": 1},
+        # the film's (h0 + beta)^3 = (x1^2 + beta)^3 overflows on this domain:
+        # building the problem rejects it
+        doc = {"domain": {"x1_min": -1, "x1_max": 1e100, "x2_min": -1, "x2_max": 1},
                "grid": {"nx": 8, "ny": 8}}
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(doc))
@@ -675,6 +668,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: domain: ") and err.count("\n") == 1
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "domain",
+        [(-1e308, 1e308, -1, 1), (-1e200, 1e200, -1e200, 1e200), (-1e160, 1e160, -1, 1)],
+        ids=["side", "squares", "square"],
+    )
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_domain_beyond_the_float_range_is_usage_error(self, tmp_path, capsys, command, domain):
+        # a side or its square overflows: these ended in tracebacks from
+        # build_grid, poincare_lambda1, flat_unit_load and flat_C_omega
+        doc = {"domain": dict(zip(("x1_min", "x1_max", "x2_min", "x2_max"), domain)),
+               "shape": {"variant": "flat"}, "grid": {"nx": 8, "ny": 8}}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain.x1_min: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_json_artifacts_refuse_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
@@ -695,18 +707,6 @@ class TestMain:
             ["verify", "--config", str(cfgfile), "--out", str(out), "--seed", "11"]
         ) == EXIT_OK
 
-    @staticmethod
-    def _table_rows(grid):
-        from sliderfilm.geometry import SliderShape, eval_gradient_x1, eval_height
-
-        shape = SliderShape.line_contact(2.0)
-        return [
-            [repr(float(x)), repr(float(y)), repr(eval_height(shape, (x, y))),
-             repr(eval_gradient_x1(shape, (x, y)))]
-            for y in grid.ys
-            for x in grid.xs
-        ]
-
     @pytest.mark.parametrize(
         "case",
         ["missing_file", "non_numeric", "nan_gradient", "inf_height", "row_missing",
@@ -718,7 +718,6 @@ class TestMain:
     ):
         import sliderfilm.dynamics as dynamics
         import sliderfilm.oracle as oracle
-        from sliderfilm.geometry import build_grid
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran before the table was checked")
@@ -726,7 +725,7 @@ class TestMain:
         for mod, name in ((dynamics, "solve_vi_psor"), (oracle, "solve_vi_psor"),
                           (oracle, "solve_linear")):
             monkeypatch.setattr(mod, name, no_solve)
-        rows = self._table_rows(build_grid(domain_sym, 5, 5))
+        rows = lattice_csv_rows(SliderShape.line_contact(2.0), build_grid(domain_sym, 5, 5))
         if case == "non_numeric":
             rows[3][2] = "abc"
         elif case == "nan_gradient":

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 from sliderfilm.errors import (
     BoxOutsideDomain,
     InvalidDomain,
-    OutOfDomain,
     TooCoarse,
     UnsupportedShape,
 )
 from sliderfilm.geometry import (
     _grad_x1_analytic,
+    _height_analytic,
     BoxKind,
     ContactBox,
     DomainRect,
@@ -18,15 +18,14 @@ from sliderfilm.geometry import (
     build_grid,
     compute_V1,
     contact_box,
-    eval_gradient_x1,
-    eval_height,
     lattice_grad_x1,
+    lattice_heights,
     load_tabulated_csv,
     region_node_mask,
     sup_height,
 )
 
-from .conftest import tabulated_from
+from .conftest import lattice_csv_rows, tabulated_from
 
 
 class TestDomainAndGrid:
@@ -59,14 +58,14 @@ class TestDomainAndGrid:
 class TestHeights:
     def test_line_contact_height(self):
         shape = SliderShape.line_contact(2.0)
-        assert eval_height(shape, (-0.5, 0.3)) == pytest.approx(0.25)
+        assert _height_analytic(shape, -0.5, 0.3) == pytest.approx(0.25)
 
     def test_point_contact_height(self):
         shape = SliderShape.point_contact(2.0)
-        assert eval_height(shape, (0.3, 0.4)) == pytest.approx(0.25)
+        assert _height_analytic(shape, 0.3, 0.4) == pytest.approx(0.25)
 
     def test_flat_height(self):
-        assert eval_height(SliderShape.flat(), (0.7, -0.2)) == 0.0
+        assert _height_analytic(SliderShape.flat(), 0.7, -0.2) == 0.0
 
     @given(
         x1=st.floats(-1.0, 1.0),
@@ -75,7 +74,7 @@ class TestHeights:
     )
     def test_heights_nonnegative(self, x1, x2, alpha):
         for shape in (SliderShape.line_contact(alpha), SliderShape.point_contact(alpha)):
-            assert eval_height(shape, (x1, x2)) >= 0.0
+            assert _height_analytic(shape, x1, x2) >= 0.0
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(InvalidDomain):
@@ -85,23 +84,23 @@ class TestHeights:
 class TestGradients:
     def test_line_contact_gradient(self):
         shape = SliderShape.line_contact(2.0)
-        assert eval_gradient_x1(shape, (-0.5, 0.0)) == pytest.approx(-1.0)
-        assert eval_gradient_x1(shape, (0.0, 0.3)) == 0.0
+        assert _grad_x1_analytic(shape, -0.5, 0.0) == pytest.approx(-1.0)
+        assert _grad_x1_analytic(shape, 0.0, 0.3) == 0.0
 
     def test_point_contact_gradient(self):
         shape = SliderShape.point_contact(2.0)
-        assert eval_gradient_x1(shape, (0.3, 0.4)) == pytest.approx(0.6)
-        assert eval_gradient_x1(shape, (0.0, 0.0)) == 0.0
+        assert _grad_x1_analytic(shape, 0.3, 0.4) == pytest.approx(0.6)
+        assert _grad_x1_analytic(shape, 0.0, 0.0) == 0.0
 
     def test_flat_gradient(self):
-        assert eval_gradient_x1(SliderShape.flat(), (0.1, 0.9)) == 0.0
+        assert _grad_x1_analytic(SliderShape.flat(), 0.1, 0.9) == 0.0
 
     def test_kink_flag_alpha_one(self):
         assert SliderShape.line_contact(1.0).gradient_kink
         assert not SliderShape.line_contact(1.5).gradient_kink
         # convention: slope reported as 0 on the contact set
-        assert eval_gradient_x1(SliderShape.line_contact(1.0), (0.0, 0.2)) == 0.0
-        assert eval_gradient_x1(SliderShape.point_contact(1.0), (0.0, 0.0)) == 0.0
+        assert _grad_x1_analytic(SliderShape.line_contact(1.0), 0.0, 0.2) == 0.0
+        assert _grad_x1_analytic(SliderShape.point_contact(1.0), 0.0, 0.0) == 0.0
 
     def test_gradient_matches_finite_differences(self):
         # continuity/accuracy across the contact set for alpha > 1
@@ -109,12 +108,12 @@ class TestGradients:
         for shape in (SliderShape.line_contact(2.0), SliderShape.point_contact(3.0)):
             pts = rng.uniform(-0.9, 0.9, size=(10, 2))
             for x1, x2 in pts:
-                exact = eval_gradient_x1(shape, (x1, x2))
+                exact = _grad_x1_analytic(shape, x1, x2)
                 errs = []
                 for eps in (1e-3, 1e-4, 1e-5):
                     fd = (
-                        eval_height(shape, (x1 + eps, x2))
-                        - eval_height(shape, (x1 - eps, x2))
+                        _height_analytic(shape, x1 + eps, x2)
+                        - _height_analytic(shape, x1 - eps, x2)
                     ) / (2.0 * eps)
                     errs.append(abs(fd - exact))
                 # error vanishes with eps (up to the fp noise floor of the quotient)
@@ -149,8 +148,6 @@ class TestV1:
             prev = v1
 
     def test_min_nodal_height_vanishes_under_refinement(self, domain_sym):
-        from sliderfilm.geometry import lattice_heights
-
         for shape in (SliderShape.line_contact(2.0), SliderShape.point_contact(2.0)):
             mins = []
             for n in (4, 8, 16, 32):
@@ -249,11 +246,9 @@ class TestContactBox:
             (SliderShape.point_contact(2.0), {"theta0": np.pi / 6.0}),
         ):
             box = contact_box(shape, domain_sym, 0.05, **kw)
-            mask = box.node_mask(grid)
+            mask = region_node_mask(grid, box)
             assert np.any(mask)
-            X1, X2 = grid.interior_mesh()
-            for x1, x2 in zip(X1[mask], X2[mask]):
-                assert eval_gradient_x1(shape, (x1, x2)) < 0.0
+            assert np.all(lattice_grad_x1(shape, grid)[1:-1, 1:-1][mask] < 0.0)
 
     def test_region_mask_tuple(self, domain_sym):
         grid = build_grid(domain_sym, 9, 9)
@@ -270,7 +265,7 @@ class TestContactBox:
         bounds = (x1[2], x1[6], -0.3, 0.7)
         box = ContactBox(kind=BoxKind.LINE_BOX, beta=0.1, x1_lo=bounds[0], x1_hi=bounds[1],
                          x2_lo=bounds[2], x2_hi=bounds[3])
-        mask = box.node_mask(grid)
+        mask = region_node_mask(grid, box)
         assert np.array_equal(mask, region_node_mask(grid, bounds))
         assert np.count_nonzero(mask) == 3 * 5
         assert np.array_equal(np.unique(X1[mask]), x1[3:6])
@@ -292,22 +287,13 @@ class TestTabulated:
     def test_roundtrip_csv(self, tmp_path, domain_sym):
         grid = build_grid(domain_sym, 5, 4)
         shape = SliderShape.line_contact(2.0)
-        rows = ["x1,x2,h0,dh0_dx1"]
-        for j, y in enumerate(grid.ys):
-            for i, x in enumerate(grid.xs):
-                rows.append(
-                    f"{float(x)!r},{float(y)!r},{eval_height(shape, (x, y))!r},"
-                    f"{eval_gradient_x1(shape, (x, y))!r}"
-                )
+        rows = ["x1,x2,h0,dh0_dx1"] + [",".join(row) for row in lattice_csv_rows(shape, grid)]
         path = tmp_path / "table.csv"
         path.write_text("\n".join(rows) + "\n")
         tab = load_tabulated_csv(path, grid)
-        assert eval_height(tab, (grid.xs[2], grid.ys[1])) == pytest.approx(grid.xs[2] ** 2)
-
-    def test_out_of_domain_query(self, tabulated_line):
-        shape, _ = tabulated_line
-        with pytest.raises(OutOfDomain):
-            eval_height(shape, (2.0, 0.0))
+        assert np.array_equal(lattice_heights(tab, grid), lattice_heights(shape, grid))
+        assert np.array_equal(lattice_grad_x1(tab, grid), lattice_grad_x1(shape, grid))
+        assert lattice_heights(tab, grid)[1, 2] == pytest.approx(grid.xs[2] ** 2)
 
     def test_min_zero_near_origin_enforced(self, domain_sym):
         grid = build_grid(domain_sym, 5, 5)

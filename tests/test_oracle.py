@@ -141,7 +141,7 @@ class TestReferenceTrajectory:
         assert np.array_equal(ref.t, t_eval)
         assert ref.eta[20] == pytest.approx(eta_10, rel=1e-8)  # t = 10
         assert ref.eta[-1] == pytest.approx(eta_200, rel=1e-8)
-        assert ref.n_steps <= 2_000  # measured 548-565
+        assert ref.n_steps <= 2_000
 
 
 class TestRadauStep:

@@ -13,9 +13,10 @@ from sliderfilm.geometry import DomainRect, ShapeKind, SliderShape, build_grid
 NAN, INF = math.nan, math.inf
 GRID = partial(build_grid, DomainRect(-1.0, 1.0, -1.0, 1.0))
 FLAT = partial(Problem, SliderShape.flat(), GRID(nx=8, ny=8))
-# |x1|^2 overflows on this domain
+# (h0 + beta)^3 = (x1^2 + beta)^3 overflows on this domain, whose sides and
+# their squares are finite
 WIDE = partial(Problem, SliderShape.line_contact(2.0),
-               build_grid(DomainRect(-1.0, 1e300, -1.0, 1.0), 8, 8))
+               build_grid(DomainRect(-1.0, 1e100, -1.0, 1.0), 8, 8))
 
 # (constructor, keyword arguments, the field the error names)
 BAD = [
@@ -44,6 +45,11 @@ BAD = [
     (DomainRect, dict(x1_min=-1.0, x1_max=-0.5, x2_min=-1.0, x2_max=1.0), "x1_min"),
     (DomainRect, dict(x1_min=-1.0, x1_max=1.0, x2_min=0.5, x2_max=1.0), "x2_min"),
     (DomainRect, dict(x1_min=-1.0, x1_max=1.0, x2_min=-1.0, x2_max=0.0), "x2_min"),
+    # a side, or its square, beyond the float range
+    (DomainRect, dict(x1_min=-1e308, x1_max=1e308, x2_min=-1.0, x2_max=1.0), "x1_min"),
+    (DomainRect, dict(x1_min=-1e200, x1_max=1e200, x2_min=-1e200, x2_max=1e200), "x1_min"),
+    (DomainRect, dict(x1_min=-1e160, x1_max=1e160, x2_min=-1.0, x2_max=1.0), "x1_min"),
+    (DomainRect, dict(x1_min=-1.0, x1_max=1.0, x2_min=-1e160, x2_max=1e160), "x2_min"),
     (SliderShape.line_contact, dict(alpha=NAN), "alpha"),
     (SliderShape.line_contact, dict(alpha=INF), "alpha"),
     (SliderShape.line_contact, dict(alpha=0.5), "alpha"),
