@@ -20,9 +20,9 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    ContactBox,
     DomainRect,
     Grid,
+    Sector,
     ShapeKind,
     SliderShape,
     build_grid,

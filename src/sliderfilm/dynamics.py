@@ -12,7 +12,7 @@ bounds, the energy monitor and the spring-damper bound.
 
 import math
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 
@@ -21,7 +21,6 @@ import numpy as np
 from .csvio import write_csv
 from .errors import BoxOutsideDomain, NonPositiveClearance, ValidationError, check_positive
 from .geometry import (
-    ContactBox,
     DomainRect,
     Grid,
     ShapeKind,
@@ -266,9 +265,6 @@ class BoundsReport:
     gradient_kink_flagged: bool
     D3_D4: str = "not computable (non-constructive constants c3, c4, beta0)"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def bounds_report(problem: Problem) -> BoundsReport:
     """Evaluate every computable constant of the height/velocity bounds."""
@@ -317,14 +313,6 @@ def bounds_report(problem: Problem) -> BoundsReport:
         global_bounds_guaranteed=glob,
         gradient_kink_flagged=shape.gradient_kink,
     )
-
-
-def _check_state(beta: float, gamma: float) -> None:
-    """Reject a state at which the film force is undefined."""
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise NonPositiveClearance(f"film force undefined at beta = {beta}")
-    if not math.isfinite(gamma):
-        raise ValueError(f"film force undefined at gamma = {gamma}")
 
 
 # the warm start's solves kept, base-point reach and collinearity cutoff
@@ -422,6 +410,17 @@ class GEvaluator:
         self.n_sweeps = 0
         self.n_omega_estimates = 0
 
+    def _check_state(self, beta: float, gamma: float) -> None:
+        """Reject a state at which the film force is undefined: beta
+        outside (0, beta_max] of the problem's FilmGeometry with
+        NonPositiveClearance, a non-finite gamma with ValueError."""
+        if not 0.0 < beta <= self._beta_max:
+            raise NonPositiveClearance(
+                f"film force undefined at beta = {beta}: it needs 0 < beta <= {self._beta_max:.6g}"
+            )
+        if not math.isfinite(gamma):
+            raise ValueError(f"film force undefined at gamma = {gamma}")
+
     def eval(
         self, beta: float, gamma: float, tol: float | None = None
     ) -> tuple[float, float, int]:
@@ -431,11 +430,11 @@ class GEvaluator:
         the flat profile below the cutoff: there the load is a scalar on
         the unit load, with no solve, 0 sweeps and tol unused, which
         keeps the evaluations of a decay run cheap.  tol None means
-        solver.tol.  A non-finite state, or a beta above the geometry's
-        beta_max, skips the shortcut and is rejected by field before any
-        solve, the latter with NonPositiveClearance from the assembly.
+        solver.tol.  A state outside _check_state's rule is rejected
+        before any solve.
         """
-        if self._flat and 0.0 < beta <= self._beta_max and -math.inf < gamma < self.V1:
+        self._check_state(beta, gamma)
+        if self._flat and gamma < self.V1:
             load = (-gamma) * self._unit_load / beta**3
             return load - self.problem.F, load, 0
         fld = self.field(beta, gamma, tol)
@@ -446,9 +445,10 @@ class GEvaluator:
         """Materialize the pressure field at (beta, gamma): the zero field
         at gamma >= V1, else one solve (_solve) at tol (None means
         solver.tol) from _warm_start's start, cold for the evaluator's
-        first solve.  A non-finite state is rejected before any solve.
+        first solve.  A state outside _check_state's rule is rejected
+        before any solve.
         """
-        _check_state(beta, gamma)
+        self._check_state(beta, gamma)
         if gamma >= self.V1:
             ny, nx = self.problem.grid.ny, self.problem.grid.nx
             return PressureField(
@@ -493,19 +493,14 @@ class GEvaluator:
         Zero at gamma >= V1, where G = -F.  Below it, from the unit load L
         (the load eval reports at beta 1, gamma -1):
         dG/dgamma = -L/beta^3 and dG/dbeta = -3 gamma/beta dG/dgamma.
-        Other shapes have no film Jacobian here.  A non-finite state is
-        rejected as in field, and a beta above the geometry's beta_max
-        with NonPositiveClearance, as the assembly rejects it.
+        Other shapes have no film Jacobian here.  A state outside
+        _check_state's rule is rejected as in field.
         """
         if not self._flat:
             raise ValueError("the film Jacobian is available for the flat profile only")
-        _check_state(beta, gamma)
+        self._check_state(beta, gamma)
         if gamma >= self.V1:
             return 0.0, 0.0
-        if beta > self._beta_max:
-            raise NonPositiveClearance(
-                f"film Jacobian requires beta <= {self._beta_max:.6g}, got {beta}"
-            )
         dg_dgamma = -self._unit_load / beta**3
         return -3.0 * gamma / beta * dg_dgamma, dg_dgamma
 
@@ -681,12 +676,21 @@ class _StageContact(Exception):
     pass
 
 
+def _rms(a, b, sa, sb):
+    """The step controller's weighted RMS norm of (a, b) with scales
+    (sa, sb), or inf where a square overflows the float range."""
+    try:
+        return math.sqrt(0.5 * ((a / sa) ** 2 + (b / sb) ** 2))
+    except OverflowError:
+        return math.inf
+
+
 def _initial_step(f, y, v, ky, kv, abs_tol, rel_tol, t_end):
     """The first step size: the starting-step rule of Hairer, Norsett and
     Wanner (Solving ODEs I, sec. II.4) for the order-5 pair.
 
     (ky, kv) = f0, the derivative at the start (y, v).  Norms are the
-    controller's weighted RMS norm with scale abs_tol + rel_tol |y0|.
+    controller's weighted RMS norm (_rms) with scale abs_tol + rel_tol |y0|.
     h0 = 0.01 |y0| / |f0| (1e-6 when either norm is below 1e-5) sizes one
     explicit Euler probe f1 = f(y0 + h0 f0), made through the guarded f;
     a probe at or below the contact guard starts the run at h0.  With
@@ -695,17 +699,13 @@ def _initial_step(f, y, v, ky, kv, abs_tol, rel_tol, t_end):
     vanish (a start at rest in equilibrium).
     """
     sy, sv = abs_tol + rel_tol * abs(y), abs_tol + rel_tol * abs(v)
-
-    def norm(a, b):
-        return math.sqrt(0.5 * ((a / sy) ** 2 + (b / sv) ** 2))
-
-    d0, d1 = norm(y, v), norm(ky, kv)
+    d0, d1 = _rms(y, v, sy, sv), _rms(ky, kv, sy, sv)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     try:
         g1 = f(y + h0 * ky, v + h0 * kv)[0]
     except _StageContact:
         return min(h0, t_end)
-    d2 = norm(v + h0 * kv - ky, g1 - kv) / h0
+    d2 = _rms(v + h0 * kv - ky, g1 - kv, sy, sv) / h0
     dmax = max(d1, d2)
     h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, 1e-3 * h0)
     return min(100.0 * h0, h1, t_end)
@@ -874,7 +874,7 @@ def integrate_trajectory(
             continue
         sy = abs_tol + rel_tol * max(abs(y), abs(y_new))
         sv = abs_tol + rel_tol * max(abs(v), abs(v_new))
-        err = math.sqrt(0.5 * ((err_y / sy) ** 2 + (err_v / sv) ** 2))
+        err = _rms(err_y, err_v, sy, sv)
         if not math.isfinite(err):
             dt *= 0.2
             n_rejected += 1
@@ -979,19 +979,20 @@ class SpringDamper:
 def spring_damper_decomposition(
     problem: Problem,
     beta: float,
-    box: ContactBox,
+    region,
     check_gammas: tuple = (-1.0, -0.5, 0.0),
     check_tol: float = 1e-6,
 ) -> SpringDamper:
     """Solve the two auxiliary region problems and verify the force bound.
 
-    The wedge problem (load -dh0/dx1) gives the spring force F_S, the
-    unit-load problem the damping coefficient d, both on the box with
-    zero boundary data.  The bound G >= F_S - gamma d - F is then checked
-    against the film force of one GEvaluator at the requested gammas.
+    region is contact_box's rectangle tuple or Sector.  The wedge problem
+    (load -dh0/dx1) gives the spring force F_S, the unit-load problem the
+    damping coefficient d, both on the region with zero boundary data.
+    The bound G >= F_S - gamma d - F is then checked against the film
+    force of one GEvaluator at the requested gammas.
     """
     grid = problem.grid
-    mask = region_node_mask(grid, box)
+    mask = region_node_mask(grid, region)
     if not np.any(mask):
         raise BoxOutsideDomain("no grid nodes fall inside the box; refine the grid")
     system = problem.assemble(beta, 0.0)

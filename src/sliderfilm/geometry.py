@@ -31,8 +31,7 @@ __all__ = [
     "SliderShape",
     "TabulatedData",
     "Grid",
-    "ContactBox",
-    "BoxKind",
+    "Sector",
     "build_grid",
     "check_node_count",
     "compute_V1",
@@ -235,36 +234,32 @@ def build_grid(domain: DomainRect, nx: int, ny: int) -> Grid:
 
 
 def _height_analytic(shape: SliderShape, x1, x2):
+    """h0 of an analytic shape; every caller branches on TABULATED first."""
     if shape.kind is ShapeKind.FLAT:
         return np.zeros_like(np.asarray(x1, dtype=float))
     a = shape.alpha
     if shape.kind is ShapeKind.LINE_CONTACT:
         return np.abs(x1) ** a
-    if shape.kind is ShapeKind.POINT_CONTACT:
-        return np.hypot(x1, x2) ** a
-    raise UnsupportedShape("analytic evaluation undefined for tabulated shapes")
+    return np.hypot(x1, x2) ** a
 
 
 def _grad_x1_analytic(shape: SliderShape, x1, x2):
+    """dh0/dx1 of an analytic shape, as _height_analytic."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if shape.kind is ShapeKind.FLAT:
         return np.zeros_like(x1)
     a = shape.alpha
     if shape.kind is ShapeKind.LINE_CONTACT:
-        if a == 1.0:
-            return np.sign(x1)
         return a * np.sign(x1) * np.abs(x1) ** (a - 1.0)
-    if shape.kind is ShapeKind.POINT_CONTACT:
-        r = np.hypot(x1, x2)
-        out = np.zeros_like(r)
-        mask = r > 0.0
-        if a == 1.0:
-            np.divide(x1, r, out=out, where=mask)
-        else:
-            out[mask] = a * x1[mask] * r[mask] ** (a - 2.0)
-        return out
-    raise UnsupportedShape("analytic evaluation undefined for tabulated shapes")
+    r = np.hypot(x1, x2)
+    out = np.zeros_like(r)
+    mask = r > 0.0
+    if a == 1.0:
+        np.divide(x1, r, out=out, where=mask)
+    else:
+        out[mask] = a * x1[mask] * r[mask] ** (a - 2.0)
+    return out
 
 
 def lattice_heights(shape: SliderShape, grid: Grid) -> np.ndarray:
@@ -354,29 +349,15 @@ def compute_V1(shape: SliderShape, grid: Grid) -> float:
     return -float(_grad_x1_analytic(shape, d.x1_min, x2))
 
 
-class BoxKind(Enum):
-    LINE_BOX = "line_box"
-    SECTOR_BOX = "sector_box"
-
-
 @dataclass(frozen=True)
-class ContactBox:
-    """Region near the contact set on which the wedge drives the pressure.
+class Sector:
+    """The open annular sector rho in (rho_lo, rho_hi), theta within
+    theta_half of the negative x1 axis: point contact's region near the
+    contact set (contact_box)."""
 
-    LINE_BOX is the open rectangle (x1_lo, x1_hi) x (x2_lo, x2_hi);
-    SECTOR_BOX the annular sector rho in (rho_lo, rho_hi), theta within
-    theta_half of the negative x1 axis.  region_node_mask gives its nodes.
-    """
-
-    kind: BoxKind
-    beta: float
-    x1_lo: float = 0.0
-    x1_hi: float = 0.0
-    x2_lo: float = 0.0
-    x2_hi: float = 0.0
-    rho_lo: float = 0.0
-    rho_hi: float = 0.0
-    theta_half: float = 0.0
+    rho_lo: float
+    rho_hi: float
+    theta_half: float
 
 
 def contact_box(
@@ -386,13 +367,13 @@ def contact_box(
     *,
     delta: float | None = None,
     theta0: float | None = None,
-) -> ContactBox:
-    """Build the clearance-scaled box on which -dh0/dx1 stays positive.
+) -> tuple[float, float, float, float] | Sector:
+    """Build the clearance-scaled region on which -dh0/dx1 stays positive.
 
-    Line contact uses the rectangle (-2 beta^(1/alpha), -beta^(1/alpha))
-    x (-delta, delta); point contact the sector rho in
-    (beta^(1/alpha), 2 beta^(1/alpha)) around the negative x1 axis with
-    half-aperture theta0.
+    Line contact gives the open rectangle (x1_lo, x1_hi, x2_lo, x2_hi) =
+    (-2 beta^(1/alpha), -beta^(1/alpha), -delta, delta); point contact the
+    Sector rho in (beta^(1/alpha), 2 beta^(1/alpha)) around the negative
+    x1 axis with half-aperture theta0.  region_node_mask gives its nodes.
     """
     if shape.kind in (ShapeKind.FLAT, ShapeKind.TABULATED):
         raise UnsupportedShape(f"no contact box for {shape.kind.value} shapes")
@@ -402,34 +383,19 @@ def contact_box(
     if shape.kind is ShapeKind.LINE_CONTACT:
         if delta is None or delta <= 0.0:
             raise BoxOutsideDomain("line-contact box needs an aperture delta > 0")
-        box = ContactBox(
-            kind=BoxKind.LINE_BOX,
-            beta=beta,
-            x1_lo=-2.0 * w,
-            x1_hi=-w,
-            x2_lo=-delta,
-            x2_hi=delta,
-        )
         inside = (
-            box.x1_lo > domain.x1_min
-            and box.x1_hi < domain.x1_max
-            and box.x2_lo > domain.x2_min
-            and box.x2_hi < domain.x2_max
+            -2.0 * w > domain.x1_min
+            and -w < domain.x1_max
+            and -delta > domain.x2_min
+            and delta < domain.x2_max
         )
         if not inside:
             raise BoxOutsideDomain(
                 f"line box for beta={beta}, delta={delta} exits the domain"
             )
-        return box
+        return (-2.0 * w, -w, -delta, delta)
     if theta0 is None or not (0.0 < theta0 < 0.5 * np.pi):
         raise BoxOutsideDomain("point-contact box needs theta0 in (0, pi/2)")
-    box = ContactBox(
-        kind=BoxKind.SECTOR_BOX,
-        beta=beta,
-        rho_lo=w,
-        rho_hi=2.0 * w,
-        theta_half=theta0,
-    )
     halfwidth = 2.0 * w * np.sin(theta0)
     inside = (
         -2.0 * w > domain.x1_min
@@ -438,20 +404,18 @@ def contact_box(
     )
     if not inside:
         raise BoxOutsideDomain(f"sector box for beta={beta} exits the domain")
-    return box
+    return Sector(rho_lo=w, rho_hi=2.0 * w, theta_half=theta0)
 
 
 def region_node_mask(grid: Grid, region) -> np.ndarray:
     """Boolean (ny, nx) mask of the interior nodes strictly inside region: a
-    ContactBox, or an (x1_lo, x1_hi, x2_lo, x2_hi) tuple for the open rectangle."""
+    Sector, or an (x1_lo, x1_hi, x2_lo, x2_hi) tuple for the open rectangle."""
     X1, X2 = grid.interior_mesh()
-    if isinstance(region, ContactBox):
-        if region.kind is BoxKind.SECTOR_BOX:
-            rho = np.hypot(X1, X2)
-            theta = np.arctan2(X2, X1)  # in (-pi, pi], contact direction at pi
-            dev = np.abs(np.pi - np.abs(theta))
-            return (rho > region.rho_lo) & (rho < region.rho_hi) & (dev < region.theta_half)
-        region = (region.x1_lo, region.x1_hi, region.x2_lo, region.x2_hi)
+    if isinstance(region, Sector):
+        rho = np.hypot(X1, X2)
+        theta = np.arctan2(X2, X1)  # in (-pi, pi], contact direction at pi
+        dev = np.abs(np.pi - np.abs(theta))
+        return (rho > region.rho_lo) & (rho < region.rho_hi) & (dev < region.theta_half)
     x1_lo, x1_hi, x2_lo, x2_hi = region
     return (X1 > x1_lo) & (X1 < x1_hi) & (X2 > x2_lo) & (X2 < x2_hi)
 

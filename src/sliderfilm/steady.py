@@ -35,7 +35,7 @@ warm chain; the problem, F included, is ev.problem.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class SteadyResult:
     g_error: float | None
     bracket: tuple[float, float]
     evaluations: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(eq=False)

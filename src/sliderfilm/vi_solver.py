@@ -55,8 +55,6 @@ class DiscreteSystem:
     """
 
     grid: Grid
-    beta: float
-    gamma: float
     diag: np.ndarray
     cw: np.ndarray
     ce: np.ndarray
@@ -168,9 +166,7 @@ def assemble_system(
     cs, cn = coef_h[:-1, :], coef_h[1:, :]
     diag = cw + ce + cs + cn
     b = -(geo.grad + gamma) * grid.cell_area
-    return DiscreteSystem(
-        grid=grid, beta=beta, gamma=gamma, diag=diag, cw=cw, ce=ce, cs=cs, cn=cn, b=b
-    )
+    return DiscreteSystem(grid=grid, diag=diag, cw=cw, ce=ce, cs=cs, cn=cn, b=b)
 
 
 @functools.lru_cache(maxsize=32)

@@ -640,7 +640,7 @@ class TestMain:
         assert main(["gcurve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_DOMAIN
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert err.startswith("error: assembly requires 0 < beta") and err.count("\n") == 1
+        assert err.startswith("error: film force undefined at beta") and err.count("\n") == 1
 
     def test_overflowing_flat_clearance_exits_1(self, tmp_path, capsys):
         # the flat profile's cached-load shortcut divided by beta**3 in
@@ -653,7 +653,7 @@ class TestMain:
             EXIT_DOMAIN
         )
         err = capsys.readouterr().err
-        assert err.startswith("error: assembly requires 0 < beta") and err.count("\n") == 1
+        assert err.startswith("error: film force undefined at beta") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_domain_overflowing_the_profile_is_usage_error(self, tmp_path, capsys, command):
@@ -687,6 +687,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: domain.x1_min: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_flat_domain_whose_squares_are_finite(self, tmp_path, capsys):
+        # sides 2e60 pass the side rule: simulate's first step size overflowed
+        # the controller's norm (an OverflowError traceback), and verify's
+        # check 2 rebuilt the problem with line and point contact profiles
+        doc = {"domain": {"x1_min": -1e60, "x1_max": 1e60, "x2_min": -1e60, "x2_max": 1e60},
+               "shape": {"variant": "flat"}, "grid": {"nx": 8, "ny": 8}}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"]["kind"] == "step_failure"
+        main(["verify", "--config", str(cfgfile), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "line_contact" not in err and "point_contact" not in err
 
     def test_json_artifacts_refuse_non_finite(self, tmp_path):
         with pytest.raises(ValueError):

@@ -38,8 +38,6 @@ from sliderfilm.dynamics import (
 )
 from sliderfilm.errors import NonPositiveClearance
 from sliderfilm.geometry import (
-    BoxKind,
-    ContactBox,
     DomainRect,
     SliderShape,
     build_grid,
@@ -407,6 +405,14 @@ class TestJacobian:
         unit = ev.eval(1.0, -1.0)[1]
         assert (jb, jg) == (-3.0 * -0.5 / 1e100 * (-unit / 1e300), -unit / 1e300)
         assert ev.eval(beta_max, -0.5)[1] == 0.5 * unit / beta_max**3
+
+    def test_clearance_beyond_the_model_range_at_the_cutoff(self, domain_sym):
+        # gamma >= V1 gives the zero field, but only where the film is defined
+        ev = GEvaluator(make_problem(SliderShape.flat(), domain_sym, n=12))
+        for call in (ev.eval, ev.field, ev.jacobian):
+            with pytest.raises(NonPositiveClearance, match="film force undefined"):
+                call(1e110, ev.V1)
+        assert ev.n_solves == 0
 
     def test_flat_profile_only(self, domain_sym):
         ev = GEvaluator(make_problem(SliderShape.line_contact(2.0), domain_sym, n=12))
@@ -1516,9 +1522,7 @@ class TestMonitor:
 class TestSpringDamper:
     def test_flat_region_has_zero_spring_positive_damping(self, domain_sym):
         prob = make_problem(SliderShape.flat(), domain_sym, n=16, eta0=1.0)
-        region = ContactBox(kind=BoxKind.LINE_BOX, beta=0.1,
-                            x1_lo=-0.6, x1_hi=-0.1, x2_lo=-0.5, x2_hi=0.5)
-        sd = spring_damper_decomposition(prob, 0.1, region)
+        sd = spring_damper_decomposition(prob, 0.1, (-0.6, -0.1, -0.5, 0.5))
         assert sd.F_S == pytest.approx(0.0, abs=1e-12)
         assert sd.d > 0.0
         assert sd.passed

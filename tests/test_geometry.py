@@ -11,9 +11,8 @@ from sliderfilm.errors import (
 from sliderfilm.geometry import (
     _grad_x1_analytic,
     _height_analytic,
-    BoxKind,
-    ContactBox,
     DomainRect,
+    Sector,
     SliderShape,
     build_grid,
     compute_V1,
@@ -101,6 +100,14 @@ class TestGradients:
         # convention: slope reported as 0 on the contact set
         assert _grad_x1_analytic(SliderShape.line_contact(1.0), 0.0, 0.2) == 0.0
         assert _grad_x1_analytic(SliderShape.point_contact(1.0), 0.0, 0.0) == 0.0
+
+    def test_line_alpha_one_slope_is_the_sign(self, domain_sym):
+        # the general line formula at alpha 1, bit for bit, the zero's sign included
+        grid = build_grid(domain_sym, 9, 9)  # xs holds +0.0
+        X1, X2 = np.meshgrid(np.append(grid.xs, -0.0), grid.ys, indexing="xy")
+        slope = _grad_x1_analytic(SliderShape.line_contact(1.0), X1, X2)
+        assert np.array_equal(slope, np.sign(X1))
+        assert np.array_equal(np.signbit(slope), np.signbit(np.sign(X1)))
 
     def test_gradient_matches_finite_differences(self):
         # continuity/accuracy across the contact set for alpha > 1
@@ -215,16 +222,16 @@ def _sampled_V1(shape, grid, samples=4001):
 class TestContactBox:
     def test_line_box_bounds(self, domain_sym):
         box = contact_box(SliderShape.line_contact(2.0), domain_sym, 0.01, delta=0.5)
-        assert box.kind is BoxKind.LINE_BOX
-        assert box.x1_lo == pytest.approx(-0.2)
-        assert box.x1_hi == pytest.approx(-0.1)
-        assert (box.x2_lo, box.x2_hi) == (-0.5, 0.5)
+        x1_lo, x1_hi, x2_lo, x2_hi = box
+        assert x1_lo == pytest.approx(-0.2)
+        assert x1_hi == pytest.approx(-0.1)
+        assert (x2_lo, x2_hi) == (-0.5, 0.5)
 
     def test_sector_box_bounds(self, domain_sym):
         box = contact_box(
             SliderShape.point_contact(2.0), domain_sym, 0.01, theta0=np.pi / 6.0
         )
-        assert box.kind is BoxKind.SECTOR_BOX
+        assert isinstance(box, Sector)
         assert box.rho_lo == pytest.approx(0.1)
         assert box.rho_hi == pytest.approx(0.2)
         assert box.theta_half == pytest.approx(np.pi / 6.0)
@@ -262,11 +269,7 @@ class TestContactBox:
         X1, X2 = grid.interior_mesh()
         x1 = X1[0]
         # x1 bounds on nodes (excluded, the box is open), x2 bounds between nodes
-        bounds = (x1[2], x1[6], -0.3, 0.7)
-        box = ContactBox(kind=BoxKind.LINE_BOX, beta=0.1, x1_lo=bounds[0], x1_hi=bounds[1],
-                         x2_lo=bounds[2], x2_hi=bounds[3])
-        mask = region_node_mask(grid, box)
-        assert np.array_equal(mask, region_node_mask(grid, bounds))
+        mask = region_node_mask(grid, (x1[2], x1[6], -0.3, 0.7))
         assert np.count_nonzero(mask) == 3 * 5
         assert np.array_equal(np.unique(X1[mask]), x1[3:6])
         assert np.allclose(np.unique(X2[mask]), [-0.2, 0.0, 0.2, 0.4, 0.6])
