@@ -2,7 +2,10 @@
 """Per-layer cost of one film solve: assembly, layout, one sweep, whole solves.
 
 Times the line contact (alpha 2) at beta 0.3, gamma -0.3 on n-by-n
-grids of [-1, 1]^2 with suggested_omega and solver tol 1e-8:
+grids of [-1, 1]^2 with suggested_omega and solver tol 1e-8, for two
+systems per grid: the whole grid's ("whole") and the mirror fold's
+("half", vi_solver.half_film), the one the production solves take.
+Per system:
 
 - assemble: assemble_system from the profile's stored film_geometry;
 - layout: the red-black colour layout of one solve (_red_black_lattices);
@@ -20,7 +23,7 @@ omega the unset rule picks for each (young_omega on the start's free
 set), beside those at suggested_omega.
 
 Each figure is the best of --repeat timings of a loop sized to about
-20 ms; the loops of all figures of a grid take turns.  The script times
+20 ms; the loops of all figures of a grid, both systems', take turns.  The script times
 the tree it sits in; to compare two trees, run it from each checkout in
 turn, alternating, on an otherwise idle host.
 The last line of output is one JSON object with every figure.
@@ -46,6 +49,7 @@ from sliderfilm.vi_solver import (
     assemble_system,
     film_geometry,
     free_set,
+    half_film,
     lcp_residuals,
     solve_vi_psor,
     suggested_omega,
@@ -99,11 +103,8 @@ def capped_solve(system, omega, sweeps):
     raise AssertionError("a solve at tol 1e-300 stopped")
 
 
-def measure(n, repeat):
-    grid = build_grid(DomainRect(-1.0, 1.0, -1.0, 1.0), n, n)
-    shape = SliderShape.line_contact(2.0)
-    omega = suggested_omega(grid)
-    geometry = film_geometry(grid, shape)
+def timed_calls(grid, shape, geometry, omega):
+    """The callables to time on one system, and its sweep counts."""
     system = assemble_system(grid, shape, BETA, GAMMA, geometry)
     start = solve_vi_psor(
         assemble_system(grid, shape, WARM_FROM, GAMMA, geometry), omega=omega, tol=TOL
@@ -111,36 +112,55 @@ def measure(n, repeat):
     cold = solve_vi_psor(system, omega=omega, tol=TOL)
     warm = solve_vi_psor(system, omega=omega, tol=TOL, warm_start=start)
     cold_free = free_set(system, None)
-    rule_cold = solve_vi_psor(system, tol=TOL)
-    rule_warm = solve_vi_psor(system, tol=TOL, warm_start=start)
-
-    t = best_seconds(
-        {
-            "assemble": lambda: assemble_system(grid, shape, BETA, GAMMA, geometry),
-            "layout": lambda: _red_black_lattices(system, omega),
-            "residual": lambda: lcp_residuals(system, cold.values),
-            "one": lambda: capped_solve(system, omega, 1),
-            "many": lambda: capped_solve(system, omega, 1 + SWEEPS),
-            "warm": lambda: solve_vi_psor(system, omega=omega, tol=TOL, warm_start=start),
-            "cold": lambda: solve_vi_psor(system, omega=omega, tol=TOL),
-            "estimate": lambda: young_omega(system, cold_free),
-        },
-        repeat,
-    )
-    return {
-        "n": n,
-        "assemble_us": 1e6 * t["assemble"],
-        "layout_us": 1e6 * t["layout"],
-        "residual_us": 1e6 * t["residual"],
-        "sweep_us": 1e6 * (t["many"] - t["one"]) / SWEEPS,
+    sweeps = {
         "warm_sweeps": warm.iterations,
-        "warm_ms": 1e3 * t["warm"],
         "cold_sweeps": cold.iterations,
-        "cold_ms": 1e3 * t["cold"],
-        "estimate_us": 1e6 * t["estimate"],
-        "rule_warm_sweeps": rule_warm.iterations,
-        "rule_cold_sweeps": rule_cold.iterations,
+        "rule_warm_sweeps": solve_vi_psor(system, tol=TOL, warm_start=start).iterations,
+        "rule_cold_sweeps": solve_vi_psor(system, tol=TOL).iterations,
     }
+    calls = {
+        "assemble": lambda: assemble_system(grid, shape, BETA, GAMMA, geometry),
+        "layout": lambda: _red_black_lattices(system, omega),
+        "residual": lambda: lcp_residuals(system, cold.values),
+        "one": lambda: capped_solve(system, omega, 1),
+        "many": lambda: capped_solve(system, omega, 1 + SWEEPS),
+        "warm": lambda: solve_vi_psor(system, omega=omega, tol=TOL, warm_start=start),
+        "cold": lambda: solve_vi_psor(system, omega=omega, tol=TOL),
+        "estimate": lambda: young_omega(system, cold_free),
+    }
+    return calls, sweeps
+
+
+def measure(n, repeat):
+    """One row per system of the n-by-n grid: the whole one, then the half."""
+    grid = build_grid(DomainRect(-1.0, 1.0, -1.0, 1.0), n, n)
+    shape = SliderShape.line_contact(2.0)
+    omega = suggested_omega(grid)
+    geometry = film_geometry(grid, shape)
+    systems = {"whole": (grid, geometry), "half": half_film(grid, shape, geometry)}
+    calls, sweeps = {}, {}
+    for name, (g, geo) in systems.items():
+        own, sweeps[name] = timed_calls(g, shape, geo, omega)
+        calls.update({(name, key): fn for key, fn in own.items()})
+    t = best_seconds(calls, repeat)
+    return [
+        {
+            "n": n,
+            "system": name,
+            "assemble_us": 1e6 * t[name, "assemble"],
+            "layout_us": 1e6 * t[name, "layout"],
+            "residual_us": 1e6 * t[name, "residual"],
+            "sweep_us": 1e6 * (t[name, "many"] - t[name, "one"]) / SWEEPS,
+            "warm_sweeps": sweeps[name]["warm_sweeps"],
+            "warm_ms": 1e3 * t[name, "warm"],
+            "cold_sweeps": sweeps[name]["cold_sweeps"],
+            "cold_ms": 1e3 * t[name, "cold"],
+            "estimate_us": 1e6 * t[name, "estimate"],
+            "rule_warm_sweeps": sweeps[name]["rule_warm_sweeps"],
+            "rule_cold_sweeps": sweeps[name]["rule_cold_sweeps"],
+        }
+        for name in systems
+    ]
 
 
 def main():
@@ -161,17 +181,18 @@ def main():
         "numpy": np.__version__,
     }
     print(" ".join(f"{k} {v}" for k, v in host.items()))
-    header = ("n", "assemble_us", "layout_us", "residual_us", "sweep_us",
+    header = ("n", "system", "assemble_us", "layout_us", "residual_us", "sweep_us",
               "warm_sweeps", "warm_ms", "cold_sweeps", "cold_ms",
               "estimate_us", "rule_warm_sweeps", "rule_cold_sweeps")
     print(" ".join(f"{h:>12}" for h in header))
     rows = []
     for n in args.sizes:
-        row = measure(n, args.repeat)
-        rows.append(row)
-        print(" ".join(
-            f"{row[h]:>12d}" if isinstance(row[h], int) else f"{row[h]:>12.3f}" for h in header
-        ))
+        for row in measure(n, args.repeat):
+            rows.append(row)
+            print(" ".join(
+                f"{row[h]:>12.3f}" if isinstance(row[h], float) else f"{row[h]:>12}"
+                for h in header
+            ))
     print(json.dumps({**host, "repeat": args.repeat, "rows": rows}))
 
 

@@ -141,7 +141,7 @@ def run_verify(config: RunConfig, out_dir: Path) -> int:
         # the stop test is relative to max(1, ||p||_inf), so the large
         # pressures of some flat cases need a tol far below the check's 1e-9
         # bound (test_verify_enumeration_check_at_stop_test_edge)
-        oracle.lcp_enumeration_equivalence(rng, config.domain, cases=100, tol=1e-13),
+        oracle.lcp_enumeration_equivalence(rng, cases=100, tol=1e-13),
         oracle.comparison_principle(rng, problem, cases=20),
         oracle.flat_reference_match(config.domain),
     ]

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
-from .dynamics import SolverParams, StepControl
+from .dynamics import SolverParams, StepControl, check_physics
 from .errors import ParseError, ValidationError, check_positive
 from .geometry import DomainRect, ShapeKind, SliderShape, check_node_count
 
@@ -70,7 +70,7 @@ class PhysicsConfig:
     eta1: float = 0.0
 
     def __post_init__(self):
-        check_positive(self, "F", "eta0")
+        check_physics(self)
 
 
 @dataclass(frozen=True)

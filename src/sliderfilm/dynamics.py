@@ -12,7 +12,7 @@ bounds, the energy monitor and the spring-damper bound.
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import reduce
 
@@ -36,6 +36,7 @@ from .vi_solver import (
     assemble_system,
     film_geometry,
     flat_unit_load,
+    half_film,
     load_integral,
     relaxation,
     solve_linear,
@@ -59,6 +60,7 @@ __all__ = [
     "spring_damper_decomposition",
     "poincare_lambda1",
     "c1_constant",
+    "check_physics",
 ]
 
 
@@ -89,11 +91,13 @@ class Problem:
     """A slider run's data: profile, grid, load, initial state, solver knobs.
 
     It assembles film systems but solves none: every film solve of a
-    run is made by its GEvaluator.  F and eta0 > 0, eta1 finite and
-    FilmGeometry.beta_max > 0, else ValidationError.  Frozen: the
-    beta-independent assembly data (film_geometry) is built once here and
-    would go stale if the profile or grid changed; dataclasses.replace
-    builds a new Problem instead.
+    run is made by its GEvaluator, on the rows vi_solver.half_film keeps
+    when the problem is mirror-symmetric.  F and eta0 as check_physics
+    has them, eta1 finite and FilmGeometry.beta_max > 0, else
+    ValidationError.  Frozen: the beta-independent assembly data
+    (film_geometry, half_film) is built once here and would go stale if
+    the profile or grid changed; dataclasses.replace builds a new Problem
+    instead.
     """
 
     shape: SliderShape
@@ -103,19 +107,24 @@ class Problem:
     eta1: float
     solver: SolverParams = field(default_factory=SolverParams)
     _geometry: FilmGeometry = field(init=False, repr=False)
+    _half: tuple[Grid, FilmGeometry] | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_positive(self, "F", "eta0")
+        check_physics(self)
         if not math.isfinite(self.eta1):
             raise ValidationError("eta1", f"must be finite, got {self.eta1!r}")
         geometry = film_geometry(self.grid, self.shape)
         if not geometry.beta_max > 0.0:  # the profile's height overflows the film operator
             raise ValidationError("domain", f"the {self.shape.describe()} film overflows on it")
         object.__setattr__(self, "_geometry", geometry)
+        object.__setattr__(self, "_half", half_film(self.grid, self.shape, geometry))
 
-    def assemble(self, beta: float, gamma: float) -> DiscreteSystem:
-        """The film system at clearance beta and squeeze velocity gamma."""
-        return assemble_system(self.grid, self.shape, beta, gamma, geometry=self._geometry)
+    def assemble(self, beta: float, gamma: float, half: bool = False) -> DiscreteSystem:
+        """The film system at clearance beta and squeeze velocity gamma: on
+        the whole grid, or with half on the rows half_film keeps, where the
+        problem is mirror-symmetric (the system GEvaluator solves)."""
+        grid, geometry = self._half if half and self._half else (self.grid, self._geometry)
+        return assemble_system(grid, self.shape, beta, gamma, geometry=geometry)
 
 
 # a step under 1e-12 * t_end fails, as does a run past _MAX_SAMPLES samples
@@ -129,6 +138,18 @@ _MAX_SAMPLES = 2_000_000
 _STIFF_RHO = 1.25
 # a run ends at the contact guard _CONTACT_GUARD * eta0 (integrate_trajectory)
 _CONTACT_GUARD = 1e-4
+
+
+def check_physics(obj) -> None:
+    """Reject obj's load F or initial height eta0, naming the field, with
+    ValidationError: each must be a finite number > 0, and eta0 so large
+    that the cube of its contact guard _CONTACT_GUARD * eta0 is > 0.  A
+    run's film forces are taken above the guard, where the flat load
+    divides by beta^3, and bounds_report divides by eta0^2."""
+    check_positive(obj, "F", "eta0")
+    guard = _CONTACT_GUARD * obj.eta0
+    if not guard * guard * guard > 0.0:
+        raise ValidationError("eta0", f"the cube of {_CONTACT_GUARD:g} eta0 must be > 0")
 
 
 @dataclass(frozen=True)
@@ -387,9 +408,11 @@ class GEvaluator:
     the closed-form sum vi_solver.flat_unit_load.  field still solves for
     every shape.  Any other field is one solve (_solve) at the problem's
     solver settings, or at the tolerance the call asks for, warm started
-    from the evaluator's recent solves (_warm_start).  A fresh
-    evaluator's first field below V1 equals a lone cold solve_vi_psor of
-    the problem's system at its settings, bit for bit.  Flat and cutoff
+    from the evaluator's recent solves (_warm_start).  A mirror-symmetric
+    problem solves only the rows vi_solver.half_film keeps, and field
+    mirrors them onto the whole grid.  A fresh evaluator's first field
+    below V1 equals a lone cold solve_vi_psor of the system it solves at
+    the problem's settings, bit for bit.  Flat and cutoff
     evaluations report 0 sweeps.  n_solves, n_sweeps and
     n_omega_estimates count the solves made, their sweeps and the
     relaxation estimates.
@@ -400,6 +423,9 @@ class GEvaluator:
         self.V1 = -float(problem._geometry.grad.min())
         self._flat = problem.shape.kind is ShapeKind.FLAT
         self._beta_max = problem._geometry.beta_max
+        # on a mirror fold, the solved row that each grid row mirrors
+        rows = np.arange(problem.grid.ny)
+        self._mirror = np.minimum(rows, rows[::-1]) if problem._half else None
         # (beta, gamma, p) of the last _HISTORY solves, oldest first
         self._history: list[tuple[float, float, np.ndarray]] = []
         # the flat profile's load at beta 1, gamma -1, exact to rounding
@@ -459,20 +485,23 @@ class GEvaluator:
         sol = self._solve(beta, gamma, _warm_start(self._history, beta, gamma), tol)
         self._history.append((beta, gamma, sol.values))
         del self._history[:-_HISTORY]
-        return sol
+        if self._mirror is None:
+            return sol
+        return replace(sol, values=sol.values[self._mirror])
 
     def _solve(
         self, beta: float, gamma: float, start: np.ndarray | None, tol: float
     ) -> PressureField:
-        """One counted solve_vi_psor at (beta, gamma) from start, at tol and
-        the problem's other solver settings.
+        """One counted solve_vi_psor of the solved rows' system at
+        (beta, gamma) from start, at tol and the problem's other solver
+        settings.
 
         With solver.omega unset, the factor is vi_solver.relaxation of
         the newest solution and the kept pair; a new pair is kept and
         counted.  field calls it below V1 only, where b has a positive
         entry, so relaxation always has a free set to estimate on.
         """
-        system = self.problem.assemble(beta, gamma)
+        system = self.problem.assemble(beta, gamma, half=True)
         omega = self.problem.solver.omega
         if omega is None:
             newest = self._history[-1][2] if self._history else None

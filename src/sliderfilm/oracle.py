@@ -408,13 +408,17 @@ def cutoff_exactness(problems) -> dict:
     return _record("cutoff_exactness", worst_load <= 1e-10, worst_load=worst_load)
 
 
-def lcp_enumeration_equivalence(rng, domain: DomainRect, cases: int, tol: float) -> dict:
+def lcp_enumeration_equivalence(rng, cases: int, tol: float) -> dict:
     """Check 3: the sweep solver at tol against lcp_pivot on `cases` random 3x3 to 4x4 problems.
 
-    The record keeps the name it had when the oracle enumerated active
-    sets, so the verify.json schema does not change.
+    The problems lie on [-1, 1]^2, whatever the config's domain: the
+    check tests the solver, and a domain far from unit size puts the
+    drawn clearances outside the film's range.  The record keeps the
+    name it had when the oracle enumerated active sets, so the
+    verify.json schema does not change.
     """
     worst_diff = 0.0
+    domain = DomainRect(-1.0, 1.0, -1.0, 1.0)
     for _ in range(cases):
         nx = int(rng.integers(3, 5))
         ny = int(rng.integers(3, 5))

@@ -11,7 +11,8 @@ both with zero Dirichlet boundary.  A is a symmetric M-matrix, so the
 problem has a unique solution and projected SOR converges.
 
 solve_vi_psor is the production solver, projected SOR in red-black
-order; its Notes hold the sweep and the stop test.  An unset relaxation
+order; its Notes hold the sweep and the stop test.  half_film folds a
+mirror-symmetric problem onto the rows on one side of its midline.  An unset relaxation
 factor is chosen by relaxation.  solve_linear (conjugate gradients) and
 flat_unit_load (the flat profile's load in closed form) serve the
 oracles and the flat-profile shortcut.
@@ -20,18 +21,19 @@ oracles and the flat-profile shortcut.
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NoConvergence, NonPositiveClearance
-from .geometry import Grid, SliderShape, edge_midpoint_heights, lattice_grad_x1
+from .geometry import Grid, ShapeKind, SliderShape, edge_midpoint_heights, lattice_grad_x1
 
 __all__ = [
     "DiscreteSystem",
     "FilmGeometry",
     "PressureField",
     "film_geometry",
+    "half_film",
     "free_set",
     "relaxation",
     "assemble_system",
@@ -123,12 +125,15 @@ class FilmGeometry:
     grad is dh0/dx1 at the interior nodes (shape (ny, nx)).  Up to beta_max
     the diagonal, at most 4 (h0 + beta)^3 max(dx/dy, dy/dx), stays < float max / 2.
     A height beyond the float range makes beta_max -inf or nan (Problem).
+    middle_row is None on a whole grid; on the rows that half_film keeps,
+    it tells whether the last of them is the grid's middle row.
     """
 
     h_v: np.ndarray
     h_h: np.ndarray
     grad: np.ndarray
     beta_max: float
+    middle_row: bool | None = None
 
 
 def film_geometry(grid: Grid, shape: SliderShape) -> FilmGeometry:
@@ -141,6 +146,55 @@ def film_geometry(grid: Grid, shape: SliderShape) -> FilmGeometry:
     return FilmGeometry(h_v=h_v, h_h=h_h, grad=grad, beta_max=beta_max)
 
 
+def half_film(
+    grid: Grid, shape: SliderShape, geometry: FilmGeometry
+) -> tuple[Grid, FilmGeometry] | None:
+    """(grid, geometry) of the rows a mirror-symmetric film problem solves,
+    or None when the problem is not mirror-symmetric; geometry is
+    film_geometry(grid, shape).
+
+    The film problem is mirror-symmetric across the x2 midline of the
+    grid when both A and b are: for line contact on any domain (h0 does
+    not depend on x2), for point contact when x2_min == -x2_max (h0 is
+    even in x2), and for a tabulated profile whose heights and slopes
+    read the same with the lattice's rows reversed.  The flat profile's
+    loads come in closed form, so its field solves keep the whole grid.
+    The complementarity solution is unique, so it shares the symmetry,
+    and the rows j < ny / 2 plus the middle row of an odd ny determine
+    it: row j mirrors row ny - 1 - j.  assemble_system on the returned
+    pair builds the folded system of those rows.  For even ny the last
+    kept row's north neighbour is its own mirror, so the edge between
+    them carries no flux and its coefficient is 0 (diag - cn, cn = 0).
+    For odd ny the middle row's south and north neighbours are one node,
+    and its equation is halved: its east and west couplings and its load
+    take half, its south coupling the whole, and its north edge 0, which
+    keeps A symmetric.  The returned grid holds the kept rows (ny of
+    them, ys up to the lattice row past the last); its domain is the
+    whole one.
+    """
+    kind = shape.kind
+    if kind is ShapeKind.TABULATED:
+        table = shape.table
+        mirror = np.array_equal(table.heights, table.heights[::-1]) and np.array_equal(
+            table.grad_x1, table.grad_x1[::-1]
+        )
+    else:
+        mirror = kind is ShapeKind.LINE_CONTACT or (
+            kind is ShapeKind.POINT_CONTACT and grid.domain.x2_min == -grid.domain.x2_max
+        )
+    if not mirror:
+        return None
+    k = (grid.ny + 1) // 2
+    half = replace(grid, ny=k, ys=grid.ys[: k + 2])
+    return half, replace(
+        geometry,
+        h_v=geometry.h_v[:k],
+        h_h=geometry.h_h[: k + 1],
+        grad=geometry.grad[:k],
+        middle_row=grid.ny % 2 == 1,
+    )
+
+
 def assemble_system(
     grid: Grid,
     shape: SliderShape,
@@ -150,8 +204,9 @@ def assemble_system(
 ) -> DiscreteSystem:
     """Assemble the five-point system for clearance beta, squeeze gamma.
 
-    geometry, when given, must be film_geometry(grid, shape); a caller
-    that assembles many systems of one profile computes it once.  A beta
+    geometry, when given, must be film_geometry(grid, shape), or the pair
+    (grid, geometry) half_film's folded rows; a caller that assembles
+    many systems of one profile computes it once.  A beta
     outside (0, geometry.beta_max] raises NonPositiveClearance and a
     non-finite gamma ValueError, before any array work on beta.
     """
@@ -162,10 +217,15 @@ def assemble_system(
         raise NonPositiveClearance(f"assembly requires 0 < beta <= {geo.beta_max:.6g}, got {beta}")
     coef_v = (geo.h_v + beta) ** 3 * (grid.dy / grid.dx)
     coef_h = (geo.h_h + beta) ** 3 * (grid.dx / grid.dy)
+    b = -(geo.grad + gamma) * grid.cell_area
+    if geo.middle_row is not None:  # the fold of half_film
+        coef_h[-1] = 0.0
+        if geo.middle_row:
+            coef_v[-1] *= 0.5
+            b[-1] *= 0.5
     cw, ce = coef_v[:, :-1], coef_v[:, 1:]
     cs, cn = coef_h[:-1, :], coef_h[1:, :]
     diag = cw + ce + cs + cn
-    b = -(geo.grad + gamma) * grid.cell_area
     return DiscreteSystem(grid=grid, diag=diag, cw=cw, ce=ce, cs=cs, cn=cn, b=b)
 
 

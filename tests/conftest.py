@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,29 @@ def solve_at_settings(problem, beta, gamma, warm_start=None):
     return solve_vi_psor(
         problem.assemble(beta, gamma), omega=s.omega, tol=s.tol, warm_start=warm_start
     )
+
+
+def solve_as_evaluator(problem, beta, gamma, warm_start=None):
+    """solve_at_settings of the system GEvaluator solves: on a mirror fold,
+    the kept rows' system from the kept rows of warm_start, its solution
+    mirrored onto the whole grid."""
+    s = problem.solver
+    system = problem.assemble(beta, gamma, half=True)
+    ny = system.grid.ny
+    start = None if warm_start is None else warm_start[:ny]
+    sol = solve_vi_psor(system, omega=s.omega, tol=s.tol, warm_start=start)
+    if ny < problem.grid.ny:
+        rows = np.arange(problem.grid.ny)
+        sol = replace(sol, values=sol.values[np.minimum(rows, rows[::-1])])
+    return sol
+
+
+def within_tol(field, ref, tol):
+    """True when two solves of one problem at stop tolerance tol agree within
+    10 tol max(1, ||p||_inf): ten times the last update either stop test
+    allows, which understates a solve's error (solve_vi_psor)."""
+    scale = max(1.0, float(np.max(ref.values)))
+    return float(np.max(np.abs(field.values - ref.values))) <= 10.0 * tol * scale
 
 
 def all_variant_shapes(grid):

@@ -26,7 +26,7 @@ from sliderfilm.errors import ParseError, ValidationError
 from sliderfilm.geometry import SliderShape, build_grid
 from sliderfilm.vi_solver import load_integral, young_omega
 
-from .conftest import lattice_csv_rows
+from .conftest import lattice_csv_rows, solve_at_settings, within_tol
 
 MINIMAL_FLAT = """
 {
@@ -115,11 +115,12 @@ class TestParse:
         cfg = parse_config('{"grid": {"nx": 12, "ny": 20}}')
         prob = build_problem(cfg)
         assert prob.solver.omega is None  # resolved by each solve, from its own system
-        system = prob.assemble(0.3, -0.3)
+        system = prob.assemble(0.3, -0.3, half=True)  # the mirror fold's rows
         pinned = replace(prob, solver=SolverParams(omega=young_omega(system, system.b > 0.0)))
         unset, explicit = GEvaluator(prob).field(0.3, -0.3), GEvaluator(pinned).field(0.3, -0.3)
         assert unset.iterations == explicit.iterations > 0
         assert np.array_equal(unset.values, explicit.values)
+        assert within_tol(unset, solve_at_settings(prob, 0.3, -0.3), prob.solver.tol)
         assert build_problem(parse_config(SMALL_LINE)).solver.omega == 1.6
 
     def test_to_json_refuses_non_finite(self):
@@ -690,8 +691,9 @@ class TestMain:
 
     def test_flat_domain_whose_squares_are_finite(self, tmp_path, capsys):
         # sides 2e60 pass the side rule: simulate's first step size overflowed
-        # the controller's norm (an OverflowError traceback), and verify's
-        # check 2 rebuilt the problem with line and point contact profiles
+        # the controller's norm (an OverflowError traceback); verify's check 3
+        # drew line and point contact on this domain and failed assembly, and
+        # now draws on [-1, 1]^2, so its check 4 solve is the first to fail
         doc = {"domain": {"x1_min": -1e60, "x1_max": 1e60, "x2_min": -1e60, "x2_max": 1e60},
                "shape": {"variant": "flat"}, "grid": {"nx": 8, "ny": 8}}
         cfgfile = tmp_path / "cfg.json"
@@ -701,9 +703,24 @@ class TestMain:
         assert capsys.readouterr().err == ""
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"]["kind"] == "step_failure"
-        main(["verify", "--config", str(cfgfile), "--out", str(out)])
+        assert main(["verify", "--config", str(cfgfile), "--out", str(out)]) == EXIT_NOCONV
         err = capsys.readouterr().err
-        assert "line_contact" not in err and "point_contact" not in err
+        assert err.startswith("error: solver did not converge: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_eta0_whose_contact_guard_cube_underflows_is_a_usage_error(
+        self, tmp_path, capsys, command
+    ):
+        # eta0 1e-300 ended bounds and simulate in a ZeroDivisionError
+        # traceback (bounds_report's c1 / (2 eta0^2)); the flat load at the
+        # contact guard divides by its cube
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"physics": {"eta0": 1e-300}, "grid": {"nx": 8, "ny": 8}}')
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: physics.eta0: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_json_artifacts_refuse_non_finite(self, tmp_path):
         with pytest.raises(ValueError):

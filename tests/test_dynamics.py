@@ -46,9 +46,16 @@ from sliderfilm.geometry import (
     region_node_mask,
 )
 from sliderfilm.oracle import comparison_check, flat_C_omega, flat_model
+from sliderfilm.steady import g_curve
 from sliderfilm.vi_solver import flat_unit_load, load_integral, suggested_omega
 
-from .conftest import all_variant_shapes, solve_at_settings
+from .conftest import (
+    all_variant_shapes,
+    solve_as_evaluator,
+    solve_at_settings,
+    tabulated_from,
+    within_tol,
+)
 
 
 def make_problem(shape, domain, n=16, F=1.0, eta0=0.5, eta1=0.0, tol=1e-9):
@@ -218,20 +225,22 @@ class TestSecantWarmStart:
         # (0.625, -0.25) projects to s = 0.03125 / 0.078125 = 0.4 on the
         # step from p0 to p1
         start = p1.values + 0.4 * (p1.values - p0.values)
-        ref = solve_at_settings(prob, 0.625, -0.25, warm_start=start)
+        ref = solve_as_evaluator(prob, 0.625, -0.25, warm_start=start)
         fld = ev.field(0.625, -0.25)
         assert fld.iterations == ref.iterations
         assert np.array_equal(fld.values, ref.values)
+        assert within_tol(fld, solve_at_settings(prob, 0.625, -0.25), prob.solver.tol)
 
     def test_point_behind_the_last_solve_starts_from_it(self, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
         ev = GEvaluator(prob)
         ev.field(0.3, 0.0)
         p1 = ev.field(0.4, 0.0)
-        ref = solve_at_settings(prob, 0.35, 0.0, warm_start=p1.values)
+        ref = solve_as_evaluator(prob, 0.35, 0.0, warm_start=p1.values)
         fld = ev.field(0.35, 0.0)
         assert fld.iterations == ref.iterations
         assert np.array_equal(fld.values, ref.values)
+        assert within_tol(fld, solve_at_settings(prob, 0.35, 0.0), prob.solver.tol)
 
     def test_without_a_warm_field_the_solve_is_cold(self, domain_sym):
         prob = make_problem(SliderShape.line_contact(2.0), domain_sym, n=12)
@@ -240,9 +249,10 @@ class TestSecantWarmStart:
         ev.field(0.4, 0.0)
         ev._history.clear()
         fld = ev.field(0.5, 0.0)
-        ref = solve_at_settings(prob, 0.5, 0.0)
+        ref = solve_as_evaluator(prob, 0.5, 0.0)
         assert fld.iterations == ref.iterations
         assert np.array_equal(fld.values, ref.values)
+        assert within_tol(fld, solve_at_settings(prob, 0.5, 0.0), prob.solver.tol)
 
 
 def _affine_field(beta, gamma):
@@ -306,11 +316,12 @@ class TestPlaneWarmStart:
         for beta, gamma in points[:-1]:
             ev.field(beta, gamma)
         assert [(b, g) for b, g, _ in ev._history] == points[1:-1]
-        start = _warm_start(ev._history, *points[-1])
-        ref = solve_at_settings(prob, *points[-1], warm_start=start)
+        start = _warm_start(ev._history, *points[-1])  # of the fold's rows
+        ref = solve_as_evaluator(prob, *points[-1], warm_start=start)
         fld = ev.field(*points[-1])
         assert fld.iterations == ref.iterations
         assert np.array_equal(fld.values, ref.values)
+        assert within_tol(fld, solve_at_settings(prob, *points[-1]), prob.solver.tol)
 
 
 class TestInitialStep:
@@ -519,14 +530,15 @@ class TestSingleFilmSolvePath:
                        F=1.0, eta0=0.5, eta1=0.0, solver=SolverParams(tol=1e-9))
         ev = GEvaluator(prob)
         states = [(0.3, -0.3), (0.3, -0.29), (0.3, -0.28), (0.3, -0.27), (0.05, 0.5), (0.05, 0.49)]
-        solutions = [ev.field(beta, gamma).values for beta, gamma in states]
+        rows = prob.assemble(*states[0], half=True).grid.ny  # the mirror fold's rows
+        solutions = [ev.field(beta, gamma).values[:rows] for beta, gamma in states]
         assert ev.n_solves == len(psor_calls) == len(states)
         assert ev.n_omega_estimates == len(estimates)
         fresh = {at: (free, omega) for at, free, omega in estimates}
         kept = None
         for k, call in enumerate(psor_calls):
             if k == 0:  # cold: the estimate is on b > 0
-                assert np.array_equal(fresh[0][0], prob.assemble(*states[0]).b > 0.0)
+                assert np.array_equal(fresh[0][0], prob.assemble(*states[0], half=True).b > 0.0)
                 kept = fresh[0]
             elif k in fresh:  # estimated just before this solve, from the newest solution
                 free = solutions[k - 1] > 0.0
@@ -571,14 +583,16 @@ class TestSingleFilmSolvePath:
     @pytest.mark.parametrize("omega", [None, 1.7])
     def test_fresh_field_is_the_plain_solve_at_the_problem_settings(self, domain_sym, omega):
         # the film solve that comparison_check takes: one GEvaluator field
-        # equals solve_vi_psor of the problem's system bit for bit
+        # equals solve_vi_psor of the system it solves bit for bit, and the
+        # whole grid's solve within the tolerance
         for shape in all_variant_shapes(build_grid(domain_sym, 11, 11)):
             prob = Problem(shape=shape, grid=build_grid(domain_sym, 11, 11), F=1.0, eta0=0.5,
                            eta1=0.0, solver=SolverParams(omega=omega, tol=1e-9))
             fld = GEvaluator(prob).field(0.3, -0.3)
-            ref = solve_at_settings(prob, 0.3, -0.3)
+            ref = solve_as_evaluator(prob, 0.3, -0.3)
             assert fld.iterations == ref.iterations > 0
             assert np.array_equal(fld.values, ref.values)
+            assert within_tol(fld, solve_at_settings(prob, 0.3, -0.3), prob.solver.tol)
             assert (fld.residual_comp, fld.residual_lin) == (ref.residual_comp, ref.residual_lin)
 
     def test_unset_omega_cutoff_solve_estimates_nothing(self, domain_sym):
@@ -645,8 +659,9 @@ class TestSingleFilmSolvePath:
         moved = GEvaluator(replace(fine, grid=coarse)).field(0.3, -0.3)
         fresh = GEvaluator(Problem(shape=shape, grid=coarse, F=1.0, eta0=0.5, eta1=0.0,
                                    solver=SolverParams(tol=1e-8))).field(0.3, -0.3)
-        assert moved.iterations == fresh.iterations == 39
+        assert moved.iterations == fresh.iterations == 38  # 39 on the whole grid
         assert np.array_equal(moved.values, fresh.values)
+        assert within_tol(moved, solve_at_settings(replace(fine, grid=coarse), 0.3, -0.3), 1e-8)
 
     def test_problem_is_frozen_and_replace_rebuilds_its_geometry(self, domain_sym):
         # the assembly data built once per Problem must not go stale
@@ -669,6 +684,78 @@ class TestSingleFilmSolvePath:
         kwargs[name] = value
         with pytest.raises(ValueError, match=f"^{name}: must be finite"):
             Problem(shape=SliderShape.flat(), grid=build_grid(domain_sym, 6, 6), **kwargs)
+
+    def test_eta0_rule_covers_the_flat_load_at_the_contact_guard(self, domain_sym):
+        # the guard 1e-4 eta0 cubed: 1e-327 underflows to 0, 1e-321 does not
+        grid = build_grid(domain_sym, 6, 6)
+        with pytest.raises(ValueError, match="^eta0: the cube of 0.0001 eta0 must be > 0"):
+            Problem(shape=SliderShape.flat(), grid=grid, F=1.0, eta0=1e-105, eta1=0.0)
+        prob = Problem(shape=SliderShape.flat(), grid=grid, F=1.0, eta0=1e-103, eta1=0.0)
+        assert GEvaluator(prob).eval(dynamics._CONTACT_GUARD * prob.eta0, -1.0)[1] > 0.0
+        assert bounds_report(prob).D2 > 0.0
+
+
+class TestMirrorFold:
+    """A mirror-symmetric problem solves the rows vi_solver.half_film keeps."""
+
+    @staticmethod
+    def _problem(shape, domain, ny, tol=1e-9):
+        return Problem(shape=shape, grid=build_grid(domain, 9, ny), F=1.0, eta0=0.5, eta1=0.0,
+                       solver=SolverParams(tol=tol))
+
+    @pytest.mark.parametrize("ny", [10, 11])
+    @pytest.mark.parametrize(
+        "shape, domain",
+        [
+            (SliderShape.line_contact(2.0), DomainRect(-1.0, 1.0, -1.0, 1.0)),
+            (SliderShape.line_contact(2.0), DomainRect(-1.0, 1.0, -0.5, 2.0)),
+            (SliderShape.point_contact(2.0), DomainRect(-1.0, 1.0, -1.0, 1.0)),
+            (SliderShape.point_contact(1.5), DomainRect(-0.5, 1.5, -1.5, 1.5)),
+        ],
+        ids=["line", "line-asymmetric-x2", "point", "point-off-centre-x1"],
+    )
+    def test_folded_field_and_load_match_the_whole_grid(self, shape, domain, ny):
+        prob = self._problem(shape, domain, ny)
+        assert prob.assemble(0.3, -0.3, half=True).grid.ny == (ny + 1) // 2
+        ev = GEvaluator(prob)
+        for beta, gamma in ((0.3, -0.3), (0.05, 0.0), (1.0, -1.0), (0.31, -0.29)):
+            fld = ev.field(beta, gamma)
+            whole = solve_at_settings(prob, beta, gamma)
+            assert np.array_equal(fld.values, fld.values[::-1])
+            assert fld.residual_comp <= 10.0 * prob.solver.tol
+            assert within_tol(fld, whole, prob.solver.tol)
+            scale = max(1.0, float(whole.values.max()))
+            load, whole_load = load_integral(fld, prob.grid), load_integral(whole, prob.grid)
+            assert abs(load - whole_load) <= domain.area * 10.0 * prob.solver.tol * scale
+
+    def test_symmetric_table_folds_and_asymmetric_problems_do_not(self, domain_sym):
+        tall = DomainRect(-1.0, 1.0, -1.0, 2.0)
+        # the line profile's table reads the same with its rows reversed
+        table = tabulated_from(SliderShape.line_contact(2.0), build_grid(domain_sym, 9, 11))
+        folded = self._problem(table, domain_sym, 11)
+        assert folded.assemble(0.3, -0.3, half=True).grid.ny == 6
+        assert within_tol(GEvaluator(folded).field(0.3, -0.3),
+                          solve_at_settings(folded, 0.3, -0.3), folded.solver.tol)
+        cases = [
+            (SliderShape.point_contact(2.0), tall),
+            (tabulated_from(SliderShape.point_contact(2.0), build_grid(tall, 9, 11)), tall),
+            (SliderShape.flat(), domain_sym),  # its loads come in closed form
+        ]
+        for shape, domain in cases:
+            prob = self._problem(shape, domain, 11)
+            assert prob.assemble(0.3, -0.3, half=True).grid is prob.grid
+            fld = GEvaluator(prob).field(0.3, -0.3)
+            ref = solve_at_settings(prob, 0.3, -0.3)
+            assert fld.iterations == ref.iterations > 0
+            assert np.array_equal(fld.values, ref.values)
+
+    def test_gcurve_active_fraction_counts_the_whole_grid(self, domain_sym):
+        prob = self._problem(SliderShape.point_contact(2.0), domain_sym, 11)
+        betas = [0.01, 0.1, 0.5, 2.0]
+        curve = g_curve(GEvaluator(prob), betas)
+        zeros = [np.count_nonzero(solve_at_settings(prob, b, 0.0).values == 0.0) for b in betas]
+        assert 0 < min(zeros)
+        assert np.array_equal(curve.active_fraction, np.array(zeros) / prob.grid.n_interior)
 
 
 class TestStepSolveTolerance:

@@ -30,6 +30,8 @@ from sliderfilm.vi_solver import (
     young_omega,
 )
 
+from .conftest import solve_as_evaluator, within_tol
+
 
 @pytest.fixture
 def grid9(domain_sym):
@@ -333,7 +335,8 @@ class TestLayoutAndFilmPath:
         # view, b' and the couplings equal its stride-2 slices and their
         # W/E/S/N shifts, boundary and ghost entries exactly 0;
         # a fresh GEvaluator's field, which assembles from the problem's
-        # stored geometry, equals the plain assembly and solve bitwise
+        # stored geometry, equals the plain assembly and solve of the rows
+        # it solves bitwise, and the whole grid's solve within the tolerance
         grid = _grid_by_hand(domain_sym, nx, ny)
         omega = suggested_omega(grid)
         w = nx + 2 if nx % 2 else nx + 3
@@ -373,12 +376,14 @@ class TestLayoutAndFilmPath:
             problem = Problem(shape=shape, grid=grid, F=1.0, eta0=0.5, eta1=0.0,
                               solver=SolverParams(tol=1e-10))
             film = GEvaluator(problem).field(0.3, -0.3)
-            plain = solve_vi_psor(system, omega=problem.solver.omega, tol=1e-10)
+            plain = solve_as_evaluator(problem, 0.3, -0.3)  # the mirror fold's rows, mirrored
             assert film.iterations > 0
             assert np.array_equal(film.values, plain.values)
             assert (film.iterations, film.residual_comp, film.residual_lin) == (
                 plain.iterations, plain.residual_comp, plain.residual_lin
             )
+            whole = solve_vi_psor(system, omega=problem.solver.omega, tol=1e-10)
+            assert within_tol(film, whole, 1e-10)
 
     @pytest.mark.parametrize("nx", range(1, 10))
     def test_neighbour_views_stay_inside_the_half_they_read(self, domain_sym, nx):
